@@ -731,11 +731,10 @@ let outofcore () =
      peak(MB) flat (16x <= 1.2x of 1x and 64x <= 1.2x of 16x, both gated) \
      while rows grow 64x; streamed output is asserted byte-identical to the \
      monolithic path at the common 1x SF.  The 16x database is then \
-     exported gzip-compressed through the single-drain chunked writer vs \
-     the domain-owned sharded writer: compression rides the payload path, \
-     so the drain serializes it while sharded writers compress concurrently \
-     — sharded MB/s >= 1.5x drain at domains=4 is gated on hosts with >= 4 \
-     cores.";
+     exported gzip-compressed through the chunked writer at domains 1 and \
+     4: shards render and compress in parallel, one per domain, so \
+     domains=4 MB/s >= 1.5x domains=1 is gated on hosts with >= 4 cores; \
+     the compressed bytes must be identical at both widths.";
   let wl = List.nth workloads 1 (* tpch *) in
   let cores = Domain.recommended_domain_count () in
   let base_sf = wl.wl_sf *. bench_sf_scale in
@@ -805,7 +804,7 @@ let outofcore () =
       let stream_chunk = max 1024 (largest1 * 8) in
       let streamed_config = { config with Driver.chunk_rows = Some stream_chunk } in
       ignore (gen ~config:streamed_config "gen-64x" (base_sf *. 64.0));
-      (* --- compressed emit: single drain vs domain-owned shards ---------- *)
+      (* --- compressed emit at domains 1 and 4 ----------------------------- *)
       let db = r16.Driver.r_db in
       let copies = 8 in
       let out_mb = csv_mb ~copies db in
@@ -816,7 +815,7 @@ let outofcore () =
           1
           (Mirage_sql.Schema.tables (Mirage_engine.Db.schema db))
       in
-      (* several shards per table, so the sharded writer has work to spread *)
+      (* several shards per table, so the domains have shards to claim *)
       let chunk_rows = max 1 (largest / 2) in
       let temp_dir () =
         let d = Filename.temp_file "mirage_outofcore" "" in
@@ -875,45 +874,33 @@ let outofcore () =
       pf "streamed generation byte-identical to monolithic at 1x: yes\n%!";
       pf "\ncompressed emit of the 16x database (copies=%d, %.1f raw MB):\n"
         copies out_mb;
-      pf "%-10s %8s %10s %10s %10s\n%!" "writer" "domains" "write(s)" "MB/s"
-        "identical";
+      pf "%8s %10s %10s %10s\n%!" "domains" "write(s)" "MB/s" "identical";
       let reference = ref "" in
       List.iter
         (fun domains ->
-          let pool = Par.get ~domains () in
-          let run label sharded =
-            let export =
-              if sharded then Mirage_core.Scale_out.to_csv_sharded
-              else Mirage_core.Scale_out.to_csv_chunked
-            in
-            let dir = temp_dir () in
-            let t0 = Unix.gettimeofday () in
-            let (_ : Mirage_core.Scale_out.chunk_report) =
-              export ~pool ~compress:true ~db ~copies ~chunk_rows ~dir
-                ~run_id:(Printf.sprintf "outofcore-%s-d%d" label domains)
-                ()
-            in
-            let dt = Unix.gettimeofday () -. t0 in
-            let bytes = cat_dir dir in
-            rm_dir dir;
-            if !reference = "" then reference := bytes;
-            (* both writers, at every domain count, must produce the same
-               compressed bytes — shard layout and encoder are deterministic *)
-            let identical = String.equal bytes !reference in
-            if not identical then
-              failwith
-                (Printf.sprintf "outofcore: %s output diverged at domains=%d"
-                   label domains);
-            Bench_json.record ~experiment:"outofcore" ~workload:wl.wl_name
-              ~label:(Printf.sprintf "emit-%s-d%d" label domains) ~domains
-              ~seconds:dt ~rows_per_s:0.0 ~peak_mb:0.0
-              ~mb_per_s:(out_mb /. dt) ~chunk_rows ();
-            pf "%-10s %8d %10.3f %10.1f %10s\n%!" label domains dt
-              (out_mb /. dt)
-              (if identical then "yes" else "NO")
+          let dir = temp_dir () in
+          let t0 = Unix.gettimeofday () in
+          let (_ : Mirage_core.Scale_out.chunk_report) =
+            Mirage_core.Scale_out.to_csv_chunked ~pool:(Par.get ~domains ())
+              ~compress:true ~db ~copies ~chunk_rows ~dir
+              ~run_id:(Printf.sprintf "outofcore-gz-d%d" domains)
+              ()
           in
-          run "drain" false;
-          run "sharded" true)
+          let dt = Unix.gettimeofday () -. t0 in
+          let bytes = cat_dir dir in
+          rm_dir dir;
+          if !reference = "" then reference := bytes;
+          (* every domain count must produce the same compressed bytes —
+             shard layout and encoder are deterministic *)
+          if not (String.equal bytes !reference) then
+            failwith
+              (Printf.sprintf
+                 "outofcore: compressed output diverged at domains=%d" domains);
+          Bench_json.record ~experiment:"outofcore" ~workload:wl.wl_name
+            ~label:(Printf.sprintf "emit-gz-d%d" domains) ~domains
+            ~seconds:dt ~rows_per_s:0.0 ~peak_mb:0.0
+            ~mb_per_s:(out_mb /. dt) ~chunk_rows ();
+          pf "%8d %10.3f %10.1f %10s\n%!" domains dt (out_mb /. dt) "yes")
         [ 1; 4 ])
 
 (* --- Ablation: contribution of each design choice ------------------------- *)

@@ -168,12 +168,6 @@ let compress_arg =
   in
   Arg.(value & flag & info [ "compress" ] ~doc)
 
-let shard_per_domain_arg =
-  let doc =
-    "Write shards concurrently, one open shard stream per worker domain,      instead of rendering in parallel but draining through one writer.      Same shard files, manifest and bytes as the serial drain — only the      I/O parallelism changes.  Requires --chunk-rows."
-  in
-  Arg.(value & flag & info [ "shard-per-domain" ] ~doc)
-
 let run_generation ?(schedule = `Overlap) ?on_table_ready ?on_attempt_abort
     ~chunk_rows name sf seed batch limits =
   let workload, ref_db, prod_env = make_workload name sf seed in
@@ -233,23 +227,22 @@ let generate_cmd =
     Arg.(value & flag & info [ "sql" ]
            ~doc:"Also write schema.sql / data.sql / queries.sql into the output directory.")
   in
-  let run name sf seed batch out copies sql chunk resume compress sharded
-      sched brows bmb bsecs big_rows big_dir =
+  let run name sf seed batch out copies sql chunk resume compress sched brows
+      bmb bsecs big_rows big_dir =
     guarded @@ fun () ->
     let schedule = schedule_of sched in
-    if (compress || sharded) && chunk = None then
-      failwith "--compress and --shard-per-domain require --chunk-rows";
+    if compress && chunk = None then failwith "--compress requires --chunk-rows";
     apply_big_flags big_rows big_dir;
     let limits = limits_of brows bmb bsecs in
     (* overlapped live export: with an output directory and a chunked run
        under the overlap schedule, the sink opens before generation and each
        table's shards stream out the moment its last FK edge commits.  The
        export then shares the generation budget clock (it runs during
-       generation); the barrier schedule and the domain-owned sharded writer
-       keep the post-generation export with its own clock. *)
+       generation); the barrier schedule keeps the post-generation export
+       with its own clock. *)
     let live =
       match (out, chunk) with
-      | Some dir, Some chunk_rows when schedule = `Overlap && not sharded ->
+      | Some dir, Some chunk_rows when schedule = `Overlap ->
           Scale_out.mkdir_p dir;
           let token = Budget.start limits in
           let chunk_rows = Budget.chunk_rows token ~default:chunk_rows in
@@ -305,21 +298,15 @@ let generate_cmd =
                   | None ->
                       (* run_id pins every parameter that changes the output
                          bytes; compression changes them (shard names and
-                         contents), the domain-owned writer does not
-                         (identical layout and bytes), so a sharded run may
-                         resume a chunked one and vice versa *)
+                         contents), the domain count does not *)
                       let run_id =
                         Printf.sprintf "%s-sf%g-seed%d-copies%d-chunk%d%s"
                           name sf seed copies chunk_rows
                           (if compress then "-gz" else "")
                       in
-                      let export =
-                        if sharded then Scale_out.to_csv_sharded
-                        else Scale_out.to_csv_chunked
-                      in
-                      export ~pool:(export_pool ()) ~resume ~compress
-                        ~interrupt ~db:r.Driver.r_db ~copies ~chunk_rows
-                        ~dir ~run_id ()
+                      Scale_out.to_csv_chunked ~pool:(export_pool ()) ~resume
+                        ~compress ~interrupt ~db:r.Driver.r_db ~copies
+                        ~chunk_rows ~dir ~run_id ()
                 in
                 let dt = Unix.gettimeofday () -. t0 in
                 Fmt.pr "wrote %d shards to %s (%d resumed, %d bytes this run)@."
@@ -391,7 +378,7 @@ let generate_cmd =
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ out_arg
       $ copies_arg $ sql_arg $ chunk_rows_arg $ resume_arg $ compress_arg
-      $ shard_per_domain_arg $ schedule_arg $ budget_rows_arg $ budget_mb_arg
+      $ schedule_arg $ budget_rows_arg $ budget_mb_arg
       $ budget_seconds_arg $ big_rows_arg $ big_dir_arg)
 
 let verify_cmd =

@@ -192,8 +192,8 @@ let to_csv_dir ?(pool = Par.sequential) ~db ~copies ~dir () =
 
 (* --- crash-safe chunked export ---------------------------------------------
 
-   Same templates, same tile pipeline, but the bytes go through the Sink
-   layer shard-at-a-time: shard [k] of a table holds a contiguous run of
+   Same templates, but the bytes go through the Sink layer
+   shard-at-a-time: shard [k] of a table holds a contiguous run of
    tiles sized to [chunk_rows], shard 0 additionally carries the header, so
    [cat table.csv.0 table.csv.1 ...] is byte-for-byte the monolithic
    [to_csv_dir] output.  Shards committed in the manifest are skipped
@@ -270,9 +270,8 @@ let remove_surplus_shards ~dir tname nshards =
       done)
     [ false; true ]
 
-(* shard layout shared by the chunked and sharded writers: tables in schema
-   order, [tiles_per_shard] tiles per shard, global [seq] in concatenation
-   order *)
+(* shard layout: tables in schema order, [tiles_per_shard] tiles per shard,
+   global [seq] in concatenation order *)
 type shard_unit = {
   u_table : Schema.table;
   u_name : string;
@@ -304,19 +303,24 @@ let shard_units ~db ~copies ~chunk_rows ~compress schema =
           }))
     (Schema.tables schema)
 
-(* --- live (per-table) export -------------------------------------------------
+(* --- live (per-table) export: the one chunked writer -------------------------
 
    The overlapped scheduler exports a table the moment its last FK edge
    commits, while other tables still generate.  A [live_export] is the
    shared state of such a run: the sink, the memoized shard layout, which
    tables have been claimed, and which shard names this generation attempt
    wrote (so an aborted attempt can retract exactly those).  [export_table]
-   is idempotent and safe to call concurrently from pool tasks: each call
-   owns its render buffers and its table's template, and all cross-call
-   state is behind one mutex.  Rendering within one call still goes through
-   the tile pipeline, so the sequential open → export-each-table → finish
-   composition ([to_csv_chunked]) keeps the exact parallel structure — and
-   bytes — of the old monolithic writer. *)
+   is idempotent and safe to call concurrently from pool tasks; all
+   cross-call state is behind one mutex.
+
+   Within one call the shard is the unit of parallelism: every worker slot
+   owns a render buffer, claims the table's pending shards from an atomic
+   counter, and streams each through its own [Sink.write_shard] (and its own
+   gzip encoder), committing with the usual temp-file + rename + CRC
+   protocol.  No serial drain sits between render, gzip and disk, so N
+   domains compress N shards at once, while [seq] keeps the manifest in
+   concatenation order: shard bytes, names and manifest are independent of
+   the domain count.  [to_csv_chunked] is open + finish. *)
 
 type live_export = {
   le_sink : Sink.t;
@@ -370,54 +374,39 @@ let le_units h ~db =
       h.le_units <- Some units;
       units
 
-(* render one shard into the sink — the body shared by every chunked
-   writer.  [template] memoizes the whole-table template across the shards
-   of one [export_table] call (never across calls, so concurrent exporters
-   share nothing mutable). *)
-let render_unit h ~db ~bufs ~template u =
-  let compress = h.le_compress and interrupt = h.le_interrupt in
-  let chunk_rows = h.le_chunk_rows in
-  let rows = Db.row_count db u.u_table.Schema.tname in
+(* render one shard into the sink from [buf], the worker's own buffer.
+   [tpl] is the whole-table template when the table fits one chunk or its
+   columns live on the heap anyway; otherwise [rows > chunk_rows] forces
+   tiles_per_shard = 1, so the shard is exactly tile [u.u_lo], streamed
+   through per-window templates built here: byte-for-byte what the
+   whole-table template would emit, at O(chunk) resident bytes *)
+let write_unit h ~db ~buf ~tpl u =
+  let chunk_rows = h.le_chunk_rows and interrupt = h.le_interrupt in
   Sink.write_shard h.le_sink ~seq:u.u_seq ~name:u.u_name (fun w ->
-      with_payload ~compress w (fun put ->
+      with_payload ~compress:h.le_compress w (fun put ->
+          let put_buf () =
+            put (Render.Buf.unsafe_bytes buf) ~pos:0 ~len:(Render.Buf.length buf)
+          in
           if u.u_header then begin
             let hdr = csv_header (Schema.column_names u.u_table) ^ "\n" in
             put (Bytes.unsafe_of_string hdr) ~pos:0 ~len:(String.length hdr)
           end;
-          if rows <= chunk_rows || rows < Col.big_rows () then begin
-            (* the table fits one chunk, or its columns live on the
-               heap anyway: the cached whole-table template is no
-               asymptotic cost and avoids per-window rebuild churn *)
-            let tpl = template u.u_table in
-            Par.iter_tiles ~interrupt h.le_pool ~tiles:u.u_tiles
-              ~render:(fun ~slot ~tile ->
-                let buf = bufs.(slot) in
-                emit_tile buf tpl ~tile:(u.u_lo + tile);
-                buf)
-              ~write:(fun ~tile:_ buf ->
-                put (Render.Buf.unsafe_bytes buf) ~pos:0
-                  ~len:(Render.Buf.length buf))
-          end
-          else begin
-            (* [rows > chunk_rows] forces tiles_per_shard = 1, so this
-               shard is exactly tile [u.u_lo].  The pipeline's work
-               item becomes the chunk: each slot builds the template
-               for its own row window and splices the tile's shift
-               into it, the in-order drain concatenates the windows —
-               byte-for-byte what the whole-table template would have
-               emitted, at O(chunk) resident bytes per slot. *)
-            let ranges = Chunk_plan.ranges ~rows ~chunk_rows in
-            Par.iter_tiles ~interrupt h.le_pool ~tiles:(Array.length ranges)
-              ~render:(fun ~slot ~tile:ci ->
-                let lo, len = ranges.(ci) in
-                let tpl = build_template ~lo ~rows:len db u.u_table in
-                let buf = bufs.(slot) in
-                emit_tile buf tpl ~tile:u.u_lo;
-                buf)
-              ~write:(fun ~tile:_ buf ->
-                put (Render.Buf.unsafe_bytes buf) ~pos:0
-                  ~len:(Render.Buf.length buf))
-          end))
+          match tpl with
+          | Some tpl ->
+              for tile = u.u_lo to u.u_lo + u.u_tiles - 1 do
+                interrupt ();
+                emit_tile buf tpl ~tile;
+                put_buf ()
+              done
+          | None ->
+              let rows = Db.row_count db u.u_table.Schema.tname in
+              Array.iter
+                (fun (lo, len) ->
+                  interrupt ();
+                  emit_tile buf (build_template ~lo ~rows:len db u.u_table)
+                    ~tile:u.u_lo;
+                  put_buf ())
+                (Chunk_plan.ranges ~rows ~chunk_rows)))
 
 let export_table h ~db tname =
   let claim =
@@ -434,38 +423,49 @@ let export_table h ~db tname =
   match claim with
   | None -> ()
   | Some units -> (
-      let bufs =
-        Array.init (Par.tile_slots h.le_pool) (fun _ ->
-            Render.Buf.create (1 lsl 16))
+      let pending =
+        Array.of_list
+          (List.filter (fun u -> not (Sink.is_done h.le_sink u.u_name)) units)
       in
-      let tpl = ref None in
-      let template tbl =
-        match !tpl with
-        | Some t -> t
-        | None ->
-            let t = build_template db tbl in
-            tpl := Some t;
-            t
+      let npending = Array.length pending in
+      let rows = Db.row_count db tname in
+      (* built once, before the region, and shared read-only by the workers *)
+      let tpl =
+        if npending > 0 && (rows <= h.le_chunk_rows || rows < Col.big_rows ())
+        then Some (build_template db pending.(0).u_table)
+        else None
       in
-      let written = ref [] in
+      let next = Atomic.make 0 and stopped = Atomic.make false in
+      let worker _slot =
+        let buf = Render.Buf.create (1 lsl 16) in
+        try
+          let rec claim () =
+            let i = Atomic.fetch_and_add next 1 in
+            if i < npending && not (Atomic.get stopped) then begin
+              let u = pending.(i) in
+              h.le_interrupt ();
+              write_unit h ~db ~buf ~tpl u;
+              le_locked h (fun () -> h.le_written <- u.u_name :: h.le_written);
+              claim ()
+            end
+          in
+          claim ()
+        with e ->
+          (* the first failure stops the other workers from claiming new
+             shards; in-flight shards abort at their own interrupt poll or
+             I/O error *)
+          Atomic.set stopped true;
+          raise e
+      in
       match
-        List.iter
-          (fun u ->
-            h.le_interrupt ();
-            if not (Sink.is_done h.le_sink u.u_name) then begin
-              render_unit h ~db ~bufs ~template u;
-              written := u.u_name :: !written
-            end)
-          units;
+        Par.run h.le_pool (min (Par.size h.le_pool) npending) worker;
         remove_surplus_shards ~dir:h.le_dir tname (List.length units)
       with
-      | () -> le_locked h (fun () -> h.le_written <- !written @ h.le_written)
+      | () -> ()
       | exception e ->
           (* release the claim so the finish pass retries the table; the
              shards already committed stay recorded for a possible abort *)
-          le_locked h (fun () ->
-              Hashtbl.remove h.le_claimed tname;
-              h.le_written <- !written @ h.le_written);
+          le_locked h (fun () -> Hashtbl.remove h.le_claimed tname);
           raise e)
 
 let abort_csv_export h =
@@ -495,126 +495,10 @@ let finish_csv_export h ~db =
 let to_csv_chunked ?(pool = Par.sequential) ?backend ?(resume = false)
     ?(compress = false) ?(interrupt = fun () -> ()) ~db ~copies ~chunk_rows
     ~dir ~run_id () =
-  if copies < 1 then invalid_arg "Scale_out.to_csv_chunked: copies must be >= 1";
-  if chunk_rows < 1 then
-    invalid_arg "Scale_out.to_csv_chunked: chunk_rows must be >= 1";
-  let h =
-    open_csv_export ~pool ?backend ~resume ~compress ~interrupt ~copies
-      ~chunk_rows ~dir ~run_id ()
-  in
-  finish_csv_export h ~db
-
-(* --- domain-owned sharded export --------------------------------------------
-
-   Same shard layout (and therefore the same concatenation bytes) as
-   [to_csv_chunked], but the shard is the unit of parallelism instead of the
-   tile: each worker slot owns one render buffer and an exclusive output
-   stream for whichever shard it claims, renders that shard's tiles
-   sequentially into its own [Sink.write_shard], and commits with the usual
-   temp-file + rename + CRC protocol.  The serial drain of the tile
-   pipeline disappears — N domains hold N shard files open and write
-   concurrently — while [seq] keeps the manifest in concatenation order, so
-   resume and concatenation semantics are unchanged. *)
-
-let to_csv_sharded ?(pool = Par.sequential) ?backend ?(resume = false)
-    ?(compress = false) ?(interrupt = fun () -> ()) ~db ~copies ~chunk_rows
-    ~dir ~run_id () =
-  if copies < 1 then invalid_arg "Scale_out.to_csv_sharded: copies must be >= 1";
-  if chunk_rows < 1 then
-    invalid_arg "Scale_out.to_csv_sharded: chunk_rows must be >= 1";
-  let sink = Sink.create ?backend ~resume ~dir ~run_id () in
-  let schema = Db.schema db in
-  let units =
-    Array.of_list (shard_units ~db ~copies ~chunk_rows ~compress schema)
-  in
-  let pending =
-    Array.to_list units
-    |> List.filter (fun u -> not (Sink.is_done sink u.u_name))
-    |> Array.of_list
-  in
-  (* whole-table templates (for tables that fit one chunk, or whose columns
-     are heap-resident anyway) are forced eagerly: [Lazy.force] is not safe
-     across domains, and every pending small table will need its template
-     anyway.  Genuinely big tables build their chunk templates inside the
-     claiming worker instead. *)
-  let tpls = Hashtbl.create 8 in
-  Array.iter
-    (fun u ->
-      let tname = u.u_table.Schema.tname in
-      let rows = Db.row_count db tname in
-      if
-        (rows <= chunk_rows || rows < Col.big_rows ())
-        && not (Hashtbl.mem tpls tname)
-      then Hashtbl.replace tpls tname (build_template db u.u_table))
-    pending;
-  let next = Atomic.make 0 in
-  let stopped = Atomic.make false in
-  Par.run_workers pool (fun _slot ->
-      let buf = Render.Buf.create (1 lsl 16) in
-      try
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= Array.length pending || Atomic.get stopped then
-            continue := false
-          else begin
-            interrupt ();
-            let u = pending.(i) in
-            let rows = Db.row_count db u.u_table.Schema.tname in
-            Sink.write_shard sink ~seq:u.u_seq ~name:u.u_name (fun w ->
-                with_payload ~compress w (fun put ->
-                    if u.u_header then begin
-                      let hdr =
-                        csv_header (Schema.column_names u.u_table) ^ "\n"
-                      in
-                      put (Bytes.unsafe_of_string hdr) ~pos:0
-                        ~len:(String.length hdr)
-                    end;
-                    if rows <= chunk_rows || rows < Col.big_rows () then begin
-                      let tpl = Hashtbl.find tpls u.u_table.Schema.tname in
-                      for tile = u.u_lo to u.u_lo + u.u_tiles - 1 do
-                        interrupt ();
-                        emit_tile buf tpl ~tile;
-                        put (Render.Buf.unsafe_bytes buf) ~pos:0
-                          ~len:(Render.Buf.length buf)
-                      done
-                    end
-                    else
-                      (* single-tile shard (see to_csv_chunked): stream the
-                         tile's row windows so this worker's resident bytes
-                         stay O(chunk) *)
-                      Array.iter
-                        (fun (lo, len) ->
-                          interrupt ();
-                          let tpl = build_template ~lo ~rows:len db u.u_table in
-                          emit_tile buf tpl ~tile:u.u_lo;
-                          put (Render.Buf.unsafe_bytes buf) ~pos:0
-                            ~len:(Render.Buf.length buf))
-                        (Chunk_plan.ranges ~rows ~chunk_rows)))
-          end
-        done
-      with e ->
-        (* first failure stops the other workers from claiming new shards;
-           in-flight shards abort at their own interrupt poll or I/O error *)
-        Atomic.set stopped true;
-        raise e);
-  List.iter
-    (fun (tbl : Schema.table) ->
-      let nshards =
-        Array.fold_left
-          (fun acc u ->
-            if u.u_table.Schema.tname = tbl.Schema.tname then acc + 1 else acc)
-          0 units
-      in
-      remove_surplus_shards ~dir tbl.Schema.tname nshards)
-    (Schema.tables schema);
-  Sink.finish sink;
-  {
-    cr_shards = Array.length units;
-    cr_resumed = Sink.resumed_shards sink;
-    cr_bytes = Sink.bytes_written sink;
-    cr_tables = table_totals sink schema;
-  }
+  finish_csv_export
+    (open_csv_export ~pool ?backend ~resume ~compress ~interrupt ~copies
+       ~chunk_rows ~dir ~run_id ())
+    ~db
 
 (* exact CSV output size without rendering: fixed template bytes per tile
    plus the decimal width of every spliced key — the uniform basis for the

@@ -90,11 +90,18 @@ val to_csv_chunked :
     the bytes (seed, scale, chunk size, compression).  [interrupt] is
     polled before every shard and every tile window.
 
+    Shards are the unit of parallelism: each domain of [pool] claims whole
+    shards and renders, compresses and writes each through its own
+    {!Mirage_engine.Sink.write_shard}, so shard files, names and the
+    manifest are identical for every domain count.  A failure (I/O error,
+    [interrupt] raising) stops further claims; only committed,
+    size-verified shards stay in the manifest and no temp file is left.
+
     Tables larger than [chunk_rows] rows never materialize a whole-table
     template: their shards are single tiles (the layout guarantees it), and
     each tile streams through per-chunk templates built over
     {!Chunk_plan.ranges} row windows — resident bytes stay O(chunk) per
-    pipeline slot while the concatenated output is unchanged.
+    domain while the concatenated output is unchanged.
 
     @raise Mirage_engine.Sink.Io_failure on I/O errors (no temp files left
     behind).
@@ -104,10 +111,10 @@ val to_csv_chunked :
 
     The overlapped pipeline scheduler ({!Driver.config.schedule}) exports a
     table the moment its last FK edge commits, while other tables still
-    generate.  These four calls decompose {!to_csv_chunked} into an open /
+    generate.  These four calls are the chunked writer: an open /
     export-table / finish protocol with an abort hook for dead generation
-    attempts; composing them sequentially over the schema is exactly
-    [to_csv_chunked] — same shard layout, manifest and bytes. *)
+    attempts.  {!to_csv_chunked} is [open_csv_export] followed by
+    [finish_csv_export], which exports every table in schema order. *)
 
 type live_export
 (** An open chunked-export run accepting tables one at a time. *)
@@ -133,10 +140,12 @@ val open_csv_export :
 
 val export_table : live_export -> db:Mirage_engine.Db.t -> string -> unit
 (** Render and commit every shard of one table (skipping shards the
-    manifest already has).  Idempotent — a table already exported (or
+    manifest already has).  The pending shards are spread over the export
+    pool, one shard per domain at a time, each domain with its own render
+    buffer and gzip encoder.  Idempotent — a table already exported (or
     currently exporting) is skipped — and safe to call concurrently from
-    pool tasks: each call owns its render buffers and template; shared
-    bookkeeping is mutex-protected.  The table's columns must be final
+    pool tasks: each call owns its buffers and template; shared bookkeeping
+    is mutex-protected.  The table's columns must be final
     when called (the driver's [on_table_ready] guarantees it).  On an
     exception the claim is released so a later call (the finish pass)
     retries the table.
@@ -156,32 +165,6 @@ val finish_csv_export :
     failure), remove surplus shards from earlier runs with different chunk
     counts, mark the manifest complete and return the report.  After this
     the concatenation contract of {!to_csv_chunked} holds verbatim. *)
-
-val to_csv_sharded :
-  ?pool:Mirage_par.Par.pool ->
-  ?backend:Mirage_engine.Sink.backend ->
-  ?resume:bool ->
-  ?compress:bool ->
-  ?interrupt:(unit -> unit) ->
-  db:Mirage_engine.Db.t ->
-  copies:int ->
-  chunk_rows:int ->
-  dir:string ->
-  run_id:string ->
-  unit ->
-  chunk_report
-(** Domain-owned sharded export: the same shard layout, names, manifest
-    order and concatenation bytes as {!to_csv_chunked} with identical
-    arguments, but each worker domain claims whole shards from a shared
-    queue and streams its shard through its own exclusive
-    {!Mirage_engine.Sink.write_shard} — N domains keep N shard files open
-    and write concurrently, eliminating the tile pipeline's serial drain.
-    Commit bookkeeping is mutex-protected inside the sink; the manifest's
-    [seq] field keeps concatenation order deterministic, so [--resume] and
-    post-hoc concatenation behave exactly as in the chunked writer.
-    [interrupt] is polled per claimed shard and per tile, so a budget
-    breach aborts mid-shard leaving only committed, size-verified shards in
-    the manifest and no temp files. *)
 
 val csv_bytes :
   ?chunk_rows:int -> db:Mirage_engine.Db.t -> copies:int -> unit -> int

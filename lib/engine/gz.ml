@@ -11,6 +11,9 @@ let max_dist = 32768
 let max_chain = 48 (* hash-chain probes per position *)
 let good_len = 96 (* stop probing once a match this long is found *)
 
+(* [Stdlib.min] is polymorphic and compiles to a call; this one inlines *)
+let[@inline] imin (a : int) b = if a < b then a else b
+
 (* Huffman codes are MSB-first in the LSB-first bit stream, so every code is
    stored pre-reversed and pushed with a single [put_bits]. *)
 let rev_bits v n =
@@ -71,22 +74,32 @@ let dist_xbits =
 
 let dist_code = Array.init 30 (fun s -> rev_bits s 5)
 
-(* distance 1..32768 → sym, one byte per distance *)
+(* distance 1..32768 → sym, one byte per distance; built once at module
+   initialisation so the match emitter reads it without a lazy check *)
 let dist_lookup =
-  lazy
-    (let t = Bytes.make (max_dist + 1) '\000' in
-     for s = 0 to 29 do
-       let hi = if s = 29 then max_dist else dist_base.(s + 1) - 1 in
-       for d = dist_base.(s) to min hi max_dist do
-         Bytes.unsafe_set t d (Char.unsafe_chr s)
-       done
-     done;
-     t)
+  let t = Bytes.make (max_dist + 1) '\000' in
+  for s = 0 to 29 do
+    let hi = if s = 29 then max_dist else dist_base.(s + 1) - 1 in
+    for d = dist_base.(s) to min hi max_dist do
+      Bytes.unsafe_set t d (Char.unsafe_chr s)
+    done
+  done;
+  t
+
+(* Output buffer capacity.  A chunk costs at most 9 bits per input byte:
+   literals take 8 or 9 bits, and matches take less per byte (the costliest,
+   length 3 at the farthest distance, is 7 + 5 + 13 = 25 bits for 3 bytes).
+   Add the block header, the end-of-block code, the 10-byte gzip header that
+   waits in the buffer until the first flush, and the bits [put_bits] holds
+   back.  Writes into the buffer are unchecked, so this bound is what keeps
+   them in range. *)
+let obuf_size = (chunk_size * 9 / 8) + 64
 
 type t = {
   out : Bytes.t -> pos:int -> len:int -> unit;
-  obuf : Buffer.t;
-  mutable bitbuf : int;
+  obuf : Bytes.t;  (* compressed bytes not yet pushed to [out] *)
+  mutable opos : int;
+  mutable bitbuf : int;  (* pending bits, LSB first; fewer than 32 *)
   mutable bitcnt : int;
   chunk : Bytes.t;
   mutable clen : int;
@@ -97,27 +110,43 @@ type t = {
   mutable finished : bool;
 }
 
-let put_bits t v n =
-  t.bitbuf <- t.bitbuf lor (v lsl t.bitcnt);
-  t.bitcnt <- t.bitcnt + n;
-  while t.bitcnt >= 8 do
-    Buffer.add_char t.obuf (Char.unsafe_chr (t.bitbuf land 0xFF));
-    t.bitbuf <- t.bitbuf lsr 8;
-    t.bitcnt <- t.bitcnt - 8
-  done
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
+(* bits accumulate LSB-first and leave as whole little-endian 32-bit words;
+   no code is wider than 13 bits, so [bitbuf] never exceeds 45 bits *)
+let[@inline] put_bits t v n =
+  let bb = t.bitbuf lor (v lsl t.bitcnt) and bc = t.bitcnt + n in
+  if bc >= 32 then begin
+    let w = Int32.of_int bb in
+    set32u t.obuf t.opos (if Sys.big_endian then swap32 w else w);
+    t.opos <- t.opos + 4;
+    t.bitbuf <- bb lsr 32;
+    t.bitcnt <- bc - 32
+  end
+  else begin
+    t.bitbuf <- bb;
+    t.bitcnt <- bc
+  end
+
+let[@inline] add_byte t c =
+  Bytes.unsafe_set t.obuf t.opos (Char.unsafe_chr (c land 0xFF));
+  t.opos <- t.opos + 1
+
+(* the callback reads [obuf] in place and must not keep it *)
 let flush_obuf t =
-  if Buffer.length t.obuf > 0 then begin
-    let b = Buffer.to_bytes t.obuf in
-    Buffer.clear t.obuf;
-    t.out b ~pos:0 ~len:(Bytes.length b)
+  if t.opos > 0 then begin
+    t.out t.obuf ~pos:0 ~len:t.opos;
+    t.opos <- 0
   end
 
 let create out =
   let t =
     {
       out;
-      obuf = Buffer.create (chunk_size / 2);
+      obuf = Bytes.create obuf_size;
+      opos = 0;
       bitbuf = 0;
       bitcnt = 0;
       chunk = Bytes.create chunk_size;
@@ -131,16 +160,17 @@ let create out =
   in
   (* gzip member header: magic, CM=8 (deflate), no flags, mtime 0, XFL 0,
      OS 255 (unknown) — mtime deliberately zero so output is deterministic *)
-  Buffer.add_string t.obuf "\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff";
+  String.iter (fun c -> add_byte t (Char.code c))
+    "\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff";
   t
 
-let hash3 b i =
+let[@inline] hash3 b i =
   ((Char.code (Bytes.unsafe_get b i) lsl 10)
   lxor (Char.code (Bytes.unsafe_get b (i + 1)) lsl 5)
   lxor Char.code (Bytes.unsafe_get b (i + 2)))
   land (hash_size - 1)
 
-let emit_literal t c = put_bits t lit_code.(c) lit_bits.(c)
+let[@inline] emit_literal t c = put_bits t lit_code.(c) lit_bits.(c)
 
 let emit_match t ~len ~dist =
   let s = Char.code (Bytes.unsafe_get len_lookup len) in
@@ -148,14 +178,18 @@ let emit_match t ~len ~dist =
   put_bits t lit_code.(sym) lit_bits.(sym);
   let xb = Array.unsafe_get len_xbits s in
   if xb > 0 then put_bits t (len - Array.unsafe_get len_base s) xb;
-  let d = Char.code (Bytes.unsafe_get (Lazy.force dist_lookup) dist) in
+  let d = Char.code (Bytes.unsafe_get dist_lookup dist) in
   put_bits t (Array.unsafe_get dist_code d) 5;
   let xb = Array.unsafe_get dist_xbits d in
   if xb > 0 then put_bits t (dist - Array.unsafe_get dist_base d) xb
 
-(* longest common prefix of chunk[i..] and chunk[j..], capped *)
+(* longest common prefix of chunk[i..] and chunk[j..], capped; eight bytes
+   per compare while a whole word fits under the cap *)
 let match_len b i j limit =
   let l = ref 0 in
+  while !l + 8 <= limit && (get64u b (i + !l) : int64) = get64u b (j + !l) do
+    l := !l + 8
+  done;
   while
     !l < limit
     && Bytes.unsafe_get b (j + !l) = Bytes.unsafe_get b (i + !l)
@@ -178,16 +212,30 @@ let compress_chunk t =
       let best_len = ref 0 and best_dist = ref 0 in
       if i0 + min_match <= n then begin
         let h = hash3 b i0 in
-        let limit = min max_match (n - i0) in
+        let limit = imin max_match (n - i0) in
+        (* no candidate can match past [limit]; stopping there as well as at
+           [good_len] changes nothing *)
+        let stop_len = imin good_len limit in
         let j = ref t.head.(h) and chain = ref 0 in
-        while !j >= 0 && !chain < max_chain && !best_len < good_len do
-          (if i0 - !j <= max_dist then
-             let l = match_len b i0 !j limit in
-             if l > !best_len then begin
-               best_len := l;
-               best_dist := i0 - !j
-             end);
-          j := t.prev.(!j);
+        (* chain positions strictly decrease (positions are inserted in
+           order), so once one candidate is out of the window every later one
+           is too: ending the walk there picks the same match *)
+        while
+          !j >= 0 && i0 - !j <= max_dist && !chain < max_chain
+          && !best_len < stop_len
+        do
+          let jj = !j and bl = !best_len in
+          (* only a strictly longer match replaces the current one, and a
+             longer match must agree at offset [bl]: one byte compare
+             rejects most candidates before [match_len] *)
+          if Bytes.unsafe_get b (jj + bl) = Bytes.unsafe_get b (i0 + bl) then begin
+            let l = match_len b i0 jj limit in
+            if l > bl then begin
+              best_len := l;
+              best_dist := i0 - jj
+            end
+          end;
+          j := t.prev.(jj);
           incr chain
         done;
         t.prev.(i0) <- t.head.(h);
@@ -198,7 +246,7 @@ let compress_chunk t =
         (* index the skipped positions so later matches can reference them;
            position [i0 + best_len] is left to the main loop — inserting it
            here too would make the chain self-referential *)
-        let stop = min (i0 + !best_len - 1) (n - min_match) in
+        let stop = imin (i0 + !best_len - 1) (n - min_match) in
         for p = i0 + 1 to stop do
           let h = hash3 b p in
           t.prev.(p) <- t.head.(h);
@@ -223,7 +271,7 @@ let write t b ~pos ~len =
   let pos = ref pos and len = ref len in
   while !len > 0 do
     let room = chunk_size - t.clen in
-    let take = min room !len in
+    let take = imin room !len in
     Bytes.blit b !pos t.chunk t.clen take;
     t.clen <- t.clen + take;
     pos := !pos + take;
@@ -239,14 +287,15 @@ let finish t =
     put_bits t 1 1 (* BFINAL = 1 *);
     put_bits t 1 2;
     put_bits t lit_code.(256) lit_bits.(256);
-    if t.bitcnt > 0 then begin
-      Buffer.add_char t.obuf (Char.unsafe_chr (t.bitbuf land 0xFF));
-      t.bitbuf <- 0;
-      t.bitcnt <- 0
-    end;
+    (* pending bits, the last byte zero-padded *)
+    while t.bitcnt > 0 do
+      add_byte t t.bitbuf;
+      t.bitbuf <- t.bitbuf lsr 8;
+      t.bitcnt <- (if t.bitcnt > 8 then t.bitcnt - 8 else 0)
+    done;
     let le32 v =
       for k = 0 to 3 do
-        Buffer.add_char t.obuf (Char.unsafe_chr ((v lsr (8 * k)) land 0xFF))
+        add_byte t (v lsr (8 * k))
       done
     in
     le32 (t.crc land 0xFFFFFFFF);

@@ -4,9 +4,14 @@
     input chunk becomes one non-final DEFLATE block (the matcher window is
     the chunk, so distances never exceed the 32 KB limit), and {!finish}
     closes the stream with an empty final block plus the CRC-32 / ISIZE
-    trailer.  CSV text compresses ~3–4x; dynamic-Huffman would buy a few
-    more percent at a much larger constant cost, which is the wrong trade
-    for a generation pipeline that is otherwise disk-bound.
+    trailer.  CSV text compresses ~2–3x; dynamic-Huffman would buy a few
+    more percent at a much larger constant cost.
+
+    The output bytes are a pure function of the input bytes: how the input
+    is sliced into {!write} calls never changes them, and golden digests in
+    the test suite pin them.  An encoder is single-owner state; the chunked
+    export runs one encoder per shard, so several domains compress
+    different shards at once.
 
     The encoder pushes compressed bytes through the callback given to
     {!create}, so it wraps any byte sink — in particular a {!Sink.writer} —
@@ -19,8 +24,9 @@
 type t
 
 val create : (Bytes.t -> pos:int -> len:int -> unit) -> t
-(** Start a gzip member: the 10-byte header is pushed immediately.  The
-    callback must consume the whole range it is given. *)
+(** Start a gzip member.  The callback must consume the whole range it is
+    given before returning: the buffer is the encoder's own and is reused
+    for the next output. *)
 
 val write : t -> Bytes.t -> pos:int -> len:int -> unit
 (** Feed uncompressed bytes.  Compressed output is pushed to the callback

@@ -68,15 +68,18 @@ let faulty f inner =
     bk_close = inner.bk_close;
     bk_rename =
       (fun ~src ~dst ->
+        (* claim the rename's ticket before renaming, so concurrent shard
+           writers cannot both slip under the threshold: exactly [n] renames
+           succeed *)
         (match f.crash_after_shards with
-        | Some n when Atomic.get renames >= n ->
-            raise
-              (Injected_crash
-                 (Printf.sprintf "simulated kill before committing shard %d"
-                    (Atomic.get renames)))
-        | _ -> ());
-        inner.bk_rename ~src ~dst;
-        ignore (Atomic.fetch_and_add renames 1));
+        | Some n ->
+            let k = Atomic.fetch_and_add renames 1 in
+            if k >= n then
+              raise
+                (Injected_crash
+                   (Printf.sprintf "simulated kill before committing shard %d" k))
+        | None -> ());
+        inner.bk_rename ~src ~dst);
     bk_remove = inner.bk_remove;
   }
 
@@ -203,6 +206,17 @@ let int_field line key =
       done;
       int_of_string_opt (String.sub line start (!stop - start))
 
+(* the manifest's "%08x" CRC; anything else leaves the entry unparsed, so
+   its shard counts as not completed and is rendered again *)
+let hex32 h =
+  if
+    String.length h = 8
+    && String.for_all
+         (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+         h
+  then int_of_string_opt ("0x" ^ h)
+  else None
+
 let load_manifest path =
   if not (Sys.file_exists path) then None
   else begin
@@ -234,14 +248,12 @@ let load_manifest path =
                 (fun _ line -> string_field line "name" <> None)
                 lines
               |> List.mapi (fun i line ->
-                     match (string_field line "name", int_field line "bytes")
+                     match
+                       ( string_field line "name",
+                         int_field line "bytes",
+                         Option.bind (string_field line "crc32") hex32 )
                      with
-                     | Some sh_name, Some sh_bytes ->
-                         let sh_crc =
-                           match string_field line "crc32" with
-                           | Some h -> ( try int_of_string ("0x" ^ h) with _ -> 0)
-                           | None -> 0
-                         in
+                     | Some sh_name, Some sh_bytes, Some sh_crc ->
                          (* manifests written before the sharded-sink fields
                             existed carry neither [seq] nor [raw]: fall back
                             to file position and on-disk size *)

@@ -44,7 +44,8 @@ type fault = {
       (** fail every write once this many bytes were accepted in total *)
   crash_after_shards : int option;
       (** simulate a kill at the rename of shard [n] (0-based): exactly [n]
-          shards end up committed, the [n+1]-th temp file is left behind *)
+          shards end up committed — also with concurrent writers — and every
+          later rename fails, leaving its temp file behind *)
   short_writes : bool;
       (** accept at most half of every write request (min 1 byte) —
           exercises the caller's partial-write loop *)
@@ -95,12 +96,14 @@ val manifest_path : dir:string -> string
 val create : ?backend:backend -> ?resume:bool -> dir:string -> run_id:string -> unit -> t
 (** Open a run over [dir] (created if missing).  Stale [*.tmp] files from a
     killed run are always removed.  With [~resume:true] and an existing
-    manifest whose [run_id] matches, committed shards whose files still
-    exist with the recorded size are loaded and subsequently skipped by
-    {!write_shard}; a missing or mismatched manifest (or a different
-    [run_id] — the caller must encode everything that changes the bytes:
-    seed, scale, chunk size, format) starts fresh.  The [run_id] must be
-    free of newlines and double quotes. *)
+    manifest whose [run_id] matches, committed shards whose entry parses
+    (name, size and an 8-hex-digit CRC-32) and whose files still exist with
+    the recorded size are loaded and subsequently skipped by
+    {!write_shard}; any other entry is rendered again.  A missing or
+    mismatched manifest (or a different [run_id] — the caller must encode
+    everything that changes the bytes: seed, scale, chunk size, format)
+    starts fresh.  The [run_id] must be free of newlines and double
+    quotes. *)
 
 val is_done : t -> string -> bool
 (** Whether a shard of this name is already committed (loaded from the

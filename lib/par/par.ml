@@ -157,12 +157,6 @@ let run pool n f =
     match Atomic.get err with Some e -> raise e | None -> ()
   end
 
-(* one body invocation per worker slot: just [run] over the pool width.
-   Slot identity is the task index, so a fast domain may execute two slots
-   back-to-back — bodies must treat the slot as a buffer identity, not a
-   thread identity, and pull their actual work from a shared counter. *)
-let run_workers pool f = run pool pool.domains f
-
 let iter_chunks pool ?chunks ?(grain = 1) n f =
   if n > 0 then begin
     let chunks =

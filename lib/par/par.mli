@@ -66,17 +66,6 @@ val run : pool -> int -> (int -> unit) -> unit
     the region drains; the remaining tasks still run, so the pool stays
     usable. *)
 
-val run_workers : pool -> (int -> unit) -> unit
-(** [run_workers pool body] invokes [body w] once per worker slot
-    [w ∈ 0 .. size pool - 1], concurrently across the pool (the caller
-    participates).  Unlike {!run} with per-item tasks, the slot index is a
-    {e buffer identity}: each invocation owns slot-[w] scratch state (a
-    render buffer, an output stream) for its whole duration.  Slots may be
-    executed by fewer domains than [size pool] when a domain finishes one
-    slot and claims another, so bodies must pull their actual work items
-    from a shared source (an atomic counter) rather than partitioning by
-    [w].  Used by the domain-owned sharded CSV export. *)
-
 val iter_chunks :
   pool -> ?chunks:int -> ?grain:int -> int -> (int -> int -> unit) -> unit
 (** [iter_chunks pool n f] splits [0 .. n-1] into at most [chunks]

@@ -109,6 +109,43 @@ let test_resume_drops_bad_size () =
     (Sink.is_done t2 "a.csv.0");
   rm_rf dir
 
+let replace_once s ~sub ~by =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "%S not found" sub
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let test_resume_drops_bad_crc () =
+  let dir = fresh_dir "mirage_sink_crc" in
+  let crc s = Sink.crc32 (Bytes.of_string s) ~pos:0 ~len:(String.length s) in
+  let t = Sink.create ~dir ~run_id:"c" () in
+  Sink.write_shard t ~name:"a.csv.0" (fun w -> put_string w "first\n");
+  Sink.write_shard t ~name:"a.csv.1" (fun w -> put_string w "second\n");
+  Sink.finish t;
+  (* an unparsable crc32 must not resume as a committed shard with CRC 0 *)
+  let mpath = Sink.manifest_path ~dir in
+  write_file mpath
+    (replace_once (read_file mpath)
+       ~sub:(Printf.sprintf "\"crc32\": \"%08x\"" (crc "second\n"))
+       ~by:"\"crc32\": \"0x12zz\"");
+  let t2 = Sink.create ~resume:true ~dir ~run_id:"c" () in
+  Alcotest.(check int) "only the intact entry resumed" 1 (Sink.resumed_shards t2);
+  Alcotest.(check bool)
+    "corrupted entry re-rendered" false
+    (Sink.is_done t2 "a.csv.1");
+  Sink.write_shard t2 ~name:"a.csv.1" (fun w -> put_string w "second\n");
+  Sink.finish t2;
+  let t3 = Sink.create ~resume:true ~dir ~run_id:"c" () in
+  Alcotest.(check (list int))
+    "rewritten manifest carries the true CRCs"
+    [ crc "first\n"; crc "second\n" ]
+    (List.map (fun s -> s.Sink.sh_crc) (Sink.completed t3));
+  rm_rf dir
+
 let test_mkdir_p_concurrent () =
   let base = fresh_dir "mirage_mkdir" in
   let target = Filename.concat (Filename.concat base "a") "b" in
@@ -215,13 +252,13 @@ let chunk_rows_for db =
   in
   max 1 (largest / 2)
 
-let check_chunked_identity ~label ~db ~copies ~domains =
+let check_chunked_identity ~label ~db ~copies ~domains ~chunk_rows =
   let mono = fresh_dir "mirage_mono" and chunk = fresh_dir "mirage_chunk" in
   Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
   Par.with_pool ~domains (fun pool ->
       let rep =
-        Scale_out.to_csv_chunked ~pool ~db ~copies
-          ~chunk_rows:(chunk_rows_for db) ~dir:chunk ~run_id:label ()
+        Scale_out.to_csv_chunked ~pool ~db ~copies ~chunk_rows ~dir:chunk
+          ~run_id:label ()
       in
       Alcotest.(check int) (label ^ ": nothing resumed") 0 rep.Scale_out.cr_resumed);
   List.iter
@@ -284,7 +321,7 @@ let test_workload_chunked name make ~sf () =
     (fun domains ->
       check_chunked_identity
         ~label:(Printf.sprintf "%s domains=%d" name domains)
-        ~db ~copies:3 ~domains)
+        ~db ~copies:3 ~domains ~chunk_rows:(chunk_rows_for db))
     [ 1; 2; 4 ]
 
 let test_workload_crash_resume name make ~sf () =
@@ -335,37 +372,96 @@ let test_sql_chunked_identity () =
   rm_rf mono;
   rm_rf chunk
 
-(* --- domain-owned sharded writer ------------------------------------------- *)
+(* --- shard-parallel writer ------------------------------------------------
 
-let check_sharded_identity ~label ~db ~copies ~domains =
-  let mono = fresh_dir "mirage_mono" and shard = fresh_dir "mirage_shard" in
-  Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
-  Par.with_pool ~domains (fun pool ->
-      let rep =
-        Scale_out.to_csv_sharded ~pool ~db ~copies
-          ~chunk_rows:(chunk_rows_for db) ~dir:shard ~run_id:label ()
-      in
-      Alcotest.(check int) (label ^ ": nothing resumed") 0 rep.Scale_out.cr_resumed);
-  List.iter
-    (fun t ->
-      let m = read_file (Filename.concat mono (t ^ ".csv")) in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %s sharded = monolithic" label t)
-        true
-        (String.equal m (concat_shards shard t)))
-    (table_names db);
-  rm_rf mono;
-  rm_rf shard
+   One tile per shard ([chunk_rows] 1), so every table has several shards
+   for the domains to claim concurrently. *)
 
 let test_workload_sharded name make ~sf () =
   let _, r = generate make ~sf in
   let db = r.Driver.r_db in
   List.iter
     (fun domains ->
-      check_sharded_identity
+      check_chunked_identity
         ~label:(Printf.sprintf "%s sharded domains=%d" name domains)
-        ~db ~copies:3 ~domains)
+        ~db ~copies:3 ~domains ~chunk_rows:1)
     [ 1; 2; 4 ]
+
+(* --- live export: open → concurrent export_table → finish ----------------- *)
+
+let dir_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+(* every table exported from its own pool task, as the overlap scheduler
+   does, then the finish pass seals the manifest *)
+let live_gz_export ?backend ?(resume = false) ~pool ~db ~dir () =
+  let h =
+    Scale_out.open_csv_export ~pool ?backend ~resume ~compress:true ~copies:4
+      ~chunk_rows:(chunk_rows_for db) ~dir ~run_id:"live-gz" ()
+  in
+  let tables = Array.of_list (table_names db) in
+  Par.run pool (Array.length tables) (fun i ->
+      Scale_out.export_table h ~db tables.(i));
+  Scale_out.finish_csv_export h ~db
+
+let test_live_export_gz () =
+  let _, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
+  let db = r.Driver.r_db in
+  let export domains =
+    let dir = fresh_dir "mirage_live" in
+    Par.with_pool ~domains (fun pool -> ignore (live_gz_export ~pool ~db ~dir ()));
+    let files = dir_files dir in
+    rm_rf dir;
+    files
+  in
+  let reference = export 1 in
+  List.iter
+    (fun domains ->
+      let got = export domains in
+      Alcotest.(check (list string))
+        (Printf.sprintf "domains=%d: same file names" domains)
+        (List.map fst reference) (List.map fst got);
+      Alcotest.(check bool)
+        (Printf.sprintf "domains=%d: shards and MANIFEST.json byte-identical"
+           domains)
+        true (got = reference))
+    [ 2; 4 ];
+  (* kill after [crash_after] commits while 2 domains write the fact
+     table's shards, then resume *)
+  let fact =
+    List.fold_left
+      (fun best t -> if Db.row_count db t > Db.row_count db best then t else best)
+      (List.hd (table_names db)) (table_names db)
+  in
+  let crash_after = 2 in
+  let dir = fresh_dir "mirage_live_kill" in
+  Par.with_pool ~domains:2 (fun pool ->
+      let backend =
+        Sink.faulty
+          { Sink.no_faults with crash_after_shards = Some crash_after }
+          Sink.os_backend
+      in
+      let h =
+        Scale_out.open_csv_export ~pool ~backend ~compress:true ~copies:4
+          ~chunk_rows:(chunk_rows_for db) ~dir ~run_id:"live-gz" ()
+      in
+      match Scale_out.export_table h ~db fact with
+      | () -> Alcotest.fail "expected the injected kill"
+      | exception Sink.Injected_crash _ -> ());
+  Alcotest.(check bool) "the kill leaves a temp file" true (tmp_files dir <> []);
+  let rep =
+    Par.with_pool ~domains:2 (fun pool ->
+        live_gz_export ~resume:true ~pool ~db ~dir ())
+  in
+  Alcotest.(check int)
+    "every committed shard passed size verification and resumed" crash_after
+    rep.Scale_out.cr_resumed;
+  Alcotest.(check (list string)) "no temp files after resume" [] (tmp_files dir);
+  Alcotest.(check bool)
+    "resumed output byte-identical" true
+    (dir_files dir = reference);
+  rm_rf dir
 
 (* --- gzip round trip: the reference decompressor is the oracle ------------- *)
 
@@ -393,15 +489,12 @@ let concat_gz_shards dir tname =
   in
   go 0 ""
 
-let check_gzip_roundtrip ~label ~db ~copies ~domains ~sharded =
+let check_gzip_roundtrip ~label ~db ~copies ~domains =
   let mono = fresh_dir "mirage_mono" and gzd = fresh_dir "mirage_gzd" in
   Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
-  let export =
-    if sharded then Scale_out.to_csv_sharded else Scale_out.to_csv_chunked
-  in
   Par.with_pool ~domains (fun pool ->
       ignore
-        (export ~pool ~compress:true ~db ~copies
+        (Scale_out.to_csv_chunked ~pool ~compress:true ~db ~copies
            ~chunk_rows:(chunk_rows_for db) ~dir:gzd ~run_id:label ()));
   List.iter
     (fun t ->
@@ -424,15 +517,94 @@ let test_workload_gzip name make ~sf () =
   List.iter
     (fun domains ->
       check_gzip_roundtrip
-        ~label:(Printf.sprintf "%s gz sharded domains=%d" name domains)
-        ~db ~copies:3 ~domains ~sharded:true)
-    [ 1; 2; 4 ];
-  (* the single-drain writer compresses to the same bytes *)
-  check_gzip_roundtrip
-    ~label:(name ^ " gz drain")
-    ~db ~copies:3 ~domains:2 ~sharded:false
+        ~label:(Printf.sprintf "%s gz domains=%d" name domains)
+        ~db ~copies:3 ~domains)
+    [ 1; 2; 4 ]
 
-(* --- budget breach racing the domain-owned writers ------------------------- *)
+(* --- gzip bytes pinned by golden digests ----------------------------------
+
+   The round trip above only proves the output decompresses; these digests
+   pin the compressed bytes themselves, so a kernel change that alters the
+   LZ77 parse (a different match choice, chain cutoff or block split) fails
+   here even when [gzip -d] still accepts the stream.  Every slicing of the
+   same input must give the same bytes.  Regenerate with
+   MIRAGE_UPDATE_GOLDENS=1 from the source test/ dir. *)
+
+module Gz = Mirage_engine.Gz
+
+(* incompressible bytes from a fixed xorshift stream, independent of the
+   stdlib's Random *)
+let pseudo_random n =
+  let s = ref 0x2545F491 in
+  String.init n (fun _ ->
+      let x = !s in
+      let x = x lxor ((x lsl 13) land 0xFFFFFFFF) in
+      let x = x lxor (x lsr 17) in
+      let x = x lxor ((x lsl 5) land 0xFFFFFFFF) in
+      s := x;
+      Char.unsafe_chr (x land 0xFF))
+
+let gz_inputs () =
+  let tile =
+    read_file (List.fold_left Filename.concat "goldens" [ "tpch"; "lineitem.csv" ])
+  in
+  [
+    ("lineitem-tile", tile);
+    ("empty", "");
+    ("one-byte-200k", String.make 200_000 'x');
+    ("pseudo-random-300k", pseudo_random 300_000);
+    ("len-65535", String.sub tile 0 65535);
+    ("len-65536", String.sub tile 0 65536);
+    ("len-65537", String.sub tile 0 65537);
+  ]
+
+let gzip_in_slices s ~slice =
+  let out = Buffer.create (String.length s / 2) in
+  let gz = Gz.create (fun b ~pos ~len -> Buffer.add_subbytes out b pos len) in
+  let b = Bytes.unsafe_of_string s in
+  let n = String.length s in
+  let pos = ref 0 in
+  while !pos < n do
+    let len = min slice (n - !pos) in
+    Gz.write gz b ~pos:!pos ~len;
+    pos := !pos + len
+  done;
+  Gz.finish gz;
+  Buffer.contents out
+
+let gz_golden_line name input gz =
+  Printf.sprintf "%s %d %d %s" name (String.length input) (String.length gz)
+    (Digest.to_hex (Digest.string gz))
+
+let test_gz_golden_digests () =
+  let path = List.fold_left Filename.concat "goldens" [ "gz"; "digests.txt" ] in
+  let lines =
+    List.map
+      (fun (name, input) ->
+        let gz = gzip_in_slices input ~slice:(1 lsl 20) in
+        List.iter
+          (fun slice ->
+            if not (String.equal gz (gzip_in_slices input ~slice)) then
+              Alcotest.failf "%s: %d-byte writes change the gzip bytes" name slice)
+          [ 1; 1000; 65536 ];
+        Alcotest.(check string)
+          (name ^ ": gunzips to the input")
+          (Digest.to_hex (Digest.string input))
+          (Digest.to_hex (Digest.string (gunzip_bytes name gz)));
+        gz_golden_line name input gz)
+      (gz_inputs ())
+  in
+  if Sys.getenv_opt "MIRAGE_UPDATE_GOLDENS" <> None then begin
+    Scale_out.mkdir_p (Filename.dirname path);
+    write_file path (String.concat "\n" lines ^ "\n")
+  end
+  else
+    Alcotest.(check (list string))
+      "gzip bytes match the golden digests"
+      (String.split_on_char '\n' (String.trim (read_file path)))
+      lines
+
+(* --- budget breach racing the shard writers --------------------------------- *)
 
 let test_budget_race_sharded () =
   let _, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
@@ -457,7 +629,7 @@ let test_budget_race_sharded () =
       let tripped =
         Par.with_pool ~domains (fun pool ->
             match
-              Scale_out.to_csv_sharded ~pool ~interrupt ~db ~copies ~chunk_rows
+              Scale_out.to_csv_chunked ~pool ~interrupt ~db ~copies ~chunk_rows
                 ~dir ~run_id ()
             with
             | _ -> false
@@ -487,7 +659,7 @@ let test_budget_race_sharded () =
       Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
       Par.with_pool ~domains (fun pool ->
           let rep =
-            Scale_out.to_csv_sharded ~pool ~resume:true ~db ~copies ~chunk_rows
+            Scale_out.to_csv_chunked ~pool ~resume:true ~db ~copies ~chunk_rows
               ~dir ~run_id ()
           in
           Alcotest.(check int)
@@ -584,6 +756,8 @@ let () =
           Alcotest.test_case "stale tmp files swept" `Quick test_stale_tmp_cleanup;
           Alcotest.test_case "size mismatch re-renders" `Quick
             test_resume_drops_bad_size;
+          Alcotest.test_case "unparsable manifest CRC re-renders" `Quick
+            test_resume_drops_bad_crc;
           Alcotest.test_case "mkdir_p concurrent creation" `Quick
             test_mkdir_p_concurrent;
         ] );
@@ -595,6 +769,11 @@ let () =
             test_short_writes_byte_exact;
           Alcotest.test_case "crash leaves tmp; resume sweeps and completes"
             `Quick test_crash_leaves_tmp_then_resume;
+        ] );
+      ( "gz",
+        [
+          Alcotest.test_case "gzip bytes match golden digests, any write slicing"
+            `Quick test_gz_golden_digests;
         ] );
       ( "workloads",
         [
@@ -615,6 +794,9 @@ let () =
             (test_workload_sharded "ssb" Mirage_workloads.Ssb.make ~sf:0.05);
           Alcotest.test_case "tpch sharded = monolithic, domains 1/2/4" `Slow
             (test_workload_sharded "tpch" Mirage_workloads.Tpch.make ~sf:0.05);
+          Alcotest.test_case
+            "live gzip export identical at domains 1/2/4, kill and resume"
+            `Slow test_live_export_gz;
           Alcotest.test_case
             "ssb gzip shards gunzip to monolithic, domains 1/2/4" `Slow
             (test_workload_gzip "ssb" Mirage_workloads.Ssb.make ~sf:0.05);

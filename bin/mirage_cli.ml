@@ -1,11 +1,15 @@
 (* mirage — query-aware database generation from the command line.
 
    Subcommands:
-     generate   regenerate a benchmark application and export CSVs
-     verify     regenerate and report per-query relative errors
-     compare    run the baseline generators on the same workload
-     table1     print the operator-supportability matrix
-     parse      parse a predicate and print its features *)
+     generate     regenerate a benchmark application and export CSVs
+     verify       regenerate and report per-query relative errors
+     compare      run the baseline generators on the same workload
+     extract      write a constraint bundle from the production side
+     from-bundle  generate and export from a saved constraint bundle
+     verify-dir   check exported CSVs against a constraint bundle
+     explain      show how one query's constraints are derived
+     table1       print the operator-supportability matrix
+     parse        parse a predicate and print it back *)
 
 open Cmdliner
 
@@ -145,17 +149,6 @@ let apply_big_flags big_rows big_dir =
       Mirage_engine.Col.set_big_dir (Some d)
   | None -> ()
 
-let schedule_arg =
-  let doc =
-    "Keygen scheduling: $(b,overlap) (the default) runs FK edges with no      ordering constraint between them concurrently on the domain pool,      solves each constrained edge's next CP batch while the current batch's      rows fill, and starts exporting a table the moment its last edge      commits; $(b,barrier) is the legacy one-edge-at-a-time walk, kept as      the differential oracle.  Both schedules generate byte-identical      databases for every domain count and chunk size — only wall-clock      time differs."
-  in
-  Arg.(value & opt string "overlap" & info [ "schedule" ] ~docv:"MODE" ~doc)
-
-let schedule_of = function
-  | "overlap" -> `Overlap
-  | "barrier" -> `Barrier
-  | other -> failwith (Printf.sprintf "unknown schedule %s (barrier|overlap)" other)
-
 let resume_arg =
   let doc =
     "Resume a chunked export: shards recorded in the output directory's      MANIFEST.json under the same run parameters are skipped without      rendering, and the completed output is byte-identical to an      uninterrupted run."
@@ -167,16 +160,6 @@ let compress_arg =
     "Gzip every shard as it streams out (<table>.csv.<k>.gz, pure-OCaml      DEFLATE): concatenating a table's shards in manifest order yields a      valid multi-member gzip file whose decompression is the uncompressed      CSV, byte for byte.  Requires --chunk-rows."
   in
   Arg.(value & flag & info [ "compress" ] ~doc)
-
-let run_generation ?(schedule = `Overlap) ?on_table_ready ?on_attempt_abort
-    ~chunk_rows name sf seed batch limits =
-  let workload, ref_db, prod_env = make_workload name sf seed in
-  let config =
-    { Driver.default_config with
-      Driver.batch_size = batch; seed; budget = limits; chunk_rows; schedule;
-      on_table_ready; on_attempt_abort }
-  in
-  (workload, Driver.generate ~config workload ~ref_db ~prod_env)
 
 (* exit 0 only when every query kept its exact guarantees *)
 let verdict_code r =
@@ -222,176 +205,154 @@ let report_errors r =
     (List.fold_left (fun a (e : Error.query_error) -> a +. e.Error.qe_relative) 0.0 errs
     /. float_of_int (max 1 (List.length errs)))
 
+let base_config batch limits =
+  { Driver.default_config with Driver.batch_size = batch; budget = limits }
+
+(* the production side of a direct run: its workload and the generation
+   closure over the reference database and parameters *)
+let direct name sf seed =
+  let workload, ref_db, prod_env = make_workload name sf seed in
+  (workload, fun config -> Driver.generate ~config workload ~ref_db ~prod_env)
+
+let write_parameters r dir =
+  let oc = open_out (Filename.concat dir "parameters.txt") in
+  List.iter
+    (fun (p, b) ->
+      match b with
+      | Mirage_sql.Pred.Env.Scalar v ->
+          Printf.fprintf oc "%s = %s\n" p (Mirage_sql.Value.to_string v)
+      | Mirage_sql.Pred.Env.Vlist vs ->
+          Printf.fprintf oc "%s = (%s)\n" p
+            (String.concat ", " (List.map Mirage_sql.Value.to_string vs)))
+    (Mirage_sql.Pred.Env.bindings r.Driver.r_env);
+  close_out oc;
+  Fmt.pr "wrote %s@." (Filename.concat dir "parameters.txt")
+
+(* The one generate-and-export pipeline behind [generate] and [from-bundle].
+   With [-o DIR --chunk-rows N] the crash-safe shard export opens before
+   generation, each table's shards stream out the moment its last FK edge
+   commits, and the finish pass renders whatever the hook missed and seals
+   MANIFEST.json; with [-o DIR] alone the finished database goes to one
+   <table>.csv per table.  Either way parameters.txt follows, and the SQL
+   export when asked.  The export's deadline runs from the start of
+   generation, which it overlaps.  [run_key] names the run's inputs; the run
+   ids append every other parameter that changes the output bytes
+   (compression changes shard names and contents, the domain count does
+   not). *)
+let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
+    ~compress ~resume ~sql ~report generate =
+  let token = Budget.start config.Driver.budget in
+  let interrupt () = Budget.check token in
+  let chunk_rows =
+    Option.map (fun c -> Budget.chunk_rows token ~default:c) chunk
+  in
+  let live =
+    match (out, chunk_rows) with
+    | Some dir, Some chunk_rows ->
+        let run_id =
+          Printf.sprintf "%s-copies%d-chunk%d%s" run_key copies chunk_rows
+            (if compress then "-gz" else "")
+        in
+        Some
+          (Scale_out.open_csv_export ~pool:(export_pool ()) ~resume ~compress
+             ~interrupt ~copies ~chunk_rows ~dir ~run_id ())
+    | _ -> None
+  in
+  let config =
+    { config with
+      Driver.chunk_rows = chunk;
+      on_table_ready =
+        Option.map (fun h db tname -> Scale_out.export_table h ~db tname) live;
+      on_attempt_abort = Option.map (fun h () -> Scale_out.abort_csv_export h) live }
+  in
+  match generate config with
+  | Error d -> report_fatal d
+  | Ok r ->
+      let db = r.Driver.r_db in
+      Fmt.pr "generated %s in %.2fs@." what r.Driver.r_timings.Driver.t_total;
+      report_diagnostics r;
+      Option.iter
+        (fun dir ->
+          (match live with
+          | Some h ->
+              let rep = Scale_out.finish_csv_export h ~db in
+              Fmt.pr "wrote %d shards to %s (%d resumed, %d bytes this run)@."
+                rep.Scale_out.cr_shards dir rep.Scale_out.cr_resumed
+                rep.Scale_out.cr_bytes;
+              (* per-table totals come from the committed manifest, so they
+                 cover resumed shards too — the full export, not this run *)
+              List.iter
+                (fun (tname, (raw, disk)) ->
+                  let rows = copies * Db.row_count db tname in
+                  if compress then
+                    Fmt.pr "  %-12s %d rows, %d bytes raw, %d gzipped@." tname
+                      rows raw disk
+                  else Fmt.pr "  %-12s %d rows, %d bytes@." tname rows raw)
+                rep.Scale_out.cr_tables
+          | None ->
+              Scale_out.to_csv_dir ~pool:(export_pool ()) ~db ~copies ~dir ();
+              List.iter
+                (fun (tbl : Schema.table) ->
+                  Fmt.pr "wrote %s (%d rows)@."
+                    (Filename.concat dir (tbl.Schema.tname ^ ".csv"))
+                    (copies * Db.row_count db tbl.Schema.tname))
+                (Schema.tables workload.Mirage_core.Workload.w_schema));
+          write_parameters r dir;
+          if sql then
+            match chunk_rows with
+            | Some chunk_rows ->
+                let run_id = Printf.sprintf "%s-sql-chunk%d" run_key chunk_rows in
+                let shards, resumed_n =
+                  Mirage_core.Sql_export.export_chunked ~resume ~interrupt ~db
+                    ~workload ~env:r.Driver.r_env ~dir ~chunk_rows ~run_id ()
+                in
+                Fmt.pr
+                  "wrote schema.sql, queries.sql and %d data.sql shards (%d \
+                   resumed)@."
+                  shards resumed_n
+            | None ->
+                Mirage_core.Sql_export.export_dir ~db ~workload
+                  ~env:r.Driver.r_env ~dir;
+                Fmt.pr "wrote schema.sql, data.sql, queries.sql@.")
+        out;
+      report r;
+      verdict_code r
+
 let generate_cmd =
   let sql_arg =
     Arg.(value & flag & info [ "sql" ]
            ~doc:"Also write schema.sql / data.sql / queries.sql into the output directory.")
   in
-  let run name sf seed batch out copies sql chunk resume compress sched brows
-      bmb bsecs big_rows big_dir =
+  let run name sf seed batch out copies sql chunk resume compress brows bmb
+      bsecs big_rows big_dir =
     guarded @@ fun () ->
-    let schedule = schedule_of sched in
     if compress && chunk = None then failwith "--compress requires --chunk-rows";
     apply_big_flags big_rows big_dir;
-    let limits = limits_of brows bmb bsecs in
-    (* overlapped live export: with an output directory and a chunked run
-       under the overlap schedule, the sink opens before generation and each
-       table's shards stream out the moment its last FK edge commits.  The
-       export then shares the generation budget clock (it runs during
-       generation); the barrier schedule keeps the post-generation export
-       with its own clock. *)
-    let live =
-      match (out, chunk) with
-      | Some dir, Some chunk_rows when schedule = `Overlap ->
-          Scale_out.mkdir_p dir;
-          let token = Budget.start limits in
-          let chunk_rows = Budget.chunk_rows token ~default:chunk_rows in
-          let run_id =
-            Printf.sprintf "%s-sf%g-seed%d-copies%d-chunk%d%s" name sf seed
-              copies chunk_rows
-              (if compress then "-gz" else "")
-          in
-          Some
-            (Scale_out.open_csv_export ~pool:(export_pool ()) ~resume
-               ~compress
-               ~interrupt:(fun () -> Budget.check token)
-               ~copies ~chunk_rows ~dir ~run_id ())
-      | _ -> None
-    in
-    let on_table_ready =
-      Option.map
-        (fun h db tname -> Scale_out.export_table h ~db tname)
-        live
-    in
-    let on_attempt_abort =
-      Option.map (fun h () -> Scale_out.abort_csv_export h) live
-    in
-    let workload, outcome =
-      run_generation ~schedule ?on_table_ready ?on_attempt_abort
-        ~chunk_rows:chunk name sf seed batch limits
-    in
-    match outcome with
-    | Error d -> report_fatal d
-    | Ok r ->
-        Fmt.pr "generated %s (sf %.2f) in %.2fs@." name sf
-          r.Driver.r_timings.Driver.t_total;
-        report_diagnostics r;
-        (match out with
-        | None -> ()
-        | Some dir -> (
-            Scale_out.mkdir_p dir;
-            (* the export gets its own budget clock; rows and heap limits
-               carry over, the deadline restarts at export begin *)
-            let token = Budget.start limits in
-            let interrupt () = Budget.check token in
-            (match chunk with
-            | Some chunk_rows ->
-                let chunk_rows = Budget.chunk_rows token ~default:chunk_rows in
-                let t0 = Unix.gettimeofday () in
-                let rep =
-                  match live with
-                  | Some h ->
-                      (* tables exported while generation ran are already
-                         committed; the finish pass renders whatever the
-                         hook missed and seals the manifest *)
-                      Scale_out.finish_csv_export h ~db:r.Driver.r_db
-                  | None ->
-                      (* run_id pins every parameter that changes the output
-                         bytes; compression changes them (shard names and
-                         contents), the domain count does not *)
-                      let run_id =
-                        Printf.sprintf "%s-sf%g-seed%d-copies%d-chunk%d%s"
-                          name sf seed copies chunk_rows
-                          (if compress then "-gz" else "")
-                      in
-                      Scale_out.to_csv_chunked ~pool:(export_pool ()) ~resume
-                        ~compress ~interrupt ~db:r.Driver.r_db ~copies
-                        ~chunk_rows ~dir ~run_id ()
-                in
-                let dt = Unix.gettimeofday () -. t0 in
-                Fmt.pr "wrote %d shards to %s (%d resumed, %d bytes this run)@."
-                  rep.Scale_out.cr_shards dir rep.Scale_out.cr_resumed
-                  rep.Scale_out.cr_bytes;
-                (* per-table totals come from the committed manifest, so they
-                   cover resumed shards too — the full export, not this run *)
-                List.iter
-                  (fun (tname, (raw, disk)) ->
-                    let rows = copies * Db.row_count r.Driver.r_db tname in
-                    if compress then
-                      Fmt.pr "  %-12s %d rows, %d bytes raw, %d gzipped@."
-                        tname rows raw disk
-                    else Fmt.pr "  %-12s %d rows, %d bytes@." tname rows raw)
-                  rep.Scale_out.cr_tables;
-                (* MB/s only when the whole export ran inside [t0, now] —
-                   with a live export most bytes were written during
-                   generation, so the tail-pass rate would be meaningless *)
-                if Option.is_none live && dt > 0.0 && rep.Scale_out.cr_bytes > 0
-                then
-                  Fmt.pr "  %.1f MB/s this run@."
-                    (float_of_int rep.Scale_out.cr_bytes /. 1e6 /. dt)
-            | None ->
-                Scale_out.to_csv_dir ~pool:(export_pool ()) ~db:r.Driver.r_db
-                  ~copies ~dir ();
-                List.iter
-                  (fun (tbl : Schema.table) ->
-                    Fmt.pr "wrote %s (%d rows)@."
-                      (Filename.concat dir (tbl.Schema.tname ^ ".csv"))
-                      (copies * Db.row_count r.Driver.r_db tbl.Schema.tname))
-                  (Schema.tables workload.Mirage_core.Workload.w_schema));
-            let oc = open_out (Filename.concat dir "parameters.txt") in
-            List.iter
-              (fun (p, b) ->
-                match b with
-                | Mirage_sql.Pred.Env.Scalar v ->
-                    Printf.fprintf oc "%s = %s\n" p (Mirage_sql.Value.to_string v)
-                | Mirage_sql.Pred.Env.Vlist vs ->
-                    Printf.fprintf oc "%s = (%s)\n" p
-                      (String.concat ", " (List.map Mirage_sql.Value.to_string vs)))
-              (Mirage_sql.Pred.Env.bindings r.Driver.r_env);
-            close_out oc;
-            Fmt.pr "wrote %s@." (Filename.concat dir "parameters.txt");
-            if sql then
-              match chunk with
-              | Some chunk_rows ->
-                  let run_id =
-                    Printf.sprintf "%s-sf%g-seed%d-sql-chunk%d" name sf seed
-                      chunk_rows
-                  in
-                  let shards, resumed_n =
-                    Mirage_core.Sql_export.export_chunked ~resume ~interrupt
-                      ~db:r.Driver.r_db ~workload ~env:r.Driver.r_env ~dir
-                      ~chunk_rows ~run_id ()
-                  in
-                  Fmt.pr
-                    "wrote schema.sql, queries.sql and %d data.sql shards (%d \
-                     resumed)@."
-                    shards resumed_n
-              | None ->
-                  Mirage_core.Sql_export.export_dir ~db:r.Driver.r_db ~workload
-                    ~env:r.Driver.r_env ~dir;
-                  Fmt.pr "wrote schema.sql, data.sql, queries.sql@."));
-        report_errors r;
-        verdict_code r
+    let workload, generate = direct name sf seed in
+    generate_and_export
+      ~what:(Printf.sprintf "%s (sf %.2f)" name sf)
+      ~run_key:(Printf.sprintf "%s-sf%g-seed%d" name sf seed)
+      ~workload
+      ~config:{ (base_config batch (limits_of brows bmb bsecs)) with Driver.seed }
+      ~out ~copies ~chunk ~compress ~resume ~sql ~report:report_errors generate
   in
   let doc = "Regenerate a benchmark application and export the synthetic database." in
   Cmd.v (Cmd.info "generate" ~doc ~exits)
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ out_arg
       $ copies_arg $ sql_arg $ chunk_rows_arg $ resume_arg $ compress_arg
-      $ schedule_arg $ budget_rows_arg $ budget_mb_arg
-      $ budget_seconds_arg $ big_rows_arg $ big_dir_arg)
+      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
+      $ big_dir_arg)
 
 let verify_cmd =
-  let run name sf seed batch chunk sched brows bmb bsecs big_rows big_dir =
+  let run name sf seed batch chunk brows bmb bsecs big_rows big_dir =
     guarded @@ fun () ->
-    let schedule = schedule_of sched in
     apply_big_flags big_rows big_dir;
-    match
-      run_generation ~schedule ~chunk_rows:chunk name sf seed batch
-        (limits_of brows bmb bsecs)
-    with
-    | _, Error d -> report_fatal d
-    | _, Ok r ->
+    let _, generate = direct name sf seed in
+    let config = base_config batch (limits_of brows bmb bsecs) in
+    match generate { config with Driver.seed; chunk_rows = chunk } with
+    | Error d -> report_fatal d
+    | Ok r ->
         report_errors r;
         verdict_code r
   in
@@ -399,8 +360,8 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc ~exits)
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ chunk_rows_arg
-      $ schedule_arg $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg
-      $ big_rows_arg $ big_dir_arg)
+      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
+      $ big_dir_arg)
 
 let compare_cmd =
   let run name sf seed =
@@ -466,41 +427,30 @@ let from_bundle_cmd =
   let bundle_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BUNDLE")
   in
-  let run path batch out copies chunk sched brows bmb bsecs big_rows big_dir =
+  let run path batch out copies chunk brows bmb bsecs big_rows big_dir =
     guarded @@ fun () ->
-    let schedule = schedule_of sched in
     apply_big_flags big_rows big_dir;
     match Mirage_core.Bundle.load ~path with
     | Error m ->
         Fmt.epr "cannot load bundle: %s@." m;
         2
-    | Ok b -> (
-        let config =
-          { Driver.default_config with
-            Driver.batch_size = batch;
-            budget = limits_of brows bmb bsecs;
-            chunk_rows = chunk;
-            schedule }
-        in
-        match Driver.generate_from_bundle ~config b with
-        | Error d -> report_fatal d
-        | Ok r ->
-            Fmt.pr "generated from bundle in %.2fs@." r.Driver.r_timings.Driver.t_total;
-            report_diagnostics r;
-            (match out with
-            | None -> ()
-            | Some dir ->
-                Scale_out.to_csv_dir ~pool:(export_pool ()) ~db:r.Driver.r_db
-                  ~copies ~dir ();
-                Fmt.pr "wrote CSVs to %s@." dir);
-            verdict_code r)
+    | Ok b ->
+        (* generation from a bundle draws with the default seed, so the
+           bundle's bytes name the run's inputs *)
+        generate_and_export ~what:"from bundle"
+          ~run_key:("bundle-" ^ Digest.to_hex (Digest.file path))
+          ~workload:b.Mirage_core.Bundle.b_workload
+          ~config:(base_config batch (limits_of brows bmb bsecs))
+          ~out ~copies ~chunk ~compress:false ~resume:false ~sql:false
+          ~report:ignore
+          (fun config -> Driver.generate_from_bundle ~config b)
   in
   let doc = "Generate a synthetic database from a saved constraint bundle (no production data needed)." in
   Cmd.v (Cmd.info "from-bundle" ~doc ~exits)
     Term.(
       const run $ bundle_arg $ batch_arg $ out_arg $ copies_arg $ chunk_rows_arg
-      $ schedule_arg $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg
-      $ big_rows_arg $ big_dir_arg)
+      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
+      $ big_dir_arg)
 
 let verify_dir_cmd =
   let bundle_arg =

@@ -16,7 +16,6 @@ type config = {
   batch_size : int;
   sample_size : int;
   cp_max_nodes : int;
-  latency_repeat : int;
   domains : int;
   acc_repair : bool;
   lp_guide : bool;
@@ -80,7 +79,6 @@ let default_config =
     batch_size = 7_000_000;
     sample_size = Hoeffding.sample_size ~delta:0.001 ~alpha:0.999;
     cp_max_nodes = 100_000;
-    latency_repeat = 3;
     domains = Par.default_domains ();
     acc_repair = true;
     lp_guide = true;
@@ -428,23 +426,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
         with
         | Ok l -> (l, None)
         | Error msg ->
-            if Sys.getenv_opt "CDF_DEBUG" <> None then begin
-              Printf.eprintf "[cdf] %s.%s failed: %s\n" tname col msg;
-              List.iter
-                (fun (u : Ir.ucc) ->
-                  Printf.eprintf "  %s: %s rows=%d key=%s\n" u.Ir.ucc_source
-                    (Pred.to_string (Pred.Lit u.Ir.ucc_lit))
-                    u.Ir.ucc_rows
-                    (match
-                       match u.Ir.ucc_lit with
-                       | Pred.Cmp { arg = Pred.Param pp; _ } ->
-                           param_key_fn prod_env pp
-                       | _ -> None
-                     with
-                    | Some v -> Value.to_string v
-                    | None -> "-"))
-                uccs
-            end;
             let l =
               Cdf.default_layout ~table:tname ~col ~kind:c.Schema.kind ~dom:d
                 ~rows

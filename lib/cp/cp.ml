@@ -434,30 +434,7 @@ let lp_guess t lo hi =
          a pure feasibility solve is more robust *)
       match Mirage_lp.Lp.feasible_point ~a ~b () with
       | Some x -> Some (Array.init n (fun v -> int_of_float (Float.round x.(v))))
-      | None ->
-          if Sys.getenv_opt "CP_DEBUG" <> None then
-            Printf.eprintf "[cp] LP relaxation failed (%d rows, %d cols)\n" m total;
-          (match Sys.getenv_opt "CP_DUMP" with
-          | Some path ->
-              let oc = open_out path in
-              List.iter
-                (fun cstr ->
-                  match cstr with
-                  | Linear { terms; eq; rhs } ->
-                      output_string oc
-                        (String.concat " + "
-                           (List.map (fun (a, v) -> Printf.sprintf "%d*x%d" a v) terms)
-                        ^ (if eq then " = " else " <= ")
-                        ^ string_of_int rhs ^ "\n")
-                  | Ge (x, y) -> Printf.fprintf oc "x%d >= x%d\n" x y
-                  | Imply_pos (x, y) -> Printf.fprintf oc "x%d>0 => x%d>0\n" x y)
-                (List.rev t.constrs);
-              for v = 0 to n - 1 do
-                Printf.fprintf oc "bounds x%d in [%d,%d]\n" v lo.(v) hi.(v)
-              done;
-              close_out oc
-          | None -> ());
-          None)
+      | None -> None)
 
 (* Structure-aware repair of a candidate point.
 
@@ -571,7 +548,6 @@ let repair_guess constrs lo hi g =
     end
     else true
   in
-  let debug = Sys.getenv_opt "CP_DEBUG" <> None in
   let ok = ref false in
   let passes = ref 0 in
   while (not !ok) && !passes < 100 do
@@ -622,23 +598,6 @@ let repair_guess constrs lo hi g =
           | Imply_pos (x, y) -> if g.(x) > 0 && g.(y) = 0 then ok := false)
         constrs
   done;
-  if debug && not !ok then begin
-    Printf.eprintf "[cp] repair failed after %d passes; residual violations:\n" !passes;
-    List.iter
-      (fun c ->
-        match c with
-        | Linear { terms; eq; rhs } ->
-            let s = sum terms in
-            if (eq && s <> rhs) || ((not eq) && s > rhs) then
-              Printf.eprintf "  linear %s rhs=%d sum=%d nvars=%d\n"
-                (if eq then "=" else "<=") rhs s (List.length terms)
-        | Ge (x, y) ->
-            if g.(x) < g.(y) then
-              Printf.eprintf "  ge v%d(%d) < v%d(%d)\n" x g.(x) y g.(y)
-        | Imply_pos (x, y) ->
-            if g.(x) > 0 && g.(y) = 0 then Printf.eprintf "  imply v%d>0 v%d=0\n" x y)
-      constrs
-  end;
   !ok
 
 let solve ?(max_nodes = 1_000_000) ?(lp_guide = true) ?(interrupt = fun () -> ()) t =
@@ -651,10 +610,6 @@ let solve ?(max_nodes = 1_000_000) ?(lp_guide = true) ?(interrupt = fun () -> ()
   let lo0 = Array.sub t.lo0 0 n and hi0 = Array.sub t.hi0 0 n in
   let constrs = t.constrs in
   let guess = if n = 0 || not lp_guide then None else lp_guess t lo0 hi0 in
-  if Sys.getenv_opt "CP_DEBUG" <> None then
-    Printf.eprintf "[cp] solve: %d vars, %d constraints, LP guess: %s\n" n
-      (List.length constrs)
-      (match guess with Some _ -> "found" | None -> "NONE");
   let stats restarts =
     { st_nodes = t.nodes; st_restarts = restarts; st_props = t.props }
   in
@@ -779,8 +734,3 @@ let solve ?(max_nodes = 1_000_000) ?(lp_guide = true) ?(interrupt = fun () -> ()
 
 let stats_nodes t = t.nodes
 let stats_props t = t.props
-
-let debug_lp_guess t =
-  let n = t.nvars in
-  let lo = Array.sub t.lo0 0 n and hi = Array.sub t.hi0 0 n in
-  lp_guess t lo hi

@@ -111,9 +111,6 @@ val fun_of_solution : int array -> var -> int
 
 (**/**)
 
-val debug_lp_guess : t -> int array option
-(** Internal: expose the LP relaxation guess for diagnostics. *)
-
 val set_objective : t -> (int * var) list -> unit
 (** Objective (minimised) used only by the internal LP relaxation to pick
     good branching values; the search itself remains pure feasibility. *)

@@ -1435,6 +1435,52 @@ let cpsolve () =
 
 (* --- Bechamel micro-benchmarks ------------------------------------------- *)
 
+(* A sparse LP shaped like the relaxation Cp.lp_guess builds for a key
+   generator model over [k] structural variables: all-ones cover
+   equalities, group sums [<= rhs] with a slack, [x - y - s = 0] rows and
+   the bound rows [x + s = hi] and [x - s' = lo], with right-hand sides taken
+   from a hidden integer point so the LP is feasible.  At k = 400 it has
+   about 1 000 columns. *)
+let lp_guess_shaped ~k =
+  let rng = Mirage_util.Rng.create k in
+  let x0 = Array.init k (fun _ -> Mirage_util.Rng.int rng 40) in
+  let rows = ref [] and n = ref k in
+  let add ?slack terms rhs =
+    let terms =
+      match slack with
+      | None -> terms
+      | Some coef ->
+          incr n;
+          (!n - 1, coef) :: terms
+    in
+    rows := (Array.of_list terms, float_of_int rhs) :: !rows
+  in
+  let ones vs = List.map (fun v -> (v, 1.0)) vs in
+  let sum vs = List.fold_left (fun acc v -> acc + x0.(v)) 0 vs in
+  let cover = 25 in
+  for g = 0 to (k / cover) - 1 do
+    let vs = List.init cover (fun i -> (g * cover) + i) in
+    add (ones vs) (sum vs)
+  done;
+  for _ = 1 to k / 7 do
+    let vs = List.sort_uniq compare (List.init 10 (fun _ -> Mirage_util.Rng.int rng k)) in
+    add ~slack:1.0 (ones vs) (sum vs + Mirage_util.Rng.int rng 5)
+  done;
+  for _ = 1 to k / 10 do
+    let x = Mirage_util.Rng.int rng k and y = Mirage_util.Rng.int rng k in
+    if x <> y then begin
+      let x, y = if x0.(x) >= x0.(y) then (x, y) else (y, x) in
+      add ~slack:(-1.0) [ (x, 1.0); (y, -1.0) ] 0
+    end
+  done;
+  for v = 0 to k - 1 do
+    add ~slack:1.0 [ (v, 1.0) ] (x0.(v) + Mirage_util.Rng.int rng 3);
+    if v mod 4 = 0 && x0.(v) > 0 then add ~slack:(-1.0) [ (v, 1.0) ] (x0.(v) - 1)
+  done;
+  let a, b = List.split (List.rev !rows) in
+  let c = Array.init !n (fun v -> if v < k && v mod 3 = 0 then 1.0 else 0.0) in
+  (Array.of_list a, Array.of_list b, c)
+
 let micro () =
   header "Bechamel micro-benchmarks of the core primitives";
   let open Bechamel in
@@ -1477,15 +1523,10 @@ let micro () =
            ignore (Mirage_cp.Cp.solve m)))
   in
   let test_lp =
-    Test.make ~name:"lp-simplex-20x40"
-      (Staged.stage (fun () ->
-           let a =
-             Array.init 20 (fun r ->
-                 Array.init 40 (fun c -> float_of_int ((r + c) mod 5)))
-           in
-           let b = Array.init 20 (fun r -> float_of_int (50 + r)) in
-           let c = Array.make 40 1.0 in
-           ignore (Mirage_lp.Lp.solve ~a ~b ~c ())))
+    let a, b, c = lp_guess_shaped ~k:400 in
+    Test.make
+      ~name:(Printf.sprintf "lp-guess-%dx%d" (Array.length a) (Array.length c))
+      (Staged.stage (fun () -> ignore (Mirage_lp.Lp.solve ~a ~b ~c ())))
   in
   let test_join =
     Test.make ~name:"engine-join-tpch-q3"

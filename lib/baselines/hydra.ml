@@ -67,28 +67,40 @@ let generate (w : Workload.t) ~ref_db ~prod_env ~seed =
       let sources =
         List.sort_uniq compare (List.map (fun (s : Ir.scc) -> s.Ir.scc_source) sccs)
       in
+      (* one LP row per scc, over the regions whose signature has the scc's
+         bit k, plus the all-regions row summing to n *)
+      let region_row k =
+        Array.of_list
+          (List.filter_map
+             (fun r ->
+               let sig_, _, _ = regions.(r) in
+               if sig_ land (1 lsl k) <> 0 then Some (r, 1.0) else None)
+             (List.init nr Fun.id))
+      in
+      let feasible bits =
+        let a =
+          Array.of_list
+            (List.map (fun (k, _) -> region_row k) bits
+            @ [ Array.init nr (fun r -> (r, 1.0)) ])
+        in
+        let b =
+          Array.of_list
+            (List.map (fun (_, (s : Ir.scc)) -> float_of_int s.Ir.scc_rows) bits
+            @ [ float_of_int n ])
+        in
+        Mirage_lp.Lp.feasible_point ~n:nr ~a ~b ()
+      in
       let solve_group group =
-        let gm = List.length group in
-        let a = Array.make_matrix (gm + 1) nr 0.0 in
-        let b = Array.make (gm + 1) 0.0 in
-        List.iteri
-          (fun row (s : Ir.scc) ->
-            let k =
-              (* index of this scc among all sccs: its bit in the signature *)
-              let rec find i = function
-                | [] -> -1
-                | s' :: rest -> if s' == s then i else find (i + 1) rest
-              in
-              find 0 sccs
-            in
-            Array.iteri
-              (fun r (sig_, _, _) -> if sig_ land (1 lsl k) <> 0 then a.(row).(r) <- 1.0)
-              regions;
-            b.(row) <- float_of_int s.Ir.scc_rows)
-          group;
-        Array.iteri (fun r _ -> a.(gm).(r) <- 1.0) regions;
-        b.(gm) <- float_of_int n;
-        Mirage_lp.Lp.feasible_point ~a ~b ()
+        feasible
+          (List.map
+             (fun (s : Ir.scc) ->
+               (* index of this scc among all sccs: its bit in the signature *)
+               let rec find i = function
+                 | [] -> -1
+                 | s' :: rest -> if s' == s then i else find (i + 1) rest
+               in
+               (find 0 sccs, s))
+             group)
       in
       let solutions =
         List.filter_map
@@ -100,20 +112,7 @@ let generate (w : Workload.t) ~ref_db ~prod_env ~seed =
          the global system; we blend the joint solution (when one exists)
          with the task average, which leaves the paper's "slender
          deviations" *)
-      let joint =
-        let a = Array.make_matrix (m + 1) nr 0.0 in
-        let b = Array.make (m + 1) 0.0 in
-        List.iteri
-          (fun k (s : Ir.scc) ->
-            Array.iteri
-              (fun r (sig_, _, _) -> if sig_ land (1 lsl k) <> 0 then a.(k).(r) <- 1.0)
-              regions;
-            b.(k) <- float_of_int s.Ir.scc_rows)
-          sccs;
-        Array.iteri (fun r _ -> a.(m).(r) <- 1.0) regions;
-        b.(m) <- float_of_int n;
-        Mirage_lp.Lp.feasible_point ~a ~b ()
-      in
+      let joint = feasible (List.mapi (fun k s -> (k, s)) sccs) in
       let sizes =
         match (solutions, joint) with
         | [], None -> Array.map (fun (_, _, c) -> c) regions

@@ -556,33 +556,43 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
               if tv <> 0 then Some (j, Array.length rows) else None)
             (List.init np_t (fun j -> j))
         in
-        let rows_n = List.length covers + List.length jccs in
-        let a = Array.make_matrix rows_n (np + n_slack) 0.0 in
-        let bvec = Array.make rows_n 0.0 in
         let c = Array.make (np + n_slack) 0.0 in
-        List.iteri
-          (fun r (j, size) ->
-            Array.iteri
-              (fun q (_, j') -> if j' = j then a.(r).(q) <- 1.0)
-              pairs;
-            bvec.(r) <- float_of_int size)
-          covers;
-        List.iteri
-          (fun kk (k, target) ->
-            let r = List.length covers + kk in
-            List.iter
-              (fun (i, j) ->
-                match Hashtbl.find_opt index (i, j) with
-                | Some q -> a.(r).(q) <- 1.0
-                | None -> ())
-              (pairs_of k);
-            (* Σx + s⁻ − s⁺ = target, minimise s⁻ + s⁺ *)
-            a.(r).(np + (2 * kk)) <- 1.0;
-            a.(r).(np + (2 * kk) + 1) <- -1.0;
-            c.(np + (2 * kk)) <- 1.0;
-            c.(np + (2 * kk) + 1) <- 1.0;
-            bvec.(r) <- float_of_int target)
-          jccs;
+        let cover_rows =
+          List.map
+            (fun (j, _) ->
+              let qs = ref [] in
+              Array.iteri (fun q (_, j') -> if j' = j then qs := (q, 1.0) :: !qs) pairs;
+              Array.of_list (List.rev !qs))
+            covers
+        in
+        (* a pair listed twice by [pairs_of k] is one unit entry *)
+        let in_row = Array.make np false in
+        let jcc_rows =
+          List.mapi
+            (fun kk (k, _) ->
+              let qs =
+                List.filter_map
+                  (fun p ->
+                    match Hashtbl.find_opt index p with
+                    | Some q when not in_row.(q) ->
+                        in_row.(q) <- true;
+                        Some (q, 1.0)
+                    | _ -> None)
+                  (pairs_of k)
+              in
+              List.iter (fun (q, _) -> in_row.(q) <- false) qs;
+              (* Σx + s⁻ − s⁺ = target, minimise s⁻ + s⁺ *)
+              c.(np + (2 * kk)) <- 1.0;
+              c.(np + (2 * kk) + 1) <- 1.0;
+              Array.of_list ((np + (2 * kk), 1.0) :: (np + (2 * kk) + 1, -1.0) :: qs))
+            jccs
+        in
+        let a = Array.of_list (cover_rows @ jcc_rows) in
+        let bvec =
+          Array.of_list
+            (List.map (fun (_, size) -> float_of_int size) covers
+            @ List.map (fun (_, target) -> float_of_int target) jccs)
+        in
         match Mirage_lp.Lp.solve ~a ~b:bvec ~c () with
         | Mirage_lp.Lp.Optimal x ->
             let xsol = Array.make_matrix np_s np_t 0 in

@@ -413,28 +413,35 @@ let lp_guess t lo hi =
       add_row [ (1, v) ] (Some (s', -1.0)) lo.(v)
     end
   done;
-  let rows = List.rev !rows in
-  let m = List.length rows in
   let total = n + !n_slack in
-  let a = Array.make_matrix m total 0.0 in
-  let b = Array.make m 0.0 in
-  List.iteri
-    (fun r (terms, slack, rhs) ->
-      List.iter (fun (coef, v) -> a.(r).(v) <- a.(r).(v) +. float_of_int coef) terms;
-      (match slack with Some (s, coef) -> a.(r).(n + s) <- coef | None -> ());
-      b.(r) <- float_of_int rhs)
-    rows;
+  (* sparse rows: a variable's repeated terms are summed in posting order
+     (the stable sort keeps it), as the dense row's [+.] from 0.0 did *)
+  let sparse_row (terms, slack, _) =
+    let sums =
+      List.fold_left
+        (fun acc (coef, v) ->
+          match acc with
+          | (v', sum) :: rest when v' = v -> (v, sum +. float_of_int coef) :: rest
+          | _ -> (v, float_of_int coef) :: acc)
+        []
+        (List.stable_sort (fun (_, v) (_, v') -> compare v v') terms)
+    in
+    Array.of_list (match slack with Some (s, coef) -> (n + s, coef) :: sums | None -> sums)
+  in
+  let rows = List.rev !rows in
+  let a = Array.of_list (List.map sparse_row rows) in
+  let b = Array.of_list (List.map (fun (_, _, rhs) -> float_of_int rhs) rows) in
   let c = Array.make total 0.0 in
   List.iter (fun (coef, v) -> c.(v) <- c.(v) +. float_of_int coef) t.objective;
+  let round x = Array.init n (fun v -> int_of_float (Float.round x.(v))) in
   match Mirage_lp.Lp.solve ~a ~b ~c () with
-  | Mirage_lp.Lp.Optimal x ->
-      Some (Array.init n (fun v -> int_of_float (Float.round x.(v))))
-  | Mirage_lp.Lp.Infeasible | Mirage_lp.Lp.Unbounded -> (
+  | Mirage_lp.Lp.Optimal x -> Some (round x)
+  | Mirage_lp.Lp.Infeasible -> None
+  | Mirage_lp.Lp.Unbounded ->
       (* the objective can stall the phase-II simplex on degenerate vertices;
-         a pure feasibility solve is more robust *)
-      match Mirage_lp.Lp.feasible_point ~a ~b () with
-      | Some x -> Some (Array.init n (fun v -> int_of_float (Float.round x.(v))))
-      | None -> None)
+         a pure feasibility solve is more robust.  Phase I ignores [c], so
+         after [Infeasible] the same retry would only repeat it *)
+      Option.map round (Mirage_lp.Lp.feasible_point ~n:total ~a ~b ())
 
 (* Structure-aware repair of a candidate point.
 

@@ -6,8 +6,83 @@ type outcome =
 (* Standard-form tableau simplex.
    Tableau layout: rows 0..m-1 are constraints, row m is the objective.
    Columns 0..total-1 are variables, column total is the RHS.
-   [basis.(r)] is the variable basic in row r. *)
-let simplex_tableau ~eps ?allowed tab basis m total =
+   [basis.(r)] is the variable basic in row r.
+
+   The tableau is stored dense, but the LPs the generator builds are almost
+   empty (about 0.1% non-zeros), so a pivot reads column j once, into
+   [rows], and updates only the non-zero columns of the pivot row, gathered
+   into [idx].  A skipped row has a zero in column j and a skipped column a
+   zero in the pivot row, and [x -. f *. ±0.0 = x] for finite [f]: the
+   values, the pivot sequence and the solution are those of the full dense
+   Gauss–Jordan update, up to the sign of a zero, which no comparison can
+   see. *)
+type tableau = {
+  tab : float array array;
+  basis : int array;
+  m : int;
+  total : int;
+  idx : int array;  (* non-zero columns of the current source row *)
+  rows : int array;  (* constraint rows with a non-zero in the pivot column *)
+}
+
+(* [dst.(k) <- dst.(k) -. f *. src.(k)] over the first [cnt] columns of
+   [idx]. *)
+let sub_scaled idx cnt dst f src =
+  for i = 0 to cnt - 1 do
+    let k = Array.unsafe_get idx i in
+    Array.unsafe_set dst k
+      (Array.unsafe_get dst k -. (f *. Array.unsafe_get src k))
+  done
+
+(* Gather the non-zero columns of [row] into [idx]; returns their count. *)
+let gather idx row =
+  let cnt = ref 0 in
+  for k = 0 to Array.length row - 1 do
+    if Array.unsafe_get row k <> 0.0 then begin
+      Array.unsafe_set idx !cnt k;
+      incr cnt
+    end
+  done;
+  !cnt
+
+(* Gather the constraint rows with a non-zero in column [j] into [t.rows],
+   in row order; returns their count. *)
+let gather_column t j =
+  let cnt = ref 0 in
+  for r = 0 to t.m - 1 do
+    if abs_float t.tab.(r).(j) > 0.0 then begin
+      t.rows.(!cnt) <- r;
+      incr cnt
+    end
+  done;
+  !cnt
+
+(* Gauss–Jordan pivot on (r, j), with [t.rows] holding column j's first
+   [ncol] non-zero rows (from [gather_column t j]): divide row r by its
+   column-j entry, then eliminate column j from every other row, the
+   objective row last. *)
+let pivot t ~ncol r j =
+  let prow = t.tab.(r) in
+  let piv = prow.(j) in
+  let cnt = gather t.idx prow in
+  for i = 0 to cnt - 1 do
+    let k = t.idx.(i) in
+    prow.(k) <- prow.(k) /. piv
+  done;
+  for i = 0 to ncol - 1 do
+    let r' = t.rows.(i) in
+    if r' <> r then begin
+      let row = t.tab.(r') in
+      sub_scaled t.idx cnt row row.(j) prow
+    end
+  done;
+  let objrow = t.tab.(t.m) in
+  let f = objrow.(j) in
+  if abs_float f > 0.0 then sub_scaled t.idx cnt objrow f prow;
+  t.basis.(r) <- j
+
+let simplex_tableau ~eps ?allowed t =
+  let { tab; basis; m; total; _ } = t in
   let obj = m in
   let rhs = total in
   (* columns eligible to enter the basis: phase II must never re-admit the
@@ -29,10 +104,13 @@ let simplex_tableau ~eps ?allowed tab basis m total =
       if !entering = -1 then `Optimal
       else begin
         let j = !entering in
-        (* ratio test, Bland tie-break on basis variable index *)
+        (* ratio test over the column's non-zero rows, Bland tie-break on
+           basis variable index *)
+        let ncol = gather_column t j in
         let leaving = ref (-1) in
         let best = ref infinity in
-        for r = 0 to m - 1 do
+        for i = 0 to ncol - 1 do
+          let r = t.rows.(i) in
           if tab.(r).(j) > eps then begin
             let ratio = tab.(r).(rhs) /. tab.(r).(j) in
             if
@@ -47,20 +125,7 @@ let simplex_tableau ~eps ?allowed tab basis m total =
         done;
         if !leaving = -1 then `Unbounded
         else begin
-          let r = !leaving in
-          let piv = tab.(r).(j) in
-          for k = 0 to total do
-            tab.(r).(k) <- tab.(r).(k) /. piv
-          done;
-          for r' = 0 to m do
-            if r' <> r && abs_float tab.(r').(j) > 0.0 then begin
-              let f = tab.(r').(j) in
-              for k = 0 to total do
-                tab.(r').(k) <- tab.(r').(k) -. (f *. tab.(r).(k))
-              done
-            end
-          done;
-          basis.(r) <- j;
+          pivot t ~ncol !leaving j;
           iterate (guard + 1)
         end
       end
@@ -68,54 +133,64 @@ let simplex_tableau ~eps ?allowed tab basis m total =
   in
   iterate 0
 
+let check_rows ~n a =
+  let last_row = Array.make n (-1) in
+  Array.iteri
+    (fun r row ->
+      Array.iter
+        (fun (j, _) ->
+          if j < 0 || j >= n then invalid_arg "Lp.solve: column out of range";
+          if last_row.(j) = r then invalid_arg "Lp.solve: column listed twice";
+          last_row.(j) <- r)
+        row)
+    a
+
 let solve ?(eps = 1e-9) ~a ~b ~c () =
   let m = Array.length a in
   let n = Array.length c in
   if Array.length b <> m then invalid_arg "Lp.solve: |b| <> rows of A";
-  Array.iter
-    (fun row -> if Array.length row <> n then invalid_arg "Lp.solve: ragged A")
-    a;
-  (* normalise to b >= 0 *)
-  let a = Array.map Array.copy a and b = Array.copy b in
-  for r = 0 to m - 1 do
-    if b.(r) < 0.0 then begin
-      b.(r) <- -.b.(r);
-      for j = 0 to n - 1 do
-        a.(r).(j) <- -.a.(r).(j)
-      done
-    end
-  done;
+  check_rows ~n a;
   let total = n + m in
   (* columns: n structural + m artificial *)
   let tab = Array.make_matrix (m + 1) (total + 1) 0.0 in
-  let basis = Array.make m 0 in
+  let t =
+    {
+      tab;
+      basis = Array.init m (fun r -> n + r);
+      m;
+      total;
+      idx = Array.make (total + 1) 0;
+      rows = Array.make m 0;
+    }
+  in
+  (* fill rows normalised to b >= 0, and the phase I objective (minimise the
+     sum of artificials = the sum of rows) as column sums in row order *)
+  let objrow = tab.(m) in
   for r = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      tab.(r).(j) <- a.(r).(j)
-    done;
-    tab.(r).(n + r) <- 1.0;
-    tab.(r).(total) <- b.(r);
-    basis.(r) <- n + r
+    let row = tab.(r) in
+    let neg = b.(r) < 0.0 in
+    Array.iter
+      (fun (j, v) ->
+        let v = if neg then -.v else v in
+        row.(j) <- v;
+        objrow.(j) <- objrow.(j) +. v)
+      a.(r);
+    row.(n + r) <- 1.0;
+    row.(total) <- (if neg then -.b.(r) else b.(r));
+    objrow.(total) <- objrow.(total) +. row.(total)
   done;
-  (* Phase I objective: minimise sum of artificials = sum of rows *)
-  for j = 0 to total do
-    let s = ref 0.0 in
-    for r = 0 to m - 1 do
-      s := !s +. tab.(r).(j)
-    done;
-    tab.(m).(j) <- -. !s
+  for j = 0 to n - 1 do
+    objrow.(j) <- -.objrow.(j)
   done;
-  for r = 0 to m - 1 do
-    tab.(m).(n + r) <- 0.0
-  done;
-  match simplex_tableau ~eps tab basis m total with
+  objrow.(total) <- -.objrow.(total);
+  match simplex_tableau ~eps t with
   | `Unbounded -> Infeasible (* phase I is bounded; numerical trouble *)
   | `Optimal ->
-      if tab.(m).(total) < -.(eps *. 1e3) -. 1e-6 then Infeasible
+      if objrow.(total) < -.(eps *. 1e3) -. 1e-6 then Infeasible
       else begin
         (* drive artificials out of the basis where possible *)
         for r = 0 to m - 1 do
-          if basis.(r) >= n then begin
+          if t.basis.(r) >= n then begin
             let j = ref (-1) in
             (try
                for k = 0 to n - 1 do
@@ -125,53 +200,33 @@ let solve ?(eps = 1e-9) ~a ~b ~c () =
                  end
                done
              with Exit -> ());
-            if !j >= 0 then begin
-              let piv = tab.(r).(!j) in
-              for k = 0 to total do
-                tab.(r).(k) <- tab.(r).(k) /. piv
-              done;
-              for r' = 0 to m do
-                if r' <> r && abs_float tab.(r').(!j) > 0.0 then begin
-                  let f = tab.(r').(!j) in
-                  for k = 0 to total do
-                    tab.(r').(k) <- tab.(r').(k) -. (f *. tab.(r).(k))
-                  done
-                end
-              done;
-              basis.(r) <- !j
-            end
+            if !j >= 0 then pivot t ~ncol:(gather_column t !j) r !j
           end
         done;
         (* Phase II objective (artificials may no longer enter) *)
-        for k = 0 to total do
-          tab.(m).(k) <- 0.0
-        done;
-        for j = 0 to n - 1 do
-          tab.(m).(j) <- c.(j)
-        done;
+        Array.fill objrow 0 (total + 1) 0.0;
+        Array.blit c 0 objrow 0 n;
         (* reduce objective row against basic columns *)
         for r = 0 to m - 1 do
-          if basis.(r) < n && abs_float tab.(m).(basis.(r)) > 0.0 then begin
-            let f = tab.(m).(basis.(r)) in
-            for k = 0 to total do
-              tab.(m).(k) <- tab.(m).(k) -. (f *. tab.(r).(k))
-            done
+          let bv = t.basis.(r) in
+          if bv < n && abs_float objrow.(bv) > 0.0 then begin
+            let f = objrow.(bv) in
+            sub_scaled t.idx (gather t.idx tab.(r)) objrow f tab.(r)
           end
         done;
-        match simplex_tableau ~eps ~allowed:n tab basis m total with
+        match simplex_tableau ~eps ~allowed:n t with
         | `Unbounded -> Unbounded
         | `Optimal ->
             let x = Array.make n 0.0 in
             for r = 0 to m - 1 do
-              if basis.(r) < n then x.(basis.(r)) <- tab.(r).(total)
+              if t.basis.(r) < n then x.(t.basis.(r)) <- tab.(r).(total)
             done;
             (* clamp numerical negatives *)
             Array.iteri (fun i v -> if v < 0.0 then x.(i) <- 0.0) x;
             Optimal x
       end
 
-let feasible_point ?eps ~a ~b () =
-  let n = if Array.length a > 0 then Array.length a.(0) else 0 in
+let feasible_point ?eps ~n ~a ~b () =
   match solve ?eps ~a ~b ~c:(Array.make n 0.0) () with
   | Optimal x -> Some x
   | Infeasible | Unbounded -> None

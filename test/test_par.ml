@@ -302,7 +302,7 @@ let check_same_db label (a : Db.t) (b : Db.t) =
         (Schema.column_names tbl))
     (Schema.tables schema)
 
-let check_workload name (workload, ref_db, prod_env) =
+let check_workload ?(widths = [ 2; 4 ]) name (workload, ref_db, prod_env) =
   let r1 = generate_with ~domains:1 workload ref_db prod_env in
   let errs1 = Driver.measure_errors r1 in
   List.iter
@@ -324,7 +324,7 @@ let check_workload name (workload, ref_db, prod_env) =
             (Printf.sprintf "%s: %s error identical" name e.Error.qe_name)
             e1.Error.qe_relative e.Error.qe_relative)
         errs1 errs)
-    [ 2; 4 ]
+    widths
 
 let test_driver_shared_pool () =
   (* the daemon-style usage: one resident pool and one solve cache shared
@@ -370,6 +370,10 @@ let test_determinism_ssb () =
 
 let test_determinism_tpch () =
   check_workload "tpch" (Mirage_workloads.Tpch.make ~sf:0.05 ~seed:7)
+
+(* TPC-DS key generation solves its LP relaxations inside pool tasks *)
+let test_determinism_tpcds () =
+  check_workload ~widths:[ 2 ] "tpcds" (Mirage_workloads.Tpcds.make ~sf:0.1 ~seed:7)
 
 (* --- scale-out writer byte-identity -------------------------------------- *)
 
@@ -440,6 +444,7 @@ let () =
             test_driver_shared_pool;
           Alcotest.test_case "ssb domains 1/2/4" `Slow test_determinism_ssb;
           Alcotest.test_case "tpch domains 1/2/4" `Slow test_determinism_tpch;
+          Alcotest.test_case "tpcds domains 1/2" `Slow test_determinism_tpcds;
           Alcotest.test_case "scale-out bytes" `Quick test_scaleout_bytes;
         ] );
     ]

@@ -129,8 +129,8 @@ type result = {
 
 let now () = Unix.gettimeofday ()
 
-(* process CPU seconds across every domain: wall − cpu divergence is how the
-   bench harness sees the parallel speedup *)
+(* process CPU seconds across every domain, for [t_cpu]: wall − cpu
+   divergence shows the parallel speedup *)
 let cpu_now () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime

@@ -500,67 +500,11 @@ let to_csv_chunked ?(pool = Par.sequential) ?backend ?(resume = false)
        ~chunk_rows ~dir ~run_id ())
     ~db
 
-(* exact CSV output size without rendering: fixed template bytes per tile
-   plus the decimal width of every spliced key — the uniform basis for the
-   bench harness's mb_per_s *)
-let decimal_width x =
-  if x = 0 then 1
-  else begin
-    let n = ref (if x < 0 then 1 else 0) in
-    let x = ref (abs x) in
-    while !x > 0 do
-      incr n;
-      x := !x / 10
-    done;
-    !n
-  end
-
-let csv_bytes ?chunk_rows ~db ~copies () =
-  if copies < 1 then invalid_arg "Scale_out.csv_bytes: copies must be >= 1";
-  let chunk_rows =
-    match chunk_rows with
-    | Some c ->
-        if c < 1 then invalid_arg "Scale_out.csv_bytes: chunk_rows must be >= 1";
-        c
-    | None -> Col.big_rows ()
-  in
-  List.fold_left
-    (fun acc (tbl : Schema.table) ->
-      let rows = Db.row_count db tbl.Schema.tname in
-      let header = String.length (csv_header (Schema.column_names tbl)) + 1 in
-      let total = ref header in
-      (* template per row window, never per whole table — the count is a
-         sum over (window, tile) cells, so the order change vs the old
-         whole-table template is invisible in the total *)
-      Array.iter
-        (fun (lo, len) ->
-          let tpl = build_template ~lo ~rows:len db tbl in
-          let fixed = Bytes.length tpl.fixed in
-          let m = Array.length tpl.base in
-          for t = 0 to copies - 1 do
-            let splices = ref 0 in
-            for i = 0 to m - 1 do
-              splices :=
-                !splices
-                + decimal_width
-                    (Array.unsafe_get tpl.base i
-                    + t
-                      * Array.unsafe_get tpl.per_tile
-                          (Array.unsafe_get tpl.which i))
-            done;
-            total := !total + fixed + !splices
-          done)
-        (Chunk_plan.ranges ~rows ~chunk_rows);
-      acc + !total)
-    0
-    (Schema.tables (Db.schema db))
-
 (* --- reference renderer -----------------------------------------------------
 
-   The pre-template per-cell renderer, kept verbatim (same per-cell
-   [string_of_int] allocation profile) with only the cell formatting policy
-   updated to the shared kernel's, so the differential tests and the [emit]
-   benchmark compare templated splicing against exactly what it replaced. *)
+   The pre-template per-cell renderer, kept verbatim with only the cell
+   formatting policy updated to the shared kernel's, so the differential
+   tests compare templated splicing against exactly what it replaced. *)
 module Reference = struct
   let add_cell buf = function
     | Value.Null -> ()

@@ -166,17 +166,6 @@ val finish_csv_export :
     counts, mark the manifest complete and return the report.  After this
     the concatenation contract of {!to_csv_chunked} holds verbatim. *)
 
-val csv_bytes :
-  ?chunk_rows:int -> db:Mirage_engine.Db.t -> copies:int -> unit -> int
-(** Exact byte size of the CSV export ({!to_csv_dir} or, equivalently, the
-    concatenated {!to_csv_chunked} shards) without rendering it: template
-    fixed bytes per tile plus the decimal width of every spliced key.
-    Templates are built one [chunk_rows] row window at a time (default
-    {!Mirage_engine.Col.big_rows}), so the count itself runs in O(chunk)
-    heap on enormous tables.  The bench harness derives its MB/s from
-    this, uniformly across experiments.
-    @raise Invalid_argument if [copies < 1] or [chunk_rows < 1]. *)
-
 module Reference : sig
   val to_csv_dir :
     ?pool:Mirage_par.Par.pool ->
@@ -187,9 +176,8 @@ module Reference : sig
     unit
   (** The pre-template renderer: every cell of every tile re-rendered
       through per-cell allocating conversions.  Kept as the differential
-      oracle for the byte-identity tests and as the baseline the [emit]
-      benchmark measures the templated engine against.  Same output bytes,
-      same pipeline, same escaping policy. *)
+      oracle for the byte-identity tests.  Same output bytes, same
+      pipeline, same escaping policy. *)
 end
 
 val tile_db : db:Mirage_engine.Db.t -> copies:int -> Mirage_engine.Db.t

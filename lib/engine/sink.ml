@@ -142,8 +142,8 @@ let manifest_path ~dir = Filename.concat dir "MANIFEST.json"
 let sorted_shards t =
   List.sort (fun a b -> compare a.sh_seq b.sh_seq) t.order
 
-(* one shard per line so loading is simple field extraction, the same
-   convention the bench JSON uses.  Caller holds [t.lock]. *)
+(* one shard per line so loading is simple field extraction.  Caller holds
+   [t.lock]. *)
 let save_manifest t =
   let path = manifest_path ~dir:t.dir in
   let tmp = path ^ ".tmp" in

@@ -77,9 +77,9 @@ let with_pool ?domains f =
    Spawning a domain costs hundreds of microseconds plus a minor-heap
    allocation per domain; paying it per generation run made every region
    shorter than ~10 ms a net loss.  [get] hands out one resident pool per
-   width for the whole process — driver runs, CLI exports and bench entries
-   all share it, and a run that fails leaves it usable (regions drain before
-   re-raising).  The pools are joined via [at_exit]. *)
+   width for the whole process — driver runs, CLI exports and repeated
+   benchmark runs all share it, and a run that fails leaves it usable
+   (regions drain before re-raising).  The pools are joined via [at_exit]. *)
 
 let registry : (int, pool) Hashtbl.t = Hashtbl.create 4
 let registry_m = Mutex.create ()

@@ -37,10 +37,10 @@ val get : ?domains:int -> unit -> pool
     width, creating it on first use ([domains] clamps and defaults as in
     {!create}; width 1 returns {!sequential}).  The pool is shared by every
     caller for the life of the process — generation runs, CLI exports and
-    bench entries reuse the same worker domains instead of re-spawning them —
-    and is joined automatically at process exit.  Never {!shutdown} a pool
-    obtained here.  A failed region (exception, budget breach) leaves the
-    pool fully usable. *)
+    repeated benchmark runs reuse the same worker domains instead of
+    re-spawning them — and is joined automatically at process exit.  Never
+    {!shutdown} a pool obtained here.  A failed region (exception, budget
+    breach) leaves the pool fully usable. *)
 
 val size : pool -> int
 (** Total domains participating in a region, including the caller. *)

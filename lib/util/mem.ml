@@ -4,43 +4,3 @@ let live_bytes () =
   Gc.minor ();
   let st = Gc.quick_stat () in
   st.Gc.heap_words * word_bytes
-
-let top_heap_bytes () =
-  let st = Gc.quick_stat () in
-  st.Gc.top_heap_words * word_bytes
-
-let measure f =
-  Gc.compact ();
-  let before = (Gc.quick_stat ()).Gc.heap_words in
-  (* [top_heap_words] is a process-lifetime mark: once any earlier phase has
-     grown the heap past what [f] needs, [top - before] reports that phase's
-     peak forever after.  Only trust it when [f] itself moves it; otherwise
-     sample the heap at every major cycle while [f] runs. *)
-  let top_before = (Gc.quick_stat ()).Gc.top_heap_words in
-  let sampled = ref before in
-  let alarm =
-    Gc.create_alarm (fun () ->
-        let hw = (Gc.quick_stat ()).Gc.heap_words in
-        if hw > !sampled then sampled := hw)
-  in
-  let r =
-    Fun.protect
-      ~finally:(fun () ->
-        (* forced sample at region exit: a run shorter than one major cycle
-           never fires the alarm, and its live data may still sit in the
-           minor heap where [heap_words] can't see it — promote and sample
-           before the alarm goes away, so short regions stop reporting a
-           spurious zero peak *)
-        Gc.minor ();
-        let hw = (Gc.quick_stat ()).Gc.heap_words in
-        if hw > !sampled then sampled := hw;
-        Gc.delete_alarm alarm)
-      f
-  in
-  let after = (Gc.quick_stat ()).Gc.heap_words in
-  let top_after = (Gc.quick_stat ()).Gc.top_heap_words in
-  let peak_words =
-    let observed = max after !sampled in
-    if top_after > top_before then max observed top_after else observed
-  in
-  (r, max 0 (peak_words - before) * word_bytes)

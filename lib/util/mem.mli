@@ -5,16 +5,3 @@
 
 val live_bytes : unit -> int
 (** Current live heap bytes (after a minor collection). *)
-
-val top_heap_bytes : unit -> int
-(** High-water mark of the major heap in bytes since program start. *)
-
-val measure : (unit -> 'a) -> 'a * int
-(** [measure f] runs [f ()] and returns its result together with the peak
-    additional heap bytes attributable to [f] itself: the heap is compacted
-    first, then sampled at every major collection while [f] runs, plus a
-    forced minor collection and sample at region exit (so a region shorter
-    than one major cycle still reports its live data instead of zero), and
-    [top_heap_words] is consulted only when [f] moves it — so an earlier,
-    hungrier phase of the same process can no longer leak its high-water
-    mark into this measurement. *)

@@ -1,4 +1,5 @@
-(** Small numeric helpers shared by the generators and the bench harness. *)
+(** Small numeric helpers shared by the generators, the error measure
+    and the benchmark. *)
 
 val mean : float list -> float
 (** Arithmetic mean; 0 for the empty list. *)

@@ -249,6 +249,63 @@ let ref_brute_force constrs lo hi =
   in
   go 0
 
+(* The pre-kernel search, as a test-local oracle: [ref_fixpoint] at every
+   node, domain arrays copied per branch, the widest variable branched first
+   (lowest index on ties), value [lo] before [lo + 1, hi].  With the LP guide
+   off and before any restart, the kernel must walk this exact tree. *)
+type ref_outcome = Ref_sat of int array | Ref_unsat | Ref_unknown
+
+let ref_search ~max_nodes constrs lo0 hi0 =
+  let n = Array.length lo0 in
+  let nodes = ref 0 in
+  let exception Found of int array in
+  let exception Out_of_nodes in
+  let rec search lo hi =
+    incr nodes;
+    if !nodes > max_nodes then raise Out_of_nodes;
+    ref_fixpoint constrs lo hi;
+    let best = ref (-1) and best_width = ref 0 in
+    for v = 0 to n - 1 do
+      let w = hi.(v) - lo.(v) in
+      if w > !best_width then begin
+        best := v;
+        best_width := w
+      end
+    done;
+    if !best = -1 then raise (Found (Array.copy lo));
+    let v = !best in
+    let g = lo.(v) in
+    let branch l h =
+      let lo' = Array.copy lo and hi' = Array.copy hi in
+      lo'.(v) <- l;
+      hi'.(v) <- h;
+      search lo' hi'
+    in
+    (try branch g g with Ref_fail -> ());
+    branch (g + 1) hi.(v)
+  in
+  let outcome =
+    match search (Array.copy lo0) (Array.copy hi0) with
+    | () -> Ref_unsat
+    | exception Ref_fail -> Ref_unsat
+    | exception Out_of_nodes -> Ref_unknown
+    | exception Found a -> Ref_sat a
+  in
+  (outcome, !nodes)
+
+(* the kernel's outcome equals the naive search's; before any restart its
+   witness and node count do too *)
+let kernel_matches_naive m constrs lo0 hi0 =
+  let max_nodes = 1_000_000 in
+  let outcome, st = Cp.solve ~max_nodes ~lp_guide:false m in
+  let naive, naive_nodes = ref_search ~max_nodes constrs lo0 hi0 in
+  let first_attempt = st.Cp.st_restarts = 0 in
+  (match (outcome, naive) with
+  | Cp.Sat f, Ref_sat a -> (not first_attempt) || Cp.solution_of_fun m f = a
+  | Cp.Unsat, Ref_unsat | Cp.Unknown, Ref_unknown -> true
+  | _ -> false)
+  && ((not first_attempt) || st.Cp.st_nodes = naive_nodes)
+
 (* random small system, posted simultaneously to the kernel and to the
    reference representation *)
 let gen_system seed =
@@ -350,6 +407,74 @@ let prop_differential_kernel =
       end;
       bounds_ok && verdict_ok)
 
+let prop_kernel_search =
+  QCheck.Test.make ~name:"event kernel search == naive full-sweep search"
+    ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let m, constrs, lo0, hi0 = gen_system seed in
+      kernel_matches_naive m constrs lo0 hi0)
+
+(* A transportation-like system of the key-generator shape, built from a
+   known feasible point: [nj] cover equalities (one per T-partition column),
+   [ni] pool-capacity rows and [groups] group budgets over contiguous blocks
+   of the partition grid. *)
+let make_cp_system ~ni ~nj ~groups =
+  let rng = Mirage_util.Rng.create (ni + (31 * nj) + (977 * groups)) in
+  (* sparse point with small values, so the zero-first search walks
+     straight to it instead of thrashing *)
+  let point =
+    Array.init (ni * nj) (fun _ ->
+        if Mirage_util.Rng.int rng 3 = 0 then 1 + Mirage_util.Rng.int rng 3
+        else 0)
+  in
+  let col_sum j =
+    List.init ni (fun i -> point.((i * nj) + j)) |> List.fold_left ( + ) 0
+  in
+  (* wide enough for one variable to absorb a whole column residual *)
+  let hi = 1 + List.fold_left max 0 (List.init nj col_sum) in
+  let m = Cp.create () in
+  let xs = Array.init (ni * nj) (fun _ -> Cp.var m ~lo:0 ~hi) in
+  let constrs = ref [] in
+  let post eq terms rhs =
+    let cp_terms = List.map (fun (a, q) -> (a, xs.(q))) terms in
+    if eq then Cp.linear_eq m cp_terms rhs else Cp.linear_le m cp_terms rhs;
+    constrs := R_lin { terms; eq; rhs } :: !constrs
+  in
+  let sum_of terms = List.fold_left (fun acc (_, q) -> acc + point.(q)) 0 terms in
+  for j = 0 to nj - 1 do
+    let terms = List.init ni (fun i -> (1, (i * nj) + j)) in
+    post true terms (sum_of terms)
+  done;
+  (* slack for one full column residual, so these rows prune hi bounds
+     without blocking the walk *)
+  for i = 0 to ni - 1 do
+    let terms = List.init nj (fun j -> (1, (i * nj) + j)) in
+    post false terms (sum_of terms + (nj * hi))
+  done;
+  let block = max 2 (ni * nj / max 1 groups) in
+  for g = 0 to groups - 1 do
+    let start = g * block in
+    if start + block <= ni * nj then begin
+      let terms = List.init block (fun q -> (1, start + q)) in
+      post false terms (sum_of terms + (block * hi))
+    end
+  done;
+  (m, List.rev !constrs, Array.make (ni * nj) 0, Array.make (ni * nj) hi)
+
+let test_transportation_search () =
+  List.iter
+    (fun (ni, nj, groups) ->
+      let m, constrs, lo0, hi0 = make_cp_system ~ni ~nj ~groups in
+      (match Cp.solve ~lp_guide:false m with
+      | Cp.Sat _, _ -> ()
+      | _ -> Alcotest.failf "%dx%d/%d: built from a point, must be sat" ni nj groups);
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d/%d kernel == naive" ni nj groups)
+        true
+        (kernel_matches_naive m constrs lo0 hi0))
+    [ (2, 4, 2); (4, 8, 4); (6, 12, 8); (8, 16, 12); (10, 24, 16) ]
+
 let () =
   Alcotest.run "cp"
     [
@@ -369,5 +494,8 @@ let () =
           Alcotest.test_case "var validation" `Quick test_var_validation;
           QCheck_alcotest.to_alcotest prop_random_feasible_systems;
           QCheck_alcotest.to_alcotest prop_differential_kernel;
+          QCheck_alcotest.to_alcotest prop_kernel_search;
+          Alcotest.test_case "transportation search == naive" `Quick
+            test_transportation_search;
         ] );
     ]

@@ -1,0 +1,54 @@
+(* Out-of-core heap bound.  TPC-H sf 3.2 is generated on one domain with
+   table-sized columns spilled off-heap (Col.set_big_rows 1024) and streamed
+   in 4096-row chunks.  The driver's working-set high-water mark
+   (r_peak_bytes) must stay within 1.5x of the 17.1 MB this exact case
+   measured when the bound was set.
+
+   What the bound catches, measured one process per run (heap in MB):
+     big columns + streaming   16.3-17.1
+     big columns only          17.1
+     streaming only            47.3   (big_rows = 10^9)
+     neither                   77.7
+   So it fails if the off-heap spill is lost, but not if streaming alone is
+   lost: at this scale the reference database, not the chunk, dominates the
+   heap.
+
+   This is its own executable because r_peak_bytes reads heap_words, which
+   would include heap left over from earlier cases in the same process. *)
+
+module Driver = Mirage_core.Driver
+module Col = Mirage_engine.Col
+
+let measured_mb = 17.1
+let bound_mb = 1.5 *. measured_mb
+
+let test_streamed_peak () =
+  (* keep the heap near the live set, so the peak prices the working set
+     rather than allocation churn between samples *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 40 };
+  Col.set_big_rows 1024;
+  let workload, ref_db, prod_env = Mirage_workloads.Tpch.make ~sf:3.2 ~seed:7 in
+  let config =
+    { Driver.default_config with
+      seed = 42;
+      domains = 1;
+      batch_size = 65_536;
+      chunk_rows = Some 4096 }
+  in
+  match Driver.generate ~config workload ~ref_db ~prod_env with
+  | Error d -> Alcotest.fail (Mirage_core.Diag.to_string d)
+  | Ok r ->
+      let peak_mb = float_of_int r.Driver.r_peak_bytes /. 1_048_576.0 in
+      Printf.printf "peak %.1f MB (bound %.1f MB)\n%!" peak_mb bound_mb;
+      if peak_mb > bound_mb then
+        Alcotest.failf "peak heap %.1f MB exceeds %.1f MB" peak_mb bound_mb
+
+let () =
+  Alcotest.run "outofcore"
+    [
+      ( "heap",
+        [
+          Alcotest.test_case "tpch sf 3.2 streamed peak heap" `Slow
+            test_streamed_peak;
+        ] );
+    ]

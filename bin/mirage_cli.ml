@@ -24,8 +24,8 @@ module Scale_out = Mirage_core.Scale_out
 module Par = Mirage_par.Par
 
 (* exports ride the same resident domain pool generation used (Par.get hands
-   out one long-lived pool per width for the whole process) — CSV tiles
-   render in parallel instead of sequentially, at no extra spawn cost *)
+   out one long-lived pool per width for the whole process) — CSV shards
+   render in parallel, at no extra spawn cost *)
 let export_pool () = Par.get ()
 
 (* process exit codes, also rendered in every subcommand's man page *)
@@ -91,7 +91,9 @@ let batch_arg =
   Arg.(value & opt int 1_000_000 & info [ "batch" ] ~docv:"ROWS" ~doc)
 
 let out_arg =
-  let doc = "Directory to write synthetic CSVs and the parameter file into." in
+  let doc =
+    "Directory to write the synthetic CSV shards (<table>.csv.<k>), their      MANIFEST.json and the parameter file into."
+  in
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"DIR" ~doc)
 
 let copies_arg =
@@ -119,7 +121,7 @@ let limits_of rows mb secs =
 
 let chunk_rows_arg =
   let doc =
-    "Stream generation and export in chunks of at most $(docv) rows: fact      tables are generated chunk-at-a-time (peak heap stays at one chunk      plus the dimension tables, byte-identical to the monolithic path) and      exported through the crash-safe chunked sink, at most $(docv) rows per      shard file <table>.csv.<k>: each shard is written to a temp file,      atomically renamed into place and recorded in MANIFEST.json, so a      killed export loses at most one shard of work."
+    "Stream generation and export in chunks of at most $(docv) rows: fact      tables are generated chunk-at-a-time (peak heap stays at one chunk      plus the dimension tables, byte-identical to the monolithic path) and      exported at most $(docv) rows per shard file <table>.csv.<k>, so a      killed export loses at most one shard of work.  Without it every table      is generated whole and exported as the single shard <table>.csv.0.      Either way each shard is written to a temp file, atomically renamed      into place and recorded in MANIFEST.json, and concatenating a table's      shards in index order gives its whole CSV."
   in
   Arg.(value & opt (some int) None & info [ "chunk-rows" ] ~docv:"ROWS" ~doc)
 
@@ -145,19 +147,19 @@ let apply_big_flags big_rows big_dir =
   | None -> ());
   match big_dir with
   | Some d ->
-      Scale_out.mkdir_p d;
+      Sink.mkdir_p d;
       Mirage_engine.Col.set_big_dir (Some d)
   | None -> ()
 
 let resume_arg =
   let doc =
-    "Resume a chunked export: shards recorded in the output directory's      MANIFEST.json under the same run parameters are skipped without      rendering, and the completed output is byte-identical to an      uninterrupted run."
+    "Resume an export: shards recorded in the output directory's      MANIFEST.json under the same run parameters (including --chunk-rows      and --compress) are skipped without rendering, and the completed      output is byte-identical to an uninterrupted run."
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
 let compress_arg =
   let doc =
-    "Gzip every shard as it streams out (<table>.csv.<k>.gz, pure-OCaml      DEFLATE): concatenating a table's shards in manifest order yields a      valid multi-member gzip file whose decompression is the uncompressed      CSV, byte for byte.  Requires --chunk-rows."
+    "Gzip every shard as it streams out (<table>.csv.<k>.gz, pure-OCaml      DEFLATE): concatenating a table's shards in manifest order yields a      valid multi-member gzip file whose decompression is the uncompressed      CSV, byte for byte."
   in
   Arg.(value & flag & info [ "compress" ] ~doc)
 
@@ -229,41 +231,41 @@ let write_parameters r dir =
   Fmt.pr "wrote %s@." (Filename.concat dir "parameters.txt")
 
 (* The one generate-and-export pipeline behind [generate] and [from-bundle].
-   With [-o DIR --chunk-rows N] the crash-safe shard export opens before
-   generation, each table's shards stream out the moment its last FK edge
-   commits, and the finish pass renders whatever the hook missed and seals
-   MANIFEST.json; with [-o DIR] alone the finished database goes to one
-   <table>.csv per table.  Either way parameters.txt follows, and the SQL
-   export when asked.  The export's deadline runs from the start of
-   generation, which it overlaps.  [run_key] names the run's inputs; the run
-   ids append every other parameter that changes the output bytes
-   (compression changes shard names and contents, the domain count does
-   not). *)
+   With [-o DIR] the crash-safe shard export opens before generation, each
+   table's shards stream out the moment its last FK edge commits, and the
+   finish pass renders whatever the hook missed and seals MANIFEST.json.
+   Without [--chunk-rows] the export chunk is unbounded, so each table is
+   one shard, <table>.csv.0.  parameters.txt follows, and the SQL export
+   when asked.  The export's deadline runs from the start of generation,
+   which it overlaps.  [run_key] names the run's inputs; the run ids append
+   every other parameter that changes the output bytes (compression changes
+   shard names and contents, the domain count does not). *)
 let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
     ~compress ~resume ~sql ~report generate =
   let token = Budget.start config.Driver.budget in
   let interrupt () = Budget.check token in
   let chunk_rows =
-    Option.map (fun c -> Budget.chunk_rows token ~default:c) chunk
+    Budget.chunk_rows token ~default:(Option.value chunk ~default:max_int)
   in
   let live =
-    match (out, chunk_rows) with
-    | Some dir, Some chunk_rows ->
+    Option.map
+      (fun dir ->
         let run_id =
           Printf.sprintf "%s-copies%d-chunk%d%s" run_key copies chunk_rows
             (if compress then "-gz" else "")
         in
-        Some
-          (Scale_out.open_csv_export ~pool:(export_pool ()) ~resume ~compress
-             ~interrupt ~copies ~chunk_rows ~dir ~run_id ())
-    | _ -> None
+        ( dir,
+          Scale_out.open_csv_export ~pool:(export_pool ()) ~resume ~compress
+            ~interrupt ~copies ~chunk_rows ~dir ~run_id () ))
+      out
   in
   let config =
     { config with
       Driver.chunk_rows = chunk;
       on_table_ready =
-        Option.map (fun h db tname -> Scale_out.export_table h ~db tname) live;
-      on_attempt_abort = Option.map (fun h () -> Scale_out.abort_csv_export h) live }
+        Option.map (fun (_, h) db tname -> Scale_out.export_table h ~db tname) live;
+      on_attempt_abort =
+        Option.map (fun (_, h) () -> Scale_out.abort_csv_export h) live }
   in
   match generate config with
   | Error d -> report_fatal d
@@ -272,35 +274,25 @@ let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
       Fmt.pr "generated %s in %.2fs@." what r.Driver.r_timings.Driver.t_total;
       report_diagnostics r;
       Option.iter
-        (fun dir ->
-          (match live with
-          | Some h ->
-              let rep = Scale_out.finish_csv_export h ~db in
-              Fmt.pr "wrote %d shards to %s (%d resumed, %d bytes this run)@."
-                rep.Scale_out.cr_shards dir rep.Scale_out.cr_resumed
-                rep.Scale_out.cr_bytes;
-              (* per-table totals come from the committed manifest, so they
-                 cover resumed shards too — the full export, not this run *)
-              List.iter
-                (fun (tname, (raw, disk)) ->
-                  let rows = copies * Db.row_count db tname in
-                  if compress then
-                    Fmt.pr "  %-12s %d rows, %d bytes raw, %d gzipped@." tname
-                      rows raw disk
-                  else Fmt.pr "  %-12s %d rows, %d bytes@." tname rows raw)
-                rep.Scale_out.cr_tables
-          | None ->
-              Scale_out.to_csv_dir ~pool:(export_pool ()) ~db ~copies ~dir ();
-              List.iter
-                (fun (tbl : Schema.table) ->
-                  Fmt.pr "wrote %s (%d rows)@."
-                    (Filename.concat dir (tbl.Schema.tname ^ ".csv"))
-                    (copies * Db.row_count db tbl.Schema.tname))
-                (Schema.tables workload.Mirage_core.Workload.w_schema));
+        (fun (dir, h) ->
+          let rep = Scale_out.finish_csv_export h ~db in
+          Fmt.pr "wrote %d shards to %s (%d resumed, %d bytes this run)@."
+            rep.Scale_out.cr_shards dir rep.Scale_out.cr_resumed
+            rep.Scale_out.cr_bytes;
+          (* per-table totals come from the committed manifest, so they
+             cover resumed shards too — the full export, not this run *)
+          List.iter
+            (fun (tname, (raw, disk)) ->
+              let rows = copies * Db.row_count db tname in
+              if compress then
+                Fmt.pr "  %-12s %d rows, %d bytes raw, %d gzipped@." tname rows
+                  raw disk
+              else Fmt.pr "  %-12s %d rows, %d bytes@." tname rows raw)
+            rep.Scale_out.cr_tables;
           write_parameters r dir;
           if sql then
-            match chunk_rows with
-            | Some chunk_rows ->
+            match chunk with
+            | Some _ ->
                 let run_id = Printf.sprintf "%s-sql-chunk%d" run_key chunk_rows in
                 let shards, resumed_n =
                   Mirage_core.Sql_export.export_chunked ~resume ~interrupt ~db
@@ -314,7 +306,7 @@ let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
                 Mirage_core.Sql_export.export_dir ~db ~workload
                   ~env:r.Driver.r_env ~dir;
                 Fmt.pr "wrote schema.sql, data.sql, queries.sql@.")
-        out;
+        live;
       report r;
       verdict_code r
 
@@ -326,7 +318,6 @@ let generate_cmd =
   let run name sf seed batch out copies sql chunk resume compress brows bmb
       bsecs big_rows big_dir =
     guarded @@ fun () ->
-    if compress && chunk = None then failwith "--compress requires --chunk-rows";
     apply_big_flags big_rows big_dir;
     let workload, generate = direct name sf seed in
     generate_and_export
@@ -452,13 +443,45 @@ let from_bundle_cmd =
       $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
       $ big_dir_arg)
 
+(* one table's CSV in [dir]: a single <table>.csv (a DBMS re-export), or
+   the export's shards <table>.csv.0, .1, ... concatenated in index order
+   (not glob order, which sorts .10 before .2).  Both at once is an error:
+   generate never removes an older <table>.csv, so either could be stale. *)
+let read_table_csv dir tname =
+  let path suffix = Filename.concat dir (tname ^ ".csv" ^ suffix) in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  let rec shards k acc =
+    let p = path ("." ^ string_of_int k) in
+    if k > 0 && not (Sys.file_exists p) then String.concat "" (List.rev acc)
+    else shards (k + 1) (read p :: acc)
+  in
+  let shard0 = List.find_opt Sys.file_exists [ path ".0"; path ".0.gz" ] in
+  match (Sys.file_exists (path ""), shard0) with
+  | true, Some s ->
+      failwith
+        (Printf.sprintf
+           "both %s and %s exist; remove the stale one before verifying"
+           (path "") s)
+  | true, None -> read (path "")
+  | false, Some s when Filename.check_suffix s ".gz" ->
+      failwith
+        (Printf.sprintf
+           "%s is gzip-compressed and verify-dir has no inflater yet; \
+            decompress the shards first"
+           s)
+  | false, _ -> shards 0 []
+
 let verify_dir_cmd =
   let bundle_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BUNDLE")
   in
   let dir_arg =
     Arg.(required & opt (some string) None & info [ "d"; "dir" ] ~docv:"DIR"
-           ~doc:"Directory of <table>.csv files to verify (e.g. after loading                  and re-exporting from a DBMS).")
+           ~doc:"Directory to verify: the <table>.csv.<k> shards generate \
+                 writes, or one <table>.csv per table (e.g. after loading and \
+                 re-exporting from a DBMS).  A table with both is an error \
+                 (exit 2), and so are gzip-compressed shards, which are not \
+                 read yet.")
   in
   let params_arg =
     Arg.(required & opt (some string) None & info [ "p"; "params" ] ~docv:"FILE"
@@ -475,11 +498,7 @@ let verify_dir_cmd =
         let db = Db.create schema in
         List.iter
           (fun (tbl : Schema.table) ->
-            let path = Filename.concat dir (tbl.Schema.tname ^ ".csv") in
-            let ic = open_in path in
-            let csv = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            Db.load_csv db tbl.Schema.tname csv)
+            Db.load_csv db tbl.Schema.tname (read_table_csv dir tbl.Schema.tname))
           (Schema.tables schema);
         (* parameters.txt: name = value lines; values as printed by the CLI *)
         let env = ref Mirage_sql.Pred.Env.empty in

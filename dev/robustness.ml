@@ -53,8 +53,14 @@ let sink_scenarios failures =
         List.fold_left (fun m t -> max m (Mirage_engine.Db.row_count db t)) 1 tables
       in
       let chunk_rows = max 1 (largest / 3) in
-      let mono = fresh_dir "rob_mono" in
-      Scale_out.to_csv_dir ~db ~copies:2 ~dir:mono ();
+      (* the whole-table baseline comes from the in-memory tiled database,
+         rendered independently of the shard writer under test *)
+      let tiled = Scale_out.tile_db ~db ~copies:2 in
+      let export ?backend ?resume ~run_id dir =
+        Scale_out.finish_csv_export ~db
+          (Scale_out.open_csv_export ?backend ?resume ~copies:2 ~chunk_rows
+             ~dir ~run_id ())
+      in
       let concat_shards dir t =
         let rec go k acc =
           let p = Filename.concat dir (Printf.sprintf "%s.csv.%d" t k) in
@@ -65,9 +71,7 @@ let sink_scenarios failures =
       let identical dir =
         List.for_all
           (fun t ->
-            String.equal
-              (read_file (Filename.concat mono (t ^ ".csv")))
-              (concat_shards dir t))
+            String.equal (Mirage_engine.Db.to_csv tiled t) (concat_shards dir t))
           tables
       in
       (* crash after 2 committed shards, then resume to completion *)
@@ -78,17 +82,11 @@ let sink_scenarios failures =
             { Sink.no_faults with crash_after_shards = Some 2 }
             Sink.os_backend
         in
-        match
-          Scale_out.to_csv_chunked ~backend ~db ~copies:2 ~chunk_rows ~dir
-            ~run_id:"rob" ()
-        with
+        match export ~backend ~run_id:"rob" dir with
         | _ -> false
         | exception Sink.Injected_crash _ -> true
       in
-      let rep =
-        Scale_out.to_csv_chunked ~resume:true ~db ~copies:2 ~chunk_rows ~dir
-          ~run_id:"rob" ()
-      in
+      let rep = export ~resume:true ~run_id:"rob" dir in
       scenario "crash+resume byte-identity"
         (crashed
         && rep.Scale_out.cr_resumed = 2
@@ -104,10 +102,7 @@ let sink_scenarios failures =
             { Sink.no_faults with enospc_after_bytes = Some 4096 }
             Sink.os_backend
         in
-        match
-          Scale_out.to_csv_chunked ~backend ~db ~copies:2 ~chunk_rows ~dir
-            ~run_id:"rob-e" ()
-        with
+        match export ~backend ~run_id:"rob-e" dir with
         | _ -> false
         | exception Sink.Io_failure _ -> not (has_tmp dir)
       in
@@ -127,8 +122,7 @@ let sink_scenarios failures =
         | Ok _ -> false
         | Error d -> Mirage_core.Diag.exit_code d = 3
       in
-      scenario "deadline budget yields exit 3" deadline;
-      rm_rf mono
+      scenario "deadline budget yields exit 3" deadline
 
 let () =
   let worst = ref 0.0 and failures = ref 0 in

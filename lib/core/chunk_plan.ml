@@ -1,33 +1,8 @@
-type chunk = { c_index : int; c_lo : int; c_rows : int }
-
-type t = {
-  cp_table : string;
-  cp_rows : int;
-  cp_chunk_rows : int;
-  cp_chunks : chunk array;
-}
+let ceil_div a b = if a = 0 then 0 else ((a - 1) / b) + 1
 
 let ranges ~rows ~chunk_rows =
   if chunk_rows < 1 then invalid_arg "Chunk_plan: chunk_rows must be >= 1";
   let rows = max rows 0 in
-  let n = (rows + chunk_rows - 1) / chunk_rows in
-  Array.init n (fun i ->
+  Array.init (ceil_div rows chunk_rows) (fun i ->
       let lo = i * chunk_rows in
       (lo, min chunk_rows (rows - lo)))
-
-let make ~table ~rows ~chunk_rows =
-  let cp_chunks =
-    Array.mapi
-      (fun i (lo, len) -> { c_index = i; c_lo = lo; c_rows = len })
-      (ranges ~rows ~chunk_rows)
-  in
-  { cp_table = table; cp_rows = max rows 0; cp_chunk_rows = chunk_rows; cp_chunks }
-
-let n_chunks t = Array.length t.cp_chunks
-
-let iter ?(interrupt = fun () -> ()) t f =
-  Array.iter
-    (fun c ->
-      interrupt ();
-      f c)
-    t.cp_chunks

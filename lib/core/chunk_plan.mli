@@ -1,44 +1,21 @@
-(** Per-table chunk plans for streaming generation.
+(** Row-window slicing for streamed generation and export.
 
-    A chunk plan fixes, up front, how a fact table's rows are cut into
-    fixed-size chunks: chunk [i] covers rows [[i·chunk_rows,
-    min((i+1)·chunk_rows, rows))].  The layout is a pure function of
-    [(rows, chunk_rows)] — independent of domain count, budget interrupts
-    and resume points — which is what makes the streamed pipeline
-    byte-identical to the monolithic one: every stage (non-key fill, FK
-    population, Acc repair, templated rendering) visits the same rows in
-    the same order, merely yielding between chunks instead of after the
-    whole table.
-
-    The driver builds one plan per table when {!Driver.config.chunk_rows}
-    is set and threads it through the generation stages; the exporters
-    slice template construction by the same ranges so no table-sized
-    buffer exists anywhere between the CDF sampler and the sink. *)
-
-type chunk = {
-  c_index : int;  (** 0-based position in the plan *)
-  c_lo : int;  (** first row of the chunk *)
-  c_rows : int;  (** rows in the chunk; the last chunk may be short *)
-}
-
-type t = {
-  cp_table : string;
-  cp_rows : int;  (** total rows planned *)
-  cp_chunk_rows : int;  (** requested chunk size (≥ 1) *)
-  cp_chunks : chunk array;  (** ⌈rows / chunk_rows⌉ chunks, in row order *)
-}
-
-val make : table:string -> rows:int -> chunk_rows:int -> t
-(** @raise Invalid_argument when [chunk_rows < 1].  [rows = 0] yields an
-    empty plan. *)
-
-val n_chunks : t -> int
-
-val iter : ?interrupt:(unit -> unit) -> t -> (chunk -> unit) -> unit
-(** Visit chunks in row order, calling [interrupt] before each one — the
-    cooperative budget / sink poll point of every streaming loop. *)
+    A table of [rows] rows is cut into fixed-size chunks: chunk [i] covers
+    rows [[i·chunk_rows, min((i+1)·chunk_rows, rows))].  The layout is a
+    pure function of [(rows, chunk_rows)] — independent of domain count,
+    budget interrupts and resume points — which is what makes the streamed
+    pipeline byte-identical to the monolithic one: every stage visits the
+    same rows in the same order, merely yielding between chunks instead of
+    after the whole table.  {!Scale_out}'s export builds its per-window
+    templates over these ranges. *)
 
 val ranges : rows:int -> chunk_rows:int -> (int * int) array
-(** [(lo, len)] per chunk — the raw slicing shared with the exporters,
-    for callers that don't need the table name.
+(** [(lo, len)] per chunk, in row order: ⌈rows / chunk_rows⌉ chunks, the
+    last one possibly short.  [rows <= 0] yields no chunks.  Safe for any
+    [chunk_rows] up to [max_int] (the ceiling is computed without the
+    overflowing [rows + chunk_rows - 1]).
     @raise Invalid_argument when [chunk_rows < 1]. *)
+
+val ceil_div : int -> int -> int
+(** [ceil_div a b] is ⌈a / b⌉ for [a >= 0] and [b >= 1], without forming
+    [a + b - 1], so [b] may be [max_int]. *)

@@ -38,8 +38,8 @@ type config = {
           on.  Outcomes are replay-identical either way — sharing only
           skips redundant search on structurally repeated systems. *)
   chunk_rows : int option;
-      (** streamed generation: with [Some c] the driver builds a
-          {!Chunk_plan} per table, scopes the big-rows threshold so any
+      (** streamed generation: with [Some c] the driver cuts every table
+          into [c]-row chunks, scopes the big-rows threshold so any
           vector longer than one chunk lives off-heap, and every row scan
           of the generation stages proceeds chunk-at-a-time with budget
           polls at chunk boundaries.  Output is byte-identical to the
@@ -121,7 +121,6 @@ type result = {
   r_extraction : Extract.extraction;
   r_timings : timings;
   r_peak_bytes : int;
-  r_chunk_plans : Chunk_plan.t list;
   r_warnings : string list;
   r_diags : Diag.t list;
   r_verdicts : Diag.verdict list;
@@ -958,18 +957,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
           w.Workload.w_queries
       in
       let t_total = now () -. t_start in
-      (* the per-table chunk layouts this run generated under — exporters
-         and resumable runs slice by exactly these ranges *)
-      let chunk_plans =
-        match config.chunk_rows with
-        | Some c ->
-            List.map
-              (fun (tbl : Schema.table) ->
-                Chunk_plan.make ~table:tbl.Schema.tname
-                  ~rows:(Db.row_count db tbl.Schema.tname) ~chunk_rows:c)
-              (Schema.tables schema)
-        | None -> []
-      in
       Ok
         {
           r_db = db;
@@ -996,7 +983,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
               batch_alloc_bytes = times.Keygen.batch_alloc_bytes;
             };
           r_peak_bytes = !peak;
-          r_chunk_plans = chunk_plans;
           r_warnings = warnings;
           r_diags = all_diags;
           r_verdicts = verdicts;

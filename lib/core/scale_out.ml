@@ -18,14 +18,6 @@ let key_offsets db (tbl : Schema.table) t =
          (f.Schema.fk_col, t * Db.row_count db f.Schema.references))
        tbl.Schema.fks
 
-(* hardened against concurrent creation (see Fsutil.mkdir_p); failures map
-   to [Sink.Io_failure] so the CLI's exit-code-4 contract holds for every
-   export path *)
-let mkdir_p dir =
-  Mirage_util.Fsutil.mkdir_p
-    ~fail:(fun m -> Mirage_engine.Sink.Io_failure m)
-    dir
-
 (* --- line templates --------------------------------------------------------
 
    A tile differs from the base tile only at key cells (shifted by an integer
@@ -37,8 +29,8 @@ let mkdir_p dir =
    O(bytes + rows·key_cols) with no per-cell allocation, instead of
    re-rendering all O(rows·cols) cells through [string_of_int].
 
-   Templates are immutable after construction and shared read-only across
-   the domains of the tile pipeline. *)
+   Templates are immutable after construction and shared read-only by the
+   export's shard workers. *)
 type template = {
   fixed : Bytes.t;  (* all fixed fragments, concatenated in emit order *)
   ends : int array;  (* end offset in [fixed] of the fragment before splice i *)
@@ -162,43 +154,15 @@ let emit_tile buf tpl ~tile =
 
 let csv_header names = String.concat "," (List.map Render.csv_escape names)
 
-let to_csv_dir ?(pool = Par.sequential) ~db ~copies ~dir () =
-  if copies < 1 then invalid_arg "Scale_out.to_csv_dir: copies must be >= 1";
-  mkdir_p dir;
-  let schema = Db.schema db in
-  (* one reused buffer per pipeline slot ([Par.tile_slots], the pipeline's
-     bounded lookahead): tiles splice in parallel from the shared template,
-     the writer drains them in tile order while later tiles keep rendering,
-     so the bytes on disk are identical to a sequential writer's and memory
-     stays at one lookahead of tiles regardless of [copies] *)
-  let bufs =
-    Array.init (Par.tile_slots pool) (fun _ -> Render.Buf.create (1 lsl 16))
-  in
-  List.iter
-    (fun (tbl : Schema.table) ->
-      let tname = tbl.Schema.tname in
-      let tpl = build_template db tbl in
-      let oc = open_out (Filename.concat dir (tname ^ ".csv")) in
-      output_string oc (csv_header (Schema.column_names tbl));
-      output_char oc '\n';
-      Par.iter_tiles pool ~tiles:copies
-        ~render:(fun ~slot ~tile ->
-          let buf = bufs.(slot) in
-          emit_tile buf tpl ~tile;
-          buf)
-        ~write:(fun ~tile:_ buf -> Render.Buf.output oc buf);
-      close_out oc)
-    (Schema.tables schema)
+(* --- crash-safe shard export --------------------------------------------------
 
-(* --- crash-safe chunked export ---------------------------------------------
-
-   Same templates, but the bytes go through the Sink layer
-   shard-at-a-time: shard [k] of a table holds a contiguous run of
-   tiles sized to [chunk_rows], shard 0 additionally carries the header, so
-   [cat table.csv.0 table.csv.1 ...] is byte-for-byte the monolithic
-   [to_csv_dir] output.  Shards committed in the manifest are skipped
-   without rendering — that, plus per-shard determinism, is what makes a
-   resumed run byte-identical to an uninterrupted one. *)
+   The templates' bytes go through the Sink layer shard-at-a-time: shard [k]
+   of a table holds a contiguous run of tiles sized to [chunk_rows], shard 0
+   additionally carries the header, so [cat table.csv.0 table.csv.1 ...] is
+   the whole table's CSV.  An unbounded [chunk_rows] gives one shard per
+   table.  Shards committed in the manifest are skipped without rendering —
+   that, plus per-shard determinism, is what makes a resumed run
+   byte-identical to an uninterrupted one. *)
 
 module Sink = Mirage_engine.Sink
 module Gz = Mirage_engine.Gz
@@ -287,8 +251,9 @@ let shard_units ~db ~copies ~chunk_rows ~compress schema =
     (fun (tbl : Schema.table) ->
       let tname = tbl.Schema.tname in
       let rows = Db.row_count db tname in
+      (* [chunk_rows] may be [max_int], so neither ceiling forms a sum *)
       let tiles_per_shard = max 1 (chunk_rows / max 1 rows) in
-      let nshards = (copies + tiles_per_shard - 1) / tiles_per_shard in
+      let nshards = Chunk_plan.ceil_div copies tiles_per_shard in
       List.init nshards (fun k ->
           let lo = k * tiles_per_shard in
           let s = !seq in
@@ -303,7 +268,7 @@ let shard_units ~db ~copies ~chunk_rows ~compress schema =
           }))
     (Schema.tables schema)
 
-(* --- live (per-table) export: the one chunked writer -------------------------
+(* --- live (per-table) export: the one CSV writer -------------------------------
 
    The overlapped scheduler exports a table the moment its last FK edge
    commits, while other tables still generate.  A [live_export] is the
@@ -320,7 +285,7 @@ let shard_units ~db ~copies ~chunk_rows ~compress schema =
    protocol.  No serial drain sits between render, gzip and disk, so N
    domains compress N shards at once, while [seq] keeps the manifest in
    concatenation order: shard bytes, names and manifest are independent of
-   the domain count.  [to_csv_chunked] is open + finish. *)
+   the domain count.  Exporting a finished database is open + finish. *)
 
 type live_export = {
   le_sink : Sink.t;
@@ -491,113 +456,6 @@ let finish_csv_export h ~db =
     cr_bytes = Sink.bytes_written h.le_sink;
     cr_tables = table_totals h.le_sink schema;
   }
-
-let to_csv_chunked ?(pool = Par.sequential) ?backend ?(resume = false)
-    ?(compress = false) ?(interrupt = fun () -> ()) ~db ~copies ~chunk_rows
-    ~dir ~run_id () =
-  finish_csv_export
-    (open_csv_export ~pool ?backend ~resume ~compress ~interrupt ~copies
-       ~chunk_rows ~dir ~run_id ())
-    ~db
-
-(* --- reference renderer -----------------------------------------------------
-
-   The pre-template per-cell renderer, kept verbatim with only the cell
-   formatting policy updated to the shared kernel's, so the differential
-   tests compare templated splicing against exactly what it replaced. *)
-module Reference = struct
-  let add_cell buf = function
-    | Value.Null -> ()
-    | Value.Int x -> Buffer.add_string buf (string_of_int x)
-    | Value.Float x -> Buffer.add_string buf (Render.float_repr x)
-    | Value.Str s -> Buffer.add_string buf (Render.csv_escape s)
-
-  (* per-column CSV cell writer: the representation (and the tile's key
-     offset) is resolved once, not per cell; key columns are integer, so only
-     the [Ints] and [Boxed] arms apply the offset *)
-  let cell_renderer buf ~offset col =
-    match col with
-    | Col.Ints { data; nulls } ->
-        fun i ->
-          if not (cell_null nulls i) then
-            Buffer.add_string buf (string_of_int (data.(i) + offset))
-    | Col.Floats { data; nulls } ->
-        fun i ->
-          if not (cell_null nulls i) then
-            Buffer.add_string buf (Render.float_repr data.(i))
-    | Col.Dict { codes; pool; nulls } ->
-        let epool = Render.csv_pool pool in
-        fun i ->
-          if not (cell_null nulls i) then Buffer.add_string buf epool.(codes.(i))
-    | Col.Big_ints { data; nulls } ->
-        fun i ->
-          if not (cell_null nulls i) then
-            Buffer.add_string buf
-              (string_of_int (Bigarray.Array1.get data i + offset))
-    | Col.Big_floats { data; nulls } ->
-        fun i ->
-          if not (cell_null nulls i) then
-            Buffer.add_string buf (Render.float_repr (Bigarray.Array1.get data i))
-    | Col.Big_dict { codes; pool; nulls } ->
-        let epool = Render.csv_pool pool in
-        fun i ->
-          if not (cell_null nulls i) then
-            Buffer.add_string buf epool.(Bigarray.Array1.get codes i)
-    | Col.Boxed vs -> (
-        fun i ->
-          match vs.(i) with
-          | Value.Int x -> Buffer.add_string buf (string_of_int (x + offset))
-          | v -> add_cell buf v)
-
-  (* render one tile of [tbl] into [buf] (cleared first), re-rendering every
-     cell through allocating conversions *)
-  let render_tile buf db tbl ~tile =
-    Buffer.clear buf;
-    let tname = tbl.Schema.tname in
-    let n = Db.row_count db tname in
-    let offsets = key_offsets db tbl tile in
-    let renderers =
-      Array.of_list
-        (List.map
-           (fun c ->
-             let offset =
-               match List.assoc_opt c offsets with Some o -> o | None -> 0
-             in
-             cell_renderer buf ~offset (Db.col db tname c))
-           (Schema.column_names tbl))
-    in
-    let ncols = Array.length renderers in
-    for i = 0 to n - 1 do
-      for c = 0 to ncols - 1 do
-        if c > 0 then Buffer.add_char buf ',';
-        renderers.(c) i
-      done;
-      Buffer.add_char buf '\n'
-    done
-
-  let to_csv_dir ?(pool = Par.sequential) ~db ~copies ~dir () =
-    if copies < 1 then
-      invalid_arg "Scale_out.Reference.to_csv_dir: copies must be >= 1";
-    mkdir_p dir;
-    let schema = Db.schema db in
-    let bufs =
-      Array.init (Par.tile_slots pool) (fun _ -> Buffer.create (1 lsl 16))
-    in
-    List.iter
-      (fun (tbl : Schema.table) ->
-        let tname = tbl.Schema.tname in
-        let oc = open_out (Filename.concat dir (tname ^ ".csv")) in
-        output_string oc (csv_header (Schema.column_names tbl));
-        output_char oc '\n';
-        Par.iter_tiles pool ~tiles:copies
-          ~render:(fun ~slot ~tile ->
-            let buf = bufs.(slot) in
-            render_tile buf db tbl ~tile;
-            buf)
-          ~write:(fun ~tile:_ buf -> Buffer.output_buffer oc buf);
-        close_out oc)
-      (Schema.tables schema)
-end
 
 (* [copies] tiles of one stored column as a single typed column;
    [offset_of t] is the key shift of tile [t] (0 for non-key columns) *)

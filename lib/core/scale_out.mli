@@ -9,43 +9,24 @@
     database; non-key domain sizes stay at the base size (value multisets are
     repeated).
 
-    Tiles are produced one window at a time, so writing CSVs needs memory
-    proportional to one window of tiles regardless of the target size.
+    The live shard export below is the one CSV writer: each table goes to
+    disk as shard files of whole tiles, so writing needs memory
+    proportional to one shard window per domain regardless of the target
+    size.  An unbounded chunk ([chunk_rows = max_int]) writes one shard per
+    table, [<table>.csv.0].
 
     {2 Templated rendering}
 
-    Because tiles differ only at key cells, the CSV writer renders each base
+    Because tiles differ only at key cells, the writer renders each base
     row {e once} into a line template: fixed byte fragments (non-key cells,
     separators, newlines — pre-escaped) with a splice point per non-null key
     cell.  Emitting tile [t] alternates fragment memcpys with in-place
     {!Mirage_engine.Render.Buf.itoa} of the shifted keys, so per-tile cost is
     O(bytes + rows·key_cols) with zero per-cell allocation, instead of
     re-rendering O(rows·cols) cells through [string_of_int].  Templates are
-    immutable and shared read-only across the pipeline's domains.  Output is
-    byte-identical to the per-cell {!Reference} renderer for every domain
-    count and copy count. *)
-
-val mkdir_p : string -> unit
-(** Recursive [Sys.mkdir]: creates missing parent directories, succeeds if
-    the directory already exists — including one that appears concurrently
-    ({!Mirage_util.Fsutil.mkdir_p} with failures mapped to
-    {!Mirage_engine.Sink.Io_failure}).  Shared by every exporter. *)
-
-val to_csv_dir :
-  ?pool:Mirage_par.Par.pool ->
-  db:Mirage_engine.Db.t ->
-  copies:int ->
-  dir:string ->
-  unit ->
-  unit
-(** Writes [<table>.csv] per table with [copies] tiles each, creating [dir]
-    (and missing parents) if needed.  Tiles are spliced from a per-table
-    line template in parallel on [pool] (one domain per tile, each into a
-    reused buffer) and written sequentially in tile order, so the output
-    bytes are independent of the domain count.  Cells follow the shared
-    render-kernel policy: RFC-4180 quoting only where required, round-trip
-    floats ({!Mirage_engine.Render.float_repr}).
-    @raise Invalid_argument if [copies < 1]. *)
+    immutable and shared read-only by the export's domains.  The tests hold
+    the output byte-identical to a per-cell reference renderer for every
+    domain count, copy count and chunk size. *)
 
 type chunk_report = {
   cr_shards : int;  (** shard files the export comprises, across tables *)
@@ -57,31 +38,50 @@ type chunk_report = {
           compression is on *)
 }
 
-val to_csv_chunked :
+(** {2 Live (per-table) export}
+
+    The overlapped pipeline scheduler ({!Driver.config.schedule}) exports a
+    table the moment its last FK edge commits, while other tables still
+    generate.  These four calls are the CSV writer: an open /
+    export-table / finish protocol with an abort hook for dead generation
+    attempts.  Exporting a finished database is [open_csv_export] followed
+    by [finish_csv_export], which exports every table in schema order. *)
+
+type live_export
+(** An open export run accepting tables one at a time. *)
+
+val open_csv_export :
   ?pool:Mirage_par.Par.pool ->
   ?backend:Mirage_engine.Sink.backend ->
   ?resume:bool ->
   ?compress:bool ->
   ?interrupt:(unit -> unit) ->
-  db:Mirage_engine.Db.t ->
   copies:int ->
   chunk_rows:int ->
   dir:string ->
   run_id:string ->
   unit ->
-  chunk_report
-(** Crash-safe chunked variant of {!to_csv_dir}: each table is emitted as
-    shard files [<table>.csv.0], [<table>.csv.1], … of at most [chunk_rows]
-    rows' worth of tiles each (at least one tile per shard), through a
+  live_export
+(** Open the sink (creating [dir] and missing parents, loading the manifest
+    under [~resume]) before generation starts.  The shard layout is
+    computed lazily at the first {!export_table} call — row counts are
+    final once key generation starts.
+
+    Each table is emitted as shard files [<table>.csv.0], [<table>.csv.1],
+    … of at most [chunk_rows] rows' worth of tiles each (at least one tile
+    per shard; [chunk_rows = max_int] gives one shard per table), through a
     {!Mirage_engine.Sink} run — temp file + atomic rename + manifest
     checkpoint per shard.  Shard 0 carries the CSV header, so concatenating
-    a table's shards in index order reproduces the monolithic [to_csv_dir]
-    file byte-for-byte.
+    a table's shards in index order gives the whole table's CSV: [copies]
+    tiles, cells in the shared render-kernel policy (RFC-4180 quoting only
+    where required, round-trip floats
+    {!Mirage_engine.Render.float_repr}).
 
     With [~compress:true] every shard is a gzip member named
     [<table>.csv.<k>.gz] ({!Mirage_engine.Gz}); concatenating a table's
     shards yields a valid multi-member gzip file whose decompression is the
-    monolithic CSV, and the manifest records both raw and compressed sizes.
+    uncompressed CSV, and the manifest records both raw and compressed
+    sizes.
 
     With [~resume:true] and a matching [run_id], shards recorded in
     [dir/MANIFEST.json] are skipped without rendering, and the remaining
@@ -102,40 +102,7 @@ val to_csv_chunked :
     each tile streams through per-chunk templates built over
     {!Chunk_plan.ranges} row windows — resident bytes stay O(chunk) per
     domain while the concatenated output is unchanged.
-
-    @raise Mirage_engine.Sink.Io_failure on I/O errors (no temp files left
-    behind).
-    @raise Invalid_argument if [copies < 1] or [chunk_rows < 1]. *)
-
-(** {2 Live (per-table) export}
-
-    The overlapped pipeline scheduler ({!Driver.config.schedule}) exports a
-    table the moment its last FK edge commits, while other tables still
-    generate.  These four calls are the chunked writer: an open /
-    export-table / finish protocol with an abort hook for dead generation
-    attempts.  {!to_csv_chunked} is [open_csv_export] followed by
-    [finish_csv_export], which exports every table in schema order. *)
-
-type live_export
-(** An open chunked-export run accepting tables one at a time. *)
-
-val open_csv_export :
-  ?pool:Mirage_par.Par.pool ->
-  ?backend:Mirage_engine.Sink.backend ->
-  ?resume:bool ->
-  ?compress:bool ->
-  ?interrupt:(unit -> unit) ->
-  copies:int ->
-  chunk_rows:int ->
-  dir:string ->
-  run_id:string ->
-  unit ->
-  live_export
-(** Open the sink (creating [dir], loading the manifest under [~resume])
-    before generation starts.  Parameters mean exactly what they mean on
-    {!to_csv_chunked}.  The shard layout is computed lazily at the first
-    {!export_table} call — row counts are final once key generation
-    starts.
+    @raise Mirage_engine.Sink.Io_failure if [dir] cannot be created.
     @raise Invalid_argument if [copies < 1] or [chunk_rows < 1]. *)
 
 val export_table : live_export -> db:Mirage_engine.Db.t -> string -> unit
@@ -164,25 +131,13 @@ val finish_csv_export :
 (** Export whatever tables were never claimed (or were released by a
     failure), remove surplus shards from earlier runs with different chunk
     counts, mark the manifest complete and return the report.  After this
-    the concatenation contract of {!to_csv_chunked} holds verbatim. *)
-
-module Reference : sig
-  val to_csv_dir :
-    ?pool:Mirage_par.Par.pool ->
-    db:Mirage_engine.Db.t ->
-    copies:int ->
-    dir:string ->
-    unit ->
-    unit
-  (** The pre-template renderer: every cell of every tile re-rendered
-      through per-cell allocating conversions.  Kept as the differential
-      oracle for the byte-identity tests.  Same output bytes, same
-      pipeline, same escaping policy. *)
-end
+    the concatenation contract of {!open_csv_export} holds verbatim.
+    @raise Mirage_engine.Sink.Io_failure on I/O errors (no temp files left
+    behind). *)
 
 val tile_db : db:Mirage_engine.Db.t -> copies:int -> Mirage_engine.Db.t
 (** In-memory tiled database (for verification and tests; memory grows with
-    [copies], unlike {!to_csv_dir}). *)
+    [copies], unlike the shard export). *)
 
 val scaled_rows : Mirage_engine.Db.t -> copies:int -> (string * int) list
 (** Row count per table after tiling. *)

@@ -285,9 +285,7 @@ and strip_rel rel =
 let query_sql plan ~schema ~env = select_sql ~env ~schema plan
 
 let export_dir ~db ~workload ~env ~dir =
-  Mirage_util.Fsutil.mkdir_p
-    ~fail:(fun m -> Mirage_engine.Sink.Io_failure m)
-    dir;
+  Mirage_engine.Sink.mkdir_p dir;
   let schema = Db.schema db in
   let write name contents =
     let oc = open_out (Filename.concat dir name) in

@@ -2,7 +2,7 @@
 
     The generation pipeline is embarrassingly parallel at several grains —
     per-batch FK population, per-column CDF construction, per-table non-key
-    instantiation, per-tile scale-out writes — and every one of those grains
+    instantiation, per-shard CSV export — and every one of those grains
     is driven through this module so the split is {e deterministic}: a
     parallel region always produces results indexed by shard/chunk/tile
     number, merged sequentially in index order, and any randomness inside a
@@ -124,34 +124,3 @@ module Future : sig
   val is_done : 'a t -> bool
   (** Non-blocking completion probe (true for [Raised] results too). *)
 end
-
-val tile_slots : pool -> int
-(** Number of render slots {!iter_tiles} cycles through: [2 × size] (1 for a
-    sequential pool).  Callers allocating per-slot buffers must size their
-    arrays with this, not {!size}. *)
-
-val iter_tiles :
-  ?interrupt:(unit -> unit) ->
-  pool ->
-  tiles:int ->
-  render:(slot:int -> tile:int -> 'b) ->
-  write:(tile:int -> 'b -> unit) ->
-  unit
-(** Pipelined tile production through a bounded in-order completion queue:
-    workers render tiles ahead while the caller drains finished tiles to
-    [write] {e strictly in tile order}, so the output is byte-identical to a
-    sequential loop — but renderers no longer stall behind the writes.  The
-    lookahead is bounded: at most [tile_slots pool] tiles are resident at
-    once, capping memory independently of [tiles].
-
-    [slot] is [tile mod tile_slots pool].  A tile only starts rendering
-    once the previous tile of its slot has been written, so per-slot buffers
-    are safe to reuse across tiles: a buffer filled by [render ~slot] is
-    owned by the pipeline until that tile's [write] returns, and untouched
-    by any other tile in between.
-
-    [interrupt] is a cooperative cancellation point called in the caller
-    before {e every} tile write (not once per window): whatever it raises
-    propagates after in-flight renders settle, with no tile half-written.
-    Exceptions from [render]/[write] propagate the same way; the pool
-    remains usable afterwards. *)

@@ -1,7 +1,8 @@
 (* End-to-end tests of the built [mirage] binary: the deployment story
    (extract a bundle, generate from it elsewhere) must write the same files
    the direct [generate] run writes, and its output must verify against the
-   bundle.  The binary's path is the first command-line argument. *)
+   bundle; the default export (no --chunk-rows) is one resumable shard per
+   table.  The binary's path is the first command-line argument. *)
 
 let cli = ref ""
 
@@ -11,7 +12,21 @@ let read_file path =
   close_in ic;
   s
 
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
 let lines path = String.split_on_char '\n' (read_file path)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let ssb_tables = [ "ddate"; "customer"; "supplier"; "part"; "lineorder" ]
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -79,14 +94,100 @@ let test_bundle_shards_match_generate () =
     (read_file (Filename.concat d2 "parameters.txt"))
     (read_file (Filename.concat d1 "parameters.txt"))
 
+let verify_dir ~log bundle d =
+  mirage ~log
+    [ "verify-dir"; bundle; "-d"; d; "-p"; Filename.concat d "parameters.txt" ]
+
+(* without --chunk-rows every table is the single shard <table>.csv.0 *)
 let test_bundle_csvs_verify () =
   with_dir @@ fun dir ->
   let bundle = extract dir in
   let d3 = Filename.concat dir "d3" in
   let log = Filename.concat dir "run.log" in
   expect_ok ~log [ "from-bundle"; bundle; "-o"; d3 ];
+  Alcotest.(check bool) "lineorder is one shard" true
+    (Sys.file_exists (Filename.concat d3 "lineorder.csv.0")
+    && not (Sys.file_exists (Filename.concat d3 "lineorder.csv.1")));
+  Alcotest.(check int) "verify-dir passes" 0 (verify_dir ~log bundle d3)
+
+(* shards hold whole tiles, so at one copy every table is one shard however
+   small --chunk-rows is.  Re-split lineorder into 12 shards cut mid-line:
+   only numeric index order (a glob puts .10 before .2) rebuilds its rows *)
+let test_multi_shard_verify () =
+  with_dir @@ fun dir ->
+  let bundle = extract dir in
+  let d = Filename.concat dir "d4" in
+  let log = Filename.concat dir "run.log" in
   expect_ok ~log
-    [ "verify-dir"; bundle; "-d"; d3; "-p"; Filename.concat d3 "parameters.txt" ]
+    [ "from-bundle"; bundle; "-o"; d; "--copies"; "1"; "--chunk-rows"; "300" ];
+  let shard k = Filename.concat d (Printf.sprintf "lineorder.csv.%d" k) in
+  let whole = read_file (shard 0) in
+  let n = String.length whole and k = 12 in
+  for i = 0 to k - 1 do
+    let lo = i * n / k and hi = (i + 1) * n / k in
+    write_file (shard i) (String.sub whole lo (hi - lo))
+  done;
+  Alcotest.(check int) "verify-dir passes on 12 shards" 0
+    (verify_dir ~log bundle d)
+
+(* a directory reused from an older export can hold a stale <table>.csv
+   next to fresh shards; verify-dir refuses to pick one and names both *)
+let test_stale_csv_beside_shards () =
+  with_dir @@ fun dir ->
+  let bundle = extract dir in
+  let d = Filename.concat dir "d7" in
+  let log = Filename.concat dir "run.log" in
+  expect_ok ~log [ "from-bundle"; bundle; "-o"; d ];
+  let stale = Filename.concat d "lineorder.csv" in
+  write_file stale (read_file (Filename.concat d "lineorder.csv.0"));
+  Alcotest.(check int) "verify-dir exit code" 2 (verify_dir ~log bundle d);
+  let out = read_file log in
+  Alcotest.(check bool) "names both files" true
+    (contains ~sub:stale out && contains ~sub:(stale ^ ".0") out)
+
+let generate_ssb ~log d extra =
+  mirage ~log
+    ([ "generate"; "-w"; "ssb"; "--sf"; "0.05"; "--seed"; "42"; "-o"; d ]
+    @ extra)
+
+(* no --chunk-rows: one shard per table plus the manifest, and --resume
+   skips every shard of the finished export *)
+let test_default_export_resumes () =
+  with_dir @@ fun dir ->
+  let d = Filename.concat dir "d5" and log = Filename.concat dir "run.log" in
+  Alcotest.(check int) "first run" 0 (generate_ssb ~log d []);
+  Alcotest.(check (list string))
+    "one shard per table, manifest, parameters"
+    (List.sort compare
+       ("MANIFEST.json" :: "parameters.txt"
+       :: List.map (fun t -> t ^ ".csv.0") ssb_tables))
+    (List.sort compare (Array.to_list (Sys.readdir d)));
+  let shards () =
+    List.map (fun t -> read_file (Filename.concat d (t ^ ".csv.0"))) ssb_tables
+  in
+  let before = shards () in
+  Alcotest.(check int) "resumed run" 0 (generate_ssb ~log d [ "--resume" ]);
+  Alcotest.(check bool) "every shard resumed, nothing rewritten" true
+    (contains ~sub:"(5 resumed, 0 bytes this run)" (read_file log));
+  Alcotest.(check bool) "shards unchanged" true (before = shards ())
+
+(* --compress needs no --chunk-rows; verify-dir cannot inflate yet and says
+   so with exit 2 *)
+let test_default_export_gzip () =
+  with_dir @@ fun dir ->
+  let d = Filename.concat dir "d6" and log = Filename.concat dir "run.log" in
+  Alcotest.(check int) "compressed run" 0 (generate_ssb ~log d [ "--compress" ]);
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) (t ^ ".csv.0.gz written") true
+        (Sys.file_exists (Filename.concat d (t ^ ".csv.0.gz"))))
+    ssb_tables;
+  let bundle = Filename.concat dir "ssb.bundle" in
+  expect_ok ~log
+    [ "extract"; "-w"; "ssb"; "--sf"; "0.05"; "--seed"; "42"; "-o"; bundle ];
+  Alcotest.(check int) "verify-dir exit code" 2 (verify_dir ~log bundle d);
+  Alcotest.(check bool) "names the missing inflater" true
+    (contains ~sub:"no inflater" (read_file log))
 
 let () =
   cli := Sys.argv.(1);
@@ -98,5 +199,16 @@ let () =
             test_bundle_shards_match_generate;
           Alcotest.test_case "CSVs verify against the bundle" `Quick
             test_bundle_csvs_verify;
+          Alcotest.test_case "re-split shards verify in index order" `Quick
+            test_multi_shard_verify;
+          Alcotest.test_case "stale <table>.csv beside shards exits 2" `Quick
+            test_stale_csv_beside_shards;
+        ] );
+      ( "generate",
+        [
+          Alcotest.test_case "default export: one shard per table, resumable"
+            `Quick test_default_export_resumes;
+          Alcotest.test_case "gzip without --chunk-rows; verify-dir exits 2"
+            `Quick test_default_export_gzip;
         ] );
     ]

@@ -108,24 +108,6 @@ let test_exception () =
       in
       Alcotest.(check bool) "task exception re-raised in caller" true raised)
 
-(* [render] runs on worker domains, where Alcotest (its Format state is not
-   domain-safe) must not be called: count violations there, assert on the
-   calling domain after the region *)
-let test_iter_tiles_order () =
-  with_pools (fun pool ->
-      let written = ref [] in
-      let bad_slots = Atomic.make 0 in
-      Par.iter_tiles pool ~tiles:23
-        ~render:(fun ~slot ~tile ->
-          if slot < 0 || slot >= Par.tile_slots pool then Atomic.incr bad_slots;
-          tile * 10)
-        ~write:(fun ~tile v -> written := (tile, v) :: !written);
-      Alcotest.(check int) "slots within lookahead" 0 (Atomic.get bad_slots);
-      Alcotest.(check (list (pair int int)))
-        "tiles written sequentially in tile order"
-        (List.init 23 (fun t -> (t, t * 10)))
-        (List.rev !written))
-
 (* --- persistent resident pool (Par.get) ---------------------------------- *)
 
 let test_get_identity () =
@@ -148,133 +130,6 @@ let test_get_survives_failure () =
     "resident pool usable after a failed region"
     (Array.init n (fun i -> i * 2))
     (Par.init pool n (fun i -> i * 2))
-
-let test_iter_tiles_exns_then_reuse () =
-  let pool = Par.get ~domains:4 () in
-  (* a render failure must propagate after in-flight tiles settle, with the
-     writes forming an in-order prefix that stops before the failed tile *)
-  let written = ref [] in
-  let raised =
-    try
-      Par.iter_tiles pool ~tiles:20
-        ~render:(fun ~slot:_ ~tile -> if tile = 11 then raise Boom else tile)
-        ~write:(fun ~tile v -> written := (tile, v) :: !written);
-      false
-    with Boom -> true
-  in
-  Alcotest.(check bool) "render exception re-raised" true raised;
-  let w = List.rev !written in
-  Alcotest.(check (list (pair int int)))
-    "writes are an in-order prefix"
-    (List.init (List.length w) (fun t -> (t, t)))
-    w;
-  Alcotest.(check bool) "failed tile never written" true (List.length w <= 11);
-  (* a write failure stops the drain immediately *)
-  let count = ref 0 in
-  let raised =
-    try
-      Par.iter_tiles pool ~tiles:20
-        ~render:(fun ~slot:_ ~tile -> tile)
-        ~write:(fun ~tile:_ _ ->
-          incr count;
-          if !count = 5 then raise Boom);
-      false
-    with Boom -> true
-  in
-  Alcotest.(check bool) "write exception re-raised" true raised;
-  Alcotest.(check int) "no write after the failing one" 5 !count;
-  (* and the same resident pool still runs a clean pass in order *)
-  let written = ref [] in
-  Par.iter_tiles pool ~tiles:23
-    ~render:(fun ~slot:_ ~tile -> tile * 3)
-    ~write:(fun ~tile v -> written := (tile, v) :: !written);
-  Alcotest.(check (list (pair int int)))
-    "pool reusable after failed tile regions"
-    (List.init 23 (fun t -> (t, t * 3)))
-    (List.rev !written)
-
-exception Stop
-
-let test_iter_tiles_interrupt () =
-  List.iter
-    (fun domains ->
-      let pool = Par.get ~domains () in
-      let written = ref 0 and calls = ref 0 in
-      let raised =
-        try
-          Par.iter_tiles pool
-            ~interrupt:(fun () ->
-              incr calls;
-              if !calls > 6 then raise Stop)
-            ~tiles:50
-            ~render:(fun ~slot:_ ~tile -> tile)
-            ~write:(fun ~tile:_ _ -> incr written);
-          false
-        with Stop -> true
-      in
-      Alcotest.(check bool) "interrupt propagates" true raised;
-      Alcotest.(check int)
-        (Printf.sprintf "interrupt checked before every write (domains=%d)"
-           domains)
-        6 !written)
-    [ 1; 4 ]
-
-(* --- randomized pipelining (QCheck) -------------------------------------- *)
-
-(* test/dune has no unix dependency, so latency is a spin-wait; opaque to
-   keep the loop from being optimised away *)
-let spin n =
-  let x = ref 0 in
-  for _ = 1 to n * 20 do
-    x := Sys.opaque_identity (!x + 1)
-  done
-
-let latency_of lats t =
-  match lats with [] -> 0 | _ -> List.nth lats (t mod List.length lats)
-
-let qcheck_tiles_order =
-  QCheck.Test.make ~count:25
-    ~name:"iter_tiles writes every tile in order under random render latency"
-    QCheck.(
-      pair (int_range 0 40) (pair (int_range 1 4) (small_list (int_range 0 500))))
-    (fun (tiles, (domains, lats)) ->
-      let pool = Par.get ~domains () in
-      let written = ref [] in
-      let bad_slots = Atomic.make 0 in
-      Par.iter_tiles pool ~tiles
-        ~render:(fun ~slot ~tile ->
-          if slot < 0 || slot >= Par.tile_slots pool then Atomic.incr bad_slots;
-          spin (latency_of lats tile);
-          tile * 7)
-        ~write:(fun ~tile v -> written := (tile, v) :: !written);
-      if Atomic.get bad_slots > 0 then
-        QCheck.Test.fail_report "slot out of lookahead range";
-      List.rev !written = List.init tiles (fun t -> (t, t * 7)))
-
-let qcheck_slot_safety =
-  QCheck.Test.make ~count:25
-    ~name:"slot buffers never reused before their tile is written"
-    QCheck.(pair (int_range 1 4) (small_list (int_range 0 300)))
-    (fun (domains, lats) ->
-      let tiles = 33 in
-      let pool = Par.get ~domains () in
-      let slots = Par.tile_slots pool in
-      (* a slot is claimed by its tile at render entry and released only when
-         that tile is written; any overlap means a buffer would have been
-         clobbered while still unwritten *)
-      let owner = Array.init slots (fun _ -> Atomic.make (-1)) in
-      let ok = Atomic.make true in
-      Par.iter_tiles pool ~tiles
-        ~render:(fun ~slot ~tile ->
-          if not (Atomic.compare_and_set owner.(slot) (-1) tile) then
-            Atomic.set ok false;
-          spin (latency_of lats tile);
-          tile)
-        ~write:(fun ~tile v ->
-          ignore v;
-          if not (Atomic.compare_and_set owner.(tile mod slots) tile (-1)) then
-            Atomic.set ok false);
-      Atomic.get ok)
 
 (* --- end-to-end determinism across domain counts ------------------------- *)
 
@@ -377,36 +232,34 @@ let test_determinism_tpcds () =
 
 (* --- scale-out writer byte-identity -------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let test_scaleout_bytes () =
   let workload, ref_db, prod_env = Mirage_workloads.Ssb.make ~sf:0.1 ~seed:7 in
   let r = generate_with ~domains:1 workload ref_db prod_env in
   let db = r.Driver.r_db in
   let copies = 5 in
   (* reference: the in-memory tiled database rendered by the sequential
-     exporter — to_csv_dir must produce exactly these bytes *)
+     exporter — the shard export on 3 domains must produce exactly these
+     bytes, as one shard per table and as one tile per shard *)
   let tiled = Scale_out.tile_db ~db ~copies in
-  let dir = Filename.temp_file "mirage_par_test" "" in
-  Sys.remove dir;
-  Par.with_pool ~domains:3 (fun pool ->
-      Scale_out.to_csv_dir ~pool ~db ~copies ~dir ());
   List.iter
-    (fun (tbl : Schema.table) ->
-      let tname = tbl.Schema.tname in
-      let got = read_file (Filename.concat dir (tname ^ ".csv")) in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s.csv byte-identical to sequential render" tname)
-        true
-        (got = Db.to_csv tiled tname))
-    (Schema.tables (Db.schema db));
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
+    (fun chunk_rows ->
+      let dir = Filename.temp_file "mirage_par_test" "" in
+      Sys.remove dir;
+      Par.with_pool ~domains:3 (fun pool ->
+          ignore
+            (Shards.export ~pool ~db ~copies ~chunk_rows ~dir ~run_id:"par" ()));
+      List.iter
+        (fun (tbl : Schema.table) ->
+          let tname = tbl.Schema.tname in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s shards (chunk %d) byte-identical to sequential \
+                             render" tname chunk_rows)
+            true
+            (Shards.concat dir tname = Db.to_csv tiled tname))
+        (Schema.tables (Db.schema db));
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    [ max_int; 1 ]
 
 let () =
   Alcotest.run "par"
@@ -424,19 +277,12 @@ let () =
           Alcotest.test_case "iter_chunks" `Quick test_iter_chunks;
           Alcotest.test_case "map_chunks / map_list" `Quick test_map_chunks_list;
           Alcotest.test_case "exception propagation" `Quick test_exception;
-          Alcotest.test_case "iter_tiles ordering" `Quick test_iter_tiles_order;
         ] );
       ( "resident-pool",
         [
           Alcotest.test_case "Par.get identity" `Quick test_get_identity;
           Alcotest.test_case "usable after failed region" `Quick
             test_get_survives_failure;
-          Alcotest.test_case "iter_tiles exceptions then reuse" `Quick
-            test_iter_tiles_exns_then_reuse;
-          Alcotest.test_case "per-tile interrupt" `Quick
-            test_iter_tiles_interrupt;
-          QCheck_alcotest.to_alcotest qcheck_tiles_order;
-          QCheck_alcotest.to_alcotest qcheck_slot_safety;
         ] );
       ( "determinism",
         [

@@ -1,11 +1,11 @@
 (* Output-engine suite: the render kernel's digit writers and escaping, and
-   the templated tile splicer against the per-cell reference renderer it
-   replaced.  The QCheck properties pin itoa/ftoa to string_of_int /
-   round-trip float parsing; the differential cases prove the templated
-   to_csv_dir is byte-identical to the naive renderer for every domain
-   count and copy count, on generated workloads and on a hand-built
-   database full of quote-needing strings; a committed golden pins the
-   RFC-4180 escaping bytes themselves. *)
+   the templated shard export against the per-cell reference renderer it
+   replaced (test/reference.ml).  The QCheck properties pin itoa/ftoa to
+   string_of_int / round-trip float parsing; the differential cases prove
+   the export's concatenated shards are byte-identical to the naive
+   renderer for every domain count, copy count and chunk size, on generated
+   workloads and on a hand-built database full of quote-needing strings; a
+   committed golden pins the RFC-4180 escaping bytes themselves. *)
 
 module Value = Mirage_sql.Value
 module Schema = Mirage_sql.Schema
@@ -151,36 +151,55 @@ let prop_csv_escape_roundtrip =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let render_both ~db ~copies ~domains =
-  let dir_t = Filename.temp_file "mirage_tpl" "" in
-  let dir_r = Filename.temp_file "mirage_ref" "" in
-  Sys.remove dir_t;
-  Sys.remove dir_r;
-  Par.with_pool ~domains (fun pool ->
-      Scale_out.to_csv_dir ~pool ~db ~copies ~dir:dir_t ();
-      Scale_out.Reference.to_csv_dir ~pool ~db ~copies ~dir:dir_r ());
-  let collect dir =
-    let files = Array.to_list (Sys.readdir dir) |> List.sort compare in
-    let all =
-      List.map (fun f -> (f, read_file (Filename.concat dir f))) files
-    in
-    List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
-    Sys.rmdir dir;
-    all
-  in
-  (collect dir_t, collect dir_r)
+let table_names db =
+  List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
 
-let check_identical ~label ~db ~copies ~domains =
-  let tpl, reference = render_both ~db ~copies ~domains in
-  Alcotest.(check (list string))
-    (label ^ ": same file set")
-    (List.map fst reference) (List.map fst tpl);
-  List.iter2
-    (fun (f, want) (_, got) ->
-      if not (String.equal want got) then
-        Alcotest.failf "%s: %s differs (%d bytes vs %d reference bytes)" label
-          f (String.length got) (String.length want))
-    reference tpl
+let fresh_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  dir
+
+let rm_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* the export's files and each table's concatenated shards *)
+let export_tables ~db ~copies ~domains ~chunk_rows =
+  let dir = fresh_dir "mirage_tpl" in
+  Par.with_pool ~domains (fun pool ->
+      ignore (Shards.export ~pool ~db ~copies ~chunk_rows ~dir ~run_id:"tpl" ()));
+  let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let tables = List.map (fun t -> (t, Shards.concat dir t)) (table_names db) in
+  rm_dir dir;
+  (files, tables)
+
+let reference_tables ~db ~copies =
+  List.map (fun t -> (t, Reference.csv ~db ~copies t)) (table_names db)
+
+(* the export equals [reference] (from [reference_tables] at the same
+   [copies]) as one shard per table and as one tile per shard *)
+let check_identical ?reference ~label ~db ~copies ~domains () =
+  let reference =
+    match reference with Some r -> r | None -> reference_tables ~db ~copies
+  in
+  List.iter
+    (fun chunk_rows ->
+      let files, got = export_tables ~db ~copies ~domains ~chunk_rows in
+      if chunk_rows = max_int then
+        Alcotest.(check (list string))
+          (label ^ ": one shard per table, plus the manifest")
+          (List.sort compare
+             ("MANIFEST.json"
+             :: List.map (fun t -> t ^ ".csv.0") (table_names db)))
+          files;
+      List.iter2
+        (fun (t, want) (_, got) ->
+          if not (String.equal want got) then
+            Alcotest.failf
+              "%s chunk=%d: %s differs (%d bytes vs %d reference bytes)" label
+              chunk_rows t (String.length got) (String.length want))
+        reference got)
+    [ max_int; 1 ]
 
 (* a schema exercising every splice shape: keys (pk + fk, one nullable),
    dictionary strings that need quoting, floats, NULLs and a wide fixed
@@ -250,7 +269,7 @@ let test_special_identity () =
     (fun (copies, domains) ->
       check_identical
         ~label:(Printf.sprintf "special copies=%d domains=%d" copies domains)
-        ~db ~copies ~domains)
+        ~db ~copies ~domains ())
     [ (1, 1); (3, 1); (3, 2); (16, 2) ]
 
 (* the templated writer, Db.to_csv and tile_db must agree on the same bytes
@@ -259,33 +278,25 @@ let test_special_matches_tile_db () =
   let db = special_db () in
   let copies = 3 in
   let tiled = Scale_out.tile_db ~db ~copies in
-  let dir = Filename.temp_file "mirage_tiledb" "" in
-  Sys.remove dir;
-  Scale_out.to_csv_dir ~db ~copies ~dir ();
+  let _, got = export_tables ~db ~copies ~domains:1 ~chunk_rows:max_int in
   List.iter
-    (fun (tbl : Schema.table) ->
-      let tname = tbl.Schema.tname in
-      let got = read_file (Filename.concat dir (tname ^ ".csv")) in
+    (fun (tname, got) ->
       Alcotest.(check bool)
-        (tname ^ ".csv matches Db.to_csv of tile_db")
+        (tname ^ " shard matches Db.to_csv of tile_db")
         true
-        (String.equal got (Db.to_csv tiled tname));
-      Sys.remove (Filename.concat dir (tname ^ ".csv")))
-    (Schema.tables (Db.schema db));
-  Sys.rmdir dir
+        (String.equal got (Db.to_csv tiled tname)))
+    got
 
 (* committed golden with quote-needing strings: pins the escaping bytes.
    Regenerate with MIRAGE_UPDATE_GOLDENS=1 from the source test/ dir. *)
 let test_quote_golden () =
   let db = special_db () in
-  let dir = Filename.temp_file "mirage_quote" "" in
-  Sys.remove dir;
-  Scale_out.to_csv_dir ~db ~copies:2 ~dir ();
+  let _, tables = export_tables ~db ~copies:2 ~domains:1 ~chunk_rows:max_int in
   let update = Sys.getenv_opt "MIRAGE_UPDATE_GOLDENS" <> None in
-  if update then Scale_out.mkdir_p (Filename.concat "goldens" "quote");
+  if update then Mirage_engine.Sink.mkdir_p (Filename.concat "goldens" "quote");
   List.iter
     (fun tname ->
-      let got = read_file (Filename.concat dir (tname ^ ".csv")) in
+      let got = List.assoc tname tables in
       let golden =
         List.fold_left Filename.concat "goldens" [ "quote"; tname ^ ".csv" ]
       in
@@ -297,22 +308,56 @@ let test_quote_golden () =
         if not (String.equal want got) then
           Alcotest.failf "goldens/quote/%s.csv: bytes differ (%d vs %d golden)"
             tname (String.length got) (String.length want)
-      end;
-      Sys.remove (Filename.concat dir (tname ^ ".csv")))
-    [ "dim"; "fact" ];
-  Sys.rmdir dir
+      end)
+    [ "dim"; "fact" ]
 
 let test_nested_dir () =
   let base = Filename.temp_file "mirage_nested" "" in
   Sys.remove base;
   let dir = Filename.concat (Filename.concat base "deep") "er" in
   let db = special_db () in
-  Scale_out.to_csv_dir ~db ~copies:1 ~dir ();
+  ignore (Shards.export ~db ~copies:1 ~dir ~run_id:"nested" ());
   Alcotest.(check bool) "nested dir created" true (Sys.is_directory dir);
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir;
+  rm_dir dir;
   Sys.rmdir (Filename.concat base "deep");
   Sys.rmdir base
+
+(* a one-row table and an empty table referencing it: with an unbounded
+   chunk, a tile-per-shard count of max_int / max 1 rows must not wrap the
+   shard count *)
+let test_tiny_tables_unbounded () =
+  let one =
+    {
+      Schema.tname = "one";
+      pk = "o_key";
+      nonkeys =
+        [ { Schema.cname = "o_label"; domain_size = 1; kind = Schema.Kstring } ];
+      fks = [];
+      row_count = 1;
+    }
+  in
+  let none =
+    {
+      Schema.tname = "none";
+      pk = "n_key";
+      nonkeys = [];
+      fks = [ { Schema.fk_col = "n_one"; references = "one" } ];
+      row_count = 1;
+    }
+  in
+  let db = Db.create (Schema.make [ one; none ]) in
+  Db.put_cols db "one"
+    [ ("o_key", Col.of_ints [| 1 |]); ("o_label", Col.of_strings [| "a,b" |]) ];
+  (* the schema's declared count must be positive; the stored table is
+     what the export sees *)
+  Db.put_cols db "none"
+    [ ("n_key", Col.of_ints [||]); ("n_one", Col.of_ints [||]) ];
+  List.iter
+    (fun domains ->
+      check_identical
+        ~label:(Printf.sprintf "tiny tables domains=%d" domains)
+        ~db ~copies:3 ~domains ())
+    [ 1; 2 ]
 
 (* --- generated workloads: SSB + TPC-H, domains × copies ------------------- *)
 
@@ -328,14 +373,15 @@ let generate make ~sf =
 let test_workload_identity name make ~sf () =
   let db = generate make ~sf in
   List.iter
-    (fun domains ->
+    (fun copies ->
+      let reference = reference_tables ~db ~copies in
       List.iter
-        (fun copies ->
-          check_identical
+        (fun domains ->
+          check_identical ~reference
             ~label:(Printf.sprintf "%s domains=%d copies=%d" name domains copies)
-            ~db ~copies ~domains)
-        [ 1; 3; 16 ])
-    [ 1; 2; 4 ]
+            ~db ~copies ~domains ())
+        [ 1; 2; 4 ])
+    [ 1; 3; 16 ]
 
 let () =
   Alcotest.run "render"
@@ -359,6 +405,8 @@ let () =
           Alcotest.test_case "quote-needing golden bytes" `Quick
             test_quote_golden;
           Alcotest.test_case "nested output directories" `Quick test_nested_dir;
+          Alcotest.test_case "0- and 1-row tables, copies 3, unbounded chunk"
+            `Quick test_tiny_tables_unbounded;
         ] );
       ( "workloads",
         [

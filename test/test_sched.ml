@@ -19,12 +19,6 @@ let fresh_dir prefix =
   Sink.mkdir_p base;
   base
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
@@ -34,13 +28,6 @@ let rec rm_rf path =
 
 let table_names db =
   List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
-
-let concat_shards dir tname =
-  let rec go k acc =
-    let p = Filename.concat dir (Printf.sprintf "%s.csv.%d" tname k) in
-    if Sys.file_exists p then go (k + 1) (acc ^ read_file p) else acc
-  in
-  go 0 ""
 
 let largest_table db =
   List.fold_left (fun m t -> max m (Db.row_count db t)) 1 (table_names db)
@@ -133,8 +120,7 @@ let test_cache_parity () =
 let test_live_export_crash_resume () =
   let make = Mirage_workloads.Ssb.make and sf = 0.05 in
   let mono = generate ~schedule:`Barrier make ~sf in
-  let dir_m = fresh_dir "mirage_sched_m" and dir_c = fresh_dir "mirage_sched_c" in
-  Scale_out.to_csv_dir ~db:mono.Driver.r_db ~copies:1 ~dir:dir_m ();
+  let dir_c = fresh_dir "mirage_sched_c" in
   let chunk_rows = max 1 (largest_table mono.Driver.r_db / 3) in
   let run_id = "sched-resume" in
   let pool = Par.get ~domains:2 () in
@@ -167,7 +153,7 @@ let test_live_export_crash_resume () =
   in
   Alcotest.(check bool) "run 1 crashed" true crashed;
   (* run 2: same parameters, --resume; the committed prefix is skipped and
-     the completed export is byte-identical to the monolithic writer *)
+     the completed export is byte-identical to the reference renderer *)
   with_live ~resume:true (fun h r ->
       let rep = Scale_out.finish_csv_export h ~db:r.Driver.r_db in
       Alcotest.(check int) "committed prefix resumed" 2 rep.Scale_out.cr_resumed;
@@ -177,10 +163,9 @@ let test_live_export_crash_resume () =
             (Printf.sprintf "%s: resumed live export = monolithic" t)
             true
             (String.equal
-               (read_file (Filename.concat dir_m (t ^ ".csv")))
-               (concat_shards dir_c t)))
+               (Reference.csv ~db:mono.Driver.r_db ~copies:1 t)
+               (Shards.concat dir_c t)))
         (table_names r.Driver.r_db));
-  rm_rf dir_m;
   rm_rf dir_c
 
 (* --- QCheck: task-DAG ordering under randomized latencies ------------------- *)

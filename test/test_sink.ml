@@ -234,13 +234,6 @@ let generate make ~sf =
   | Error d -> Alcotest.fail (Mirage_core.Diag.to_string d)
   | Ok r -> (workload, r)
 
-let concat_shards dir tname =
-  let rec go k acc =
-    let p = Filename.concat dir (Printf.sprintf "%s.csv.%d" tname k) in
-    if Sys.file_exists p then go (k + 1) (acc ^ read_file p) else acc
-  in
-  go 0 ""
-
 let table_names db =
   List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
 
@@ -253,29 +246,25 @@ let chunk_rows_for db =
   max 1 (largest / 2)
 
 let check_chunked_identity ~label ~db ~copies ~domains ~chunk_rows =
-  let mono = fresh_dir "mirage_mono" and chunk = fresh_dir "mirage_chunk" in
-  Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
+  let chunk = fresh_dir "mirage_chunk" in
   Par.with_pool ~domains (fun pool ->
       let rep =
-        Scale_out.to_csv_chunked ~pool ~db ~copies ~chunk_rows ~dir:chunk
-          ~run_id:label ()
+        Shards.export ~pool ~db ~copies ~chunk_rows ~dir:chunk ~run_id:label ()
       in
       Alcotest.(check int) (label ^ ": nothing resumed") 0 rep.Scale_out.cr_resumed);
   List.iter
     (fun t ->
-      let m = read_file (Filename.concat mono (t ^ ".csv")) in
+      let m = Reference.csv ~db ~copies t in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %s chunked = monolithic" label t)
         true
-        (String.equal m (concat_shards chunk t)))
+        (String.equal m (Shards.concat chunk t)))
     (table_names db);
-  rm_rf mono;
   rm_rf chunk
 
-let check_crash_resume ~label ~db ~copies ~domains ~crash_after =
-  let mono = fresh_dir "mirage_mono" and chunk = fresh_dir "mirage_chunk" in
-  Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
-  let chunk_rows = chunk_rows_for db in
+let check_crash_resume ?chunk_rows ~label ~db ~copies ~domains ~crash_after () =
+  let chunk = fresh_dir "mirage_chunk" in
+  let chunk_rows = Option.value chunk_rows ~default:(chunk_rows_for db) in
   let run_id = label ^ "-resume" in
   (* run 1: killed after [crash_after] committed shards *)
   let crashed =
@@ -286,8 +275,8 @@ let check_crash_resume ~label ~db ~copies ~domains ~crash_after =
             Sink.os_backend
         in
         match
-          Scale_out.to_csv_chunked ~pool ~backend ~db ~copies ~chunk_rows
-            ~dir:chunk ~run_id ()
+          Shards.export ~pool ~backend ~db ~copies ~chunk_rows ~dir:chunk
+            ~run_id ()
         with
         | _ -> false
         | exception Sink.Injected_crash _ -> true)
@@ -296,8 +285,8 @@ let check_crash_resume ~label ~db ~copies ~domains ~crash_after =
   (* run 2: resume from the manifest, clean backend *)
   Par.with_pool ~domains (fun pool ->
       let rep =
-        Scale_out.to_csv_chunked ~pool ~resume:true ~db ~copies ~chunk_rows
-          ~dir:chunk ~run_id ()
+        Shards.export ~pool ~resume:true ~db ~copies ~chunk_rows ~dir:chunk
+          ~run_id ()
       in
       Alcotest.(check int)
         (label ^ ": committed prefix resumed")
@@ -305,13 +294,12 @@ let check_crash_resume ~label ~db ~copies ~domains ~crash_after =
   Alcotest.(check (list string)) (label ^ ": no temp files") [] (tmp_files chunk);
   List.iter
     (fun t ->
-      let m = read_file (Filename.concat mono (t ^ ".csv")) in
+      let m = Reference.csv ~db ~copies t in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %s resumed run byte-identical" label t)
         true
-        (String.equal m (concat_shards chunk t)))
+        (String.equal m (Shards.concat chunk t)))
     (table_names db);
-  rm_rf mono;
   rm_rf chunk
 
 let test_workload_chunked name make ~sf () =
@@ -331,7 +319,7 @@ let test_workload_crash_resume name make ~sf () =
     (fun domains ->
       check_crash_resume
         ~label:(Printf.sprintf "%s domains=%d" name domains)
-        ~db ~copies:3 ~domains ~crash_after:2)
+        ~db ~copies:3 ~domains ~crash_after:2 ())
     [ 1; 2; 4 ]
 
 let test_sql_chunked_identity () =
@@ -369,7 +357,6 @@ let test_sql_chunked_identity () =
     (String.equal
        (read_file (Filename.concat mono "schema.sql"))
        (read_file (Filename.concat chunk "schema.sql")));
-  rm_rf mono;
   rm_rf chunk
 
 (* --- shard-parallel writer ------------------------------------------------
@@ -481,25 +468,17 @@ let gunzip_bytes label s =
   | Some s -> s
   | None -> Alcotest.fail (label ^ ": gzip -d rejected the stream")
 
-let concat_gz_shards dir tname =
-  (* shard index order is manifest (seq) order per table *)
-  let rec go k acc =
-    let p = Filename.concat dir (Printf.sprintf "%s.csv.%d.gz" tname k) in
-    if Sys.file_exists p then go (k + 1) (acc ^ read_file p) else acc
-  in
-  go 0 ""
-
-let check_gzip_roundtrip ~label ~db ~copies ~domains =
-  let mono = fresh_dir "mirage_mono" and gzd = fresh_dir "mirage_gzd" in
-  Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
+let check_gzip_roundtrip ?chunk_rows ~label ~db ~copies ~domains () =
+  let chunk_rows = Option.value chunk_rows ~default:(chunk_rows_for db) in
+  let gzd = fresh_dir "mirage_gzd" in
   Par.with_pool ~domains (fun pool ->
       ignore
-        (Scale_out.to_csv_chunked ~pool ~compress:true ~db ~copies
-           ~chunk_rows:(chunk_rows_for db) ~dir:gzd ~run_id:label ()));
+        (Shards.export ~pool ~compress:true ~db ~copies
+           ~chunk_rows ~dir:gzd ~run_id:label ()));
   List.iter
     (fun t ->
-      let m = read_file (Filename.concat mono (t ^ ".csv")) in
-      let cat = concat_gz_shards gzd t in
+      let m = Reference.csv ~db ~copies t in
+      let cat = Shards.concat ~compress:true gzd t in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %s gz shards present" label t)
         true (cat <> "");
@@ -508,7 +487,6 @@ let check_gzip_roundtrip ~label ~db ~copies ~domains =
         true
         (String.equal m (gunzip_bytes (label ^ "/" ^ t) cat)))
     (table_names db);
-  rm_rf mono;
   rm_rf gzd
 
 let test_workload_gzip name make ~sf () =
@@ -518,8 +496,27 @@ let test_workload_gzip name make ~sf () =
     (fun domains ->
       check_gzip_roundtrip
         ~label:(Printf.sprintf "%s gz domains=%d" name domains)
-        ~db ~copies:3 ~domains)
+        ~db ~copies:3 ~domains ())
     [ 1; 2; 4 ]
+
+(* --- unbounded chunk: one shard per table --------------------------------
+
+   The CLI's export without --chunk-rows.  Resume and compression work on
+   it exactly as on smaller chunks: a kill after two committed tables
+   resumes byte-identically, and the gzip members gunzip to the reference
+   bytes. *)
+
+let test_unbounded_resume_gzip () =
+  let _, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
+  let db = r.Driver.r_db in
+  List.iter
+    (fun domains ->
+      let label = Printf.sprintf "unbounded domains=%d" domains in
+      check_crash_resume ~chunk_rows:max_int ~label ~db ~copies:3 ~domains
+        ~crash_after:2 ();
+      check_gzip_roundtrip ~chunk_rows:max_int ~label:(label ^ " gz") ~db
+        ~copies:3 ~domains ())
+    [ 1; 2 ]
 
 (* --- gzip bytes pinned by golden digests ----------------------------------
 
@@ -595,7 +592,7 @@ let test_gz_golden_digests () =
       (gz_inputs ())
   in
   if Sys.getenv_opt "MIRAGE_UPDATE_GOLDENS" <> None then begin
-    Scale_out.mkdir_p (Filename.dirname path);
+    Sink.mkdir_p (Filename.dirname path);
     write_file path (String.concat "\n" lines ^ "\n")
   end
   else
@@ -629,8 +626,8 @@ let test_budget_race_sharded () =
       let tripped =
         Par.with_pool ~domains (fun pool ->
             match
-              Scale_out.to_csv_chunked ~pool ~interrupt ~db ~copies ~chunk_rows
-                ~dir ~run_id ()
+              Shards.export ~pool ~interrupt ~db ~copies ~chunk_rows ~dir
+                ~run_id ()
             with
             | _ -> false
             | exception Budget.Exceeded _ -> true)
@@ -655,25 +652,22 @@ let test_budget_race_sharded () =
              st.Unix.st_size))
         committed;
       (* a clean resume completes the export byte-identically *)
-      let mono = fresh_dir "mirage_mono" in
-      Scale_out.to_csv_dir ~db ~copies ~dir:mono ();
       Par.with_pool ~domains (fun pool ->
           let rep =
-            Scale_out.to_csv_chunked ~pool ~resume:true ~db ~copies ~chunk_rows
-              ~dir ~run_id ()
+            Shards.export ~pool ~resume:true ~db ~copies ~chunk_rows ~dir
+              ~run_id ()
           in
           Alcotest.(check int)
             (label ^ ": committed shards resumed")
             (List.length committed) rep.Scale_out.cr_resumed);
       List.iter
         (fun t ->
-          let m = read_file (Filename.concat mono (t ^ ".csv")) in
+          let m = Reference.csv ~db ~copies t in
           Alcotest.(check bool)
             (Printf.sprintf "%s: %s resumed run byte-identical" label t)
             true
-            (String.equal m (concat_shards dir t)))
+            (String.equal m (Shards.concat dir t)))
         (table_names db);
-      rm_rf mono;
       rm_rf dir)
     [ 1; 2; 4 ]
 
@@ -683,12 +677,9 @@ let test_big_rows_representation_blind () =
   let module Col = Mirage_engine.Col in
   let export db =
     let dir = fresh_dir "mirage_repr" in
-    Scale_out.to_csv_dir ~db ~copies:2 ~dir ();
+    ignore (Shards.export ~db ~copies:2 ~dir ~run_id:"repr" ());
     let bytes =
-      String.concat "\x00"
-        (List.map
-           (fun t -> read_file (Filename.concat dir (t ^ ".csv")))
-           (table_names db))
+      String.concat "\x00" (List.map (Shards.concat dir) (table_names db))
     in
     rm_rf dir;
     bytes
@@ -733,7 +724,7 @@ let test_export_deadline_no_orphans () =
   in
   let tripped =
     match
-      Scale_out.to_csv_chunked
+      Shards.export
         ~interrupt:(fun () -> Budget.check token)
         ~db ~copies:2 ~chunk_rows:100 ~dir ~run_id:"dl" ()
     with
@@ -805,6 +796,9 @@ let () =
             (test_workload_gzip "tpch" Mirage_workloads.Tpch.make ~sf:0.05);
           Alcotest.test_case "big-column backend is representation-blind" `Slow
             test_big_rows_representation_blind;
+          Alcotest.test_case
+            "one shard per table: crash+resume and gzip, domains 1/2" `Slow
+            test_unbounded_resume_gzip;
         ] );
       ( "budget",
         [

@@ -20,12 +20,6 @@ let fresh_dir prefix =
   Sink.mkdir_p base;
   base
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
@@ -36,13 +30,6 @@ let rec rm_rf path =
 let table_names db =
   List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
 
-let concat_shards dir tname =
-  let rec go k acc =
-    let p = Filename.concat dir (Printf.sprintf "%s.csv.%d" tname k) in
-    if Sys.file_exists p then go (k + 1) (acc ^ read_file p) else acc
-  in
-  go 0 ""
-
 let generate ?chunk_rows ?(domains = 1) make ~sf =
   let workload, ref_db, prod_env = make ~sf ~seed:7 in
   let config =
@@ -52,8 +39,6 @@ let generate ?chunk_rows ?(domains = 1) make ~sf =
   match Driver.generate ~config workload ~ref_db ~prod_env with
   | Error d -> Alcotest.fail (Mirage_core.Diag.to_string d)
   | Ok r -> r
-
-let export db dir = Scale_out.to_csv_dir ~db ~copies:1 ~dir ()
 
 let largest_table db =
   List.fold_left (fun m t -> max m (Db.row_count db t)) 1 (table_names db)
@@ -74,55 +59,53 @@ let test_chunk_plan_ranges () =
     (Invalid_argument "Chunk_plan: chunk_rows must be >= 1") (fun () ->
       ignore (Chunk_plan.ranges ~rows:10 ~chunk_rows:0))
 
-let test_chunk_plan_covers () =
-  let t = Chunk_plan.make ~table:"t" ~rows:100 ~chunk_rows:33 in
-  Alcotest.(check int) "chunk count" 4 (Chunk_plan.n_chunks t);
-  let covered = ref 0 and next_lo = ref 0 in
-  Chunk_plan.iter t (fun c ->
-      Alcotest.(check int) "contiguous" !next_lo c.Chunk_plan.c_lo;
-      covered := !covered + c.Chunk_plan.c_rows;
-      next_lo := c.Chunk_plan.c_lo + c.Chunk_plan.c_rows);
-  Alcotest.(check int) "covers every row exactly once" 100 !covered
+(* the ranges tile [0, rows) contiguously, each row exactly once *)
+let check_covers ~rows ~chunk_rows =
+  let next_lo = ref 0 in
+  Array.iter
+    (fun (lo, len) ->
+      Alcotest.(check int) "contiguous" !next_lo lo;
+      Alcotest.(check bool) "non-empty, at most chunk_rows" true
+        (len >= 1 && len <= chunk_rows);
+      next_lo := lo + len)
+    (Chunk_plan.ranges ~rows ~chunk_rows);
+  Alcotest.(check int)
+    (Printf.sprintf "rows=%d chunk_rows=%d: covers every row exactly once" rows
+       chunk_rows)
+    rows !next_lo
 
-(* driver-side plans: one per table, covering the generated row counts *)
-let test_driver_plans () =
-  let r = generate ~chunk_rows:37 Mirage_workloads.Ssb.make ~sf:0.05 in
-  let db = r.Driver.r_db in
-  Alcotest.(check int)
-    "one plan per table"
-    (List.length (table_names db))
-    (List.length r.Driver.r_chunk_plans);
+let test_chunk_plan_covers () =
+  Alcotest.(check int) "chunk count" 4
+    (Array.length (Chunk_plan.ranges ~rows:100 ~chunk_rows:33));
+  check_covers ~rows:100 ~chunk_rows:33
+
+(* an unbounded chunk (the CLI's default export) is one range; the ceiling
+   must not wrap at max_int *)
+let test_chunk_plan_max_int () =
   List.iter
-    (fun (p : Chunk_plan.t) ->
-      let covered = ref 0 in
-      Chunk_plan.iter p (fun c -> covered := !covered + c.Chunk_plan.c_rows);
+    (fun rows ->
       Alcotest.(check int)
-        (p.Chunk_plan.cp_table ^ " plan covers the table")
-        (Db.row_count db p.Chunk_plan.cp_table)
-        !covered)
-    r.Driver.r_chunk_plans;
-  let mono = generate Mirage_workloads.Ssb.make ~sf:0.05 in
-  Alcotest.(check int)
-    "monolithic run has no plans" 0
-    (List.length mono.Driver.r_chunk_plans)
+        (Printf.sprintf "rows=%d: one chunk" rows)
+        1
+        (Array.length (Chunk_plan.ranges ~rows ~chunk_rows:max_int));
+      check_covers ~rows ~chunk_rows:max_int)
+    [ 1; 120; max_int ];
+  Alcotest.(check int) "empty table" 0
+    (Array.length (Chunk_plan.ranges ~rows:0 ~chunk_rows:max_int));
+  check_covers ~rows:max_int ~chunk_rows:(max_int / 2)
 
 (* --- streamed = monolithic byte identity ----------------------------------- *)
 
 let check_identity ~label mono r =
-  let dir_m = fresh_dir "mirage_stream_m" and dir_s = fresh_dir "mirage_stream_s" in
-  export mono.Driver.r_db dir_m;
-  export r.Driver.r_db dir_s;
   List.iter
     (fun t ->
       Alcotest.(check bool)
         (Printf.sprintf "%s: %s streamed = monolithic" label t)
         true
         (String.equal
-           (read_file (Filename.concat dir_m (t ^ ".csv")))
-           (read_file (Filename.concat dir_s (t ^ ".csv")))))
+           (Reference.csv ~db:mono.Driver.r_db ~copies:1 t)
+           (Reference.csv ~db:r.Driver.r_db ~copies:1 t)))
     (table_names mono.Driver.r_db);
-  rm_rf dir_m;
-  rm_rf dir_s;
   Alcotest.(check bool)
     (label ^ ": parameters identical")
     true
@@ -151,8 +134,7 @@ let test_stream_crash_resume () =
   let mono = generate Mirage_workloads.Ssb.make ~sf:0.05 in
   let r = generate ~chunk_rows:37 Mirage_workloads.Ssb.make ~sf:0.05 in
   let db = r.Driver.r_db in
-  let dir_m = fresh_dir "mirage_stream_cm" and dir_c = fresh_dir "mirage_stream_cc" in
-  export mono.Driver.r_db dir_m;
+  let dir_c = fresh_dir "mirage_stream_cc" in
   (* several shards per fact table, crash after two commits: the kill lands
      mid-fact-table, and the resumed run must complete byte-identically.
      The export threshold is lowered below the fact tables so both runs take
@@ -173,8 +155,8 @@ let test_stream_crash_resume () =
                 Sink.os_backend
             in
             match
-              Scale_out.to_csv_chunked ~pool ~backend ~db ~copies:1 ~chunk_rows
-                ~dir:dir_c ~run_id ()
+              Shards.export ~pool ~backend ~db ~copies:1 ~chunk_rows ~dir:dir_c
+                ~run_id ()
             with
             | _ -> false
             | exception Sink.Injected_crash _ -> true)
@@ -182,8 +164,8 @@ let test_stream_crash_resume () =
       Alcotest.(check bool) "run 1 crashed" true crashed;
       Par.with_pool ~domains:2 (fun pool ->
           let rep =
-            Scale_out.to_csv_chunked ~pool ~resume:true ~db ~copies:1
-              ~chunk_rows ~dir:dir_c ~run_id ()
+            Shards.export ~pool ~resume:true ~db ~copies:1 ~chunk_rows
+              ~dir:dir_c ~run_id ()
           in
           Alcotest.(check int) "committed prefix resumed" 2
             rep.Scale_out.cr_resumed));
@@ -193,10 +175,9 @@ let test_stream_crash_resume () =
         (Printf.sprintf "%s: resumed streamed export = monolithic" t)
         true
         (String.equal
-           (read_file (Filename.concat dir_m (t ^ ".csv")))
-           (concat_shards dir_c t)))
+           (Reference.csv ~db:mono.Driver.r_db ~copies:1 t)
+           (Shards.concat dir_c t)))
     (table_names db);
-  rm_rf dir_m;
   rm_rf dir_c
 
 (* --- threshold scoping ----------------------------------------------------- *)
@@ -220,8 +201,8 @@ let () =
         [
           Alcotest.test_case "chunk ranges" `Quick test_chunk_plan_ranges;
           Alcotest.test_case "plan covers table" `Quick test_chunk_plan_covers;
-          Alcotest.test_case "driver emits per-table plans" `Slow
-            test_driver_plans;
+          Alcotest.test_case "unbounded chunk covers every row once" `Quick
+            test_chunk_plan_max_int;
         ] );
       ( "identity",
         [

@@ -74,18 +74,18 @@ let generate (w : Workload.t) ~ref_db ~prod_env ~seed =
       if m = 0 then
         Array.iteri (fun i _ -> fk.(i) <- Rng.pick rng s_pks) fk
       else begin
-        (* membership on both sides; subplan views that depend on an edge
-           whose population failed are treated as empty *)
-        let safe_membership table view =
-          try Keygen.membership ~db ~env:prod_env ~table view
-          with _ -> Mirage_engine.Col.Bitset.create (Db.row_count db table)
-        in
+        (* membership on both sides, with no handler: an upstream edge that
+           is not populated yet still holds its all-NULL FK column, which
+           joins no row, and a collapsed edge still writes its FK column, so
+           a failed upstream edge raises nothing here.  Anything membership
+           raises is a real fault and propagates. *)
         let constraints = Array.of_list constraints in
+        let member table view = Keygen.membership ~db ~env:prod_env ~table view in
         let left_member =
-          Array.map (fun jc -> safe_membership s_table jc.Ir.jc_left) constraints
+          Array.map (fun jc -> member s_table jc.Ir.jc_left) constraints
         in
         let right_member =
-          Array.map (fun jc -> safe_membership t_table jc.Ir.jc_right) constraints
+          Array.map (fun jc -> member t_table jc.Ir.jc_right) constraints
         in
         (* random marking with a common per-row level: row i matches
            constraint k iff u_i < jcc_k/|Vr_k|.  The shared level keeps

@@ -65,22 +65,33 @@ let membership ~db ~env ~table view =
       if cv_table <> table then invalid_arg "Keygen.membership: table mismatch";
       let rel = Exec.run db ~env cv_plan in
       let pk_col = (Schema.table (Db.schema db) table).Schema.pk in
-      let set = Rel.int_set rel pk_col in
+      let pk_view = Rel.view rel (Rel.col_index rel pk_col) in
+      let base = Db.col db table pk_col in
       let b = Col.Bitset.create n in
-      (match Db.col db table pk_col with
-      | Col.Ints { data; nulls = None } ->
+      (match base with
+      | (Col.Ints { nulls; _ } | Col.Big_ints { nulls; _ })
+        when pk_view.Rel.vcol == base ->
+          (* Scan, select and every join type keep the base column as the
+             view's [vcol] and put physical row ids in [vsel] (-1 for
+             outer-join padding).  The PK is unique ([Nonkey.generate]
+             writes [pk = i + 1]), so "PK(i) is in the result" is the same
+             test as "i is in [vsel]": set the bits straight from the
+             selection vector, no hash set, no probe.  A NULL PK (only a
+             hand-built database has one) matches nothing, as in the hash
+             path below. *)
+          Array.iter
+            (fun p ->
+              if p >= 0
+                 && match nulls with Some nb -> not (Col.Bitset.get nb p) | None -> true
+              then Col.Bitset.set b p)
+            pk_view.Rel.vsel
+      | _ ->
+          (* the view no longer points at the base column (a Project- or
+             Aggregate-rooted subplan rebuilds its columns): match PK values *)
+          let set = Rel.int_set rel pk_col in
           for i = 0 to n - 1 do
-            if Hashtbl.mem set data.(i) then Col.Bitset.set b i
-          done
-      | Col.Big_ints { data; nulls = None } ->
-          for i = 0 to n - 1 do
-            if Hashtbl.mem set (Bigarray.Array1.unsafe_get data i) then
-              Col.Bitset.set b i
-          done
-      | col ->
-          for i = 0 to n - 1 do
-            match Col.get col i with
-            | Value.Int v -> if Hashtbl.mem set v then Col.Bitset.set b i
+            match Col.get base i with
+            | Value.Int v when Hashtbl.mem set v -> Col.Bitset.set b i
             | _ -> ()
           done);
       b
@@ -168,15 +179,36 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
       constraints;
     (* the 2m child-view membership vectors are independent read-only scans
        of the synthetic database — compute them as one parallel region, one
-       task per vector (results land by index, so order is deterministic) *)
-    let memberships =
-      Par.init pool ~chunks:(2 * m) (2 * m) (fun idx ->
+       task per vector (results land by index, so order is deterministic).
+       Constraints of different queries often name the same upstream join:
+       only the first vector of each (table, view) is computed, and the
+       others share its bitset, which nothing writes after CS.  Sharing stays
+       within the edge: later edges fill FK columns that the same subplan
+       may join on. *)
+    let views =
+      Array.init (2 * m) (fun idx ->
           let jc = constraints.(idx / 2) in
-          if idx land 1 = 0 then membership ~db ~env ~table:s_table jc.Ir.jc_left
-          else membership ~db ~env ~table:t_table jc.Ir.jc_right)
+          if idx land 1 = 0 then (s_table, jc.Ir.jc_left)
+          else (t_table, jc.Ir.jc_right))
     in
-    let left_member = Array.init m (fun k -> memberships.(2 * k)) in
-    let right_member = Array.init m (fun k -> memberships.((2 * k) + 1)) in
+    (* [first.(i)]: the lowest index naming the same (table, view) as [i] *)
+    let first =
+      Array.map
+        (fun tv ->
+          let rec find j = if views.(j) = tv then j else find (j + 1) in
+          find 0)
+        views
+    in
+    let computed =
+      Par.init pool ~chunks:(2 * m) (2 * m) (fun idx ->
+          if first.(idx) <> idx then None
+          else
+            let table, view = views.(idx) in
+            Some (membership ~db ~env ~table view))
+    in
+    let member idx = Option.get computed.(first.(idx)) in
+    let left_member = Array.init m (fun k -> member (2 * k)) in
+    let right_member = Array.init m (fun k -> member ((2 * k) + 1)) in
     (* per-row work here is a handful of bit tests — with the default chunk
        count a small table pays more in queue wakeups than in vector
        building, so floor the chunks at [vec_grain] rows each (tiny regions

@@ -101,4 +101,13 @@ val membership :
   table:string ->
   Ir.child_view ->
   Mirage_engine.Col.Bitset.t
-(** Row membership of a child view, one bit per row (exposed for tests). *)
+(** Row membership of a child view, one bit per row of [table] (exposed
+    for tests).  For a [Cv_subplan] view, row [i] is a member when [table]'s
+    primary key at [i] appears in the subplan's result.  The bits come from
+    row identity: the result's PK view selects physical rows of the stored
+    PK column, and the PK is unique, so the selected rows are the members.
+    That needs an integer PK column whose non-NULL values are unique, as
+    {!Nonkey.generate} writes; a NULL key is never a member.  When the PK
+    view does not point at the stored column (a [Project]- or
+    [Aggregate]-rooted subplan), membership falls back to matching PK
+    values. *)

@@ -324,7 +324,10 @@ let export_chunked ?backend ?(resume = false) ?(interrupt = fun () -> ()) ~db
   if chunk_rows < 1 then
     invalid_arg "Sql_export.export_chunked: chunk_rows must be >= 1";
   let schema = Db.schema db in
-  let sink = Sink.create ?backend ~resume ~dir ~run_id () in
+  (* the CSV shard export owns MANIFEST.json in the same directory *)
+  let sink =
+    Sink.create ?backend ~resume ~manifest:"MANIFEST.sql.json" ~dir ~run_id ()
+  in
   (* schema.sql and queries.sql are small and idempotent; only the data
      stream goes through the shard checkpoint *)
   let write name contents =

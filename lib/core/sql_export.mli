@@ -48,7 +48,9 @@ val export_chunked :
     shards [data.sql.0], [data.sql.1], … of at most [chunk_rows] rows each
     (rounded down to whole 500-row INSERT batches, so no shard splits a
     statement) through a {!Mirage_engine.Sink} run — temp file + atomic
-    rename + manifest checkpoint per shard.  Concatenating the shards in
+    rename + manifest checkpoint per shard.  The checkpoint is
+    [MANIFEST.sql.json], so the CSV shard export's [MANIFEST.json] in the
+    same directory keeps its entries.  Concatenating the shards in
     index order reproduces the monolithic [data.sql] byte-for-byte.  With
     [~resume:true] and a matching [run_id], committed shards are skipped
     without rendering.  Returns [(shards, resumed)].

@@ -121,6 +121,7 @@ type shard = {
 
 type t = {
   dir : string;
+  mpath : string;
   run_id : string;
   backend : backend;
   lock : Mutex.t;
@@ -145,7 +146,7 @@ let sorted_shards t =
 (* one shard per line so loading is simple field extraction.  Caller holds
    [t.lock]. *)
 let save_manifest t =
-  let path = manifest_path ~dir:t.dir in
+  let path = t.mpath in
   let tmp = path ^ ".tmp" in
   (try
      let oc = open_out tmp in
@@ -278,13 +279,14 @@ let remove_stale_tmp dir =
         try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (try Sys.readdir dir with Sys_error _ -> [||])
 
-let create ?(backend = os_backend) ?(resume = false) ~dir ~run_id () =
+let create ?(backend = os_backend) ?(resume = false) ?(manifest = "MANIFEST.json")
+    ~dir ~run_id () =
   if String.exists (fun c -> c = '"' || c = '\n') run_id then
     invalid_arg "Sink.create: run_id must not contain quotes or newlines";
   mkdir_p dir;
   (* a temp file is by definition uncommitted work from a killed run *)
   remove_stale_tmp dir;
-  let mpath = manifest_path ~dir in
+  let mpath = Filename.concat dir manifest in
   let loaded =
     if resume then
       match load_manifest mpath with
@@ -310,6 +312,7 @@ let create ?(backend = os_backend) ?(resume = false) ~dir ~run_id () =
   List.iter (fun s -> Hashtbl.replace committed s.sh_name s) shards;
   {
     dir;
+    mpath;
     run_id;
     backend;
     lock = Mutex.create ();

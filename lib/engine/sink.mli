@@ -93,9 +93,19 @@ type t
 val manifest_path : dir:string -> string
 (** [dir/MANIFEST.json]. *)
 
-val create : ?backend:backend -> ?resume:bool -> dir:string -> run_id:string -> unit -> t
+val create :
+  ?backend:backend ->
+  ?resume:bool ->
+  ?manifest:string ->
+  dir:string ->
+  run_id:string ->
+  unit ->
+  t
 (** Open a run over [dir] (created if missing).  Stale [*.tmp] files from a
-    killed run are always removed.  With [~resume:true] and an existing
+    killed run are always removed.  The checkpoint is [dir/manifest]
+    (default ["MANIFEST.json"], {!manifest_path}); two runs that share a
+    directory need different manifest names, or each would replace the
+    other's entries.  With [~resume:true] and an existing
     manifest whose [run_id] matches, committed shards whose entry parses
     (name, size and an 8-hex-digit CRC-32) and whose files still exist with
     the recorded size are loaded and subsequently skipped by

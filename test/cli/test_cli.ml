@@ -171,6 +171,38 @@ let test_default_export_resumes () =
     (contains ~sub:"(5 resumed, 0 bytes this run)" (read_file log));
   Alcotest.(check bool) "shards unchanged" true (before = shards ())
 
+(* --sql beside a chunked CSV export: the data.sql shards keep their own
+   manifest, so neither export replaces the other's entries and a resumed
+   run skips every CSV shard and every data.sql shard *)
+let test_sql_chunked_resumes () =
+  with_dir @@ fun dir ->
+  let d = Filename.concat dir "d8" and log = Filename.concat dir "run.log" in
+  let args = [ "--chunk-rows"; "2000"; "--sql" ] in
+  Alcotest.(check int) "first run" 0 (generate_ssb ~log d args);
+  let first = read_file log in
+  Alcotest.(check bool) "first run writes 5 data.sql shards" true
+    (contains ~sub:"5 data.sql shards (0 resumed)" first);
+  let files () =
+    List.filter_map
+      (fun f ->
+        if f = "MANIFEST.json" || f = "MANIFEST.sql.json"
+           || String.starts_with ~prefix:"data.sql." f
+           || Filename.check_suffix (Filename.remove_extension f) ".csv"
+        then Some (f, read_file (Filename.concat d f))
+        else None)
+      (List.sort compare (Array.to_list (Sys.readdir d)))
+  in
+  let before = files () in
+  Alcotest.(check bool) "MANIFEST.json lists the CSV shards" true
+    (contains ~sub:"lineorder.csv.0" (read_file (Filename.concat d "MANIFEST.json")));
+  Alcotest.(check int) "resumed run" 0 (generate_ssb ~log d (args @ [ "--resume" ]));
+  let resumed = read_file log in
+  Alcotest.(check bool) "every CSV shard resumed, 0 bytes" true
+    (contains ~sub:"(5 resumed, 0 bytes this run)" resumed);
+  Alcotest.(check bool) "every data.sql shard resumed" true
+    (contains ~sub:"5 data.sql shards (5 resumed)" resumed);
+  Alcotest.(check bool) "shards and manifests unchanged" true (before = files ())
+
 (* --compress needs no --chunk-rows; verify-dir cannot inflate yet and says
    so with exit 2 *)
 let test_default_export_gzip () =
@@ -210,5 +242,7 @@ let () =
             `Quick test_default_export_resumes;
           Alcotest.test_case "gzip without --chunk-rows; verify-dir exits 2"
             `Quick test_default_export_gzip;
+          Alcotest.test_case "--sql --chunk-rows: resume skips both exports"
+            `Quick test_sql_chunked_resumes;
         ] );
     ]

@@ -523,6 +523,238 @@ let test_membership_forms () =
   in
   Alcotest.(check int) "subplan pks" 8 (Col.Bitset.count sub)
 
+(* The CS oracle: membership as the hash-set path computes it — collect the
+   result's PK values into a table, probe it with every base-table row.
+   [Keygen.membership] must agree with it on every subplan. *)
+let oracle_membership ~db ~env ~table plan =
+  let n = Db.row_count db table in
+  let rel = Exec.run db ~env plan in
+  let pk_col = (Schema.table (Db.schema db) table).Schema.pk in
+  let set = Hashtbl.create 16 in
+  Array.iter
+    (function Value.Int v -> Hashtbl.replace set v () | _ -> ())
+    (Mirage_engine.Rel.column_values rel pk_col);
+  let b = Col.Bitset.create n in
+  let col = Db.col db table pk_col in
+  for i = 0 to n - 1 do
+    match Col.get col i with
+    | Value.Int v -> if Hashtbl.mem set v then Col.Bitset.set b i
+    | _ -> ()
+  done;
+  b
+
+let bits b = List.init (Col.Bitset.length b) (Col.Bitset.get b)
+
+let subplan_membership ~db ~env ~table plan =
+  Keygen.membership ~db ~env ~table (Ir.Cv_subplan { cv_plan = plan; cv_table = table })
+
+(* the subplan result's PK view and whether it still points at the stored
+   column, i.e. whether membership can read rows straight from its
+   selection vector *)
+let pk_view ~db ~env ~table plan =
+  let rel = Exec.run db ~env plan in
+  let pk_col = (Schema.table (Db.schema db) table).Schema.pk in
+  let v = Mirage_engine.Rel.view rel (Mirage_engine.Rel.col_index rel pk_col) in
+  (v, v.Mirage_engine.Rel.vcol == Db.col db table pk_col)
+
+(* a ← b ← c, and c → a as well: nested joins in both directions *)
+let chain_schema =
+  let int c = { Schema.cname = c; domain_size = 5; kind = Schema.Kint } in
+  Schema.make
+    [
+      { Schema.tname = "a"; pk = "a_pk"; nonkeys = [ int "a1" ]; fks = []; row_count = 8 };
+      {
+        Schema.tname = "b";
+        pk = "b_pk";
+        nonkeys = [ int "b1" ];
+        fks = [ { Schema.fk_col = "b_a"; references = "a" } ];
+        row_count = 8;
+      };
+      {
+        Schema.tname = "c";
+        pk = "c_pk";
+        nonkeys = [ int "c1" ];
+        fks =
+          [
+            { Schema.fk_col = "c_b"; references = "b" };
+            { Schema.fk_col = "c_a"; references = "a" };
+          ];
+        row_count = 8;
+      };
+    ]
+
+let pick rng l = List.nth l (Mirage_util.Rng.int rng (List.length l))
+
+(* random small instance: unique PKs in shuffled order (some tables hold
+   them off-heap as [Big_ints], some rows NULL), FKs that hit, dangle or
+   are NULL, nullable non-keys *)
+let random_chain_db rng =
+  let module R = Mirage_util.Rng in
+  let db = Db.create chain_schema in
+  let pks = Hashtbl.create 4 in
+  List.iter
+    (fun (t : Schema.table) ->
+      let n = if R.int rng 8 = 0 then 0 else 1 + R.int rng 10 in
+      let ids = Array.init n (fun i -> (3 * i) + 1 + R.int rng 3) in
+      R.shuffle rng ids;
+      let nulls =
+        if R.int rng 4 > 0 then None
+        else begin
+          let b = Col.Bitset.create n in
+          Array.iteri (fun i _ -> if R.int rng 5 = 0 then Col.Bitset.set b i) ids;
+          Some b
+        end
+      in
+      let is_null i = match nulls with Some b -> Col.Bitset.get b i | None -> false in
+      Hashtbl.replace pks t.Schema.tname
+        (List.filteri (fun i _ -> not (is_null i)) (Array.to_list ids));
+      let pk_col =
+        if R.bool rng then Col.of_ints ?nulls ids
+        else begin
+          let data = Col.alloc_int_big n in
+          Array.iteri (Bigarray.Array1.set data) ids;
+          Col.Big_ints { data; nulls }
+        end
+      in
+      let small () = if R.int rng 6 = 0 then Value.Null else Value.Int (R.int rng 5) in
+      let nonkeys =
+        List.map
+          (fun (c : Schema.column) -> (c.Schema.cname, Col.of_values (Array.init n (fun _ -> small ()))))
+          t.Schema.nonkeys
+      in
+      let fks =
+        List.map
+          (fun (f : Schema.fk) ->
+            let targets = Hashtbl.find pks f.Schema.references in
+            let fk () =
+              match R.int rng 6 with
+              | 0 -> Value.Null
+              | 1 -> Value.Int 999
+              | _ when targets = [] -> Value.Null
+              | _ -> Value.Int (pick rng targets)
+            in
+            (f.Schema.fk_col, Col.of_values (Array.init n (fun _ -> fk ()))))
+          t.Schema.fks
+      in
+      Db.put_cols db t.Schema.tname (((t.Schema.pk, pk_col) :: nonkeys) @ fks))
+    (Schema.tables chain_schema);
+  db
+
+(* a random plan whose output keeps every column of [t]: selections over
+   [t]'s non-key, joins up to a referenced table (join types that keep the
+   FK side) and down to a referencing one (join types that keep the PK
+   side) — all eight join types, outer ones padding [t]'s rows with -1 *)
+let rec random_plan rng t depth =
+  let module R = Mirage_util.Rng in
+  let tbl = Schema.table chain_schema t in
+  let pred () =
+    let col = (List.hd tbl.Schema.nonkeys).Schema.cname in
+    let cmp = pick rng Pred.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+    Pred.Lit (Pred.Cmp { col; cmp; arg = Pred.Const (Value.Int (R.int rng 5)) })
+  in
+  let leaf () = if R.int rng 3 > 0 then Plan.Table t else Plan.Select (pred (), Plan.Table t) in
+  let children =
+    List.concat_map
+      (fun (c : Schema.table) ->
+        List.filter_map
+          (fun (f : Schema.fk) ->
+            if f.Schema.references = t then Some (c.Schema.tname, f.Schema.fk_col)
+            else None)
+          c.Schema.fks)
+      (Schema.tables chain_schema)
+  in
+  let moves =
+    [ `Leaf; `Select ]
+    @ (if tbl.Schema.fks <> [] then [ `Up; `Up ] else [])
+    @ if children <> [] then [ `Down; `Down ] else []
+  in
+  match if depth = 0 then `Leaf else pick rng moves with
+  | `Leaf -> leaf ()
+  | `Select -> Plan.Select (pred (), random_plan rng t (depth - 1))
+  | `Up ->
+      let f = pick rng tbl.Schema.fks in
+      Plan.Join
+        {
+          jt = pick rng Plan.[ Inner; Left_outer; Right_outer; Full_outer; Right_semi; Right_anti ];
+          pk_table = f.Schema.references;
+          fk_table = t;
+          fk_col = f.Schema.fk_col;
+          left = random_plan rng f.Schema.references (depth - 1);
+          right = random_plan rng t (depth - 1);
+        }
+  | `Down ->
+      let c, fk_col = pick rng children in
+      Plan.Join
+        {
+          jt = pick rng Plan.[ Inner; Left_outer; Right_outer; Full_outer; Left_semi; Left_anti ];
+          pk_table = t;
+          fk_table = c;
+          fk_col;
+          left = random_plan rng t (depth - 1);
+          right = random_plan rng c (depth - 1);
+        }
+
+let prop_membership_matches_oracle =
+  QCheck.Test.make ~name:"membership = hash-set oracle on random subplans" ~count:1000
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Mirage_util.Rng.create seed in
+      let db = random_chain_db rng in
+      let table = pick rng [ "a"; "b"; "c" ] in
+      let plan = random_plan rng table (1 + Mirage_util.Rng.int rng 4) in
+      let env = Pred.Env.empty in
+      let got = bits (subplan_membership ~db ~env ~table plan) in
+      let want = bits (oracle_membership ~db ~env ~table plan) in
+      if got <> want then
+        QCheck.Test.fail_reportf "table %s, plan %a" table Plan.pp plan;
+      true)
+
+let test_membership_project_fallback () =
+  let db = mini_db () in
+  let env = Pred.Env.empty in
+  let plan =
+    Plan.Project
+      {
+        cols = [ "t_pk" ];
+        input = Plan.Select (Parser.pred "t1 > 2", join (Plan.Table "s") (Plan.Table "t"));
+      }
+  in
+  Alcotest.(check bool) "projection rebuilds the PK column" false
+    (snd (pk_view ~db ~env ~table:"t" plan));
+  let got = subplan_membership ~db ~env ~table:"t" plan in
+  Alcotest.(check int) "rows with t1 > 2" 6 (Col.Bitset.count got);
+  Alcotest.(check (list bool)) "= oracle"
+    (bits (oracle_membership ~db ~env ~table:"t" plan))
+    (bits got)
+
+let test_membership_big_ints_pk () =
+  let db = mini_db () in
+  let env = Pred.Env.empty in
+  let pks = [| 8; 3; 5; 1; 7; 2; 6; 4 |] in
+  let data = Col.alloc_int_big 8 in
+  Array.iteri (Bigarray.Array1.set data) pks;
+  Db.replace_col db "t" "t_pk" (Col.Big_ints { data; nulls = None });
+  let plan =
+    Plan.Join
+      {
+        jt = Plan.Full_outer;
+        pk_table = "s";
+        fk_table = "t";
+        fk_col = "t_fk";
+        left = Plan.Select (Parser.pred "s1 >= 10", Plan.Table "s");
+        right = Plan.Select (Parser.pred "t1 > 2", Plan.Table "t");
+      }
+  in
+  let v, is_base = pk_view ~db ~env ~table:"t" plan in
+  Alcotest.(check bool) "PK view is the stored column" true is_base;
+  Alcotest.(check bool) "outer join pads t with -1" true
+    (Array.mem (-1) v.Mirage_engine.Rel.vsel);
+  let got = subplan_membership ~db ~env ~table:"t" plan in
+  Alcotest.(check int) "rows with t1 > 2" 6 (Col.Bitset.count got);
+  Alcotest.(check (list bool)) "= oracle"
+    (bits (oracle_membership ~db ~env ~table:"t" plan))
+    (bits got)
+
 (* --- SQL export --------------------------------------------------------------- *)
 
 let test_sql_ddl () =
@@ -904,6 +1136,11 @@ let () =
       ( "keygen",
         [
           Alcotest.test_case "membership forms" `Quick test_membership_forms;
+          QCheck_alcotest.to_alcotest prop_membership_matches_oracle;
+          Alcotest.test_case "membership: Project-rooted subplan takes the hash fallback"
+            `Quick test_membership_project_fallback;
+          Alcotest.test_case "membership: off-heap (Big_ints) primary key" `Quick
+            test_membership_big_ints_pk;
           Alcotest.test_case "paper Figs 8-10 example" `Quick test_keygen_paper_example;
           Alcotest.test_case "solve cache: renamed systems hit" `Quick
             test_solve_cache_hit_renamed;

@@ -121,30 +121,18 @@ let limits_of rows mb secs =
 
 let chunk_rows_arg =
   let doc =
-    "Stream generation and export in chunks of at most $(docv) rows: fact      tables are generated chunk-at-a-time (peak heap stays at one chunk      plus the dimension tables, byte-identical to the monolithic path) and      exported at most $(docv) rows per shard file <table>.csv.<k>, so a      killed export loses at most one shard of work.  Without it every table      is generated whole and exported as the single shard <table>.csv.0.      Either way each shard is written to a temp file, atomically renamed      into place and recorded in MANIFEST.json, and concatenating a table's      shards in index order gives its whole CSV."
+    "Stream generation and export in chunks of at most $(docv) rows: row      scans proceed chunk-at-a-time with budget polls between chunks      (byte-identical to one chunk per table), and tables are      exported at most $(docv) rows per shard file <table>.csv.<k>, so a      killed export loses at most one shard of work.  Without it every table      is generated whole and exported as the single shard <table>.csv.0.      Either way each shard is written to a temp file, atomically renamed      into place and recorded in MANIFEST.json, and concatenating a table's      shards in index order gives its whole CSV."
   in
   Arg.(value & opt (some int) None & info [ "chunk-rows" ] ~docv:"ROWS" ~doc)
 
-let big_rows_arg =
-  let doc =
-    "Store columns with at least $(docv) rows off-heap in mmapped buffers      instead of the OCaml heap.  Overrides the MIRAGE_BIG_ROWS environment      variable, which stays the default (1M rows when unset)."
-  in
-  Arg.(value & opt (some int) None & info [ "big-rows" ] ~docv:"ROWS" ~doc)
-
 let big_dir_arg =
   let doc =
-    "Back off-heap column buffers with unlinked temp files under $(docv)      (created if missing) instead of anonymous memory, letting the OS page      cold columns out to that filesystem.  Overrides the MIRAGE_BIG_DIR      environment variable, which stays the default."
+    "Back off-heap column buffers of 1 MiB or more with unlinked temp files      under $(docv) (created if missing) instead of anonymous memory, letting      the OS page cold columns out to that filesystem.  Overrides the MIRAGE_BIG_DIR      environment variable, which stays the default."
   in
   Arg.(value & opt (some string) None & info [ "big-dir" ] ~docv:"DIR" ~doc)
 
-(* the flags win over the environment for this process only; validation
-   failures surface as exit code 2 before any generation work starts *)
-let apply_big_flags big_rows big_dir =
-  (match big_rows with
-  | Some r when r < 1 ->
-      failwith (Printf.sprintf "--big-rows must be >= 1 (got %d)" r)
-  | Some r -> Mirage_engine.Col.set_big_rows r
-  | None -> ());
+(* the flag wins over the environment for this process only *)
+let apply_big_dir big_dir =
   match big_dir with
   | Some d ->
       Sink.mkdir_p d;
@@ -316,9 +304,9 @@ let generate_cmd =
            ~doc:"Also write schema.sql / data.sql / queries.sql into the output directory.")
   in
   let run name sf seed batch out copies sql chunk resume compress brows bmb
-      bsecs big_rows big_dir =
+      bsecs big_dir =
     guarded @@ fun () ->
-    apply_big_flags big_rows big_dir;
+    apply_big_dir big_dir;
     let workload, generate = direct name sf seed in
     generate_and_export
       ~what:(Printf.sprintf "%s (sf %.2f)" name sf)
@@ -332,13 +320,12 @@ let generate_cmd =
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ out_arg
       $ copies_arg $ sql_arg $ chunk_rows_arg $ resume_arg $ compress_arg
-      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
-      $ big_dir_arg)
+      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
 
 let verify_cmd =
-  let run name sf seed batch chunk brows bmb bsecs big_rows big_dir =
+  let run name sf seed batch chunk brows bmb bsecs big_dir =
     guarded @@ fun () ->
-    apply_big_flags big_rows big_dir;
+    apply_big_dir big_dir;
     let _, generate = direct name sf seed in
     let config = base_config batch (limits_of brows bmb bsecs) in
     match generate { config with Driver.seed; chunk_rows = chunk } with
@@ -351,8 +338,7 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc ~exits)
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ chunk_rows_arg
-      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
-      $ big_dir_arg)
+      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
 
 let compare_cmd =
   let run name sf seed =
@@ -418,9 +404,9 @@ let from_bundle_cmd =
   let bundle_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BUNDLE")
   in
-  let run path batch out copies chunk brows bmb bsecs big_rows big_dir =
+  let run path batch out copies chunk brows bmb bsecs big_dir =
     guarded @@ fun () ->
-    apply_big_flags big_rows big_dir;
+    apply_big_dir big_dir;
     match Mirage_core.Bundle.load ~path with
     | Error m ->
         Fmt.epr "cannot load bundle: %s@." m;
@@ -440,8 +426,7 @@ let from_bundle_cmd =
   Cmd.v (Cmd.info "from-bundle" ~doc ~exits)
     Term.(
       const run $ bundle_arg $ batch_arg $ out_arg $ copies_arg $ chunk_rows_arg
-      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_rows_arg
-      $ big_dir_arg)
+      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
 
 (* one table's CSV in [dir]: a single <table>.csv (a DBMS re-export), or
    the export's shards <table>.csv.0, .1, ... concatenated in index order

@@ -77,17 +77,10 @@ let cell_null nulls i =
 (* unboxed per-row float reader over a stored column *)
 let float_accessor = function
   | Col.Ints { data; nulls } ->
-      fun i -> if cell_null nulls i then non_numeric () else float_of_int data.(i)
+      fun i -> if cell_null nulls i then non_numeric () else float_of_int data.{i}
   | Col.Floats { data; nulls } ->
-      fun i -> if cell_null nulls i then non_numeric () else data.(i)
-  | Col.Big_ints { data; nulls } ->
-      fun i ->
-        if cell_null nulls i then non_numeric ()
-        else float_of_int (Bigarray.Array1.get data i)
-  | Col.Big_floats { data; nulls } ->
-      fun i ->
-        if cell_null nulls i then non_numeric () else Bigarray.Array1.get data i
-  | Col.Dict _ | Col.Big_dict _ -> fun _ -> non_numeric ()
+      fun i -> if cell_null nulls i then non_numeric () else data.{i}
+  | Col.Dict _ -> fun _ -> non_numeric ()
   | Col.Boxed vs -> (
       fun i ->
         match Value.to_float vs.(i) with Some f -> f | None -> non_numeric ())
@@ -106,34 +99,19 @@ let swap_cells col i j =
   in
   match col with
   | Col.Ints { data; nulls } ->
-      let t = data.(i) in
-      data.(i) <- data.(j);
-      data.(j) <- t;
+      let t = data.{i} in
+      data.{i} <- data.{j};
+      data.{j} <- t;
       swap_bits nulls
   | Col.Floats { data; nulls } ->
-      let t = data.(i) in
-      data.(i) <- data.(j);
-      data.(j) <- t;
+      let t = data.{i} in
+      data.{i} <- data.{j};
+      data.{j} <- t;
       swap_bits nulls
   | Col.Dict { codes; nulls; _ } ->
-      let t = codes.(i) in
-      codes.(i) <- codes.(j);
-      codes.(j) <- t;
-      swap_bits nulls
-  | Col.Big_ints { data; nulls } ->
-      let t = Bigarray.Array1.get data i in
-      Bigarray.Array1.set data i (Bigarray.Array1.get data j);
-      Bigarray.Array1.set data j t;
-      swap_bits nulls
-  | Col.Big_floats { data; nulls } ->
-      let t = Bigarray.Array1.get data i in
-      Bigarray.Array1.set data i (Bigarray.Array1.get data j);
-      Bigarray.Array1.set data j t;
-      swap_bits nulls
-  | Col.Big_dict { codes; nulls; _ } ->
-      let t = Bigarray.Array1.get codes i in
-      Bigarray.Array1.set codes i (Bigarray.Array1.get codes j);
-      Bigarray.Array1.set codes j t;
+      let t = codes.{i} in
+      codes.{i} <- codes.{j};
+      codes.{j} <- t;
       swap_bits nulls
   | Col.Boxed vs ->
       let t = vs.(i) in
@@ -204,7 +182,7 @@ let instantiate ?(repair = true) ?(frozen_prefix = 0)
          while !current <> target && !tries > 0 do
            (* cooperative poll on the swap search, cheap enough to keep the
               hot loop branch-predictable: repair only runs on fully-scanned
-              tables, whose swaps mutate the stored (possibly off-heap)
+              tables, whose swaps mutate the stored (off-heap)
               columns in place — resident state stays at the sample *)
            if !tries land 4095 = 0 then interrupt ();
            decr tries;

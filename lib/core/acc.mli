@@ -21,9 +21,9 @@ val instantiate :
     multiset, hence every UCC — until the ACC count is exact; rows below
     [frozen_prefix] (bound-row groups) are never touched.  [interrupt] is
     the cooperative budget poll: called at entry and periodically inside
-    the repair swap search.  Repair mutates the stored columns in place
-    (off-heap above the big-rows threshold) and its scratch state is the
-    sample itself, so a streamed run's heap stays O(sample), not O(rows).
+    the repair swap search.  Repair mutates the stored (off-heap) columns
+    in place and its scratch state is the sample itself, so the run's heap
+    stays O(sample), not O(rows).
     @raise Invalid_argument if the expression references unknown columns or
     non-numeric data. *)
 

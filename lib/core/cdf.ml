@@ -477,8 +477,6 @@ let to_col layout vals =
   | Schema.Kint -> Col.Ivec.to_col vals
   | Schema.Kfloat -> Col.init_floats n (fun i -> float_of_int (Col.Ivec.get vals i))
   | Schema.Kstring ->
-      (* codes stay in an Ivec so a big value vector yields a big dictionary
-         column without a heap-array intermediate *)
       let codes = Col.Ivec.make n 0 in
       let tbl = Hashtbl.create 256 in
       let rev_pool = ref [] and next = ref 0 in
@@ -499,7 +497,4 @@ let to_col layout vals =
         Col.Ivec.set codes i c
       done;
       let pool = Array.of_list (List.rev !rev_pool) in
-      (match Col.Ivec.to_col codes with
-      | Col.Ints { data; _ } -> Col.dict ~codes:data ~pool ()
-      | Col.Big_ints { data; _ } -> Col.Big_dict { codes = data; pool; nulls = None }
-      | _ -> assert false)
+      Col.dict ~codes ~pool ()

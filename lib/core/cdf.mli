@@ -71,7 +71,5 @@ val lookup_param_card : layout -> string -> int option
 val to_col : layout -> Mirage_engine.Col.Ivec.t -> Mirage_engine.Col.t
 (** Render a whole column of value-domain ints ([1..dom], as produced by
     {!Nonkey}) into typed storage: [Kint] columns alias the vector's storage
-    (zero-copy, heap or off-heap), [Kfloat] become flat float columns,
-    [Kstring] dictionary-encode with one rendered string per distinct value.
-    The output representation follows the vector's: a big work vector yields
-    a big column. *)
+    (zero-copy), [Kfloat] become flat float columns, [Kstring]
+    dictionary-encode with one rendered string per distinct value. *)

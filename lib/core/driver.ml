@@ -38,14 +38,11 @@ type config = {
           on.  Outcomes are replay-identical either way — sharing only
           skips redundant search on structurally repeated systems. *)
   chunk_rows : int option;
-      (** streamed generation: with [Some c] the driver cuts every table
-          into [c]-row chunks, scopes the big-rows threshold so any
-          vector longer than one chunk lives off-heap, and every row scan
-          of the generation stages proceeds chunk-at-a-time with budget
-          polls at chunk boundaries.  Output is byte-identical to the
-          monolithic path ([None]) — the plan only changes where state
-          lives and where the run can be interrupted, never what is
-          drawn. *)
+      (** row-scan step: with [Some c] every row scan of the generation
+          stages proceeds [c] rows at a time, with budget polls between
+          steps; [None] scans each table in one step.  Output is
+          byte-identical either way — the step only changes where the run
+          can be interrupted, never what is drawn. *)
   schedule : [ `Barrier | `Overlap ];
       (** keygen stage scheduling.  [`Overlap] (the default) runs the
           per-edge population as a dependency-aware task DAG on the pool:
@@ -624,8 +621,7 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
         in
         let pk_name = (Schema.table schema edge.Ir.e_pk_table).Schema.pk in
         match Db.col db edge.Ir.e_pk_table pk_name with
-        | (Col.Ints { nulls = None; _ } | Col.Big_ints { nulls = None; _ })
-          as pk_col ->
+        | Col.Ints { nulls = None; _ } as pk_col ->
             let n = Col.length pk_col in
             let fk = Col.Ivec.make rows 0 in
             let lo = ref 0 in
@@ -825,8 +821,13 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
                   end
               | exception e -> if !first_err = None then first_err := Some e))
         sorted_ids;
-      (* live exports are best-effort: anything they failed to write is
-         re-exported (or surfaced) by the caller's finish pass *)
+      (* Await every live export so the pool is drained, and drop what they
+         raised: the [on_table_ready] contract (driver.mli) makes the hook
+         best-effort.  [Scale_out.export_table] releases a failed table's
+         claim before it re-raises, so the caller's finish pass exports
+         that table again and a persistent failure surfaces there, typed
+         (an I/O error exits 4, a budget breach 3).  Raising here instead
+         would turn an export failure into a generation failure. *)
       List.iter
         (fun f -> try ignore (Par.Future.await f) with _ -> ())
         !export_futs;
@@ -861,7 +862,15 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
            give the exporter a chance to drop that attempt's shards before
            the quarantine retry regenerates them (or the error surfaces) *)
         (match config.on_attempt_abort with
-        | Some abort -> ( try abort () with _ -> ())
+        | Some abort -> (
+            (* a failing hook must not replace the keygen failure being
+               handled: report it as a warning and go on to the retry *)
+            try abort ()
+            with e ->
+              quarantine_diags :=
+                Diag.warning Diag.Driver "attempt-abort hook failed: %s"
+                  (Printexc.to_string e)
+                :: !quarantine_diags)
         | None -> ());
         let fd = f.Keygen.kf_diag in
         if tries <= 0 then Error fd
@@ -888,21 +897,7 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
                 scale factor and rerun"
              Diag.Budget "%s" (Budget.describe r))
   in
-  (* streamed generation: under a chunk plan, no table-sized vector may
-     live on the OCaml heap — scope the big-rows threshold down to one
-     chunk for the whole attempt (restored even on error), so every column,
-     work vector and bitmap longer than a chunk takes the off-heap
-     representation.  Representation is invisible to replay and rendering
-     (the engine is representation-blind), so the bytes are unchanged. *)
-  let saved_big = Col.big_rows () in
-  (match config.chunk_rows with
-  | Some c -> Col.set_big_rows (min saved_big (c + 1))
-  | None -> ());
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Col.set_big_rows saved_big)
-      (fun () -> attempt [] (List.length w.Workload.w_queries))
-  in
+  let outcome = attempt [] (List.length w.Workload.w_queries) in
   match outcome with
   | Error d -> Error d
   | Ok ((db, env, (t_decouple, t_cdf, t_gd, t_acc, times), warnings, diags), quarantined)

@@ -69,8 +69,7 @@ let membership ~db ~env ~table view =
       let base = Db.col db table pk_col in
       let b = Col.Bitset.create n in
       (match base with
-      | (Col.Ints { nulls; _ } | Col.Big_ints { nulls; _ })
-        when pk_view.Rel.vcol == base ->
+      | Col.Ints { nulls; _ } when pk_view.Rel.vcol == base ->
           (* Scan, select and every join type keep the base column as the
              view's [vcol] and put physical row ids in [vsel] (-1 for
              outer-join padding).  The PK is unique ([Nonkey.generate]
@@ -213,8 +212,8 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
        count a small table pays more in queue wakeups than in vector
        building, so floor the chunks at [vec_grain] rows each (tiny regions
        collapse to one inline chunk; boundaries stay domain-independent).
-       Status vectors are Ivecs: above the big-rows threshold they live
-       off-heap, and disjoint-index writes are domain-safe. *)
+       Status vectors are off-heap Ivecs, and disjoint-index writes are
+       domain-safe. *)
     let vec_grain = 4096 in
     let status_vec member n =
       let v = Col.Ivec.make n 0 in
@@ -236,14 +235,12 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
     (* unboxed pk reader: anything but a non-null integer is a hard error *)
     let s_pk_at =
       match s_pk_col with
-      | Col.Ints { data; nulls = None } -> fun i -> data.(i)
-      | Col.Big_ints { data; nulls = None } ->
-          fun i -> Bigarray.Array1.unsafe_get data i
+      | Col.Ints { data; nulls = None } -> fun i -> data.{i}
       | Col.Ints { data; nulls = Some b } ->
           fun i ->
             if Col.Bitset.get b i then
               raise (Key_error "non-integer primary key")
-            else data.(i)
+            else data.{i}
       | col -> (
           fun i ->
             match Col.get col i with
@@ -344,16 +341,14 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
     in
     let vr_left = Array.init m (fun k -> ref vr_total.(k)) in
     (* every row of T is covered by exactly one partition below, so the whole
-       vector is overwritten before it is returned; as an Ivec, an enormous
-       FK column fills directly off-heap *)
+       vector is overwritten before it is returned; as an Ivec, the FK
+       column fills directly off-heap *)
     let fk = Col.Ivec.make n_t 0 in
-    (* unconstrained rows draw any PK: an accessor, not a copy, so a big PK
+    (* unconstrained rows draw any PK: an accessor, not a copy, so the PK
        column is never re-materialised on the heap *)
     let all_pk_at =
       match s_pk_col with
-      | Col.Ints { data; nulls = None } -> fun i -> Array.unsafe_get data i
-      | Col.Big_ints { data; nulls = None } ->
-          fun i -> Bigarray.Array1.unsafe_get data i
+      | Col.Ints { data; nulls = None } -> fun i -> Bigarray.Array1.unsafe_get data i
       | col ->
           fun i -> ( match Col.get col i with Value.Int pk -> pk | _ -> 0)
     in

@@ -82,8 +82,8 @@ val populate_edge :
     failures — drains the in-flight fill before returning.
 
     Returns the FK column for [edge.e_fk_table] as a raw integer-key vector
-    ({!Mirage_engine.Col.Ivec} — off-heap above the big-rows threshold,
-    convertible zero-copy via [Ivec.to_col]) plus resize/deviation
+    ({!Mirage_engine.Col.Ivec} — off-heap, convertible zero-copy via
+    [Ivec.to_col]) plus resize/deviation
     diagnostics (the §6 bounded-error adjustments) and a per-edge Info
     diagnostic with the CP solve/cache/node/propagation counters.  [cache]
     reuses outcomes across structurally identical population systems

@@ -34,8 +34,8 @@ let generate ?(chunk_rows = max_int) ?(interrupt = fun () -> ()) ~rng ~table
   in
   let counts_of col = List.assoc col counts in
   (* per-column value-domain ints; 0 marks a free slot (values are 1-based).
-     Work vectors follow the big-rows threshold, so fact-table instantiation
-     does not park one heap array per column. *)
+     Work vectors are off-heap Ivecs, so fact-table instantiation does not
+     park one heap array per column. *)
   let columns =
     List.map
       (fun (c : Schema.column) -> (c.Schema.cname, Col.Ivec.make rows 0))

@@ -74,11 +74,7 @@ let build_template ?(lo = 0) ?rows db (tbl : Schema.table) =
            let col = Db.col db tname c in
            match (List.assoc_opt c slots, col) with
            | Some (j, _), Col.Ints { data; nulls } ->
-               fun i -> if not (cell_null nulls i) then splice j data.(i)
-           | Some (j, _), Col.Big_ints { data; nulls } ->
-               fun i ->
-                 if not (cell_null nulls i) then
-                   splice j (Bigarray.Array1.unsafe_get data i)
+               fun i -> if not (cell_null nulls i) then splice j data.{i}
            | Some (j, _), Col.Boxed vs -> (
                fun i ->
                  match vs.(i) with
@@ -87,28 +83,14 @@ let build_template ?(lo = 0) ?rows db (tbl : Schema.table) =
                  | Value.Float f -> Render.Buf.ftoa buf f
                  | Value.Str s -> Render.Buf.add_string buf (Render.csv_escape s))
            | _, Col.Ints { data; nulls } ->
-               fun i -> if not (cell_null nulls i) then Render.Buf.itoa buf data.(i)
+               fun i -> if not (cell_null nulls i) then Render.Buf.itoa buf data.{i}
            | _, Col.Floats { data; nulls } ->
-               fun i -> if not (cell_null nulls i) then Render.Buf.ftoa buf data.(i)
+               fun i -> if not (cell_null nulls i) then Render.Buf.ftoa buf data.{i}
            | _, Col.Dict { codes; pool; nulls } ->
                let epool = Render.csv_pool pool in
                fun i ->
                  if not (cell_null nulls i) then
-                   Render.Buf.add_string buf epool.(codes.(i))
-           | _, Col.Big_ints { data; nulls } ->
-               fun i ->
-                 if not (cell_null nulls i) then
-                   Render.Buf.itoa buf (Bigarray.Array1.unsafe_get data i)
-           | _, Col.Big_floats { data; nulls } ->
-               fun i ->
-                 if not (cell_null nulls i) then
-                   Render.Buf.ftoa buf (Bigarray.Array1.unsafe_get data i)
-           | _, Col.Big_dict { codes; pool; nulls } ->
-               let epool = Render.csv_pool pool in
-               fun i ->
-                 if not (cell_null nulls i) then
-                   Render.Buf.add_string buf
-                     epool.(Bigarray.Array1.unsafe_get codes i)
+                   Render.Buf.add_string buf epool.(codes.{i})
            | _, Col.Boxed vs -> (
                fun i ->
                  match vs.(i) with
@@ -340,8 +322,8 @@ let le_units h ~db =
       units
 
 (* render one shard into the sink from [buf], the worker's own buffer.
-   [tpl] is the whole-table template when the table fits one chunk or its
-   columns live on the heap anyway; otherwise [rows > chunk_rows] forces
+   [tpl] is the whole-table template when the table fits one chunk;
+   otherwise [rows > chunk_rows] forces
    tiles_per_shard = 1, so the shard is exactly tile [u.u_lo], streamed
    through per-window templates built here: byte-for-byte what the
    whole-table template would emit, at O(chunk) resident bytes *)
@@ -396,7 +378,7 @@ let export_table h ~db tname =
       let rows = Db.row_count db tname in
       (* built once, before the region, and shared read-only by the workers *)
       let tpl =
-        if npending > 0 && (rows <= h.le_chunk_rows || rows < Col.big_rows ())
+        if npending > 0 && rows <= h.le_chunk_rows
         then Some (build_template db pending.(0).u_table)
         else None
       in
@@ -475,59 +457,35 @@ let tile_col ~copies ~offset_of col =
         ob)
       nulls
   in
+  (* tile [t] of [out] aliases rows [t*n, t*n + n) *)
+  let tile out t = Bigarray.Array1.sub out (t * n) n in
   match col with
   | Col.Ints { data; nulls } ->
-      let out = Array.make total 0 in
-      for t = 0 to copies - 1 do
-        let off = offset_of t in
-        let base = t * n in
-        if off = 0 then Array.blit data 0 out base n
-        else for i = 0 to n - 1 do out.(base + i) <- data.(i) + off done
-      done;
-      Col.of_ints ?nulls:(tile_nulls nulls) out
-  | Col.Floats { data; nulls } ->
-      let out = Array.make total 0.0 in
-      for t = 0 to copies - 1 do
-        Array.blit data 0 out (t * n) n
-      done;
-      Col.of_floats ?nulls:(tile_nulls nulls) out
-  | Col.Dict { codes; pool; nulls } ->
-      let out = Array.make total 0 in
-      for t = 0 to copies - 1 do
-        Array.blit codes 0 out (t * n) n
-      done;
-      Col.dict ?nulls:(tile_nulls nulls) ~codes:out ~pool ()
-  | Col.Big_ints { data; nulls } ->
       let out = Col.alloc_int_big total in
       for t = 0 to copies - 1 do
         let off = offset_of t in
-        let base = t * n in
-        for i = 0 to n - 1 do
-          Bigarray.Array1.unsafe_set out (base + i)
-            (Bigarray.Array1.unsafe_get data i + off)
-        done
+        if off = 0 then Bigarray.Array1.blit data (tile out t)
+        else begin
+          let base = t * n in
+          for i = 0 to n - 1 do
+            Bigarray.Array1.unsafe_set out (base + i)
+              (Bigarray.Array1.unsafe_get data i + off)
+          done
+        end
       done;
-      Col.Big_ints { data = out; nulls = tile_nulls nulls }
-  | Col.Big_floats { data; nulls } ->
+      Col.Ints { data = out; nulls = tile_nulls nulls }
+  | Col.Floats { data; nulls } ->
       let out = Col.alloc_float_big total in
       for t = 0 to copies - 1 do
-        let base = t * n in
-        for i = 0 to n - 1 do
-          Bigarray.Array1.unsafe_set out (base + i)
-            (Bigarray.Array1.unsafe_get data i)
-        done
+        Bigarray.Array1.blit data (tile out t)
       done;
-      Col.Big_floats { data = out; nulls = tile_nulls nulls }
-  | Col.Big_dict { codes; pool; nulls } ->
+      Col.Floats { data = out; nulls = tile_nulls nulls }
+  | Col.Dict { codes; pool; nulls } ->
       let out = Col.alloc_int_big total in
       for t = 0 to copies - 1 do
-        let base = t * n in
-        for i = 0 to n - 1 do
-          Bigarray.Array1.unsafe_set out (base + i)
-            (Bigarray.Array1.unsafe_get codes i)
-        done
+        Bigarray.Array1.blit codes (tile out t)
       done;
-      Col.Big_dict { codes = out; pool; nulls = tile_nulls nulls }
+      Col.Dict { codes = out; pool; nulls = tile_nulls nulls }
   | Col.Boxed vs ->
       (* offset-0 tiles reuse the source array — Array.concat copies, so
          sharing is safe and the common unshifted case allocates nothing

@@ -56,30 +56,16 @@ let sql_cell_renderer buf col =
   | Col.Ints { data; nulls } ->
       fun i ->
         if cell_null nulls i then Render.Buf.add_string buf "NULL"
-        else Render.Buf.itoa buf data.(i)
+        else Render.Buf.itoa buf data.{i}
   | Col.Floats { data; nulls } ->
       fun i ->
         if cell_null nulls i then Render.Buf.add_string buf "NULL"
-        else Render.Buf.ftoa buf data.(i)
+        else Render.Buf.ftoa buf data.{i}
   | Col.Dict { codes; pool; nulls } ->
       let escaped = Render.sql_pool pool in
       fun i ->
         Render.Buf.add_string buf
-          (if cell_null nulls i then "NULL" else escaped.(codes.(i)))
-  | Col.Big_ints { data; nulls } ->
-      fun i ->
-        if cell_null nulls i then Render.Buf.add_string buf "NULL"
-        else Render.Buf.itoa buf (Bigarray.Array1.unsafe_get data i)
-  | Col.Big_floats { data; nulls } ->
-      fun i ->
-        if cell_null nulls i then Render.Buf.add_string buf "NULL"
-        else Render.Buf.ftoa buf (Bigarray.Array1.unsafe_get data i)
-  | Col.Big_dict { codes; pool; nulls } ->
-      let escaped = Render.sql_pool pool in
-      fun i ->
-        Render.Buf.add_string buf
-          (if cell_null nulls i then "NULL"
-           else escaped.(Bigarray.Array1.unsafe_get codes i))
+          (if cell_null nulls i then "NULL" else escaped.(codes.{i}))
   | Col.Boxed vs -> fun i -> Render.Buf.add_string buf (sql_value vs.(i))
 
 (* appends one table's INSERT batches to [buf]; [export_dir] streams the

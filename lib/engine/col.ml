@@ -4,103 +4,99 @@ type int_big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float_big = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type byte_big = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let big_rows_threshold =
-  ref
-    (match Sys.getenv_opt "MIRAGE_BIG_ROWS" with
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 1_000_000)
-    | None -> 1_000_000)
-
-let big_rows () = !big_rows_threshold
-let set_big_rows n = if n > 0 then big_rows_threshold := n
-
 (* spill directory: the env var seeds the default, the CLI flag overrides
    via [set_big_dir] — read per allocation so a change applies to every
-   subsequent big column *)
+   subsequent payload *)
 let big_dir_ref = ref (Sys.getenv_opt "MIRAGE_BIG_DIR")
 let big_dir () = !big_dir_ref
 let set_big_dir d = big_dir_ref := d
 
+(* Payloads of at least this size are mapped rather than malloc'd: from an
+   unlinked temp file under the spill directory when one is set, else from
+   /dev/zero (private zero pages, as an anonymous mmap).  Either way the
+   kernel zero-fills the pages, and they do not pace the GC: the runtime
+   counts malloc'd Bigarray bytes toward its major-collection speed, which
+   cost about 50% more major collections on TPC-H sf 4 once every column
+   was a Bigarray.  Smaller payloads are malloc'd, so a CP-batch vector or
+   a small bitmap costs neither a temp file nor a mapping of its own. *)
+let mapped_min_bytes = 1 lsl 20
+
+let anon_big : type a b. (a, b) Bigarray.kind -> a -> int ->
+               (a, b, Bigarray.c_layout) Bigarray.Array1.t =
+ fun kind zero n ->
+  let ba = Bigarray.Array1.create kind Bigarray.c_layout n in
+  (* malloc'd pages are not zeroed; mapped pages are *)
+  Bigarray.Array1.fill ba zero;
+  ba
+
+let map_fd kind ~shared fd n =
+  Bigarray.array1_of_genarray (Unix.map_file fd kind Bigarray.c_layout shared [| n |])
+
 (* File-backed allocation: an unlinked temp file under the spill directory
    keeps the pages evictable by the kernel (dirty pages write back to the
    file instead of pinning swap), and unlinking immediately means a crash
-   leaks nothing.  Without a spill directory we fall back to anonymous
-   Bigarray memory, which is still off the OCaml heap — the GC neither
-   scans nor compacts it, which is the property the generation pipeline
-   needs. *)
+   leaks nothing. *)
 let big_file_seq = Atomic.make 0
 
-let map_file_big : (Unix.file_descr -> ('a, 'b) Bigarray.kind -> int ->
-                    ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t) =
- fun fd kind n ->
-  Bigarray.array1_of_genarray
-    (Unix.map_file fd kind Bigarray.c_layout true [| n |])
+let map_spill kind dir n =
+  let path =
+    Filename.concat dir
+      (Printf.sprintf "mirage-big-%d-%d.tmp" (Unix.getpid ())
+         (Atomic.fetch_and_add big_file_seq 1))
+  in
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL ] 0o600 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      Unix.close fd)
+    (fun () -> map_fd kind ~shared:true fd n)
 
+let map_zero kind n =
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> map_fd kind ~shared:false fd n)
+
+(* every payload is off the OCaml heap — the GC neither scans nor compacts
+   it.  A spill directory or /dev/zero that cannot be mapped falls back to
+   the next option rather than failing generation. *)
 let alloc_big : type a b. (a, b) Bigarray.kind -> a -> int ->
                 (a, b, Bigarray.c_layout) Bigarray.Array1.t =
  fun kind zero n ->
   let n = max n 0 in
-  match !big_dir_ref with
-  | Some dir when n > 0 -> (
+  let attempt map =
+    match map () with
+    | ba -> Some ba
+    | exception (Unix.Unix_error _ | Sys_error _) -> None
+  in
+  let mapped =
+    if n * Bigarray.kind_size_in_bytes kind < mapped_min_bytes then None
+    else
       match
-        let path =
-          Filename.concat dir
-            (Printf.sprintf "mirage-big-%d-%d.tmp" (Unix.getpid ())
-               (Atomic.fetch_and_add big_file_seq 1))
-        in
-        let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL ] 0o600 in
-        Fun.protect
-          ~finally:(fun () ->
-            (try Unix.unlink path with Unix.Unix_error _ -> ());
-            Unix.close fd)
-          (fun () -> map_file_big fd kind n)
+        Option.bind !big_dir_ref (fun dir -> attempt (fun () -> map_spill kind dir n))
       with
-      | ba -> ba
-      | exception (Unix.Unix_error _ | Sys_error _) ->
-          (* fall back to anonymous memory rather than failing generation *)
-          let ba = Bigarray.Array1.create kind Bigarray.c_layout n in
-          Bigarray.Array1.fill ba zero;
-          ba)
-  | _ ->
-      let ba = Bigarray.Array1.create kind Bigarray.c_layout n in
-      (* malloc'd pages are not zeroed; mmap'd file pages are *)
-      Bigarray.Array1.fill ba zero;
-      ba
+      | Some _ as spilled -> spilled
+      | None -> attempt (fun () -> map_zero kind n)
+  in
+  match mapped with Some ba -> ba | None -> anon_big kind zero n
 
 let alloc_int_big n : int_big = alloc_big Bigarray.int 0 n
 let alloc_float_big n : float_big = alloc_big Bigarray.float64 0.0 n
-let alloc_byte_big n : byte_big = alloc_big Bigarray.int8_unsigned 0 n
 
-(* Bitsets follow the same threshold as numeric columns: a bitmap covering
-   [big_rows] or more rows lives off-heap, so table-sized null bitmaps and
-   membership vectors stop counting against the chunk-sized heap budget. *)
 module Bitset = struct
-  type store = Heap of Bytes.t | Big of byte_big
-  type t = { bits : store; len : int }
+  type t = { bits : byte_big; len : int }
 
-  let create len =
-    let nbytes = (len + 7) lsr 3 in
-    if len >= !big_rows_threshold then { bits = Big (alloc_byte_big nbytes); len }
-    else { bits = Heap (Bytes.make nbytes '\000'); len }
-
-  let byte_at s i =
-    match s with
-    | Heap b -> Char.code (Bytes.unsafe_get b i)
-    | Big ba -> Bigarray.Array1.unsafe_get ba i
-
-  let byte_put s i v =
-    match s with
-    | Heap b -> Bytes.unsafe_set b i (Char.unsafe_chr v)
-    | Big ba -> Bigarray.Array1.unsafe_set ba i v
+  let create len = { bits = alloc_big Bigarray.int8_unsigned 0 ((len + 7) lsr 3); len }
 
   let set b i =
-    let byte = i lsr 3 and bit = i land 7 in
-    byte_put b.bits byte (byte_at b.bits byte lor (1 lsl bit))
+    let byte = i lsr 3 in
+    Bigarray.Array1.unsafe_set b.bits byte
+      (Bigarray.Array1.unsafe_get b.bits byte lor (1 lsl (i land 7)))
 
   let clear b i =
-    let byte = i lsr 3 and bit = i land 7 in
-    byte_put b.bits byte (byte_at b.bits byte land lnot (1 lsl bit))
+    let byte = i lsr 3 in
+    Bigarray.Array1.unsafe_set b.bits byte
+      (Bigarray.Array1.unsafe_get b.bits byte land lnot (1 lsl (i land 7)))
 
-  let get b i = byte_at b.bits (i lsr 3) land (1 lsl (i land 7)) <> 0
+  let get b i = Bigarray.Array1.unsafe_get b.bits (i lsr 3) land (1 lsl (i land 7)) <> 0
   let length b = b.len
 
   let count b =
@@ -111,86 +107,49 @@ module Bitset = struct
     !n
 
   let copy b =
-    let bits =
-      match b.bits with
-      | Heap x -> Heap (Bytes.copy x)
-      | Big ba ->
-          let c = alloc_byte_big (Bigarray.Array1.dim ba) in
-          Bigarray.Array1.blit ba c;
-          Big c
-    in
-    { bits; len = b.len }
+    let c = create b.len in
+    Bigarray.Array1.blit b.bits c.bits;
+    c
 end
 
 type t =
-  | Ints of { data : int array; nulls : Bitset.t option }
-  | Floats of { data : float array; nulls : Bitset.t option }
-  | Dict of { codes : int array; pool : string array; nulls : Bitset.t option }
-  | Big_ints of { data : int_big; nulls : Bitset.t option }
-  | Big_floats of { data : float_big; nulls : Bitset.t option }
-  | Big_dict of { codes : int_big; pool : string array; nulls : Bitset.t option }
+  | Ints of { data : int_big; nulls : Bitset.t option }
+  | Floats of { data : float_big; nulls : Bitset.t option }
+  | Dict of { codes : int_big; pool : string array; nulls : Bitset.t option }
   | Boxed of Value.t array
 
 type col = t
 
 module Ivec = struct
-  type t = Small of int array | Big of int_big
+  type t = int_big
 
   let make n v =
-    if n >= !big_rows_threshold then begin
-      let ba = alloc_int_big n in
-      if v <> 0 then Bigarray.Array1.fill ba v;
-      Big ba
-    end
-    else Small (Array.make n v)
+    let ba = alloc_int_big n in
+    if v <> 0 then Bigarray.Array1.fill ba v;
+    ba
 
-  let init n f =
-    if n >= !big_rows_threshold then begin
-      let ba = alloc_int_big n in
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set ba i (f i)
-      done;
-      Big ba
-    end
-    else Small (Array.init n f)
+  (* the annotation keeps the element kind static, so the store compiles
+     inline rather than to the generic C accessor *)
+  let init n f : t =
+    let ba = alloc_int_big n in
+    for i = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set ba i (f i)
+    done;
+    ba
 
-  let length = function
-    | Small a -> Array.length a
-    | Big ba -> Bigarray.Array1.dim ba
-
-  let get t i =
-    match t with Small a -> a.(i) | Big ba -> Bigarray.Array1.get ba i
-
-  let set t i v =
-    match t with Small a -> a.(i) <- v | Big ba -> Bigarray.Array1.set ba i v
-
-  let unsafe_get t i =
-    match t with
-    | Small a -> Array.unsafe_get a i
-    | Big ba -> Bigarray.Array1.unsafe_get ba i
-
-  let unsafe_set t i v =
-    match t with
-    | Small a -> Array.unsafe_set a i v
-    | Big ba -> Bigarray.Array1.unsafe_set ba i v
-
-  let to_col ?nulls t : col =
-    match t with
-    | Small data -> Ints { data; nulls }
-    | Big data -> Big_ints { data; nulls }
-
-  let to_array = function
-    | Small a -> a
-    | Big ba -> Array.init (Bigarray.Array1.dim ba) (Bigarray.Array1.get ba)
+  let length = Bigarray.Array1.dim
+  let get (t : t) i = Bigarray.Array1.get t i
+  let set (t : t) i v = Bigarray.Array1.set t i v
+  let unsafe_get (t : t) i = Bigarray.Array1.unsafe_get t i
+  let unsafe_set (t : t) i v = Bigarray.Array1.unsafe_set t i v
+  let to_col ?nulls data : col = Ints { data; nulls }
+  let to_array (t : t) = Array.init (length t) (Bigarray.Array1.unsafe_get t)
 end
 
 let length = function
-  | Ints { data; _ } -> Array.length data
-  | Floats { data; _ } -> Array.length data
-  | Dict { codes; _ } -> Array.length codes
-  | Big_ints { data; _ } -> Bigarray.Array1.dim data
-  | Big_floats { data; _ } -> Bigarray.Array1.dim data
-  | Big_dict { codes; _ } -> Bigarray.Array1.dim codes
+  | Ints { data; _ } -> Bigarray.Array1.dim data
+  | Floats { data; _ } -> Bigarray.Array1.dim data
+  | Dict { codes; _ } -> Bigarray.Array1.dim codes
   | Boxed vs -> Array.length vs
 
 let null_at nulls i =
@@ -198,78 +157,44 @@ let null_at nulls i =
 
 let is_null t i =
   match t with
-  | Ints { nulls; _ }
-  | Floats { nulls; _ }
-  | Dict { nulls; _ }
-  | Big_ints { nulls; _ }
-  | Big_floats { nulls; _ }
-  | Big_dict { nulls; _ } ->
-      null_at nulls i
+  | Ints { nulls; _ } | Floats { nulls; _ } | Dict { nulls; _ } -> null_at nulls i
   | Boxed vs -> vs.(i) = Value.Null
 
 let get t i =
   match t with
   | Ints { data; nulls } ->
-      if null_at nulls i then Value.Null else Value.Int data.(i)
+      if null_at nulls i then Value.Null else Value.Int data.{i}
   | Floats { data; nulls } ->
-      if null_at nulls i then Value.Null else Value.Float data.(i)
+      if null_at nulls i then Value.Null else Value.Float data.{i}
   | Dict { codes; pool; nulls } ->
-      if null_at nulls i then Value.Null else Value.Str pool.(codes.(i))
-  | Big_ints { data; nulls } ->
-      if null_at nulls i then Value.Null
-      else Value.Int (Bigarray.Array1.get data i)
-  | Big_floats { data; nulls } ->
-      if null_at nulls i then Value.Null
-      else Value.Float (Bigarray.Array1.get data i)
-  | Big_dict { codes; pool; nulls } ->
-      if null_at nulls i then Value.Null
-      else Value.Str pool.(Bigarray.Array1.get codes i)
+      if null_at nulls i then Value.Null else Value.Str pool.(codes.{i})
   | Boxed vs -> vs.(i)
 
 let int_at t i =
   match t with
-  | Ints { data; _ } -> data.(i)
-  | Big_ints { data; _ } -> Bigarray.Array1.get data i
+  | Ints { data; _ } -> data.{i}
   | Boxed vs -> ( match vs.(i) with Value.Int x -> x | _ -> 0)
   | _ -> 0
 
 let float_at t i =
   match t with
   | Ints { data; nulls } ->
-      if null_at nulls i then None else Some (float_of_int data.(i))
+      if null_at nulls i then None else Some (float_of_int data.{i})
   | Floats { data; nulls } ->
-      if null_at nulls i then None else Some data.(i)
-  | Big_ints { data; nulls } ->
-      if null_at nulls i then None
-      else Some (float_of_int (Bigarray.Array1.get data i))
-  | Big_floats { data; nulls } ->
-      if null_at nulls i then None else Some (Bigarray.Array1.get data i)
-  | Dict _ | Big_dict _ -> None
+      if null_at nulls i then None else Some data.{i}
+  | Dict _ -> None
   | Boxed vs -> Value.to_float vs.(i)
 
-let of_ints ?nulls data = Ints { data; nulls }
-let of_floats ?nulls data = Floats { data; nulls }
-let dict ?nulls ~codes ~pool () = Dict { codes; pool; nulls }
-
-let init_ints ?nulls n f =
-  if n >= !big_rows_threshold then begin
-    let data = alloc_int_big n in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set data i (f i)
-    done;
-    Big_ints { data; nulls }
-  end
-  else Ints { data = Array.init n f; nulls }
-
+let init_ints ?nulls n f = Ints { data = Ivec.init n f; nulls }
 let init_floats ?nulls n f =
-  if n >= !big_rows_threshold then begin
-    let data = alloc_float_big n in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set data i (f i)
-    done;
-    Big_floats { data; nulls }
-  end
-  else Floats { data = Array.init n f; nulls }
+  let data = alloc_float_big n in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set data i (f i)
+  done;
+  Floats { data; nulls }
+let of_ints ?nulls a = init_ints ?nulls (Array.length a) (Array.unsafe_get a)
+let of_floats ?nulls a = init_floats ?nulls (Array.length a) (Array.unsafe_get a)
+let dict ?nulls ~codes ~pool () = Dict { codes; pool; nulls }
 
 let of_strings ?nulls strs =
   let tbl = Hashtbl.create (min 256 (Array.length strs + 1)) in
@@ -284,27 +209,15 @@ let of_strings ?nulls strs =
         incr next;
         c
   in
-  let n = Array.length strs in
-  if n >= !big_rows_threshold then begin
-    let codes = alloc_int_big n in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set codes i (code strs.(i))
-    done;
-    Big_dict { codes; pool = Array.of_list (List.rev !rev_pool); nulls }
-  end
-  else begin
-    let codes = Array.map code strs in
-    Dict { codes; pool = Array.of_list (List.rev !rev_pool); nulls }
-  end
+  let codes = Ivec.init (Array.length strs) (fun i -> code strs.(i)) in
+  Dict { codes; pool = Array.of_list (List.rev !rev_pool); nulls }
 
 let const_null n =
   let b = Bitset.create n in
   for i = 0 to n - 1 do
     Bitset.set b i
   done;
-  if n >= !big_rows_threshold then
-    Big_ints { data = alloc_int_big n; nulls = Some b }
-  else Ints { data = Array.make n 0; nulls = Some b }
+  Ints { data = alloc_int_big n; nulls = Some b }
 
 let of_values vs =
   let n = Array.length vs in
@@ -327,47 +240,12 @@ let of_values vs =
       Some b
     end
   in
-  if !n_int + !n_null = n && !n_int > 0 then begin
-    if n >= !big_rows_threshold then begin
-      let data = alloc_int_big n in
-      Array.iteri
-        (fun i v ->
-          match v with
-          | Value.Int x -> Bigarray.Array1.unsafe_set data i x
-          | _ -> ())
-        vs;
-      Big_ints { data; nulls }
-    end
-    else
-      Ints
-        { data = Array.map (function Value.Int x -> x | _ -> 0) vs; nulls }
-  end
-  else if !n_float + !n_null = n && !n_float > 0 then begin
-    if n >= !big_rows_threshold then begin
-      let data = alloc_float_big n in
-      Array.iteri
-        (fun i v ->
-          match v with
-          | Value.Float x -> Bigarray.Array1.unsafe_set data i x
-          | _ -> ())
-        vs;
-      Big_floats { data; nulls }
-    end
-    else
-      Floats
-        { data = Array.map (function Value.Float x -> x | _ -> 0.0) vs;
-          nulls;
-        }
-  end
-  else if !n_str + !n_null = n && !n_str > 0 then begin
-    let strs =
-      Array.map (function Value.Str s -> s | _ -> "") vs
-    in
-    match of_strings ?nulls strs with
-    | Dict d -> Dict { d with nulls }
-    | Big_dict d -> Big_dict { d with nulls }
-    | c -> c
-  end
+  if !n_int + !n_null = n && !n_int > 0 then
+    init_ints ?nulls n (fun i -> match vs.(i) with Value.Int x -> x | _ -> 0)
+  else if !n_float + !n_null = n && !n_float > 0 then
+    init_floats ?nulls n (fun i -> match vs.(i) with Value.Float x -> x | _ -> 0.0)
+  else if !n_str + !n_null = n && !n_str > 0 then
+    of_strings ?nulls (Array.map (function Value.Str s -> s | _ -> "") vs)
   else if !n_null = n then const_null n
   else Boxed (Array.copy vs)
 
@@ -392,23 +270,13 @@ let add_csv_cell buf t i =
   match t with
   | Ints { data; nulls } ->
       if not (null_at nulls i) then
-        Buffer.add_string buf (string_of_int data.(i))
+        Buffer.add_string buf (string_of_int data.{i})
   | Floats { data; nulls } ->
       if not (null_at nulls i) then
-        Buffer.add_string buf (Render.float_repr data.(i))
+        Buffer.add_string buf (Render.float_repr data.{i})
   | Dict { codes; pool; nulls } ->
       if not (null_at nulls i) then
-        Buffer.add_string buf (Render.csv_escape pool.(codes.(i)))
-  | Big_ints { data; nulls } ->
-      if not (null_at nulls i) then
-        Buffer.add_string buf (string_of_int (Bigarray.Array1.get data i))
-  | Big_floats { data; nulls } ->
-      if not (null_at nulls i) then
-        Buffer.add_string buf (Render.float_repr (Bigarray.Array1.get data i))
-  | Big_dict { codes; pool; nulls } ->
-      if not (null_at nulls i) then
-        Buffer.add_string buf
-          (Render.csv_escape pool.(Bigarray.Array1.get codes i))
+        Buffer.add_string buf (Render.csv_escape pool.(codes.{i}))
   | Boxed vs -> (
       match vs.(i) with
       | Value.Null -> ()

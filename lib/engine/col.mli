@@ -1,19 +1,17 @@
 (** Typed columnar storage.
 
-    A column is an unboxed [int array] (keys and [Kint] data), a flat
-    [float array] ([Kfloat]), or a dictionary-encoded string column
-    ([int array] codes into a shared pool of distinct strings), each with an
-    optional null bitmap.  [Boxed] is the generic fallback for heterogeneous
-    value arrays; the generators never produce it, but the [Value.t]-based
-    compatibility API ({!Db.put}) can.
+    A column is an off-heap int vector (keys and [Kint] data), an off-heap
+    float vector ([Kfloat]), or a dictionary-encoded string column
+    (off-heap int codes into a shared pool of distinct strings), each with
+    an optional null bitmap.  [Boxed] is the generic fallback for
+    heterogeneous value arrays; the generators never produce it, but the
+    [Value.t]-based compatibility API ({!Db.put}) can.
 
-    Above {!big_rows} rows the numeric representations move off the OCaml
-    heap into [Bigarray]-backed variants ([Big_ints] / [Big_floats] /
-    [Big_dict]): same logical contents, but the payload bytes live in
-    malloc'd or file-backed (mmap) memory the GC neither scans nor copies,
-    so enormous PK pools and fact columns stop inflating the heap's
-    high-water mark.  The accessors below are representation-blind; engine
-    fast paths that pattern-match add explicit arms for the big variants.
+    Every numeric payload, null bitmap and work vector is a [Bigarray]: the
+    bytes live in malloc'd or file-backed (mmap) memory the GC neither
+    scans nor copies, so enormous PK pools and fact columns do not inflate
+    the heap's high-water mark.  There is one representation per kind, so
+    each engine fast path is written once, against the [Bigarray] payload.
 
     The representation is exposed so the engine and the exporters can
     pattern-match for vectorized evaluation and zero-copy rendering; the
@@ -23,10 +21,9 @@ module Bitset : sig
   type t
 
   val create : int -> t
-  (** All-clear bitset of the given length.  At {!big_rows} rows or more
-      the bits live off-heap (same backing policy as the big column
-      variants), so table-sized null bitmaps and membership vectors don't
-      count against the heap budget of a streamed run. *)
+  (** All-clear bitset of the given length.  The bits live off-heap, with
+      the same backing policy as column payloads, so table-sized null
+      bitmaps and membership vectors don't count against the heap. *)
 
   val set : t -> int -> unit
   val clear : t -> int -> unit
@@ -41,52 +38,42 @@ end
 type int_big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float_big = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-val big_rows : unit -> int
-(** Row threshold above which freshly built numeric columns and work
-    vectors go off-heap.  Defaults to 1_000_000; override with the
-    [MIRAGE_BIG_ROWS] environment variable or {!set_big_rows}. *)
-
-val set_big_rows : int -> unit
-
 val big_dir : unit -> string option
-(** Spill directory for file-backed big columns.  Seeded from the
+(** Spill directory for file-backed payloads.  Seeded from the
     [MIRAGE_BIG_DIR] environment variable at startup; [None] means
-    anonymous (malloc'd) Bigarray memory. *)
+    anonymous memory. *)
 
 val set_big_dir : string option -> unit
 (** Override the spill directory (the CLI's [--big-dir] flag).  Read per
-    allocation, so it applies to every subsequently built big column. *)
+    allocation, so it applies to every subsequently built payload. *)
 
 val alloc_int_big : int -> int_big
-(** Off-heap int vector, zero-filled.  Backed by an unlinked temp file under
-    {!big_dir} (via [Unix.map_file]) when set, else by anonymous [Bigarray]
-    memory. *)
+(** Off-heap int vector, zero-filled.  Under 1 MiB it is malloc'd.  From
+    1 MiB it is mapped ([Unix.map_file]): from an unlinked temp file under
+    {!big_dir} when that is set, else privately from [/dev/zero].  Mapped
+    pages do not pace the GC's major slices the way malloc'd Bigarray bytes
+    do.  A mapping that fails (say, a directory that cannot be written)
+    falls back to the next option. *)
 
 val alloc_float_big : int -> float_big
 (** Off-heap float vector, zero-filled; same backing policy. *)
 
 type t =
-  | Ints of { data : int array; nulls : Bitset.t option }
-  | Floats of { data : float array; nulls : Bitset.t option }
-  | Dict of { codes : int array; pool : string array; nulls : Bitset.t option }
-      (** [pool] holds distinct strings; [codes.(i)] indexes [pool].  Rows
+  | Ints of { data : int_big; nulls : Bitset.t option }
+  | Floats of { data : float_big; nulls : Bitset.t option }
+  | Dict of { codes : int_big; pool : string array; nulls : Bitset.t option }
+      (** [pool] holds distinct strings; [codes.{i}] indexes [pool].  Rows
           flagged null carry an arbitrary (ignored) code. *)
-  | Big_ints of { data : int_big; nulls : Bitset.t option }
-  | Big_floats of { data : float_big; nulls : Bitset.t option }
-  | Big_dict of { codes : int_big; pool : string array; nulls : Bitset.t option }
   | Boxed of Mirage_sql.Value.t array
 
 type col = t
 (** Alias for referring to the column type inside submodule signatures. *)
 
-(** Mutable int vector whose backing store follows the {!big_rows}
-    threshold: a plain [int array] for small lengths, an off-heap
-    {!int_big} above it.  Used for FK fill buffers, PK pools and work
-    arrays so the builders never commit to a representation; {!Ivec.to_col}
-    converts zero-copy.  Writes to disjoint indices are safe from multiple
-    domains (both backings are flat unboxed storage). *)
+(** Mutable off-heap int vector: FK fill buffers, PK pools and work
+    arrays.  {!Ivec.to_col} converts zero-copy.  Writes to disjoint indices
+    are safe from multiple domains (the storage is flat and unboxed). *)
 module Ivec : sig
-  type t
+  type t = int_big
 
   val make : int -> int -> t
   (** [make n v]: length [n], every slot [v]. *)
@@ -102,7 +89,7 @@ module Ivec : sig
   (** Zero-copy: the column aliases the vector's storage. *)
 
   val to_array : t -> int array
-  (** Heap copy (aliases when already heap-backed). *)
+  (** Heap copy. *)
 end
 
 val length : t -> int
@@ -112,7 +99,7 @@ val get : t -> int -> Mirage_sql.Value.t
 (** Boxed escape hatch; [Null] for rows flagged in the null bitmap. *)
 
 val int_at : t -> int -> int
-(** Unchecked raw int read from an int-typed column ([Ints]/[Big_ints]);
+(** Raw int read from an int-typed column ([Ints]);
     0 on other representations unless the boxed cell is an [Int]. *)
 
 val float_at : t -> int -> float option
@@ -120,21 +107,18 @@ val float_at : t -> int -> float option
     yield their float value, nulls and strings yield [None]. *)
 
 val of_ints : ?nulls:Bitset.t -> int array -> t
-(** Takes ownership of the array (no copy). *)
+(** Copies the array off-heap. *)
 
 val of_floats : ?nulls:Bitset.t -> float array -> t
-(** Takes ownership of the array (no copy). *)
+(** Copies the array off-heap. *)
 
 val init_ints : ?nulls:Bitset.t -> int -> (int -> int) -> t
-(** Builds an int column of the threshold-selected representation. *)
-
 val init_floats : ?nulls:Bitset.t -> int -> (int -> float) -> t
-(** Builds a float column of the threshold-selected representation. *)
 
 val of_strings : ?nulls:Bitset.t -> string array -> t
 (** Dictionary-encodes: pool in order of first occurrence. *)
 
-val dict : ?nulls:Bitset.t -> codes:int array -> pool:string array -> unit -> t
+val dict : ?nulls:Bitset.t -> codes:int_big -> pool:string array -> unit -> t
 (** Unchecked constructor; the caller guarantees distinct pool entries and
     in-range codes (the CDF renderer does). *)
 

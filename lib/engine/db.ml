@@ -69,67 +69,23 @@ let replace_col t tname cname c =
 let has_table t tname = Hashtbl.mem t.tables tname
 
 let distinct_count t tname cname =
+  let count_keys n nulls key =
+    let seen = Hashtbl.create (min n 65536) in
+    let has_null = ref false in
+    for i = 0 to n - 1 do
+      match nulls with
+      | Some b when Col.Bitset.get b i -> has_null := true
+      | _ -> Hashtbl.replace seen (key i) ()
+    done;
+    Hashtbl.length seen + if !has_null then 1 else 0
+  in
   match col t tname cname with
   | Col.Ints { data; nulls } ->
-      let seen = Hashtbl.create (Array.length data) in
-      let has_null = ref false in
-      Array.iteri
-        (fun i x ->
-          match nulls with
-          | Some b when Col.Bitset.get b i -> has_null := true
-          | _ -> Hashtbl.replace seen x ())
-        data;
-      Hashtbl.length seen + if !has_null then 1 else 0
+      count_keys (Bigarray.Array1.dim data) nulls (fun i -> data.{i})
   | Col.Floats { data; nulls } ->
-      let seen = Hashtbl.create (Array.length data) in
-      let has_null = ref false in
-      Array.iteri
-        (fun i x ->
-          match nulls with
-          | Some b when Col.Bitset.get b i -> has_null := true
-          | _ -> Hashtbl.replace seen x ())
-        data;
-      Hashtbl.length seen + if !has_null then 1 else 0
+      count_keys (Bigarray.Array1.dim data) nulls (fun i -> data.{i})
   | Col.Dict { codes; nulls; _ } ->
-      let seen = Hashtbl.create 64 in
-      let has_null = ref false in
-      Array.iteri
-        (fun i c ->
-          match nulls with
-          | Some b when Col.Bitset.get b i -> has_null := true
-          | _ -> Hashtbl.replace seen c ())
-        codes;
-      Hashtbl.length seen + if !has_null then 1 else 0
-  | Col.Big_ints { data; nulls } ->
-      let n = Bigarray.Array1.dim data in
-      let seen = Hashtbl.create (min n 65536) in
-      let has_null = ref false in
-      for i = 0 to n - 1 do
-        match nulls with
-        | Some b when Col.Bitset.get b i -> has_null := true
-        | _ -> Hashtbl.replace seen (Bigarray.Array1.get data i) ()
-      done;
-      Hashtbl.length seen + if !has_null then 1 else 0
-  | Col.Big_floats { data; nulls } ->
-      let n = Bigarray.Array1.dim data in
-      let seen = Hashtbl.create (min n 65536) in
-      let has_null = ref false in
-      for i = 0 to n - 1 do
-        match nulls with
-        | Some b when Col.Bitset.get b i -> has_null := true
-        | _ -> Hashtbl.replace seen (Bigarray.Array1.get data i) ()
-      done;
-      Hashtbl.length seen + if !has_null then 1 else 0
-  | Col.Big_dict { codes; nulls; _ } ->
-      let n = Bigarray.Array1.dim codes in
-      let seen = Hashtbl.create 64 in
-      let has_null = ref false in
-      for i = 0 to n - 1 do
-        match nulls with
-        | Some b when Col.Bitset.get b i -> has_null := true
-        | _ -> Hashtbl.replace seen (Bigarray.Array1.get codes i) ()
-      done;
-      Hashtbl.length seen + if !has_null then 1 else 0
+      count_keys (Bigarray.Array1.dim codes) nulls (fun i -> codes.{i})
   | Col.Boxed vs ->
       let seen = Hashtbl.create (Array.length vs) in
       Array.iter (fun v -> Hashtbl.replace seen v ()) vs;

@@ -71,33 +71,33 @@ let compile_cmp ~env scope col cmp arg =
           let ok = int_test cmp y in
           fun i ->
             let p = sel.(i) in
-            p >= 0 && (not (vnull nulls p)) && ok data.(p)
+            p >= 0 && (not (vnull nulls p)) && ok data.{p}
       | Col.Ints { data; nulls }, Value.Float y ->
           fun i ->
             let p = sel.(i) in
             p >= 0
             && (not (vnull nulls p))
-            && Pred.cmp_holds cmp (Stdlib.compare (float_of_int data.(p)) y)
+            && Pred.cmp_holds cmp (Stdlib.compare (float_of_int data.{p}) y)
       | Col.Floats { data; nulls }, Value.Float y ->
           fun i ->
             let p = sel.(i) in
             p >= 0
             && (not (vnull nulls p))
-            && Pred.cmp_holds cmp (Stdlib.compare data.(p) y)
+            && Pred.cmp_holds cmp (Stdlib.compare data.{p} y)
       | Col.Floats { data; nulls }, Value.Int y ->
           let yf = float_of_int y in
           fun i ->
             let p = sel.(i) in
             p >= 0
             && (not (vnull nulls p))
-            && Pred.cmp_holds cmp (Stdlib.compare data.(p) yf)
+            && Pred.cmp_holds cmp (Stdlib.compare data.{p} yf)
       | Col.Dict { codes; pool; nulls }, Value.Str y ->
           let verdict =
             Array.map (fun s -> Pred.cmp_holds cmp (String.compare s y)) pool
           in
           fun i ->
             let p = sel.(i) in
-            p >= 0 && (not (vnull nulls p)) && verdict.(codes.(p))
+            p >= 0 && (not (vnull nulls p)) && verdict.(codes.{p})
       | _, _ ->
           fun i -> (
             match Value.cmp_sql (Rel.get_view v i) arg_v with
@@ -152,7 +152,7 @@ let compile_in ~env scope col neg arg =
             let p = sel.(i) in
             if p < 0 || vnull nulls p then false
             else
-              let m = member data.(p) in
+              let m = member data.{p} in
               if neg then not m else m
       | Col.Dict { codes; pool; nulls } ->
           let verdict = ref None in
@@ -178,7 +178,7 @@ let compile_in ~env scope col neg arg =
           fun i ->
             let p = sel.(i) in
             if p < 0 || vnull nulls p then false
-            else (get_verdict ()).(codes.(p))
+            else (get_verdict ()).(codes.{p})
       | _ ->
           fun i -> (
             match Rel.get_view v i with
@@ -208,7 +208,7 @@ let compile_like ~env scope col neg arg =
           in
           fun i ->
             let p = sel.(i) in
-            p >= 0 && (not (vnull nulls p)) && verdict.(codes.(p))
+            p >= 0 && (not (vnull nulls p)) && verdict.(codes.{p})
       | _, Value.Str pattern ->
           fun i -> (
             match Rel.get_view v i with
@@ -227,22 +227,12 @@ let rec compile_arith scope = function
           fun i ->
             let p = sel.(i) in
             if p < 0 || vnull nulls p then None
-            else Some (float_of_int data.(p))
+            else Some (float_of_int data.{p})
       | Col.Floats { data; nulls } ->
           fun i ->
             let p = sel.(i) in
-            if p < 0 || vnull nulls p then None else Some data.(p)
-      | Col.Big_ints { data; nulls } ->
-          fun i ->
-            let p = sel.(i) in
-            if p < 0 || vnull nulls p then None
-            else Some (float_of_int (Bigarray.Array1.unsafe_get data p))
-      | Col.Big_floats { data; nulls } ->
-          fun i ->
-            let p = sel.(i) in
-            if p < 0 || vnull nulls p then None
-            else Some (Bigarray.Array1.unsafe_get data p)
-      | Col.Dict _ | Col.Big_dict _ -> fun _ -> None
+            if p < 0 || vnull nulls p then None else Some data.{p}
+      | Col.Dict _ -> fun _ -> None
       | Col.Boxed vs ->
           fun i ->
             let p = sel.(i) in
@@ -371,7 +361,7 @@ let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
       for li = 0 to nleft - 1 do
         let p = lsel.(li) in
         if p >= 0 && not (vnull lnulls p) then
-          let k = ldata.(p) in
+          let k = ldata.{p} in
           let cur = try Hashtbl.find index k with Not_found -> [] in
           Hashtbl.replace index k (li :: cur)
       done;
@@ -379,7 +369,7 @@ let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
       for ri = 0 to nright - 1 do
         let p = rsel.(ri) in
         if p >= 0 && not (vnull rnulls p) then
-          let k = rdata.(p) in
+          let k = rdata.{p} in
           match Hashtbl.find_opt index k with
           | None -> ()
           | Some lidxs ->

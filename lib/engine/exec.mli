@@ -38,8 +38,8 @@ val select_mask :
   Col.Bitset.t
 (** Per-row verdict of a predicate over a whole stored table (compiled once;
     used for child-view membership vectors in key generation).  Returned as
-    a bitset so table-sized masks follow the off-heap threshold instead of
-    costing 8 heap bytes per row.
+    an off-heap bitset, so a table-sized mask costs one bit per row and no
+    heap.
     @raise Invalid_argument like {!count_select} on unknown columns, and on
     unbound parameters when at least one row evaluates the literal. *)
 

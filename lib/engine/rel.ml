@@ -134,7 +134,7 @@ let int_set t name =
           if p >= 0 then
             match nulls with
             | Some b when Col.Bitset.get b p -> ()
-            | _ -> Hashtbl.replace set data.(p) ())
+            | _ -> Hashtbl.replace set data.{p} ())
         v.vsel
   | _ ->
       for i = 0 to t.rcard - 1 do

@@ -29,29 +29,15 @@ let cell_renderer buf ~offset col =
   | Col.Ints { data; nulls } ->
       fun i ->
         if not (cell_null nulls i) then
-          Buffer.add_string buf (string_of_int (data.(i) + offset))
+          Buffer.add_string buf (string_of_int (data.{i} + offset))
   | Col.Floats { data; nulls } ->
       fun i ->
         if not (cell_null nulls i) then
-          Buffer.add_string buf (Render.float_repr data.(i))
+          Buffer.add_string buf (Render.float_repr data.{i})
   | Col.Dict { codes; pool; nulls } ->
       fun i ->
         if not (cell_null nulls i) then
-          Buffer.add_string buf (Render.csv_escape pool.(codes.(i)))
-  | Col.Big_ints { data; nulls } ->
-      fun i ->
-        if not (cell_null nulls i) then
-          Buffer.add_string buf
-            (string_of_int (Bigarray.Array1.get data i + offset))
-  | Col.Big_floats { data; nulls } ->
-      fun i ->
-        if not (cell_null nulls i) then
-          Buffer.add_string buf (Render.float_repr (Bigarray.Array1.get data i))
-  | Col.Big_dict { codes; pool; nulls } ->
-      fun i ->
-        if not (cell_null nulls i) then
-          Buffer.add_string buf
-            (Render.csv_escape pool.(Bigarray.Array1.get codes i))
+          Buffer.add_string buf (Render.csv_escape pool.(codes.{i}))
   | Col.Boxed vs -> (
       fun i ->
         match vs.(i) with

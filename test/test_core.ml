@@ -507,22 +507,6 @@ let test_extract_range_conjunction_split () =
 
 (* --- Keygen membership ------------------------------------------------------ *)
 
-let test_membership_forms () =
-  let db = mini_db () in
-  let env = Pred.Env.add_scalar "p" (Value.Int 2) Pred.Env.empty in
-  let full = Keygen.membership ~db ~env ~table:"t" (Ir.Cv_full "t") in
-  Alcotest.(check int) "full covers all" 8 (Col.Bitset.count full);
-  let sel =
-    Keygen.membership ~db ~env ~table:"t"
-      (Ir.Cv_select { cv_table = "t"; cv_pred = Parser.pred "t1 > $p" })
-  in
-  Alcotest.(check int) "select filters" 6 (Col.Bitset.count sel);
-  let sub =
-    Keygen.membership ~db ~env ~table:"t"
-      (Ir.Cv_subplan { cv_plan = join (Plan.Table "s") (Plan.Table "t"); cv_table = "t" })
-  in
-  Alcotest.(check int) "subplan pks" 8 (Col.Bitset.count sub)
-
 (* The CS oracle: membership as the hash-set path computes it — collect the
    result's PK values into a table, probe it with every base-table row.
    [Keygen.membership] must agree with it on every subplan. *)
@@ -557,6 +541,46 @@ let pk_view ~db ~env ~table plan =
   let v = Mirage_engine.Rel.view rel (Mirage_engine.Rel.col_index rel pk_col) in
   (v, v.Mirage_engine.Rel.vcol == Db.col db table pk_col)
 
+let test_membership_forms () =
+  let db = mini_db () in
+  let env = Pred.Env.add_scalar "p" (Value.Int 2) Pred.Env.empty in
+  let full = Keygen.membership ~db ~env ~table:"t" (Ir.Cv_full "t") in
+  Alcotest.(check int) "full covers all" 8 (Col.Bitset.count full);
+  let sel =
+    Keygen.membership ~db ~env ~table:"t"
+      (Ir.Cv_select { cv_table = "t"; cv_pred = Parser.pred "t1 > $p" })
+  in
+  Alcotest.(check int) "select filters" 6 (Col.Bitset.count sel);
+  let sub =
+    Keygen.membership ~db ~env ~table:"t"
+      (Ir.Cv_subplan { cv_plan = join (Plan.Table "s") (Plan.Table "t"); cv_table = "t" })
+  in
+  Alcotest.(check int) "subplan pks" 8 (Col.Bitset.count sub);
+  (* a full outer join over a shuffled PK column: the PK view stays the
+     stored column, [vsel] carries -1 padding, and the bits match the
+     hash-set oracle *)
+  Db.replace_col db "t" "t_pk" (Col.of_ints [| 8; 3; 5; 1; 7; 2; 6; 4 |]);
+  let plan =
+    Plan.Join
+      {
+        jt = Plan.Full_outer;
+        pk_table = "s";
+        fk_table = "t";
+        fk_col = "t_fk";
+        left = Plan.Select (Parser.pred "s1 >= 10", Plan.Table "s");
+        right = Plan.Select (Parser.pred "t1 > 2", Plan.Table "t");
+      }
+  in
+  let v, is_base = pk_view ~db ~env ~table:"t" plan in
+  Alcotest.(check bool) "PK view is the stored column" true is_base;
+  Alcotest.(check bool) "outer join pads t with -1" true
+    (Array.mem (-1) v.Mirage_engine.Rel.vsel);
+  let got = subplan_membership ~db ~env ~table:"t" plan in
+  Alcotest.(check int) "rows with t1 > 2" 6 (Col.Bitset.count got);
+  Alcotest.(check (list bool)) "= oracle"
+    (bits (oracle_membership ~db ~env ~table:"t" plan))
+    (bits got)
+
 (* a ← b ← c, and c → a as well: nested joins in both directions *)
 let chain_schema =
   let int c = { Schema.cname = c; domain_size = 5; kind = Schema.Kint } in
@@ -585,9 +609,8 @@ let chain_schema =
 
 let pick rng l = List.nth l (Mirage_util.Rng.int rng (List.length l))
 
-(* random small instance: unique PKs in shuffled order (some tables hold
-   them off-heap as [Big_ints], some rows NULL), FKs that hit, dangle or
-   are NULL, nullable non-keys *)
+(* random small instance: unique PKs in shuffled order (some rows NULL),
+   FKs that hit, dangle or are NULL, nullable non-keys *)
 let random_chain_db rng =
   let module R = Mirage_util.Rng in
   let db = Db.create chain_schema in
@@ -608,14 +631,7 @@ let random_chain_db rng =
       let is_null i = match nulls with Some b -> Col.Bitset.get b i | None -> false in
       Hashtbl.replace pks t.Schema.tname
         (List.filteri (fun i _ -> not (is_null i)) (Array.to_list ids));
-      let pk_col =
-        if R.bool rng then Col.of_ints ?nulls ids
-        else begin
-          let data = Col.alloc_int_big n in
-          Array.iteri (Bigarray.Array1.set data) ids;
-          Col.Big_ints { data; nulls }
-        end
-      in
+      let pk_col = Col.of_ints ?nulls ids in
       let small () = if R.int rng 6 = 0 then Value.Null else Value.Int (R.int rng 5) in
       let nonkeys =
         List.map
@@ -721,34 +737,6 @@ let test_membership_project_fallback () =
   in
   Alcotest.(check bool) "projection rebuilds the PK column" false
     (snd (pk_view ~db ~env ~table:"t" plan));
-  let got = subplan_membership ~db ~env ~table:"t" plan in
-  Alcotest.(check int) "rows with t1 > 2" 6 (Col.Bitset.count got);
-  Alcotest.(check (list bool)) "= oracle"
-    (bits (oracle_membership ~db ~env ~table:"t" plan))
-    (bits got)
-
-let test_membership_big_ints_pk () =
-  let db = mini_db () in
-  let env = Pred.Env.empty in
-  let pks = [| 8; 3; 5; 1; 7; 2; 6; 4 |] in
-  let data = Col.alloc_int_big 8 in
-  Array.iteri (Bigarray.Array1.set data) pks;
-  Db.replace_col db "t" "t_pk" (Col.Big_ints { data; nulls = None });
-  let plan =
-    Plan.Join
-      {
-        jt = Plan.Full_outer;
-        pk_table = "s";
-        fk_table = "t";
-        fk_col = "t_fk";
-        left = Plan.Select (Parser.pred "s1 >= 10", Plan.Table "s");
-        right = Plan.Select (Parser.pred "t1 > 2", Plan.Table "t");
-      }
-  in
-  let v, is_base = pk_view ~db ~env ~table:"t" plan in
-  Alcotest.(check bool) "PK view is the stored column" true is_base;
-  Alcotest.(check bool) "outer join pads t with -1" true
-    (Array.mem (-1) v.Mirage_engine.Rel.vsel);
   let got = subplan_membership ~db ~env ~table:"t" plan in
   Alcotest.(check int) "rows with t1 > 2" 6 (Col.Bitset.count got);
   Alcotest.(check (list bool)) "= oracle"
@@ -1139,8 +1127,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_membership_matches_oracle;
           Alcotest.test_case "membership: Project-rooted subplan takes the hash fallback"
             `Quick test_membership_project_fallback;
-          Alcotest.test_case "membership: off-heap (Big_ints) primary key" `Quick
-            test_membership_big_ints_pk;
           Alcotest.test_case "paper Figs 8-10 example" `Quick test_keygen_paper_example;
           Alcotest.test_case "solve cache: renamed systems hit" `Quick
             test_solve_cache_hit_renamed;

@@ -1,23 +1,20 @@
-(* Out-of-core heap bound.  TPC-H sf 3.2 is generated on one domain with
-   table-sized columns spilled off-heap (Col.set_big_rows 1024) and streamed
-   in 4096-row chunks.  The driver's working-set high-water mark
-   (r_peak_bytes) must stay within 1.5x of the 17.1 MB this exact case
-   measured when the bound was set.
+(* Out-of-core heap bound.  TPC-H sf 3.2 is generated on one domain in
+   4096-row chunks.  The driver's heap high-water mark (r_peak_bytes) must
+   stay within 1.5x of the 17.1 MB this case measured when the bound was
+   set.
 
    What the bound catches, measured one process per run (heap in MB):
-     big columns + streaming   16.3-17.1
-     big columns only          17.1
-     streaming only            47.3   (big_rows = 10^9)
-     neither                   77.7
-   So it fails if the off-heap spill is lost, but not if streaming alone is
-   lost: at this scale the reference database, not the chunk, dominates the
-   heap.
+     4096-row chunks                           16.5
+     one chunk per table                       16.6
+     heap-resident columns (older builds)      47.3 chunked, 77.7 whole
+   So it fails if column payloads come back onto the OCaml heap.  The chunk
+   size does not move it: it sets only the row-scan step, and at this scale
+   the reference database, not the chunk, dominates the heap.
 
    This is its own executable because r_peak_bytes reads heap_words, which
    would include heap left over from earlier cases in the same process. *)
 
 module Driver = Mirage_core.Driver
-module Col = Mirage_engine.Col
 
 let measured_mb = 17.1
 let bound_mb = 1.5 *. measured_mb
@@ -26,7 +23,6 @@ let test_streamed_peak () =
   (* keep the heap near the live set, so the peak prices the working set
      rather than allocation churn between samples *)
   Gc.set { (Gc.get ()) with Gc.space_overhead = 40 };
-  Col.set_big_rows 1024;
   let workload, ref_db, prod_env = Mirage_workloads.Tpch.make ~sf:3.2 ~seed:7 in
   let config =
     { Driver.default_config with

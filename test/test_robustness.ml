@@ -160,6 +160,30 @@ let test_quarantine_contradictory () =
           | _ -> Alcotest.fail "non-int s1")
         keys
 
+(* a raising [on_attempt_abort] hook must not replace the keygen failure it
+   runs under: the quarantine retry still happens, and the hook's error
+   comes back as a typed warning *)
+let test_abort_hook_failure () =
+  let config =
+    { Driver.default_config with
+      on_attempt_abort = Some (fun () -> failwith "hook down") }
+  in
+  match Driver.generate_from_bundle ~config (bundle (feasible :: contradictory)) with
+  | Error d ->
+      Alcotest.failf "expected degraded Ok, got Error: %s" (Diag.to_string d)
+  | Ok r ->
+      Alcotest.(check bool) "q2 still quarantined" true
+        (List.exists
+           (fun (v : Diag.verdict) ->
+             v.Diag.v_query = "q2" && v.Diag.v_status = Diag.Quarantined)
+           r.Driver.r_verdicts);
+      Alcotest.(check bool) "hook failure reported as a warning" true
+        (List.exists
+           (fun (d : Diag.t) ->
+             d.Diag.d_severity = Diag.Warning
+             && d.Diag.d_message = "attempt-abort hook failed: Failure(\"hook down\")")
+           r.Driver.r_diags)
+
 let test_all_queries_infeasible () =
   (* both queries carry self-contradictory annotations: the quarantine must
      widen until nothing is left, and the result is still Ok *)
@@ -297,6 +321,8 @@ let () =
             test_quarantine_contradictory;
           Alcotest.test_case "all queries infeasible" `Quick
             test_all_queries_infeasible;
+          Alcotest.test_case "failing attempt-abort hook is a warning" `Quick
+            test_abort_hook_failure;
           Alcotest.test_case "tiny cp node budget" `Quick test_tiny_node_budget;
         ] );
       ( "bundle-validation",

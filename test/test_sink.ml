@@ -671,33 +671,74 @@ let test_budget_race_sharded () =
       rm_rf dir)
     [ 1; 2; 4 ]
 
-(* --- big-column backend is representation-blind ---------------------------- *)
+(* --- file-backed payloads -------------------------------------------------- *)
 
-let test_big_rows_representation_blind () =
+(* With a spill directory set, every payload of 1 MiB or more is mapped
+   from a temp file there, unlinked as soon as it is mapped.  The exported
+   bytes must not change, the directory must hold no files afterwards, and
+   a directory that does not exist falls back to anonymous memory.  SSB at
+   sf 24 is the smallest round scale whose fact table (144k rows) has int
+   columns above that floor. *)
+let test_spill_dir () =
   let module Col = Mirage_engine.Col in
   let export db =
-    let dir = fresh_dir "mirage_repr" in
-    ignore (Shards.export ~db ~copies:2 ~dir ~run_id:"repr" ());
+    let dir = fresh_dir "mirage_spill_out" in
+    ignore (Shards.export ~db ~copies:2 ~dir ~run_id:"spill" ());
     let bytes =
       String.concat "\x00" (List.map (Shards.concat dir) (table_names db))
     in
     rm_rf dir;
     bytes
   in
-  let saved = Col.big_rows () in
+  let spill = fresh_dir "mirage_spill" in
+  let saved = Col.big_dir () in
   Fun.protect
-    ~finally:(fun () -> Col.set_big_rows saved)
+    ~finally:(fun () ->
+      Col.set_big_dir saved;
+      rm_rf spill)
     (fun () ->
-      let _, r_small = generate Mirage_workloads.Ssb.make ~sf:0.05 in
-      let heap_bytes = export r_small.Driver.r_db in
-      (* rerun the whole pipeline with a threshold low enough that every
-         table-sized structure takes the Bigarray path *)
-      Col.set_big_rows 8;
-      let _, r_big = generate Mirage_workloads.Ssb.make ~sf:0.05 in
-      let big_bytes = export r_big.Driver.r_db in
-      Alcotest.(check bool)
-        "big-column and heap columns generate identical bytes" true
-        (String.equal heap_bytes big_bytes))
+      Col.set_big_dir None;
+      let _, r = generate Mirage_workloads.Ssb.make ~sf:24.0 in
+      let anon = export r.Driver.r_db in
+      Col.set_big_dir (Some spill);
+      let _, r = generate Mirage_workloads.Ssb.make ~sf:24.0 in
+      let db = r.Driver.r_db in
+      Alcotest.(check bool) "some column reaches the 1 MiB file-backed floor" true
+        (List.exists (fun t -> 8 * Db.row_count db t >= 1 lsl 20) (table_names db));
+      (* where the kernel lists mappings, the live columns show up as
+         mappings of deleted files under the spill directory *)
+      if Sys.file_exists "/proc/self/maps" then begin
+        let contains l sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length l && (String.sub l i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        let ic = open_in "/proc/self/maps" in
+        let rec mapped () =
+          match input_line ic with
+          | l -> (contains l spill && contains l "mirage-big-") || mapped ()
+          | exception End_of_file -> false
+        in
+        let found = Fun.protect ~finally:(fun () -> close_in ic) mapped in
+        Alcotest.(check bool) "columns are mapped from the spill directory" true
+          found
+      end;
+      Alcotest.(check bool) "file-backed export = anonymous export" true
+        (String.equal anon (export db));
+      Alcotest.(check (list string)) "spill directory holds no files" []
+        (Array.to_list (Sys.readdir spill));
+      let missing = Filename.concat spill "missing" in
+      Col.set_big_dir (Some missing);
+      let n = 1 lsl 18 in
+      let v = Col.alloc_int_big n in
+      Bigarray.Array1.set v (n - 1) 7;
+      Alcotest.(check (pair int int)) "missing directory: zeroed, writable memory"
+        (0, 7)
+        (Bigarray.Array1.get v 0, Bigarray.Array1.get v (n - 1));
+      Alcotest.(check bool) "missing directory is not created" false
+        (Sys.file_exists missing))
 
 (* --- budget: typed degradation, not exceptions ----------------------------- *)
 
@@ -794,8 +835,9 @@ let () =
           Alcotest.test_case
             "tpch gzip shards gunzip to monolithic, domains 1/2/4" `Slow
             (test_workload_gzip "tpch" Mirage_workloads.Tpch.make ~sf:0.05);
-          Alcotest.test_case "big-column backend is representation-blind" `Slow
-            test_big_rows_representation_blind;
+          Alcotest.test_case
+            "spill directory: same bytes, no files left, missing dir falls back"
+            `Slow test_spill_dir;
           Alcotest.test_case
             "one shard per table: crash+resume and gzip, domains 1/2" `Slow
             test_unbounded_resume_gzip;

@@ -1,16 +1,14 @@
 (* Streamed fact-table generation (Driver.config.chunk_rows): the
    chunk-at-a-time pipeline must produce byte-identical databases and
    parameters to the monolithic path — across workloads, domain counts and
-   chunk sizes (including a non-dividing one), through a kill-and-resume
-   export mid-fact-table, and with the big-rows threshold scoped to the
-   chunk and restored afterwards. *)
+   chunk sizes (including a non-dividing one), and through a
+   kill-and-resume export mid-fact-table. *)
 
 module Driver = Mirage_core.Driver
 module Chunk_plan = Mirage_core.Chunk_plan
 module Scale_out = Mirage_core.Scale_out
 module Sink = Mirage_engine.Sink
 module Db = Mirage_engine.Db
-module Col = Mirage_engine.Col
 module Par = Mirage_par.Par
 module Schema = Mirage_sql.Schema
 
@@ -137,38 +135,32 @@ let test_stream_crash_resume () =
   let dir_c = fresh_dir "mirage_stream_cc" in
   (* several shards per fact table, crash after two commits: the kill lands
      mid-fact-table, and the resumed run must complete byte-identically.
-     The export threshold is lowered below the fact tables so both runs take
-     the per-window streaming branch rather than the cached whole-table
-     template fast path — dimensions stay under it and mix both paths. *)
+     At a third of the largest table, the fact tables ([rows > chunk_rows])
+     take the per-window streaming branch and the dimensions the cached
+     whole-table template, so both paths mix. *)
   let chunk_rows = max 1 (largest_table db / 3) in
   let run_id = "stream-resume" in
-  let saved_thr = Col.big_rows () in
-  Fun.protect
-    ~finally:(fun () -> Col.set_big_rows saved_thr)
-    (fun () ->
-      Col.set_big_rows (max 2 (chunk_rows / 2));
-      let crashed =
-        Par.with_pool ~domains:2 (fun pool ->
-            let backend =
-              Sink.faulty
-                { Sink.no_faults with Sink.crash_after_shards = Some 2 }
-                Sink.os_backend
-            in
-            match
-              Shards.export ~pool ~backend ~db ~copies:1 ~chunk_rows ~dir:dir_c
-                ~run_id ()
-            with
-            | _ -> false
-            | exception Sink.Injected_crash _ -> true)
+  let crashed =
+    Par.with_pool ~domains:2 (fun pool ->
+        let backend =
+          Sink.faulty
+            { Sink.no_faults with Sink.crash_after_shards = Some 2 }
+            Sink.os_backend
+        in
+        match
+          Shards.export ~pool ~backend ~db ~copies:1 ~chunk_rows ~dir:dir_c
+            ~run_id ()
+        with
+        | _ -> false
+        | exception Sink.Injected_crash _ -> true)
+  in
+  Alcotest.(check bool) "run 1 crashed" true crashed;
+  Par.with_pool ~domains:2 (fun pool ->
+      let rep =
+        Shards.export ~pool ~resume:true ~db ~copies:1 ~chunk_rows ~dir:dir_c
+          ~run_id ()
       in
-      Alcotest.(check bool) "run 1 crashed" true crashed;
-      Par.with_pool ~domains:2 (fun pool ->
-          let rep =
-            Shards.export ~pool ~resume:true ~db ~copies:1 ~chunk_rows
-              ~dir:dir_c ~run_id ()
-          in
-          Alcotest.(check int) "committed prefix resumed" 2
-            rep.Scale_out.cr_resumed));
+      Alcotest.(check int) "committed prefix resumed" 2 rep.Scale_out.cr_resumed);
   List.iter
     (fun t ->
       Alcotest.(check bool)
@@ -179,20 +171,6 @@ let test_stream_crash_resume () =
            (Shards.concat dir_c t)))
     (table_names db);
   rm_rf dir_c
-
-(* --- threshold scoping ----------------------------------------------------- *)
-
-(* a streamed run narrows the big-rows threshold to one chunk for its own
-   duration and must restore the caller's value on the way out *)
-let test_big_rows_restored () =
-  let saved = Col.big_rows () in
-  Fun.protect
-    ~finally:(fun () -> Col.set_big_rows saved)
-    (fun () ->
-      Col.set_big_rows 123_456;
-      let r = generate ~chunk_rows:37 Mirage_workloads.Ssb.make ~sf:0.05 in
-      ignore r.Driver.r_db;
-      Alcotest.(check int) "threshold restored" 123_456 (Col.big_rows ()))
 
 let () =
   Alcotest.run "stream"
@@ -214,7 +192,5 @@ let () =
             (test_stream_identity Mirage_workloads.Tpch.make ~sf:0.05);
           Alcotest.test_case "streamed db kill+resume export identity" `Slow
             test_stream_crash_resume;
-          Alcotest.test_case "big-rows threshold restored" `Slow
-            test_big_rows_restored;
         ] );
     ]

@@ -4,26 +4,9 @@ module Db = Mirage_engine.Db
 module Col = Mirage_engine.Col
 module Rng = Mirage_util.Rng
 
-(* Exact count of elements of [sorted] (ascending) satisfying [x ◦ t]. *)
-let count_selected ~cmp sorted t =
-  let n = Array.length sorted in
-  (* index of first element > t (upper bound) and first >= t (lower bound) *)
-  let upper =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if sorted.(mid) <= t then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  let lower =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if sorted.(mid) < t then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
+(* Rows of an ascending array of [n] values satisfying [x ◦ t], given the
+   index of its first element >= t ([lower]) and of its first > t ([upper]). *)
+let selected ~cmp ~n ~lower ~upper =
   match cmp with
   | Pred.Gt -> n - upper
   | Pred.Ge -> n - lower
@@ -32,26 +15,51 @@ let count_selected ~cmp sorted t =
   | Pred.Eq -> upper - lower
   | Pred.Neq -> n - (upper - lower)
 
+(* first index of [sorted] whose element fails [below] *)
+let search sorted below =
+  let lo = ref 0 and hi = ref (Array.length sorted) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if below sorted.(mid) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 let choose_threshold ~cmp ~target values =
-  if Array.length values = 0 then 0.0
+  let n = Array.length values in
+  if n = 0 then 0.0
   else begin
     let sorted = Array.copy values in
-    Array.sort compare sorted;
-    let n = Array.length sorted in
-    (* candidate thresholds: every distinct value, plus sentinels outside the
-       data range; pick the one minimising |count − target| *)
-    let candidates = ref [ sorted.(0) -. 1.0; sorted.(n - 1) +. 1.0 ] in
-    Array.iter (fun v -> candidates := v :: !candidates) sorted;
-    let best = ref (sorted.(0) -. 1.0) in
-    let best_dev = ref max_int in
+    Array.sort Float.compare sorted;
+    (* pick the candidate minimising |count − target|; the first strictly
+       better one wins, visiting every sorted value from the top down and
+       then two sentinels outside the data range.  The values of one run of
+       equal values select the same rows, so the run's top element stands
+       for it, and one downward sweep finds every run's bounds *)
+    let best = ref 0.0 and best_dev = ref max_int in
+    let consider t ~lower ~upper =
+      let dev = abs (selected ~cmp ~n ~lower ~upper - target) in
+      if dev < !best_dev then begin
+        best_dev := dev;
+        best := t
+      end
+    in
+    let upper = ref n in
+    while !upper > 0 do
+      let t = sorted.(!upper - 1) in
+      let lower = ref (!upper - 1) in
+      while !lower > 0 && sorted.(!lower - 1) = t do
+        decr lower
+      done;
+      consider t ~lower:!lower ~upper:!upper;
+      upper := !lower
+    done;
+    (* a sentinel can equal an extreme value (an infinity, or a magnitude
+       where ±1 rounds away), so its bounds are searched *)
     List.iter
       (fun t ->
-        let dev = abs (count_selected ~cmp sorted t - target) in
-        if dev < !best_dev then begin
-          best_dev := dev;
-          best := t
-        end)
-      !candidates;
+        consider t ~lower:(search sorted (fun x -> x < t))
+          ~upper:(search sorted (fun x -> x <= t)))
+      [ sorted.(0) -. 1.0; sorted.(n - 1) +. 1.0 ];
     !best
   end
 

@@ -28,9 +28,11 @@ let cmp_sql a b =
 
 let equal a b = compare a b = 0
 
+(* an [Int] hashes as its float image, so values that {!compare} equates
+   ([Int 1] and [Float 1.0]) hash alike *)
 let hash = function
   | Null -> 0
-  | Int x -> Hashtbl.hash x
+  | Int x -> Hashtbl.hash (float_of_int x)
   | Float x -> Hashtbl.hash x
   | Str s -> Hashtbl.hash s
 

@@ -25,6 +25,9 @@ val equal : t -> t -> bool
 (** Structural equality (NOT SQL equality: [equal Null Null = true]). *)
 
 val hash : t -> int
+(** Consistent with {!compare}: [compare a b = 0] implies
+    [hash a = hash b]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

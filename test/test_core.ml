@@ -281,6 +281,127 @@ let prop_cdf_satisfies_random_anchor_sets =
             (fun ((u : Ir.ucc), cnt) -> count_in_layout l u.Ir.ucc_lit = cnt)
             uccs)
 
+(* Random UCC mixes over a fabricated production column: ranges, equality
+   and inequality, IN lists and LIKE groups, with production keys that
+   repeat (several parameters on one value, so equal (key, rows) items
+   alias) and, on integer columns, keys given as [Float] images that
+   [Value.compare] equates with the [Int] keys. *)
+let random_cdf_input seed =
+  let rng = Mirage_util.Rng.create seed in
+  let int n = Mirage_util.Rng.int rng n in
+  let kind = if int 2 = 0 then Schema.Kint else Schema.Kstring in
+  let rows = 20 + int 150 in
+  let distinct = 2 + int 25 in
+  let data = Array.init rows (fun _ -> 1 + int distinct) in
+  let present = Array.to_list data |> List.sort_uniq compare in
+  let count f = Array.fold_left (fun a v -> if f v then a + 1 else a) 0 data in
+  let key v =
+    match kind with
+    | Schema.Kint -> if int 3 = 0 then Value.Float (float_of_int v) else Value.Int v
+    | _ -> Value.Str (Printf.sprintf "s%03d" v)
+  in
+  let keys = Hashtbl.create 16 and element_lists = Hashtbl.create 16 in
+  let pick () = 1 + int distinct in
+  let uccs =
+    List.init (1 + int 12) (fun i ->
+        let p = Printf.sprintf "p%d" i in
+        let v = pick () in
+        let scalar cmp f =
+          Hashtbl.replace keys p (key v);
+          ucc "t" "c" (cmp_lit "c" cmp p) (count f)
+        in
+        match int (if kind = Schema.Kstring then 9 else 8) with
+        | 0 -> scalar Pred.Le (fun x -> x <= v)
+        | 1 -> scalar Pred.Lt (fun x -> x < v)
+        | 2 -> scalar Pred.Gt (fun x -> x > v)
+        | 3 -> scalar Pred.Ge (fun x -> x >= v)
+        | 4 | 5 -> scalar Pred.Eq (fun x -> x = v)
+        | 6 -> scalar Pred.Neq (fun x -> x <> v)
+        | 7 ->
+            let vs = List.sort_uniq compare (List.init (1 + int 4) (fun _ -> pick ())) in
+            let neg = int 4 = 0 in
+            Hashtbl.replace element_lists p
+              (List.map (fun v -> (key v, count (( = ) v))) vs);
+            let k = count (fun x -> List.mem x vs) in
+            ucc "t" "c"
+              (Pred.In { col = "c"; neg; arg = Pred.Param p })
+              (if neg then rows - k else k)
+        | _ ->
+            let vs = List.filter (fun _ -> int 3 = 0) present in
+            let neg = int 4 = 0 in
+            Hashtbl.replace element_lists p
+              (List.map (fun v -> (key v, count (( = ) v))) vs);
+            let k = count (fun x -> List.mem x vs) in
+            ucc "t" "c"
+              (Pred.Like { col = "c"; neg; arg = Pred.Param p })
+              (if neg then rows - k else k))
+  in
+  let elements = function
+    | Pred.In { arg = Pred.Param p; _ } | Pred.Like { arg = Pred.Param p; _ } ->
+        Option.value (Hashtbl.find_opt element_lists p) ~default:[]
+    | _ -> []
+  in
+  let dom = max 1 (min rows (List.length present - 1 + int 4)) in
+  (kind, rows, dom, uccs, elements, Hashtbl.find_opt keys, int 4 > 0)
+
+let prop_cdf_matches_scan_reference =
+  QCheck.Test.make ~name:"build = list-scan reference on random UCC mixes" ~count:500
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let kind, rows, dom, uccs, elements, param_key, guided_placement =
+        random_cdf_input seed
+      in
+      match
+        ( Cdf.build ~guided_placement ~table:"t" ~col:"c" ~kind ~dom ~rows ~uccs
+            ~elements ~param_key (),
+          Cdf_reference.build ~guided_placement ~table:"t" ~col:"c" ~kind ~dom ~rows
+            ~uccs ~elements ~param_key () )
+      with
+      | Ok l, Ok r ->
+          l.Cdf.l_value_counts = r.Cdf_reference.l_value_counts
+          && l.Cdf.l_param_card = r.Cdf_reference.l_param_card
+          && l.Cdf.l_bindings = r.Cdf_reference.l_bindings
+          && List.for_all
+               (fun v -> l.Cdf.l_render v = r.Cdf_reference.l_render v)
+               (List.init (dom + 1) Fun.id)
+      | Error a, Error b -> a = b
+      | Ok _, Error e -> QCheck.Test.fail_reportf "reference failed: %s" e
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "build failed: %s" e)
+
+(* A LIKE parameter matching [m] distinct production values expands to [m]
+   E-items, each of which looks up an alias and a parameter card.  Linear
+   lookups take about 4x as long at 4m as at m; a scan over all items per
+   lookup takes about 16x. *)
+let test_cdf_like_items_scale_linearly () =
+  let build_seconds m =
+    let els = List.init m (fun i -> (Value.Str (Printf.sprintf "s%07d" i), 1 + (i mod 3))) in
+    let rows = List.fold_left (fun a (_, c) -> a + c) m els in
+    let uccs =
+      [ ucc "t" "c" (Pred.Like { col = "c"; neg = false; arg = Pred.Param "p" }) (rows - m) ]
+    in
+    (* CPU seconds: time other processes take on the host is not counted *)
+    let t0 = Sys.time () in
+    let l =
+      layout_exn
+        (Cdf.build ~table:"t" ~col:"c" ~kind:Schema.Kstring ~dom:(m + 1) ~rows ~uccs
+           ~elements:(fun _ -> els) ~param_key:no_key ())
+    in
+    let dt = Sys.time () -. t0 in
+    Alcotest.(check int) "one card per item" m (List.length l.Cdf.l_param_card);
+    dt
+  in
+  (* best of up to 3 rounds, stopping at the first within the bound; a round
+     times both sizes, so that a change in the host's load reaches both *)
+  let rec rounds k small large =
+    let small = Float.min small (build_seconds 50_000) in
+    let large = Float.min large (build_seconds 200_000) in
+    if large <= 8.0 *. small || k = 1 then (small, large) else rounds (k - 1) small large
+  in
+  let small, large = rounds 3 infinity infinity in
+  if large > 8.0 *. small then
+    Alcotest.failf "200k LIKE items took %.3f CPU s, %.1fx the %.3f CPU s of 50k" large
+      (large /. small) small
+
 (* --- Nonkey (§4.3) --------------------------------------------------------- *)
 
 let test_nonkey_preserves_multisets () =
@@ -372,6 +493,27 @@ let prop_acc_threshold_best_effort =
           distinct
       in
       abs (count - target) <= best)
+
+let prop_acc_threshold_matches_reference =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          map float_of_int (int_range (-4) 4);
+          oneofl [ 0.0; -0.0; 0.5; -0.5; infinity; neg_infinity; 1e20; -1e20; max_float ];
+        ])
+  in
+  let cmp = QCheck.Gen.oneofl Pred.[ Gt; Ge; Lt; Le; Eq; Neq ] in
+  QCheck.Test.make ~name:"threshold = candidate-list reference, bit for bit" ~count:2000
+    (QCheck.make
+       ~print:(fun (_, values, target) ->
+         Printf.sprintf "target %d, values [%s]" target
+           (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") values))))
+       QCheck.Gen.(triple cmp (array_size (0 -- 40) value) (int_range 0 42)))
+    (fun (cmp, values, target) ->
+      let bits f = Int64.bits_of_float f in
+      bits (Acc.choose_threshold ~cmp ~target values)
+      = bits (Acc_reference.choose_threshold ~cmp ~target values))
 
 (* --- Rewrite (§3) ----------------------------------------------------------- *)
 
@@ -1094,6 +1236,9 @@ let () =
           Alcotest.test_case "infeasible inputs" `Quick test_cdf_infeasible_inputs;
           Alcotest.test_case "default layout" `Quick test_cdf_default_layout;
           QCheck_alcotest.to_alcotest prop_cdf_satisfies_random_anchor_sets;
+          QCheck_alcotest.to_alcotest prop_cdf_matches_scan_reference;
+          Alcotest.test_case "LIKE items scale linearly" `Quick
+            test_cdf_like_items_scale_linearly;
         ] );
       ( "nonkey",
         [
@@ -1105,6 +1250,7 @@ let () =
           Alcotest.test_case "exact thresholds" `Quick test_acc_threshold_exact;
           Alcotest.test_case "extremes" `Quick test_acc_threshold_extremes;
           QCheck_alcotest.to_alcotest prop_acc_threshold_best_effort;
+          QCheck_alcotest.to_alcotest prop_acc_threshold_matches_reference;
         ] );
       ( "rewrite",
         [

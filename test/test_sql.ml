@@ -28,6 +28,30 @@ let test_value_to_float () =
   Alcotest.(check (option (float 0.0))) "int" (Some 4.0) (Value.to_float (Value.Int 4));
   Alcotest.(check bool) "str none" true (Value.to_float (Value.Str "x") = None)
 
+(* pools small enough that equal pairs are common: [Int]s and their [Float]
+   images, ±0.0, NaNs with different payloads, infinities and integers
+   beyond 2^53 whose float images coincide *)
+let prop_value_hash_consistent =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          return Value.Null;
+          map (fun i -> Value.Int i) (int_range (-3) 3);
+          map (fun i -> Value.Int i) (oneofl [ max_int; min_int; 1 lsl 53; (1 lsl 53) + 1 ]);
+          map (fun i -> Value.Float (float_of_int i)) (int_range (-3) 3);
+          map (fun f -> Value.Float f)
+            (oneofl
+               [ 0.0; -0.0; 0.5; nan; Int64.float_of_bits 0x7FF8000000000001L;
+                 infinity; neg_infinity; 9007199254740992.0; 9.223372036854775807e18 ]);
+          map (fun s -> Value.Str s) (oneofl [ ""; "1"; "a" ]);
+        ])
+  in
+  QCheck.Test.make ~name:"compare a b = 0 implies hash a = hash b" ~count:2000
+    (QCheck.make ~print:(fun (a, b) -> Value.to_string a ^ ", " ^ Value.to_string b)
+       QCheck.Gen.(pair gen gen))
+    (fun (a, b) -> Value.compare a b <> 0 || Value.hash a = Value.hash b)
+
 (* --- Like ---------------------------------------------------------------- *)
 
 let like_cases =
@@ -297,6 +321,7 @@ let () =
           Alcotest.test_case "null sql" `Quick test_value_cmp_sql_null;
           Alcotest.test_case "mixed types" `Quick test_value_cmp_sql_mixed;
           Alcotest.test_case "to_float" `Quick test_value_to_float;
+          QCheck_alcotest.to_alcotest prop_value_hash_consistent;
         ] );
       ( "like",
         [

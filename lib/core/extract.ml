@@ -2,6 +2,8 @@ module Pred = Mirage_sql.Pred
 module Schema = Mirage_sql.Schema
 module Plan = Mirage_relalg.Plan
 module Aqt = Mirage_relalg.Aqt
+module Value = Mirage_sql.Value
+module Col = Mirage_engine.Col
 module Db = Mirage_engine.Db
 module Exec = Mirage_engine.Exec
 
@@ -299,11 +301,46 @@ let run (w : Workload.t) ~ref_db ~prod_env =
   let param_elements =
     let seen = Hashtbl.create 16 in
     let out = ref [] in
-    let count_eq table col v =
-      let a = Db.column ref_db table col in
-      let c = ref 0 in
-      Array.iter (fun x -> if Mirage_sql.Value.compare x v = 0 then incr c) a;
-      !c
+    (* the stored typed column is read in place: a dictionary column's
+       codes are counted once, then each pool string is compared or
+       matched once; a NULL row counts as [Value.Null] *)
+    let code_counts codes nulls npool =
+      let counts = Array.make npool 0 and n_null = ref 0 in
+      for i = 0 to Bigarray.Array1.dim codes - 1 do
+        match nulls with
+        | Some b when Col.Bitset.get b i -> incr n_null
+        | _ -> counts.(codes.{i}) <- counts.(codes.{i}) + 1
+      done;
+      (counts, !n_null)
+    in
+    (* [count_eq table col]: the rows equal to a value, under [Value.compare] *)
+    let count_eq table col =
+      match Db.col ref_db table col with
+      | Col.Dict { codes; pool; nulls } ->
+          let counts, n_null = code_counts codes nulls (Array.length pool) in
+          fun v ->
+            let c = ref (if Value.compare Value.Null v = 0 then n_null else 0) in
+            Array.iteri
+              (fun k s -> if Value.compare (Value.Str s) v = 0 then c := !c + counts.(k))
+              pool;
+            !c
+      | column ->
+          fun v ->
+            let c = ref 0 in
+            for i = 0 to Col.length column - 1 do
+              if Value.compare (Col.get column i) v = 0 then incr c
+            done;
+            !c
+    in
+    (* [iter_strs table col f]: [f s rows] over the column's strings, [rows]
+       being how many rows hold [s] (a string may come more than once) *)
+    let iter_strs table col f =
+      match Db.col ref_db table col with
+      | Col.Dict { codes; pool; nulls } ->
+          let counts, _ = code_counts codes nulls (Array.length pool) in
+          Array.iteri (fun k s -> if counts.(k) > 0 then f s counts.(k)) pool
+      | Col.Boxed vs -> Array.iter (function Value.Str s -> f s 1 | _ -> ()) vs
+      | Col.Ints _ | Col.Floats _ -> ()
     in
     let record table lit =
       match lit with
@@ -316,27 +353,27 @@ let run (w : Workload.t) ~ref_db ~prod_env =
               | Some (Pred.Env.Scalar v) -> [ v ]
               | None -> []
             in
-            out := (p, List.map (fun v -> (v, count_eq table col v)) vs) :: !out
+            let els =
+              match vs with
+              | [] -> []
+              | vs ->
+                  let count = count_eq table col in
+                  List.map (fun v -> (v, count v)) vs
+            in
+            out := (p, els) :: !out
           end
       | Pred.Like { col; arg = Pred.Param p; _ } ->
           if not (Hashtbl.mem seen p) then begin
             Hashtbl.add seen p ();
             match Pred.Env.find p prod_env with
-            | Some (Pred.Env.Scalar (Mirage_sql.Value.Str pattern)) ->
+            | Some (Pred.Env.Scalar (Value.Str pattern)) ->
                 let counts = Hashtbl.create 16 in
-                Array.iter
-                  (fun v ->
-                    match v with
-                    | Mirage_sql.Value.Str str
-                      when Mirage_sql.Like.matches ~pattern str ->
-                        Hashtbl.replace counts str
-                          (1 + try Hashtbl.find counts str with Not_found -> 0)
-                    | _ -> ())
-                  (Db.column ref_db table col);
+                iter_strs table col (fun str rows ->
+                    if Mirage_sql.Like.matches ~pattern str then
+                      Hashtbl.replace counts str
+                        (rows + try Hashtbl.find counts str with Not_found -> 0));
                 let els =
-                  Hashtbl.fold
-                    (fun v c acc -> (Mirage_sql.Value.Str v, c) :: acc)
-                    counts []
+                  Hashtbl.fold (fun v c acc -> (Value.Str v, c) :: acc) counts []
                   |> List.sort compare
                 in
                 out := (p, els) :: !out

@@ -9,6 +9,7 @@ module Rel = Mirage_engine.Rel
 module Rng = Mirage_util.Rng
 module Par = Mirage_par.Par
 module Cp = Mirage_cp.Cp
+module Int_ids = Mirage_engine.Int_ids
 
 type stage_times = {
   mutable t_cs : float;
@@ -107,6 +108,36 @@ let split_alloc ~total_left ~view_left ~batch_view =
     let alloc = max ideal min_needed in
     min alloc (min batch_view total_left)
   end
+
+(* Rows [lo..hi] of [vec] grouped by value, values ascending and rows
+   ascending within each group, by a counting sort: a flat {!Int_ids}
+   table numbers the distinct values, a count per id sizes each group
+   exactly, and only the distinct values are sorted. *)
+let partition_rows vec lo hi =
+  let n = max 0 (hi - lo + 1) in
+  let ids = Int_ids.create 8 in
+  let row_id = Array.init n (fun j -> Int_ids.add ids (Col.Ivec.unsafe_get vec (lo + j))) in
+  let nd = Int_ids.length ids in
+  let counts = Array.make nd 0 in
+  Array.iter (fun id -> counts.(id) <- counts.(id) + 1) row_id;
+  let order = Array.init nd Fun.id in
+  Array.sort (fun a b -> Int.compare (Int_ids.key ids a) (Int_ids.key ids b)) order;
+  (* id -> its group's rows and fill cursor *)
+  let rows_of = Array.make nd [||] in
+  let parts =
+    Array.map
+      (fun id ->
+        rows_of.(id) <- Array.make counts.(id) 0;
+        (Int_ids.key ids id, rows_of.(id)))
+      order
+  in
+  let fill = Array.make nd 0 in
+  Array.iteri
+    (fun j id ->
+      rows_of.(id).(fill.(id)) <- lo + j;
+      fill.(id) <- fill.(id) + 1)
+    row_id;
+  parts
 
 (* check that a subplan does not join on the FK column being populated *)
 let rec subplan_uses_fk fk_col = function
@@ -360,25 +391,10 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
       let alloc0 = Gc.allocated_bytes () in
       let lo = b * batch_size and hi = min n_t ((b + 1) * batch_size) - 1 in
       (* T partitions restricted to the batch *)
-      let t_parts = Hashtbl.create 16 in
-      for i = lo to hi do
-        let v = Col.Ivec.unsafe_get t_vec i in
-        let cur = try Hashtbl.find t_parts v with Not_found -> [] in
-        Hashtbl.replace t_parts v (i :: cur)
-      done;
-      let t_partitions =
-        Hashtbl.fold (fun v rows acc -> (v, Array.of_list (List.rev rows)) :: acc) t_parts []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-        |> Array.of_list
-      in
+      let t_partitions = partition_rows t_vec lo hi in
       (* batch share of each view and of each constraint *)
       let batch_vr =
-        Array.init m (fun k ->
-            let c = ref 0 in
-            for i = lo to hi do
-              if Col.Bitset.get right_member.(k) i then incr c
-            done;
-            !c)
+        Array.init m (fun k -> Col.Bitset.count_range right_member.(k) lo (hi + 1))
       in
       let jcc_batch = Array.make m None and jdc_batch = Array.make m None in
       for k = 0 to m - 1 do

@@ -99,12 +99,32 @@ module Bitset = struct
   let get b i = Bigarray.Array1.unsafe_get b.bits (i lsr 3) land (1 lsl (i land 7)) <> 0
   let length b = b.len
 
-  let count b =
+  (* set bits per byte value *)
+  let popcount = String.init 256 (fun x ->
+      let rec bits x = if x = 0 then 0 else (x land 1) + bits (x lsr 1) in
+      Char.chr (bits x))
+
+  (* set bits in [lo, hi): whole bytes through the popcount table, the
+     partial bytes at either end one bit at a time *)
+  let count_range b lo hi =
     let n = ref 0 in
-    for i = 0 to b.len - 1 do
-      if get b i then incr n
-    done;
+    let bit_by_bit lo hi =
+      for i = lo to hi - 1 do
+        if get b i then incr n
+      done
+    in
+    let first = (lo + 7) lsr 3 and last = hi lsr 3 in
+    if first >= last then bit_by_bit lo hi
+    else begin
+      bit_by_bit lo (first lsl 3);
+      for byte = first to last - 1 do
+        n := !n + Char.code (String.unsafe_get popcount (Bigarray.Array1.unsafe_get b.bits byte))
+      done;
+      bit_by_bit (last lsl 3) hi
+    end;
     !n
+
+  let count b = count_range b 0 b.len
 
   let copy b =
     let c = create b.len in

@@ -32,6 +32,11 @@ module Bitset : sig
   val count : t -> int
   (** Number of set bits. *)
 
+  val count_range : t -> int -> int -> int
+  (** [count_range b lo hi]: number of set bits at positions [lo] to
+      [hi - 1]; [0] when [hi <= lo].  Counts whole bytes at a time.
+      Requires [0 <= lo] and [hi <= length b]. *)
+
   val copy : t -> t
 end
 

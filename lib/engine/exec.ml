@@ -318,22 +318,74 @@ let filter_rel ~env pred (rel : Rel.t) =
   done;
   Rel.select rel (Array.sub keep 0 !nk)
 
-(* PK–FK hash join.  The left relation carries [pk_table]'s primary key
-   column, the right relation the foreign key column.  Row-pair order
-   replicates the legacy row-major evaluator exactly: right rows ascending,
-   and within one right row the matching left rows in the (descending)
-   bucket order the index build produced.  Returns the joined relation for
-   the requested join type plus the uniform (jcc, jdc) statistics:
-   jcc = matched pairs, jdc = distinct matched key values. *)
-let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
-  let lv = Rel.view left (Rel.col_index left pk_col) in
-  let rv = Rel.view right (Rel.col_index right fk_col) in
-  let nleft = Rel.card left and nright = Rel.card right in
-  let left_matched = Array.make nleft false in
-  let right_matched = Array.make nright false in
-  let jcc = ref 0 in
-  let jdc = ref 0 in
-  (* growable matched-pair buffers, in legacy emission order *)
+(* Integer keys: a flat {!Int_ids} table (sized for every left row, so
+   it never grows) gives each key an id, and [heads.(id)] starts the chain
+   of that key's left rows, linked through [next].  Rows are inserted
+   ascending, so a chain lists them descending.  Pass 1 records each right
+   row's chain head, marks matches and counts jcc, and jdc as the keys hit;
+   pass 2 fills the exact-size pair arrays. *)
+let int_pairs ~nleft ~nright ~lsel ~ldata ~lnulls ~rsel ~rdata ~rnulls
+    left_matched right_matched =
+  let index = Int_ids.create nleft in
+  let heads = Array.make nleft (-1) and lens = Array.make nleft 0 in
+  let next = Array.make nleft (-1) in
+  for li = 0 to nleft - 1 do
+    let p = lsel.(li) in
+    if p >= 0 && not (vnull lnulls p) then begin
+      let id = Int_ids.add index ldata.{p} in
+      next.(li) <- heads.(id);
+      heads.(id) <- li;
+      lens.(id) <- lens.(id) + 1
+    end
+  done;
+  let hit = Bytes.make nleft '\000' in
+  let rhead = Array.make nright (-1) in
+  let jcc = ref 0 and jdc = ref 0 in
+  for ri = 0 to nright - 1 do
+    let p = rsel.(ri) in
+    if p >= 0 && not (vnull rnulls p) then begin
+      let id = Int_ids.find index rdata.{p} in
+      if id >= 0 then begin
+        if Bytes.get hit id = '\000' then begin
+          (* the key's first match: one walk marks its left rows *)
+          Bytes.set hit id '\001';
+          incr jdc;
+          let li = ref heads.(id) in
+          while !li >= 0 do
+            Bytes.set left_matched !li '\001';
+            li := next.(!li)
+          done
+        end;
+        rhead.(ri) <- heads.(id);
+        Bytes.set right_matched ri '\001';
+        jcc := !jcc + lens.(id)
+      end
+    end
+  done;
+  let pairs_l = Array.make !jcc 0 and pairs_r = Array.make !jcc 0 in
+  let np = ref 0 in
+  for ri = 0 to nright - 1 do
+    let li = ref rhead.(ri) in
+    while !li >= 0 do
+      pairs_l.(!np) <- !li;
+      pairs_r.(!np) <- ri;
+      incr np;
+      li := next.(!li)
+    done
+  done;
+  (pairs_l, pairs_r, !jdc)
+
+(* Any other key kind: boxed keys, structural equality. *)
+let boxed_pairs ~nleft ~nright lv rv left_matched right_matched =
+  let index = Hashtbl.create nleft in
+  for li = 0 to nleft - 1 do
+    match Rel.get_view lv li with
+    | Value.Null -> ()
+    | v ->
+        let cur = try Hashtbl.find index v with Not_found -> [] in
+        Hashtbl.replace index v (li :: cur)
+  done;
+  let matched_fk = Hashtbl.create 64 in
   let cap = ref (max 16 nright) in
   let pl = ref (Array.make !cap 0) in
   let pr = ref (Array.make !cap 0) in
@@ -352,72 +404,51 @@ let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
     !pr.(!np) <- r;
     incr np
   in
-  (match (lv.Rel.vcol, rv.Rel.vcol) with
-  | ( Col.Ints { data = ldata; nulls = lnulls },
-      Col.Ints { data = rdata; nulls = rnulls } ) ->
-      (* unboxed fast path: int-keyed index, no Value allocation *)
-      let lsel = lv.Rel.vsel and rsel = rv.Rel.vsel in
-      let index = Hashtbl.create nleft in
-      for li = 0 to nleft - 1 do
-        let p = lsel.(li) in
-        if p >= 0 && not (vnull lnulls p) then
-          let k = ldata.{p} in
-          let cur = try Hashtbl.find index k with Not_found -> [] in
-          Hashtbl.replace index k (li :: cur)
-      done;
-      let matched_fk = Hashtbl.create 64 in
-      for ri = 0 to nright - 1 do
-        let p = rsel.(ri) in
-        if p >= 0 && not (vnull rnulls p) then
-          let k = rdata.{p} in
-          match Hashtbl.find_opt index k with
-          | None -> ()
-          | Some lidxs ->
-              Hashtbl.replace matched_fk k ();
-              right_matched.(ri) <- true;
-              List.iter
-                (fun li ->
-                  incr jcc;
-                  left_matched.(li) <- true;
-                  push li ri)
-                lidxs
-      done;
-      jdc := Hashtbl.length matched_fk
-  | _ ->
-      (* generic path: boxed keys, structural equality (legacy behaviour) *)
-      let index = Hashtbl.create nleft in
-      for li = 0 to nleft - 1 do
-        match Rel.get_view lv li with
-        | Value.Null -> ()
-        | v ->
-            let cur = try Hashtbl.find index v with Not_found -> [] in
-            Hashtbl.replace index v (li :: cur)
-      done;
-      let matched_fk = Hashtbl.create 64 in
-      for ri = 0 to nright - 1 do
-        match Rel.get_view rv ri with
-        | Value.Null -> ()
-        | fkv -> (
-            match Hashtbl.find_opt index fkv with
-            | None -> ()
-            | Some lidxs ->
-                Hashtbl.replace matched_fk fkv ();
-                right_matched.(ri) <- true;
-                List.iter
-                  (fun li ->
-                    incr jcc;
-                    left_matched.(li) <- true;
-                    push li ri)
-                  lidxs)
-      done;
-      jdc := Hashtbl.length matched_fk);
-  let pairs_l = Array.sub !pl 0 !np and pairs_r = Array.sub !pr 0 !np in
+  for ri = 0 to nright - 1 do
+    match Rel.get_view rv ri with
+    | Value.Null -> ()
+    | fkv -> (
+        match Hashtbl.find_opt index fkv with
+        | None -> ()
+        | Some lidxs ->
+            Hashtbl.replace matched_fk fkv ();
+            Bytes.set right_matched ri '\001';
+            List.iter
+              (fun li ->
+                Bytes.set left_matched li '\001';
+                push li ri)
+              lidxs)
+  done;
+  (Array.sub !pl 0 !np, Array.sub !pr 0 !np, Hashtbl.length matched_fk)
+
+(* PK–FK hash join.  The left relation carries [pk_table]'s primary key
+   column, the right relation the foreign key column.  Row-pair order
+   replicates the legacy row-major evaluator exactly: right rows ascending,
+   and within one right row the matching left rows descending (the order of
+   the cons-list buckets the index once was).  Returns the joined relation
+   for the requested join type plus the uniform (jcc, jdc) statistics:
+   jcc = matched pairs, jdc = distinct matched key values. *)
+let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
+  let lv = Rel.view left (Rel.col_index left pk_col) in
+  let rv = Rel.view right (Rel.col_index right fk_col) in
+  let nleft = Rel.card left and nright = Rel.card right in
+  let left_matched = Bytes.make nleft '\000' in
+  let right_matched = Bytes.make nright '\000' in
+  let pairs_l, pairs_r, jdc =
+    match (lv.Rel.vcol, rv.Rel.vcol) with
+    | ( Col.Ints { data = ldata; nulls = lnulls },
+        Col.Ints { data = rdata; nulls = rnulls } ) ->
+        int_pairs ~nleft ~nright ~lsel:lv.Rel.vsel ~ldata ~lnulls
+          ~rsel:rv.Rel.vsel ~rdata ~rnulls left_matched right_matched
+    | _ -> boxed_pairs ~nleft ~nright lv rv left_matched right_matched
+  in
   let rows_where flags wanted =
-    let n = Array.length flags in
+    let wanted = if wanted then '\001' else '\000' in
+    let n = Bytes.length flags in
     let buf = Array.make n 0 in
     let k = ref 0 in
     for i = 0 to n - 1 do
-      if flags.(i) = wanted then begin
+      if Bytes.get flags i = wanted then begin
         buf.(!k) <- i;
         incr k
       end
@@ -457,7 +488,7 @@ let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
     | Plan.Right_anti -> Rel.select right (rows_where right_matched false)
   in
   let stat =
-    { jcc = !jcc; jdc = !jdc; left_card = nleft; right_card = nright }
+    { jcc = Array.length pairs_l; jdc; left_card = nleft; right_card = nright }
   in
   (rel, stat)
 

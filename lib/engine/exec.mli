@@ -21,6 +21,20 @@ type analysis = {
   join_stats : (int * join_stat) list;  (** per join view index *)
 }
 
+val join :
+  jt:Mirage_relalg.Plan.join_type ->
+  pk_col:string ->
+  fk_col:string ->
+  Rel.t ->
+  Rel.t ->
+  Rel.t * join_stat
+(** [join ~jt ~pk_col ~fk_col left right]: the PK–FK join [analyze] runs
+    for a join view, with its statistics.  Matched pairs come right rows
+    ascending and, within one right row, left rows descending; outer and
+    anti joins append the unmatched rows ascending after them.  Integer
+    keys probe a flat open-addressing index; any other key kind is
+    compared boxed.  A NULL key matches nothing. *)
+
 val run : Db.t -> env:Mirage_sql.Pred.Env.t -> Mirage_relalg.Plan.t -> Rel.t
 (** Evaluate and return the final relation. *)
 

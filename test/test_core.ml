@@ -1214,6 +1214,46 @@ let prop_random_applications_regenerate =
             (fun (e : Mirage_core.Error.query_error) -> e.Mirage_core.Error.qe_relative < 0.05)
             (Mirage_core.Driver.measure_errors r))
 
+(* the T-partition build as it was before the counting sort: a [Hashtbl]
+   of cons lists, reversed and sorted by value *)
+let partitions_reference vec lo hi =
+  let t_parts = Hashtbl.create 16 in
+  for i = lo to hi do
+    let v = Col.Ivec.unsafe_get vec i in
+    let cur = try Hashtbl.find t_parts v with Not_found -> [] in
+    Hashtbl.replace t_parts v (i :: cur)
+  done;
+  Hashtbl.fold (fun v rows acc -> (v, Array.of_list (List.rev rows)) :: acc) t_parts []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> Array.of_list
+
+let prop_partitions_match_reference =
+  QCheck.Test.make ~name:"T partitions = hashtable reference on random status vectors"
+    ~count:500 QCheck.int
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = Random.State.int st 300 in
+      let big () = Random.State.bits st lor (Random.State.bits st lsl 30) in
+      let value =
+        match Random.State.int st 4 with
+        | 0 ->
+            (* one value *)
+            let v = big () in
+            fun _ -> v
+        | 1 -> (* all distinct, below 2^60 *) fun i -> (big () land lnot 1023) lor i
+        | 2 ->
+            let pool = Array.init (1 + Random.State.int st 40) (fun _ -> big ()) in
+            fun _ -> pool.(Random.State.int st (Array.length pool))
+        | _ -> fun _ -> Random.State.int st 8
+      in
+      let vec = Col.Ivec.init n value in
+      let lo = Random.State.int st (n + 1) in
+      let hi =
+        if Random.State.int st 5 = 0 then lo - 1 (* an empty range *)
+        else lo - 1 + Random.State.int st (n - lo + 1)
+      in
+      Keygen.partition_rows vec lo hi = partitions_reference vec lo hi)
+
 let () =
   Alcotest.run "core"
     [
@@ -1274,6 +1314,7 @@ let () =
           Alcotest.test_case "membership: Project-rooted subplan takes the hash fallback"
             `Quick test_membership_project_fallback;
           Alcotest.test_case "paper Figs 8-10 example" `Quick test_keygen_paper_example;
+          QCheck_alcotest.to_alcotest prop_partitions_match_reference;
           Alcotest.test_case "solve cache: renamed systems hit" `Quick
             test_solve_cache_hit_renamed;
           Alcotest.test_case "solve cache: keying" `Quick

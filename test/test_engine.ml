@@ -6,6 +6,7 @@ module Plan = Mirage_relalg.Plan
 module Db = Mirage_engine.Db
 module Rel = Mirage_engine.Rel
 module Exec = Mirage_engine.Exec
+module Col = Mirage_engine.Col
 
 let schema =
   Schema.make
@@ -280,6 +281,84 @@ let prop_join_size_equations =
       && size Plan.Left_anti = s.Exec.left_card - s.Exec.jdc
       && size Plan.Right_anti = s.Exec.right_card - s.Exec.jcc)
 
+(* --- join kernel vs. the cons-list reference ------------------------------ *)
+
+let join_types =
+  Plan.[ Inner; Left_outer; Right_outer; Full_outer; Left_semi; Right_semi;
+         Left_anti; Right_anti ]
+
+(* keys that stress the flat index: duplicates, negatives, zero, the int
+   extremes and multiples of a large power of two, which agree in every
+   low bit *)
+let random_key st =
+  match Random.State.int st 7 with
+  | 0 -> min_int
+  | 1 -> max_int
+  | 2 -> 0
+  | 3 -> -1 - Random.State.int st 4
+  | 4 -> Random.State.int st 8 lsl (10 * (1 + Random.State.int st 5))
+  | _ -> 1 + Random.State.int st 6
+
+(* a relation whose [key] column draws from [pool]: a physical column with
+   an optional null bitmap (or boxed, keys then mixed with strings), seen
+   through a selection vector that repeats rows, reorders them and pads
+   with -1; a second column shares the selection or has its own *)
+let random_rel st ~key ~other pool =
+  let np = Random.State.int st 12 in
+  let keys = Array.init np (fun _ -> pool.(Random.State.int st (Array.length pool))) in
+  let null = Array.init np (fun _ -> Random.State.int st 5 = 0) in
+  let kcol =
+    if Random.State.int st 5 = 0 then
+      Col.Boxed
+        (Array.mapi
+           (fun i k ->
+             if null.(i) then Value.Null
+             else if Random.State.int st 6 = 0 then Value.Str (string_of_int k)
+             else Value.Int k)
+           keys)
+    else if Array.exists Fun.id null then begin
+      let nb = Col.Bitset.create np in
+      Array.iteri (fun i z -> if z then Col.Bitset.set nb i) null;
+      Col.of_ints ~nulls:nb keys
+    end
+    else Col.of_ints keys
+  in
+  let n = if np = 0 then Random.State.int st 2 else Random.State.int st 16 in
+  let sel () =
+    Array.init n (fun _ ->
+        if np = 0 || Random.State.int st 6 = 0 then -1 else Random.State.int st np)
+  in
+  let ksel = sel () in
+  let osel = if Random.State.bool st then ksel else sel () in
+  {
+    Rel.rcard = n;
+    views =
+      [|
+        { Rel.vname = key; vcol = kcol; vsel = ksel };
+        { Rel.vname = other; vcol = Col.of_ints (Array.init np Fun.id); vsel = osel };
+      |];
+  }
+
+let prop_join_matches_reference =
+  QCheck.Test.make ~name:"join = cons-list reference on random relations" ~count:1000
+    QCheck.int
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pool = Array.init (1 + Random.State.int st 6) (fun _ -> random_key st) in
+      let left = random_rel st ~key:"pk" ~other:"l" pool in
+      let right = random_rel st ~key:"fk" ~other:"r" pool in
+      List.for_all
+        (fun jt ->
+          let rel, stat = Exec.join ~jt ~pk_col:"pk" ~fk_col:"fk" left right in
+          let rel', stat' = Join_reference.join ~jt ~pk_col:"pk" ~fk_col:"fk" left right in
+          rel.Rel.rcard = rel'.Rel.rcard
+          && stat = stat'
+          && Array.length rel.Rel.views = Array.length rel'.Rel.views
+          && Array.for_all2
+               (fun v v' -> v.Rel.vname = v'.Rel.vname && v.Rel.vsel = v'.Rel.vsel)
+               rel.Rel.views rel'.Rel.views)
+        join_types)
+
 let () =
   Alcotest.run "engine"
     [
@@ -306,5 +385,6 @@ let () =
           Alcotest.test_case "aggregate global" `Quick test_aggregate_global;
           Alcotest.test_case "aggregate over empty" `Quick test_aggregate_over_empty;
           QCheck_alcotest.to_alcotest prop_join_size_equations;
+          QCheck_alcotest.to_alcotest prop_join_matches_reference;
         ] );
     ]

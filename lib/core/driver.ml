@@ -131,65 +131,6 @@ let cpu_now () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime
 
-(* owner table of a (globally unique) column name *)
-let owner_table schema col =
-  List.find_opt
-    (fun (tbl : Schema.table) ->
-      List.exists (fun (c : Schema.column) -> c.Schema.cname = col) tbl.Schema.nonkeys)
-    (Schema.tables schema)
-
-(* production elements for in/like literals (§4.2: the workload parser may
-   query the production database); returns (canonical value, row count)
-   pairs *)
-let elements_fn schema ref_db prod_env lit =
-  let count_eq table col v =
-    let a = Db.column ref_db table col in
-    let c = ref 0 in
-    Array.iter (fun x -> if Value.compare x v = 0 then incr c) a;
-    !c
-  in
-  match lit with
-  | Pred.In { col; arg; _ } -> (
-      let vs =
-        match arg with
-        | Pred.Const_list vs -> vs
-        | Pred.Param p -> (
-            match Pred.Env.find p prod_env with
-            | Some (Pred.Env.Vlist vs) -> vs
-            | Some (Pred.Env.Scalar v) -> [ v ]
-            | None -> [])
-        | Pred.Const v -> [ v ]
-      in
-      match owner_table schema col with
-      | Some tbl -> List.map (fun v -> (v, count_eq tbl.Schema.tname col v)) vs
-      | None -> [])
-  | Pred.Like { col; arg; _ } -> (
-      let pattern =
-        match arg with
-        | Pred.Const (Value.Str s) -> Some s
-        | Pred.Param p -> (
-            match Pred.Env.find p prod_env with
-            | Some (Pred.Env.Scalar (Value.Str s)) -> Some s
-            | _ -> None)
-        | Pred.Const _ | Pred.Const_list _ -> None
-      in
-      match (pattern, owner_table schema col) with
-      | Some pattern, Some tbl ->
-          let a = Db.column ref_db tbl.Schema.tname col in
-          let counts = Hashtbl.create 16 in
-          Array.iter
-            (fun v ->
-              match v with
-              | Value.Str s when Mirage_sql.Like.matches ~pattern s ->
-                  Hashtbl.replace counts s
-                    (1 + try Hashtbl.find counts s with Not_found -> 0)
-              | _ -> ())
-            a;
-          Hashtbl.fold (fun v c acc -> (Value.Str v, c) :: acc) counts []
-          |> List.sort compare
-      | _ -> [])
-  | Pred.Cmp _ | Pred.Arith_cmp _ -> []
-
 (* production value of a scalar parameter, for value sharing and placement *)
 let param_key_fn prod_env p =
   match Pred.Env.find p prod_env with
@@ -996,7 +937,8 @@ let generate ?(config = default_config) (w : Workload.t) ~ref_db ~prod_env =
       | extraction ->
           let t_extract = now () -. t0 in
           generate_internal ~config w ~extraction ~t_extract
-            ~elements_fallback:(elements_fn w.Workload.w_schema ref_db prod_env)
+            ~elements_fallback:
+              (Extract.production_elements w.Workload.w_schema ref_db ~env:prod_env)
             ~prod_env ~init_diags:vdiags
       | exception Rewrite.Unsupported msg ->
           Error (Diag.error Diag.Extract "rewrite: %s" msg)

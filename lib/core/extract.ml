@@ -148,6 +148,102 @@ let constraints_of_plan schema ~source plan (analysis : Exec.analysis) =
   go plan;
   (List.rev !sccs, List.rev !joins)
 
+(* The stored typed column is read in place: a dictionary column's codes
+   are counted once, then each pool string is compared or matched once; a
+   NULL row counts as [Value.Null]. *)
+let code_counts codes nulls npool =
+  let counts = Array.make npool 0 and n_null = ref 0 in
+  for i = 0 to Bigarray.Array1.dim codes - 1 do
+    match nulls with
+    | Some b when Col.Bitset.get b i -> incr n_null
+    | _ -> counts.(codes.{i}) <- counts.(codes.{i}) + 1
+  done;
+  (counts, !n_null)
+
+(* [count_eq db table col]: the rows equal to a value, under [Value.compare] *)
+let count_eq db table col =
+  match Db.col db table col with
+  | Col.Dict { codes; pool; nulls } ->
+      let counts, n_null = code_counts codes nulls (Array.length pool) in
+      fun v ->
+        let c = ref (if Value.compare Value.Null v = 0 then n_null else 0) in
+        Array.iteri
+          (fun k s -> if Value.compare (Value.Str s) v = 0 then c := !c + counts.(k))
+          pool;
+        !c
+  | column ->
+      fun v ->
+        let c = ref 0 in
+        for i = 0 to Col.length column - 1 do
+          if Value.compare (Col.get column i) v = 0 then incr c
+        done;
+        !c
+
+(* [iter_strs db table col f]: [f s rows] over the column's strings, [rows]
+   being how many rows hold [s] (a string may come more than once) *)
+let iter_strs db table col f =
+  match Db.col db table col with
+  | Col.Dict { codes; pool; nulls } ->
+      let counts, _ = code_counts codes nulls (Array.length pool) in
+      Array.iteri (fun k s -> if counts.(k) > 0 then f s counts.(k)) pool
+  | Col.Boxed vs -> Array.iter (function Value.Str s -> f s 1 | _ -> ()) vs
+  | Col.Ints _ | Col.Floats _ -> ()
+
+let literal_elements db ~env ~table = function
+  | Pred.In { col; arg; _ } -> (
+      let vs =
+        match arg with
+        | Pred.Const_list vs -> vs
+        | Pred.Const v -> [ v ]
+        | Pred.Param p -> (
+            match Pred.Env.find p env with
+            | Some (Pred.Env.Vlist vs) -> vs
+            | Some (Pred.Env.Scalar v) -> [ v ]
+            | None -> [])
+      in
+      match vs with
+      | [] -> []
+      | vs ->
+          let count = count_eq db table col in
+          List.map (fun v -> (v, count v)) vs)
+  | Pred.Like { col; arg; _ } -> (
+      let pattern =
+        match arg with
+        | Pred.Const (Value.Str s) -> Some s
+        | Pred.Param p -> (
+            match Pred.Env.find p env with
+            | Some (Pred.Env.Scalar (Value.Str s)) -> Some s
+            | _ -> None)
+        | Pred.Const _ | Pred.Const_list _ -> None
+      in
+      match pattern with
+      | None -> []
+      | Some pattern ->
+          let counts = Hashtbl.create 16 in
+          iter_strs db table col (fun str rows ->
+              if Mirage_sql.Like.matches ~pattern str then
+                Hashtbl.replace counts str
+                  (rows + try Hashtbl.find counts str with Not_found -> 0));
+          Hashtbl.fold (fun v c acc -> (Value.Str v, c) :: acc) counts []
+          |> List.sort compare)
+  | Pred.Cmp _ | Pred.Arith_cmp _ -> []
+
+(* columns are named uniquely across the schema: the owner is the table
+   whose non-key columns include it *)
+let production_elements schema db ~env lit =
+  let owner col =
+    List.find_opt
+      (fun (tbl : Schema.table) ->
+        List.exists (fun (c : Schema.column) -> c.Schema.cname = col) tbl.Schema.nonkeys)
+      (Schema.tables schema)
+  in
+  match lit with
+  | Pred.In { col; _ } | Pred.Like { col; _ } -> (
+      match owner col with
+      | Some tbl -> literal_elements db ~env ~table:tbl.Schema.tname lit
+      | None -> [])
+  | Pred.Cmp _ | Pred.Arith_cmp _ -> []
+
 let run (w : Workload.t) ~ref_db ~prod_env =
   let schema = w.Workload.w_schema in
   let table_cards =
@@ -301,83 +397,12 @@ let run (w : Workload.t) ~ref_db ~prod_env =
   let param_elements =
     let seen = Hashtbl.create 16 in
     let out = ref [] in
-    (* the stored typed column is read in place: a dictionary column's
-       codes are counted once, then each pool string is compared or
-       matched once; a NULL row counts as [Value.Null] *)
-    let code_counts codes nulls npool =
-      let counts = Array.make npool 0 and n_null = ref 0 in
-      for i = 0 to Bigarray.Array1.dim codes - 1 do
-        match nulls with
-        | Some b when Col.Bitset.get b i -> incr n_null
-        | _ -> counts.(codes.{i}) <- counts.(codes.{i}) + 1
-      done;
-      (counts, !n_null)
-    in
-    (* [count_eq table col]: the rows equal to a value, under [Value.compare] *)
-    let count_eq table col =
-      match Db.col ref_db table col with
-      | Col.Dict { codes; pool; nulls } ->
-          let counts, n_null = code_counts codes nulls (Array.length pool) in
-          fun v ->
-            let c = ref (if Value.compare Value.Null v = 0 then n_null else 0) in
-            Array.iteri
-              (fun k s -> if Value.compare (Value.Str s) v = 0 then c := !c + counts.(k))
-              pool;
-            !c
-      | column ->
-          fun v ->
-            let c = ref 0 in
-            for i = 0 to Col.length column - 1 do
-              if Value.compare (Col.get column i) v = 0 then incr c
-            done;
-            !c
-    in
-    (* [iter_strs table col f]: [f s rows] over the column's strings, [rows]
-       being how many rows hold [s] (a string may come more than once) *)
-    let iter_strs table col f =
-      match Db.col ref_db table col with
-      | Col.Dict { codes; pool; nulls } ->
-          let counts, _ = code_counts codes nulls (Array.length pool) in
-          Array.iteri (fun k s -> if counts.(k) > 0 then f s counts.(k)) pool
-      | Col.Boxed vs -> Array.iter (function Value.Str s -> f s 1 | _ -> ()) vs
-      | Col.Ints _ | Col.Floats _ -> ()
-    in
     let record table lit =
       match lit with
-      | Pred.In { col; arg = Pred.Param p; _ } ->
+      | Pred.In { arg = Pred.Param p; _ } | Pred.Like { arg = Pred.Param p; _ } ->
           if not (Hashtbl.mem seen p) then begin
             Hashtbl.add seen p ();
-            let vs =
-              match Pred.Env.find p prod_env with
-              | Some (Pred.Env.Vlist vs) -> vs
-              | Some (Pred.Env.Scalar v) -> [ v ]
-              | None -> []
-            in
-            let els =
-              match vs with
-              | [] -> []
-              | vs ->
-                  let count = count_eq table col in
-                  List.map (fun v -> (v, count v)) vs
-            in
-            out := (p, els) :: !out
-          end
-      | Pred.Like { col; arg = Pred.Param p; _ } ->
-          if not (Hashtbl.mem seen p) then begin
-            Hashtbl.add seen p ();
-            match Pred.Env.find p prod_env with
-            | Some (Pred.Env.Scalar (Value.Str pattern)) ->
-                let counts = Hashtbl.create 16 in
-                iter_strs table col (fun str rows ->
-                    if Mirage_sql.Like.matches ~pattern str then
-                      Hashtbl.replace counts str
-                        (rows + try Hashtbl.find counts str with Not_found -> 0));
-                let els =
-                  Hashtbl.fold (fun v c acc -> (Value.Str v, c) :: acc) counts []
-                  |> List.sort compare
-                in
-                out := (p, els) :: !out
-            | _ -> out := (p, []) :: !out
+            out := (p, literal_elements ref_db ~env:prod_env ~table lit) :: !out
           end
       | Pred.Cmp _ | Pred.In _ | Pred.Like _ | Pred.Arith_cmp _ -> ()
     in

@@ -26,3 +26,17 @@ val run :
 
 val child_view_of : table:string -> Mirage_relalg.Plan.t -> Ir.child_view
 (** Classify a join child subtree (exposed for tests). *)
+
+val production_elements :
+  Mirage_sql.Schema.t ->
+  Mirage_engine.Db.t ->
+  env:Mirage_sql.Pred.Env.t ->
+  Mirage_sql.Pred.literal ->
+  (Mirage_sql.Value.t * int) list
+(** The production elements of one [IN] or [LIKE] literal (§4.2), read
+    from the stored column of the table owning the literal's column: each
+    listed [IN] value with its row count under [Value.compare], in list
+    order, or each string matching the [LIKE] pattern with its row count,
+    sorted.  A parameter operand resolves in [env]; an unbound one, a
+    non-string pattern, a column no table owns and any other literal give
+    [[]].  The same counter fills {!Ir.t}'s [param_elements]. *)

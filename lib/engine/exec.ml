@@ -26,12 +26,13 @@ let vnull nulls p =
    only raises if some row reaches that literal, so empty relations and
    short-circuited branches never raise. *)
 
-type scope = { find : string -> Rel.view }
+type scope = { rows : int; find : string -> Rel.view }
 
 let scope_of_rel ~missing (rel : Rel.t) =
   let idx = Hashtbl.create (Array.length rel.Rel.views) in
   Array.iter (fun v -> Hashtbl.replace idx v.Rel.vname v) rel.Rel.views;
   {
+    rows = Rel.card rel;
     find =
       (fun c ->
         match Hashtbl.find_opt idx c with
@@ -218,56 +219,33 @@ let compile_like ~env scope col neg arg =
             | _ -> false)
       | _, _ -> fun _ -> false)
 
-let rec compile_arith scope = function
-  | Pred.Acol c -> (
-      let v = scope.find c in
-      let sel = v.Rel.vsel in
-      match v.Rel.vcol with
-      | Col.Ints { data; nulls } ->
-          fun i ->
-            let p = sel.(i) in
-            if p < 0 || vnull nulls p then None
-            else Some (float_of_int data.{p})
-      | Col.Floats { data; nulls } ->
-          fun i ->
-            let p = sel.(i) in
-            if p < 0 || vnull nulls p then None else Some data.{p}
-      | Col.Dict _ -> fun _ -> None
-      | Col.Boxed vs ->
-          fun i ->
-            let p = sel.(i) in
-            if p < 0 then None else Value.to_float vs.(p))
-  | Pred.Aconst f ->
-      let r = Some f in
-      fun _ -> r
-  | Pred.Aadd (a, b) -> lift2 ( +. ) scope a b
-  | Pred.Asub (a, b) -> lift2 ( -. ) scope a b
-  | Pred.Amul (a, b) -> lift2 ( *. ) scope a b
-  | Pred.Adiv (a, b) ->
-      let fa = compile_arith scope a and fb = compile_arith scope b in
-      fun i -> (
-        match (fa i, fb i) with
-        | Some x, Some y when y <> 0.0 -> Some (x /. y)
-        | _ -> None)
-
-and lift2 op scope a b =
-  let fa = compile_arith scope a and fb = compile_arith scope b in
-  fun i ->
-    match (fa i, fb i) with
-    | Some x, Some y -> Some (op x y)
-    | _ -> None
-
+(* the columnar kernel evaluates the expression one window of
+   [Arith.block] logical rows at a time, starting at the first row that
+   reaches the literal and moving on when a row falls outside the window *)
 let compile_arith_cmp ~env scope expr cmp arg =
   lazy_lit (fun () ->
       let arg_v = Pred.resolve_scalar ~env arg in
-      let f = compile_arith scope expr in
+      let r =
+        Arith.create ~capacity:Arith.block
+          (fun c ->
+            let v = scope.find c in
+            (v.Rel.vcol, Some v.Rel.vsel))
+          expr
+      in
       match Value.to_float arg_v with
       | None -> fun _ -> false
-      | Some y -> (
+      | Some y ->
+          let values = Arith.values r in
+          let base = ref 0 and filled = ref 0 in
           fun i ->
-            match f i with
-            | Some x -> Pred.cmp_holds cmp (Stdlib.compare x y)
-            | None -> false))
+            if i < !base || i >= !base + !filled then begin
+              base := i;
+              filled := min Arith.block (scope.rows - i);
+              Arith.run r ~src:i ~dst:0 ~len:!filled
+            end;
+            let k = i - !base in
+            (not (Arith.is_null r k))
+            && Pred.cmp_holds cmp (Stdlib.compare values.{k} y))
 
 let compile_literal ~env scope = function
   | Pred.Cmp { col; cmp; arg } -> compile_cmp ~env scope col cmp arg
@@ -302,7 +280,7 @@ let scan db tname =
   let names = Schema.column_names tschema in
   Rel.of_cols (List.map (fun c -> (c, Db.col db tname c)) names)
 
-let filter_rel ~env pred (rel : Rel.t) =
+let filter ~env pred (rel : Rel.t) =
   let scope =
     scope_of_rel rel ~missing:(Printf.sprintf "Exec: column %s not in scope")
   in
@@ -571,7 +549,7 @@ let analyze db ~env plan =
     let rel =
       match p with
       | Plan.Table t -> scan db t
-      | Plan.Select (pred, q) -> filter_rel ~env pred (go q)
+      | Plan.Select (pred, q) -> filter ~env pred (go q)
       | Plan.Project { cols; input } -> Rel.distinct_on (go input) cols
       | Plan.Aggregate { group_by; aggs; input } ->
           aggregate ~group_by ~aggs (go input)
@@ -601,6 +579,7 @@ let table_scope db ~missing ~table cols =
   in
   ( n,
     {
+      rows = n;
       find =
         (fun c ->
           match List.assoc_opt c views with

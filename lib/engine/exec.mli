@@ -35,6 +35,17 @@ val join :
     keys probe a flat open-addressing index; any other key kind is
     compared boxed.  A NULL key matches nothing. *)
 
+val filter : env:Mirage_sql.Pred.Env.t -> Mirage_sql.Pred.t -> Rel.t -> Rel.t
+(** [filter ~env p rel]: the selection view [analyze] runs, keeping the
+    rows of [rel] that satisfy [p], in order, with {!Mirage_sql.Pred.eval}'s
+    semantics.  Each literal is compiled once, on the first row that
+    reaches it, so an unbound parameter or unknown column raises only if a
+    row does.  An arithmetic comparison runs the columnar kernel
+    ({!Arith}) over windows of {!Arith.block} rows, starting at the first
+    row that reaches it, and compares each row's value with the operand
+    under [Stdlib.compare] (NaN below every number); a NULL value or a
+    non-numeric operand selects nothing. *)
+
 val run : Db.t -> env:Mirage_sql.Pred.Env.t -> Mirage_relalg.Plan.t -> Rel.t
 (** Evaluate and return the final relation. *)
 

@@ -84,6 +84,12 @@ val params : t -> string list
 
 val arith_columns : arith -> string list
 
+val eval_arith : (string -> Value.t) -> arith -> float option
+(** The boxed value of an arithmetic expression on one row, [lookup]
+    giving each column's cell: [None] on a NULL or non-numeric cell or a
+    zero divisor.  {!eval}'s [Arith_cmp] uses it, and it is the reference
+    the engine's columnar kernel is checked against. *)
+
 val cnf : t -> t list list
 (** [cnf p] converts [p] to conjunctive normal form as a list of clauses,
     each clause being a list of literal-level predicates ([Lit] or

@@ -2,9 +2,11 @@
    (extract a bundle, generate from it elsewhere) must write the same files
    the direct [generate] run writes, and its output must verify against the
    bundle; the default export (no --chunk-rows) is one resumable shard per
-   table.  The binary's path is the first command-line argument. *)
+   table.  The binary's path is the first command-line argument, the
+   TPC-H sf 4 digest list's the second. *)
 
 let cli = ref ""
+let tpch_sf4_md5 = ref ""
 
 let read_file path =
   let ic = open_in_bin path in
@@ -221,8 +223,37 @@ let test_default_export_gzip () =
   Alcotest.(check bool) "names the missing inflater" true
     (contains ~sub:"no inflater" (read_file log))
 
+(* The byte contract at the tpch-nonkey benchmark's scale: the shards and
+   parameters.txt of TPC-H sf 4 pin every ACC threshold, every tie-repaired
+   lineitem and partsupp row, and the LIKE parameter on orders.o_comment
+   with its 6,182 CDF items.  Each line of the digest list is an md5sum
+   line: the hex digest, two spaces, the file name. *)
+let test_tpch_sf4_digests () =
+  with_dir @@ fun dir ->
+  let out = Filename.concat dir "out" in
+  expect_ok ~log:(Filename.concat dir "run.log")
+    [ "generate"; "-w"; "tpch"; "--sf"; "4"; "--seed"; "7"; "-o"; out;
+      "--chunk-rows"; "100000" ];
+  let pinned =
+    List.filter_map
+      (fun line ->
+        match String.index_opt line ' ' with
+        | Some i when line <> "" ->
+            Some (String.trim (String.sub line i (String.length line - i)),
+                  String.sub line 0 i)
+        | _ -> None)
+      (lines !tpch_sf4_md5)
+  in
+  Alcotest.(check int) "nine pinned files" 9 (List.length pinned);
+  List.iter
+    (fun (file, md5) ->
+      Alcotest.(check string) file md5
+        (Digest.to_hex (Digest.file (Filename.concat out file))))
+    pinned
+
 let () =
   cli := Sys.argv.(1);
+  tpch_sf4_md5 := Sys.argv.(2);
   Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
     [
       ( "from-bundle",
@@ -244,5 +275,7 @@ let () =
             `Quick test_default_export_gzip;
           Alcotest.test_case "--sql --chunk-rows: resume skips both exports"
             `Quick test_sql_chunked_resumes;
+          Alcotest.test_case "TPC-H sf 4 shards match the pinned digests"
+            `Quick test_tpch_sf4_digests;
         ] );
     ]

@@ -455,21 +455,23 @@ let test_nonkey_bound_rows () =
 
 (* --- Acc (§4.4) ------------------------------------------------------------ *)
 
+let fbig a = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a
+
 let test_acc_threshold_exact () =
   let values = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  let t = Acc.choose_threshold ~cmp:Pred.Gt ~target:2 values in
+  let t = Acc.choose_threshold ~cmp:Pred.Gt ~target:2 (fbig values) in
   Alcotest.(check int) "exactly 2 greater" 2
     (Array.fold_left (fun a v -> if v > t then a + 1 else a) 0 values);
-  let t = Acc.choose_threshold ~cmp:Pred.Le ~target:4 values in
+  let t = Acc.choose_threshold ~cmp:Pred.Le ~target:4 (fbig values) in
   Alcotest.(check int) "exactly 4 at most" 4
     (Array.fold_left (fun a v -> if v <= t then a + 1 else a) 0 values)
 
 let test_acc_threshold_extremes () =
   let values = [| 1.0; 2.0; 3.0 |] in
-  let t = Acc.choose_threshold ~cmp:Pred.Gt ~target:0 values in
+  let t = Acc.choose_threshold ~cmp:Pred.Gt ~target:0 (fbig values) in
   Alcotest.(check int) "none greater" 0
     (Array.fold_left (fun a v -> if v > t then a + 1 else a) 0 values);
-  let t = Acc.choose_threshold ~cmp:Pred.Gt ~target:3 values in
+  let t = Acc.choose_threshold ~cmp:Pred.Gt ~target:3 (fbig values) in
   Alcotest.(check int) "all greater" 3
     (Array.fold_left (fun a v -> if v > t then a + 1 else a) 0 values)
 
@@ -479,7 +481,7 @@ let prop_acc_threshold_best_effort =
     (fun (vals, target) ->
       let values = Array.of_list (List.map float_of_int vals) in
       let target = min target (Array.length values) in
-      let t = Acc.choose_threshold ~cmp:Pred.Le ~target values in
+      let t = Acc.choose_threshold ~cmp:Pred.Le ~target (fbig values) in
       let count = Array.fold_left (fun a v -> if v <= t then a + 1 else a) 0 values in
       (* achieved count is within the best achievable deviation: check no
          single distinct value does strictly better *)
@@ -512,8 +514,240 @@ let prop_acc_threshold_matches_reference =
        QCheck.Gen.(triple cmp (array_size (0 -- 40) value) (int_range 0 42)))
     (fun (cmp, values, target) ->
       let bits f = Int64.bits_of_float f in
-      bits (Acc.choose_threshold ~cmp ~target values)
+      bits (Acc.choose_threshold ~cmp ~target (fbig values))
       = bits (Acc_reference.choose_threshold ~cmp ~target values))
+
+(* [Acc.instantiate] on a stored table: two small-int date columns whose
+   difference takes five values, so every threshold sits on a tie run, and
+   a dictionary column *)
+let acc_schema =
+  Schema.make
+    [
+      {
+        Schema.tname = "li";
+        pk = "li_pk";
+        nonkeys =
+          [
+            { Schema.cname = "ship"; domain_size = 40; kind = Schema.Kint };
+            { Schema.cname = "recv"; domain_size = 40; kind = Schema.Kint };
+            { Schema.cname = "mode"; domain_size = 3; kind = Schema.Kstring };
+          ];
+        fks = [];
+        row_count = 400;
+      };
+    ]
+
+let acc_db ?(nulls = []) ?(recv = fun i ship -> ship + (i * 7 mod 5)) n =
+  let db = Db.create acc_schema in
+  let ship = Array.init n (fun i -> i * 13 mod 31) in
+  let ship_nulls =
+    match nulls with
+    | [] -> None
+    | rows ->
+        let b = Col.Bitset.create n in
+        List.iter (Col.Bitset.set b) rows;
+        Some b
+  in
+  Db.put_cols db "li"
+    [
+      ("li_pk", Col.of_ints (Array.init n Fun.id));
+      ("ship", Col.of_ints ?nulls:ship_nulls ship);
+      ("recv", Col.of_ints (Array.mapi recv ship));
+      ("mode", Col.of_strings (Array.init n (fun i -> [| "AIR"; "RAIL"; "SHIP" |].(i mod 3))));
+    ];
+  db
+
+let acc_of ~rows expr =
+  {
+    Ir.acc_table = "li";
+    acc_expr =
+      (match Parser.pred (expr ^ " > $p") with
+      | Pred.Lit (Pred.Arith_cmp { expr; _ }) -> expr
+      | _ -> assert false);
+    acc_cmp = Pred.Gt;
+    acc_param = "p";
+    acc_rows = rows;
+    acc_source = "test";
+  }
+
+let li_ints db c = Array.map (function Value.Int x -> x | _ -> min_int) (Db.column db "li" c)
+
+let acc_threshold (_, b) =
+  match b with Pred.Env.Scalar (Value.Float p) -> p | _ -> Alcotest.fail "not a float"
+
+let test_acc_repair_reaches_target () =
+  let db = acc_db 400 in
+  let diffs () = Array.map2 ( - ) (li_ints db "recv") (li_ints db "ship") in
+  let above p = Array.fold_left (fun a d -> if float_of_int d > p then a + 1 else a) 0 (diffs ()) in
+  (* 123 rows: no threshold over the five tie runs selects that many *)
+  let no_repair =
+    Acc.instantiate ~repair:false ~rng:(Mirage_util.Rng.create 3) ~db ~sample_size:1000
+      (acc_of ~rows:123 "recv - ship")
+  in
+  Alcotest.(check bool) "ties leave the threshold off target" true
+    (above (acc_threshold no_repair) <> 123);
+  let p =
+    acc_threshold
+      (Acc.instantiate ~rng:(Mirage_util.Rng.create 3) ~db ~sample_size:1000
+         (acc_of ~rows:123 "recv - ship"))
+  in
+  Alcotest.(check int) "repair reaches the exact count" 123 (above p)
+
+let test_acc_repair_frozen_prefix () =
+  let db = acc_db 400 in
+  let before = List.map (fun c -> (c, li_ints db c)) [ "li_pk"; "ship"; "recv" ] in
+  let mode = Db.column db "li" "mode" in
+  ignore
+    (Acc.instantiate ~frozen_prefix:100 ~rng:(Mirage_util.Rng.create 5) ~db ~sample_size:1000
+       (acc_of ~rows:251 "recv - ship"));
+  let sorted a = List.sort compare (Array.to_list a) in
+  let moved = ref false in
+  List.iter
+    (fun (c, old) ->
+      let now = li_ints db c in
+      Alcotest.(check (array int)) (c ^ " prefix untouched") (Array.sub old 0 100)
+        (Array.sub now 0 100);
+      Alcotest.(check (list int)) (c ^ " multiset kept") (sorted old) (sorted now);
+      if now <> old then moved := true)
+    before;
+  Alcotest.(check bool) "repair swapped some rows" true !moved;
+  Alcotest.(check bool) "untouched column" true (Db.column db "li" "mode" = mode)
+
+let test_acc_invalid_rows () =
+  let raises msg db expr =
+    Alcotest.check_raises expr (Invalid_argument msg) (fun () ->
+        ignore
+          (Acc.instantiate ~rng:(Mirage_util.Rng.create 1) ~db ~sample_size:1000
+             (acc_of ~rows:10 expr)))
+  in
+  let non_numeric = "Acc: non-numeric column in arithmetic expression" in
+  raises non_numeric (acc_db ~nulls:[ 17 ] 40) "recv - ship";
+  raises non_numeric (acc_db 40) "recv - mode";
+  raises "Acc: division by zero" (acc_db ~recv:(fun i _ -> i mod 9) 40) "ship / recv"
+
+let test_acc_unsampled_null () =
+  let n = 400 and s = 50 in
+  let sampled = Mirage_util.Rng.sample_without_replacement (Mirage_util.Rng.create 9) s n in
+  let outside = List.find (fun r -> not (Array.mem r sampled)) (List.init n Fun.id) in
+  let db = acc_db ~nulls:[ outside ] n in
+  ignore
+    (Acc.instantiate ~rng:(Mirage_util.Rng.create 9) ~db ~sample_size:s
+       (acc_of ~rows:200 "recv - ship"));
+  let db = acc_db ~nulls:[ sampled.(s / 2) ] n in
+  Alcotest.check_raises "a sampled NULL raises"
+    (Invalid_argument "Acc: non-numeric column in arithmetic expression") (fun () ->
+      ignore
+        (Acc.instantiate ~rng:(Mirage_util.Rng.create 9) ~db ~sample_size:s
+           (acc_of ~rows:200 "recv - ship")))
+
+(* tables large enough for the selection to partition several times, with
+   long tie runs and signed zeros *)
+let prop_acc_threshold_large_matches_reference =
+  let cmp = QCheck.Gen.oneofl Pred.[ Gt; Ge; Lt; Le; Eq; Neq ] in
+  QCheck.Test.make ~name:"threshold = reference on tie-heavy views up to 3000" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         triple cmp (int_range 0 3000)
+           (pair (int_range 1 40) (int_range 0 1000000))))
+    (fun (cmp, n, (spread, seed)) ->
+      let st = Random.State.make [| seed |] in
+      let values =
+        Array.init n (fun _ ->
+            match Random.State.int st 50 with
+            | 0 -> -0.0
+            | 1 -> infinity
+            | _ -> float_of_int (Random.State.int st spread - (spread / 2)))
+      in
+      let target = Random.State.int st (n + 3) - 1 in
+      let bits f = Int64.bits_of_float f in
+      bits (Acc.choose_threshold ~cmp ~target (fbig values))
+      = bits (Acc_reference.choose_threshold ~cmp ~target values))
+
+(* --- production elements (§4.2) --------------------------------------- *)
+
+let el_schema =
+  Schema.make
+    [
+      {
+        Schema.tname = "e";
+        pk = "e_pk";
+        nonkeys =
+          [
+            { Schema.cname = "ei"; domain_size = 5; kind = Schema.Kint };
+            { Schema.cname = "es"; domain_size = 5; kind = Schema.Kstring };
+            { Schema.cname = "eb"; domain_size = 5; kind = Schema.Kstring };
+          ];
+        fks = [];
+        row_count = 30;
+      };
+    ]
+
+let prop_production_elements_match_reference =
+  QCheck.Test.make ~name:"production elements = boxed-scan reference" ~count:500
+    QCheck.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = Random.State.int st 30 in
+      let pick a = a.(Random.State.int st (Array.length a)) in
+      let strs = [| "a"; "ab"; "b"; "ba"; "c"; "" |] in
+      let value () =
+        match Random.State.int st 5 with
+        | 0 -> Value.Null
+        | 1 -> Value.Int (Random.State.int st 5)
+        | 2 -> Value.Float (float_of_int (Random.State.int st 5))
+        | _ -> Value.Str (pick strs)
+      in
+      let nulls () =
+        let b = Col.Bitset.create n in
+        for i = 0 to n - 1 do
+          if Random.State.int st 5 = 0 then Col.Bitset.set b i
+        done;
+        b
+      in
+      let db = Db.create el_schema in
+      Db.put_cols db "e"
+        [
+          ("e_pk", Col.of_ints (Array.init n Fun.id));
+          ("ei", Col.of_ints ~nulls:(nulls ()) (Array.init n (fun _ -> Random.State.int st 5)));
+          ("es", Col.of_strings ~nulls:(nulls ()) (Array.init n (fun _ -> pick strs)));
+          ("eb", Col.Boxed (Array.init n (fun _ -> value ())));
+        ];
+      let operand ~list =
+        match Random.State.int st 4 with
+        | 0 -> Pred.Param "p"
+        | 1 -> Pred.Param "unbound"
+        | 2 when list -> Pred.Const_list (List.init (Random.State.int st 4) (fun _ -> value ()))
+        | _ -> Pred.Const (value ())
+      in
+      let env =
+        Pred.Env.of_list
+          [
+            ( "p",
+              if Random.State.bool st then
+                Pred.Env.Vlist (List.init (Random.State.int st 4) (fun _ -> value ()))
+              else Pred.Env.Scalar (if Random.State.bool st then Value.Str (pick [| "a%"; "%b"; "_"; "%"; "c" |]) else value ()) );
+          ]
+      in
+      List.for_all
+        (fun _ ->
+          let col = pick [| "ei"; "es"; "eb"; "nosuch" |] in
+          let lit =
+            match Random.State.int st 3 with
+            | 0 -> Pred.In { col; neg = Random.State.bool st; arg = operand ~list:true }
+            | 1 ->
+                Pred.Like
+                  {
+                    col;
+                    neg = false;
+                    arg =
+                      (if Random.State.bool st then
+                         Pred.Const (Value.Str (pick [| "a%"; "%b"; "_"; "%"; "b%a" |]))
+                       else operand ~list:false);
+                  }
+            | _ -> Pred.Cmp { col; cmp = Pred.Eq; arg = operand ~list:false }
+          in
+          Extract.production_elements el_schema db ~env lit
+          = Elements_reference.elements_fn el_schema db env lit)
+        (List.init 6 Fun.id))
 
 (* --- Rewrite (§3) ----------------------------------------------------------- *)
 
@@ -1291,7 +1525,18 @@ let () =
           Alcotest.test_case "extremes" `Quick test_acc_threshold_extremes;
           QCheck_alcotest.to_alcotest prop_acc_threshold_best_effort;
           QCheck_alcotest.to_alcotest prop_acc_threshold_matches_reference;
+          QCheck_alcotest.to_alcotest prop_acc_threshold_large_matches_reference;
+          Alcotest.test_case "repair reaches a tie-heavy target" `Quick
+            test_acc_repair_reaches_target;
+          Alcotest.test_case "repair keeps the frozen prefix and multisets" `Quick
+            test_acc_repair_frozen_prefix;
+          Alcotest.test_case "NULL, dictionary and zero-divisor rows raise" `Quick
+            test_acc_invalid_rows;
+          Alcotest.test_case "an unsampled NULL is never read" `Quick
+            test_acc_unsampled_null;
         ] );
+      ( "elements",
+        [ QCheck_alcotest.to_alcotest prop_production_elements_match_reference ] );
       ( "rewrite",
         [
           Alcotest.test_case "pushes conjuncts" `Quick test_rewrite_pushes_conjuncts;

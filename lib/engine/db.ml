@@ -68,24 +68,43 @@ let replace_col t tname cname c =
 
 let has_table t tname = Hashtbl.mem t.tables tname
 
+(* NULL counts as one more value.  Dictionary codes index a pool, so a flag
+   per pool entry counts them; ints get dense ids from [Int_ids].  Floats,
+   which the reference generator never makes, keep a hash table, whose
+   [compare] equality makes -0.0 equal 0.0 and every NaN one value. *)
 let distinct_count t tname cname =
-  let count_keys n nulls key =
-    let seen = Hashtbl.create (min n 65536) in
-    let has_null = ref false in
+  (* [f i] on every non-NULL row; then 1 if some row is NULL, else 0 *)
+  let non_null n nulls f =
+    let has_null = ref 0 in
     for i = 0 to n - 1 do
       match nulls with
-      | Some b when Col.Bitset.get b i -> has_null := true
-      | _ -> Hashtbl.replace seen (key i) ()
+      | Some b when Col.Bitset.get b i -> has_null := 1
+      | _ -> f i
     done;
-    Hashtbl.length seen + if !has_null then 1 else 0
+    !has_null
   in
   match col t tname cname with
   | Col.Ints { data; nulls } ->
-      count_keys (Bigarray.Array1.dim data) nulls (fun i -> data.{i})
+      let n = Bigarray.Array1.dim data in
+      let ids = Int_ids.create (min n 65536) in
+      let null = non_null n nulls (fun i -> ignore (Int_ids.add ids data.{i})) in
+      Int_ids.length ids + null
   | Col.Floats { data; nulls } ->
-      count_keys (Bigarray.Array1.dim data) nulls (fun i -> data.{i})
-  | Col.Dict { codes; nulls; _ } ->
-      count_keys (Bigarray.Array1.dim codes) nulls (fun i -> codes.{i})
+      let seen = Hashtbl.create 64 in
+      let null =
+        non_null (Bigarray.Array1.dim data) nulls (fun i -> Hashtbl.replace seen data.{i} ())
+      in
+      Hashtbl.length seen + null
+  | Col.Dict { codes; pool; nulls } ->
+      let seen = Bytes.make (Array.length pool) '\000' and count = ref 0 in
+      let null =
+        non_null (Bigarray.Array1.dim codes) nulls (fun i ->
+            if Bytes.get seen codes.{i} = '\000' then begin
+              Bytes.set seen codes.{i} '\001';
+              incr count
+            end)
+      in
+      !count + null
   | Col.Boxed vs ->
       let seen = Hashtbl.create (Array.length vs) in
       Array.iter (fun v -> Hashtbl.replace seen v ()) vs;

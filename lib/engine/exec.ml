@@ -26,7 +26,10 @@ let vnull nulls p =
    only raises if some row reaches that literal, so empty relations and
    short-circuited branches never raise. *)
 
-type scope = { rows : int; find : string -> Rel.view }
+(* [find c] resolves column [c] to its stored column and the selection
+   vector from logical to physical rows ([-1] is a NULL row, [None] the
+   identity: a whole stored table needs no table-sized vector) *)
+type scope = { rows : int; find : string -> Col.t * int array option }
 
 let scope_of_rel ~missing (rel : Rel.t) =
   let idx = Hashtbl.create (Array.length rel.Rel.views) in
@@ -36,9 +39,17 @@ let scope_of_rel ~missing (rel : Rel.t) =
     find =
       (fun c ->
         match Hashtbl.find_opt idx c with
-        | Some v -> v
+        | Some v -> (v.Rel.vcol, Some v.Rel.vsel)
         | None -> invalid_arg (missing c));
   }
+
+let[@inline] phys sel i = match sel with None -> i | Some s -> s.(i)
+
+(* boxed value at a logical row, for the representations without a
+   typed fast path *)
+let get_phys col sel i =
+  let p = phys sel i in
+  if p < 0 then Value.Null else Col.get col p
 
 let lazy_lit build =
   let cell = ref None in
@@ -65,30 +76,29 @@ let int_test cmp y =
 let compile_cmp ~env scope col cmp arg =
   lazy_lit (fun () ->
       let arg_v = Pred.resolve_scalar ~env arg in
-      let v = scope.find col in
-      let sel = v.Rel.vsel in
-      match (v.Rel.vcol, arg_v) with
+      let vcol, sel = scope.find col in
+      match (vcol, arg_v) with
       | Col.Ints { data; nulls }, Value.Int y ->
           let ok = int_test cmp y in
           fun i ->
-            let p = sel.(i) in
+            let p = phys sel i in
             p >= 0 && (not (vnull nulls p)) && ok data.{p}
       | Col.Ints { data; nulls }, Value.Float y ->
           fun i ->
-            let p = sel.(i) in
+            let p = phys sel i in
             p >= 0
             && (not (vnull nulls p))
             && Pred.cmp_holds cmp (Stdlib.compare (float_of_int data.{p}) y)
       | Col.Floats { data; nulls }, Value.Float y ->
           fun i ->
-            let p = sel.(i) in
+            let p = phys sel i in
             p >= 0
             && (not (vnull nulls p))
             && Pred.cmp_holds cmp (Stdlib.compare data.{p} y)
       | Col.Floats { data; nulls }, Value.Int y ->
           let yf = float_of_int y in
           fun i ->
-            let p = sel.(i) in
+            let p = phys sel i in
             p >= 0
             && (not (vnull nulls p))
             && Pred.cmp_holds cmp (Stdlib.compare data.{p} yf)
@@ -97,18 +107,17 @@ let compile_cmp ~env scope col cmp arg =
             Array.map (fun s -> Pred.cmp_holds cmp (String.compare s y)) pool
           in
           fun i ->
-            let p = sel.(i) in
+            let p = phys sel i in
             p >= 0 && (not (vnull nulls p)) && verdict.(codes.{p})
       | _, _ ->
           fun i -> (
-            match Value.cmp_sql (Rel.get_view v i) arg_v with
+            match Value.cmp_sql (get_phys vcol sel i) arg_v with
             | Some c -> Pred.cmp_holds cmp c
             | None -> false))
 
 let compile_in ~env scope col neg arg =
   lazy_lit (fun () ->
-      let v = scope.find col in
-      let sel = v.Rel.vsel in
+      let vcol, sel = scope.find col in
       (* the legacy evaluator resolves the list only once a non-NULL value
          reaches the literal — keep that, so an unbound list parameter over
          an all-NULL column still never raises *)
@@ -121,7 +130,7 @@ let compile_in ~env scope col neg arg =
             elems := Some vs;
             vs
       in
-      match v.Rel.vcol with
+      match vcol with
       | Col.Ints { data; nulls } ->
           let table = ref None in
           let member x =
@@ -150,7 +159,7 @@ let compile_in ~env scope col neg arg =
                  floats
           in
           fun i ->
-            let p = sel.(i) in
+            let p = phys sel i in
             if p < 0 || vnull nulls p then false
             else
               let m = member data.{p} in
@@ -177,12 +186,12 @@ let compile_in ~env scope col neg arg =
                 a
           in
           fun i ->
-            let p = sel.(i) in
+            let p = phys sel i in
             if p < 0 || vnull nulls p then false
             else (get_verdict ()).(codes.{p})
       | _ ->
           fun i -> (
-            match Rel.get_view v i with
+            match get_phys vcol sel i with
             | Value.Null -> false
             | vv ->
                 let m =
@@ -195,9 +204,8 @@ let compile_in ~env scope col neg arg =
 let compile_like ~env scope col neg arg =
   lazy_lit (fun () ->
       let arg_v = Pred.resolve_scalar ~env arg in
-      let v = scope.find col in
-      let sel = v.Rel.vsel in
-      match (v.Rel.vcol, arg_v) with
+      let vcol, sel = scope.find col in
+      match (vcol, arg_v) with
       | Col.Dict { codes; pool; nulls }, Value.Str pattern ->
           (* one LIKE match per distinct pool entry, not per row *)
           let verdict =
@@ -208,11 +216,11 @@ let compile_like ~env scope col neg arg =
               pool
           in
           fun i ->
-            let p = sel.(i) in
+            let p = phys sel i in
             p >= 0 && (not (vnull nulls p)) && verdict.(codes.{p})
       | _, Value.Str pattern ->
           fun i -> (
-            match Rel.get_view v i with
+            match get_phys vcol sel i with
             | Value.Str s ->
                 let m = Like.matches ~pattern s in
                 if neg then not m else m
@@ -225,13 +233,7 @@ let compile_like ~env scope col neg arg =
 let compile_arith_cmp ~env scope expr cmp arg =
   lazy_lit (fun () ->
       let arg_v = Pred.resolve_scalar ~env arg in
-      let r =
-        Arith.create ~capacity:Arith.block
-          (fun c ->
-            let v = scope.find c in
-            (v.Rel.vcol, Some v.Rel.vsel))
-          expr
-      in
+      let r = Arith.create ~capacity:Arith.block scope.find expr in
       match Value.to_float arg_v with
       | None -> fun _ -> false
       | Some y ->
@@ -569,21 +571,17 @@ let analyze db ~env plan =
 
 let run db ~env plan = (analyze db ~env plan).result
 
+(* the stored table's rows, logical row = physical row *)
 let table_scope db ~missing ~table cols =
   let n = Db.row_count db table in
-  let sel = Array.init n (fun i -> i) in
-  let views =
-    List.map
-      (fun c -> (c, { Rel.vname = c; vcol = Db.col db table c; vsel = sel }))
-      cols
-  in
+  let stored = List.map (fun c -> (c, Db.col db table c)) cols in
   ( n,
     {
       rows = n;
       find =
         (fun c ->
-          match List.assoc_opt c views with
-          | Some v -> v
+          match List.assoc_opt c stored with
+          | Some col -> (col, None)
           | None -> invalid_arg (missing c));
     } )
 

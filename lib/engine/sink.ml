@@ -85,22 +85,53 @@ let faulty f inner =
 
 (* --- CRC-32 (IEEE 802.3) ---------------------------------------------------- *)
 
-let crc_table =
+(* Slicing-by-8: [crc_tables.(k * 256 + b)] is the CRC of byte [b]
+   followed by [k] zero bytes, so eight table reads, independent of each
+   other, advance the CRC over eight input bytes. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let c = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- t.(c land 0xFF) lxor (c lsr 8)
+       done
+     done;
+     t)
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* the little-endian 32-bit word at [j], sign-extended: [tab] reads only
+   its low byte of each shift *)
+let[@inline] word b j =
+  let w = get32u b j in
+  Int32.to_int (if Sys.big_endian then swap32 w else w)
 
 let crc32 ?(crc = 0) b ~pos ~len =
-  let tbl = Lazy.force crc_table in
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Sink.crc32";
+  let t = Lazy.force crc_tables in
+  let tab k x = Array.unsafe_get t ((k lsl 8) lor (x land 0xFF)) in
   let c = ref (crc lxor 0xFFFFFFFF) in
-  for i = pos to pos + len - 1 do
+  let i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let j = !i in
+    let lo = !c lxor word b j and hi = word b (j + 4) in
     c :=
-      Array.unsafe_get tbl ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
-      lxor (!c lsr 8)
+      tab 7 lo lxor tab 6 (lo lsr 8) lxor tab 5 (lo lsr 16) lxor tab 4 (lo lsr 24)
+      lxor tab 3 hi lxor tab 2 (hi lsr 8) lxor tab 1 (hi lsr 16) lxor tab 0 (hi lsr 24);
+    i := j + 8
+  done;
+  for j = !i to pos + len - 1 do
+    c := tab 0 (!c lxor Char.code (Bytes.unsafe_get b j)) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

@@ -61,7 +61,9 @@ val faulty : fault -> backend -> backend
 val crc32 : ?crc:int -> Bytes.t -> pos:int -> len:int -> int
 (** Incremental CRC-32 (IEEE 802.3, the zlib polynomial), as a non-negative
     int.  [crc] defaults to 0, the empty-prefix value; feed the previous
-    result to extend.  [crc32 "123456789"] = [0xCBF43926]. *)
+    result to extend.  [crc32 "123456789"] = [0xCBF43926].  Eight bytes
+    per step (slicing-by-8).
+    @raise Invalid_argument if [pos] and [len] are not a range of [b]. *)
 
 val mkdir_p : string -> unit
 (** Recursive mkdir, hardened against concurrent creation: a directory that

@@ -22,7 +22,10 @@ val build :
 (** [build ~seed schema ~specs] populates every table at its schema
     [row_count].  Non-key columns use their spec ([Uniform_int] over the
     declared domain when unspecified); FKs reference uniform-random PKs of
-    the referenced table; PKs are [1..n]. *)
+    the referenced table; PKs are [1..n].  Columns are built typed, as
+    the representation {!Mirage_engine.Col.of_values} infers from the same
+    values: [Ints] for keys and numeric specs, and for string specs a
+    dictionary whose pool is in order of first occurrence. *)
 
 val comment_lexicon : string array
 (** Words used by comment-like columns ("special", "requests", …). *)

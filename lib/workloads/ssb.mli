@@ -12,3 +12,7 @@ val make :
   Mirage_core.Workload.t * Mirage_engine.Db.t * Mirage_sql.Pred.Env.t
 (** Returns the workload (schema + 13 query plans), a freshly generated
     production database, and the production parameter values. *)
+
+val specs : (string * (string * Refgen.col_spec) list) list
+(** The production database's column specs per table, as passed to
+    {!Refgen.build}. *)

@@ -20,3 +20,7 @@ val make :
   sf:float ->
   seed:int ->
   Mirage_core.Workload.t * Mirage_engine.Db.t * Mirage_sql.Pred.Env.t
+
+val specs : (string * (string * Refgen.col_spec) list) list
+(** The production database's column specs per table, as passed to
+    {!Refgen.build}. *)

@@ -2,11 +2,15 @@
    (extract a bundle, generate from it elsewhere) must write the same files
    the direct [generate] run writes, and its output must verify against the
    bundle; the default export (no --chunk-rows) is one resumable shard per
-   table.  The binary's path is the first command-line argument, the
-   TPC-H sf 4 digest list's the second. *)
+   table; pinned digests hold the bytes of the benchmark-scale exports and
+   of the extracted bundles.  The command-line arguments are the binary's
+   path, then the digest lists of TPC-H sf 4, SSB sf 64 and the sf 2
+   bundles. *)
 
 let cli = ref ""
 let tpch_sf4_md5 = ref ""
+let ssb_sf64_md5 = ref ""
+let bundle_sf2_md5 = ref ""
 
 let read_file path =
   let ic = open_in_bin path in
@@ -223,17 +227,9 @@ let test_default_export_gzip () =
   Alcotest.(check bool) "names the missing inflater" true
     (contains ~sub:"no inflater" (read_file log))
 
-(* The byte contract at the tpch-nonkey benchmark's scale: the shards and
-   parameters.txt of TPC-H sf 4 pin every ACC threshold, every tie-repaired
-   lineitem and partsupp row, and the LIKE parameter on orders.o_comment
-   with its 6,182 CDF items.  Each line of the digest list is an md5sum
-   line: the hex digest, two spaces, the file name. *)
-let test_tpch_sf4_digests () =
-  with_dir @@ fun dir ->
-  let out = Filename.concat dir "out" in
-  expect_ok ~log:(Filename.concat dir "run.log")
-    [ "generate"; "-w"; "tpch"; "--sf"; "4"; "--seed"; "7"; "-o"; out;
-      "--chunk-rows"; "100000" ];
+(* Each line of a digest list is an md5sum line: the hex digest, two
+   spaces, the file name.  Every file it names in [dir] must match. *)
+let check_digests ~md5 ~count dir =
   let pinned =
     List.filter_map
       (fun line ->
@@ -242,18 +238,56 @@ let test_tpch_sf4_digests () =
             Some (String.trim (String.sub line i (String.length line - i)),
                   String.sub line 0 i)
         | _ -> None)
-      (lines !tpch_sf4_md5)
+      (lines md5)
   in
-  Alcotest.(check int) "nine pinned files" 9 (List.length pinned);
+  Alcotest.(check int) "pinned files" count (List.length pinned);
   List.iter
     (fun (file, md5) ->
       Alcotest.(check string) file md5
-        (Digest.to_hex (Digest.file (Filename.concat out file))))
+        (Digest.to_hex (Digest.file (Filename.concat dir file))))
     pinned
+
+(* The byte contract at the tpch-nonkey benchmark's scale: the shards and
+   parameters.txt of TPC-H sf 4 pin every ACC threshold, every tie-repaired
+   lineitem and partsupp row, and the LIKE parameter on orders.o_comment
+   with its 6,182 CDF items. *)
+let test_tpch_sf4_digests () =
+  with_dir @@ fun dir ->
+  let out = Filename.concat dir "out" in
+  expect_ok ~log:(Filename.concat dir "run.log")
+    [ "generate"; "-w"; "tpch"; "--sf"; "4"; "--seed"; "7"; "-o"; out;
+      "--chunk-rows"; "100000" ];
+  check_digests ~md5:!tpch_sf4_md5 ~count:9 out
+
+(* The ssb-keygen benchmark's instance: 384k lineorder rows whose FK
+   columns pin the key generator's view membership (the join kernel) and
+   its T-partition order. *)
+let test_ssb_sf64_digests () =
+  with_dir @@ fun dir ->
+  let out = Filename.concat dir "out" in
+  expect_ok ~log:(Filename.concat dir "run.log")
+    [ "generate"; "-w"; "ssb"; "--sf"; "64"; "--seed"; "7"; "-o"; out;
+      "--chunk-rows"; "100000" ];
+  check_digests ~md5:!ssb_sf64_md5 ~count:6 out
+
+(* The production side's bytes: every jcc/jdc the join kernel computes, every
+   AQT label and every IN/LIKE parameter's element counts land in the
+   bundles of the three workloads. *)
+let test_bundle_sf2_digests () =
+  with_dir @@ fun dir ->
+  List.iter
+    (fun w ->
+      expect_ok ~log:(Filename.concat dir "extract.log")
+        [ "extract"; "-w"; w; "--sf"; "2"; "--seed"; "7"; "-o";
+          Filename.concat dir (w ^ ".bundle") ])
+    [ "ssb"; "tpch"; "tpcds" ];
+  check_digests ~md5:!bundle_sf2_md5 ~count:3 dir
 
 let () =
   cli := Sys.argv.(1);
   tpch_sf4_md5 := Sys.argv.(2);
+  ssb_sf64_md5 := Sys.argv.(3);
+  bundle_sf2_md5 := Sys.argv.(4);
   Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
     [
       ( "from-bundle",
@@ -277,5 +311,12 @@ let () =
             `Quick test_sql_chunked_resumes;
           Alcotest.test_case "TPC-H sf 4 shards match the pinned digests"
             `Quick test_tpch_sf4_digests;
+          Alcotest.test_case "SSB sf 64 shards match the pinned digests"
+            `Quick test_ssb_sf64_digests;
+        ] );
+      ( "extract",
+        [
+          Alcotest.test_case "sf 2 bundles match the pinned digests" `Quick
+            test_bundle_sf2_digests;
         ] );
     ]

@@ -881,6 +881,44 @@ let test_extract_range_conjunction_split () =
         (String.length s.Ir.scc_source >= 6))
     ex.Extract.ir.Ir.sccs
 
+(* Every AQT is labelled from the query's ORIGINAL plan.  Extraction reuses
+   the rewritten plan's analysis when the rewriter left the plan unchanged,
+   and analyses the original again when it did not (tpch_q19, whose OR
+   across the join is split into auxiliary complements); either way the
+   labels must equal a fresh analysis of the original plan. *)
+let test_extract_aqts_per_plan_analysis () =
+  let check_workload name (w, ref_db, prod_env) =
+    let ex = Extract.run w ~ref_db ~prod_env in
+    Alcotest.(check int) (name ^ ": no diagnostics") 0 (List.length ex.Extract.diags);
+    List.iter
+      (fun (q : Workload.query) ->
+        let aqt =
+          List.find (fun (a : Mirage_relalg.Aqt.t) -> a.Mirage_relalg.Aqt.name = q.Workload.q_name)
+            ex.Extract.aqts
+        in
+        let expected = (Exec.analyze ref_db ~env:prod_env q.Workload.q_plan).Exec.cards in
+        Alcotest.(check (array (option int)))
+          (q.Workload.q_name ^ " cards")
+          (Array.map Option.some expected) aqt.Mirage_relalg.Aqt.cards)
+      w.Workload.w_queries;
+    List.filter_map
+      (fun (qn, rw_plan, _) ->
+        if rw_plan = (Workload.query w qn).Workload.q_plan then None else Some qn)
+      ex.Extract.rewritten
+  in
+  List.iter
+    (fun seed ->
+      let changed =
+        List.concat
+          [
+            check_workload "ssb" (Mirage_workloads.Ssb.make ~sf:0.5 ~seed);
+            check_workload "tpch" (Mirage_workloads.Tpch.make ~sf:0.1 ~seed);
+            check_workload "tpcds" (Mirage_workloads.Tpcds.make ~sf:0.1 ~seed);
+          ]
+      in
+      Alcotest.(check (list string)) "plans the rewriter changed" [ "tpch_q19" ] changed)
+    [ 7; 23 ]
+
 (* --- Keygen membership ------------------------------------------------------ *)
 
 (* The CS oracle: membership as the hash-set path computes it — collect the
@@ -1551,6 +1589,8 @@ let () =
           Alcotest.test_case "semi yields jdc" `Quick test_extract_semi_yields_jdc;
           Alcotest.test_case "pcc on direct join" `Quick test_extract_pcc_on_direct_join;
           Alcotest.test_case "range conjunction split" `Quick test_extract_range_conjunction_split;
+          Alcotest.test_case "extraction AQTs = per-plan analysis" `Quick
+            test_extract_aqts_per_plan_analysis;
         ] );
       ( "keygen",
         [

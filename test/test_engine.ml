@@ -67,6 +67,82 @@ let test_db_distinct () =
   Alcotest.(check int) "|t|_t1" 5 (Db.distinct_count db "t" "t1");
   Alcotest.(check int) "|t|_t2" 4 (Db.distinct_count db "t" "t2")
 
+(* [Db.distinct_count] as it was, one [Hashtbl] key per non-NULL row, kept
+   as the oracle for the id-table and pool-flag counts *)
+let hashtbl_distinct_count c =
+  let count_keys n nulls key =
+    let seen = Hashtbl.create (min n 65536) in
+    let has_null = ref false in
+    for i = 0 to n - 1 do
+      match nulls with
+      | Some b when Col.Bitset.get b i -> has_null := true
+      | _ -> Hashtbl.replace seen (key i) ()
+    done;
+    Hashtbl.length seen + if !has_null then 1 else 0
+  in
+  match c with
+  | Col.Ints { data; nulls } -> count_keys (Bigarray.Array1.dim data) nulls (fun i -> data.{i})
+  | Col.Floats { data; nulls } -> count_keys (Bigarray.Array1.dim data) nulls (fun i -> data.{i})
+  | Col.Dict { codes; nulls; _ } -> count_keys (Bigarray.Array1.dim codes) nulls (fun i -> codes.{i})
+  | Col.Boxed vs ->
+      let seen = Hashtbl.create (Array.length vs) in
+      Array.iter (fun v -> Hashtbl.replace seen v ()) vs;
+      Hashtbl.length seen
+
+let distinct_schema =
+  Schema.make
+    [
+      {
+        Schema.tname = "u";
+        pk = "u_pk";
+        nonkeys = [ { Schema.cname = "u1"; domain_size = 4; kind = Schema.Kint } ];
+        fks = [];
+        row_count = 1;
+      };
+    ]
+
+(* ints with extremes, floats with both zeros, several NaN payloads and
+   infinities, dictionaries whose pool has unused entries and whose NULL
+   rows carry arbitrary codes; each with or without NULLs *)
+let prop_distinct_count_matches_hashtbl =
+  QCheck.Test.make ~name:"distinct_count = Hashtbl count on random columns" ~count:500
+    QCheck.int
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = Random.State.int st 40 in
+      let nulls =
+        if Random.State.bool st then None
+        else begin
+          let b = Col.Bitset.create n in
+          for i = 0 to n - 1 do
+            if Random.State.int st 4 = 0 then Col.Bitset.set b i
+          done;
+          Some b
+        end
+      in
+      let floats =
+        [| 0.0; -0.0; Float.nan; -.Float.nan; Int64.float_of_bits 0x7FF0000000000001L;
+           infinity; neg_infinity; 1.5; -1.5; 1e300; -1e-300; 2.0 |]
+      in
+      let col =
+        match Random.State.int st 3 with
+        | 0 ->
+            let ints = [| min_int; max_int; -1; 0; 1; 2; 1 lsl 40 |] in
+            Col.init_ints ?nulls n (fun _ -> ints.(Random.State.int st (Array.length ints)))
+        | 1 ->
+            Col.init_floats ?nulls n (fun _ ->
+                floats.(Random.State.int st (Array.length floats)))
+        | _ ->
+            let pool = Array.init (1 + Random.State.int st 8) string_of_int in
+            let codes =
+              Col.Ivec.init n (fun _ -> Random.State.int st (Array.length pool))
+            in
+            Col.dict ?nulls ~codes ~pool ()
+      in
+      let db = Db.create distinct_schema in
+      Db.put_cols db "u" [ ("u_pk", Col.init_ints n Fun.id); ("u1", col) ];
+      Db.distinct_count db "u" "u1" = hashtbl_distinct_count col)
+
 let test_db_put_validation () =
   let db = Db.create schema in
   Alcotest.(check bool) "missing column" true
@@ -512,6 +588,7 @@ let () =
           Alcotest.test_case "csv" `Quick test_db_csv;
           Alcotest.test_case "csv round trip" `Quick test_db_csv_roundtrip;
           Alcotest.test_case "csv rejects bad input" `Quick test_db_csv_rejects;
+          QCheck_alcotest.to_alcotest prop_distinct_count_matches_hashtbl;
         ] );
       ("rel", [ Alcotest.test_case "distinct" `Quick test_rel_distinct ]);
       ( "exec",

@@ -56,6 +56,43 @@ let test_crc32 () =
   Alcotest.(check int) "incremental" 0xCBF43926 c2;
   Alcotest.(check int) "empty is zero" 0 (Sink.crc32 b ~pos:0 ~len:0)
 
+(* the byte-at-a-time CRC-32 loop, kept as the oracle for the sliced one *)
+let bytewise_crc32 ?(crc = 0) b ~pos ~len =
+  let tbl =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := tbl.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* random buffers cut at random offsets into pieces of 0 to 100 bytes, each
+   piece extending the previous piece's CRC *)
+let prop_crc32_sliced_eq_bytewise =
+  QCheck.Test.make ~name:"sliced crc32 = byte-at-a-time loop, chained" ~count:500
+    QCheck.int
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let b = Bytes.init (Random.State.int st 400) (fun _ -> Char.chr (Random.State.int st 256)) in
+      let pos = ref (Random.State.int st (Bytes.length b + 1)) in
+      let crc = Int64.to_int (Random.State.int64 st 0x1_0000_0000L) in
+      let sliced = ref crc and bytewise = ref crc in
+      let ok = ref true in
+      while !ok && !pos < Bytes.length b do
+        let len = min (Random.State.int st 101) (Bytes.length b - !pos) in
+        sliced := Sink.crc32 ~crc:!sliced b ~pos:!pos ~len;
+        bytewise := bytewise_crc32 ~crc:!bytewise b ~pos:!pos ~len;
+        ok := !sliced = !bytewise;
+        pos := !pos + len
+      done;
+      !ok)
+
 (* --- unit: manifest round trip -------------------------------------------- *)
 
 let test_manifest_roundtrip () =
@@ -792,6 +829,7 @@ let () =
             test_resume_drops_bad_crc;
           Alcotest.test_case "mkdir_p concurrent creation" `Quick
             test_mkdir_p_concurrent;
+          QCheck_alcotest.to_alcotest prop_crc32_sliced_eq_bytewise;
         ] );
       ( "faults",
         [

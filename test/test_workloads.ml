@@ -4,6 +4,7 @@ module Db = Mirage_engine.Db
 module Features = Mirage_workloads.Features
 module Schema = Mirage_sql.Schema
 module Value = Mirage_sql.Value
+module Col = Mirage_engine.Col
 
 let test_ssb_shape () =
   let w, db, _ = Mirage_workloads.Ssb.make ~sf:0.5 ~seed:1 in
@@ -83,6 +84,55 @@ let test_refgen_fk_validity () =
         tbl.Schema.fks)
     (Schema.tables schema)
 
+(* The typed builder draws the same values as the boxed one and installs
+   the columns [Col.of_values] inferred from them: same constructor, pool
+   order, codes, data and null bitmap, column by column. *)
+let same_nulls a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      Col.Bitset.length a = Col.Bitset.length b
+      && List.for_all (fun i -> Col.Bitset.get a i = Col.Bitset.get b i)
+           (List.init (Col.Bitset.length a) Fun.id)
+  | _ -> false
+
+let same_repr a b =
+  let big_eq x y =
+    Bigarray.Array1.dim x = Bigarray.Array1.dim y
+    && List.for_all (fun i -> compare x.{i} y.{i} = 0)
+         (List.init (Bigarray.Array1.dim x) Fun.id)
+  in
+  match (a, b) with
+  | Col.Ints a, Col.Ints b -> big_eq a.data b.data && same_nulls a.nulls b.nulls
+  | Col.Floats a, Col.Floats b -> big_eq a.data b.data && same_nulls a.nulls b.nulls
+  | Col.Dict a, Col.Dict b ->
+      a.pool = b.pool && big_eq a.codes b.codes && same_nulls a.nulls b.nulls
+  | Col.Boxed a, Col.Boxed b -> a = b
+  | _ -> false
+
+let test_refgen_typed_equals_boxed () =
+  let check name make specs =
+    List.iter
+      (fun seed ->
+        let w, typed, _ = make ~seed in
+        let schema = w.Workload.w_schema in
+        let boxed = Refgen_reference.build ~seed schema ~specs in
+        List.iter
+          (fun (tbl : Schema.table) ->
+            let t = tbl.Schema.tname in
+            Alcotest.(check int) (t ^ " rows") (Db.row_count boxed t) (Db.row_count typed t);
+            List.iter
+              (fun c ->
+                if not (same_repr (Db.col boxed t c) (Db.col typed t c)) then
+                  Alcotest.failf "%s seed %d: %s.%s differs from the boxed build" name seed t c)
+              (Schema.column_names tbl))
+          (Schema.tables schema))
+      [ 1; 7; 23; 42 ]
+  in
+  check "ssb" (Mirage_workloads.Ssb.make ~sf:0.5) Mirage_workloads.Ssb.specs;
+  check "tpch" (Mirage_workloads.Tpch.make ~sf:0.1) Mirage_workloads.Tpch.specs;
+  check "tpcds" (Mirage_workloads.Tpcds.make ~sf:0.1) Mirage_workloads.Tpcds.specs
+
 let test_sf_scaling () =
   let _, small, _ = Mirage_workloads.Ssb.make ~sf:0.5 ~seed:1 in
   let _, big, _ = Mirage_workloads.Ssb.make ~sf:1.0 ~seed:1 in
@@ -114,5 +164,7 @@ let () =
           Alcotest.test_case "perm strings" `Quick test_refgen_perm_string;
           Alcotest.test_case "fk validity" `Quick test_refgen_fk_validity;
           Alcotest.test_case "sf scaling" `Quick test_sf_scaling;
+          Alcotest.test_case "typed refgen = boxed reference" `Quick
+            test_refgen_typed_equals_boxed;
         ] );
     ]

@@ -218,41 +218,27 @@ let fig14 () =
      solves); memory grows with batch size.";
   foreach_workload (fun wl ->
       let workload, ref_db, prod_env = make_workload wl in
-      (* one solve cache across the whole batch sweep: population systems
-         recur between batch sizes (same workload, same seed), so the sweep
-         exercises the cross-run cache path the daemon will rely on.
-         Outcomes are replay-identical, so only CP time changes. *)
-      let cache = Mirage_core.Solve_cache.create () in
-      pf "\n%s\n%-10s %8s %8s %8s %8s %8s %10s %10s %12s\n%!" wl.wl_name "batch"
-        "gd(s)" "cs(s)" "cp(s)" "pf(s)" "total" "cp-solves" "cache-hits"
-        "batch-ws(MB)";
+      pf "\n%s\n%-10s %8s %8s %8s %8s %8s %10s %12s\n%!" wl.wl_name "batch"
+        "gd(s)" "cs(s)" "cp(s)" "pf(s)" "total" "cp-solves" "batch-ws(MB)";
       (* warm-up: the first measured batch size otherwise pays the cold CDF
-         work, solve cache and pool spawn for the whole sweep — batch=1000
-         reported ~3x lower rows/s than a warm repeat.  One unrecorded run
-         at the smallest batch fills the shared cache and the resident pool
-         so every measured entry sees identical warm state. *)
+         work and pool spawn for the whole sweep — batch=1000 reported ~3x
+         lower rows/s than a warm repeat.  One unrecorded run at the
+         smallest batch warms the resident pool so every measured entry
+         sees identical warm state. *)
       ignore
         (run_mirage
-           ~config:
-             { bench_config with Driver.batch_size = 1_000; cache = Some cache }
+           ~config:{ bench_config with Driver.batch_size = 1_000 }
            workload ref_db prod_env);
       List.iter
         (fun batch ->
-          let config =
-            { bench_config with Driver.batch_size = batch; cache = Some cache }
-          in
+          let config = { bench_config with Driver.batch_size = batch } in
           let r = run_mirage ~config workload ref_db prod_env in
           let t = r.Driver.r_timings in
-          pf "%-10d %8.3f %8.3f %8.3f %8.3f %8.3f %10d %10d %12.2f\n%!" batch
+          pf "%-10d %8.3f %8.3f %8.3f %8.3f %8.3f %10d %12.2f\n%!" batch
             t.Driver.t_gd t.Driver.t_cs t.Driver.t_cp t.Driver.t_pf
-            (gen_seconds r) t.Driver.cp_solves t.Driver.cp_cache_hits
+            (gen_seconds r) t.Driver.cp_solves
             (float_of_int t.Driver.batch_alloc_bytes /. 1_048_576.0))
-        [ 1_000; 2_000; 4_000; 7_000; 10_000; 1_000_000 ];
-      let h = Mirage_core.Solve_cache.hits cache
-      and m = Mirage_core.Solve_cache.misses cache in
-      pf "%s solve cache across the sweep: %d hits / %d solves (%.0f%%)\n%!"
-        wl.wl_name h (h + m)
-        (100.0 *. float_of_int h /. float_of_int (max 1 (h + m))))
+        [ 1_000; 2_000; 4_000; 7_000; 10_000; 1_000_000 ])
 
 (* --- Fig. 15: number of queries vs generation efficiency ----------------- *)
 

@@ -19,7 +19,6 @@ type stage_times = {
   mutable cp_nodes : int;
   mutable cp_restarts : int;
   mutable cp_props : int;
-  mutable cp_cache_hits : int;
   mutable batch_alloc_bytes : int;
       (* largest allocation volume of a single batch: the working set the
          paper's Fig. 14 trades off against CP rounds *)
@@ -27,7 +26,7 @@ type stage_times = {
 
 let fresh_times () =
   { t_cs = 0.0; t_cp = 0.0; t_pf = 0.0; cp_solves = 0; cp_nodes = 0;
-    cp_restarts = 0; cp_props = 0; cp_cache_hits = 0; batch_alloc_bytes = 0 }
+    cp_restarts = 0; cp_props = 0; batch_alloc_bytes = 0 }
 
 (* fold [src] into [acc]: the overlap scheduler gives each edge task its own
    counter record (so concurrent edges never race on one) and merges them in
@@ -41,7 +40,6 @@ let add_times acc src =
   acc.cp_nodes <- acc.cp_nodes + src.cp_nodes;
   acc.cp_restarts <- acc.cp_restarts + src.cp_restarts;
   acc.cp_props <- acc.cp_props + src.cp_props;
-  acc.cp_cache_hits <- acc.cp_cache_hits + src.cp_cache_hits;
   acc.batch_alloc_bytes <- max acc.batch_alloc_bytes src.batch_alloc_bytes
 
 let now () = Unix.gettimeofday ()
@@ -158,33 +156,12 @@ exception Key_conflict of string list * string
 type failure = { kf_diag : Diag.t; kf_culprits : string list }
 
 let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true)
-    ?(pool = Par.sequential) ?cache ?(interrupt = fun () -> ()) ?(overlap = false)
+    ?(pool = Par.sequential) ?(interrupt = fun () -> ())
     ~rng ~db ~env ~edge ~constraints ~batch_size ~cp_max_nodes ~times () =
-  (* solve-ahead window (overlap mode): batch [b]'s FK fill runs as a pool
-     task while batch [b+1]'s model builds and solves.  At most one fill is
-     in flight; every exit path drains it before returning so no task
-     outlives the call *)
-  let pending = ref None in
-  let await_pending () =
-    match !pending with
-    | None -> ()
-    | Some fut ->
-        pending := None;
-        Par.Future.await fut
-  in
-  let drain_quiet () =
-    (* on an error path the prepare-side exception wins; a secondary fill
-       failure concerns state we are about to discard *)
-    match !pending with
-    | None -> ()
-    | Some fut -> (
-        pending := None;
-        try Par.Future.await fut with _ -> ())
-  in
   try
     let s_table = edge.Ir.e_pk_table and t_table = edge.Ir.e_fk_table in
     (* per-edge counter snapshots, reported as an info diagnostic below *)
-    let edge_solves0 = times.cp_solves and edge_hits0 = times.cp_cache_hits in
+    let edge_solves0 = times.cp_solves in
     let edge_nodes0 = times.cp_nodes and edge_props0 = times.cp_props in
     let edge_tcp0 = times.t_cp in
     let n_s = Db.row_count db s_table and n_t = Db.row_count db t_table in
@@ -668,12 +645,9 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
       in
       let record_stats st =
         times.cp_solves <- times.cp_solves + 1;
-        match st with
-        | None -> times.cp_cache_hits <- times.cp_cache_hits + 1
-        | Some st ->
-            times.cp_nodes <- times.cp_nodes + st.Cp.st_nodes;
-            times.cp_restarts <- times.cp_restarts + st.Cp.st_restarts;
-            times.cp_props <- times.cp_props + st.Cp.st_props
+        times.cp_nodes <- times.cp_nodes + st.Cp.st_nodes;
+        times.cp_restarts <- times.cp_restarts + st.Cp.st_restarts;
+        times.cp_props <- times.cp_props + st.Cp.st_props
       in
       let active_ks =
         List.filter
@@ -692,7 +666,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
           (fun k ->
             excluded.(k) <- true;
             let mdl, _ = build_model1 excluded in
-            match Solve_cache.solve ?cache ~max_nodes:budget ~interrupt mdl with
+            match Cp.solve ~max_nodes:budget ~interrupt mdl with
             | Cp.Unsat, st -> record_stats st
             | (Cp.Sat _ | Cp.Unknown), st ->
                 record_stats st;
@@ -705,7 +679,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
         |> List.sort_uniq compare
       in
       let xsol =
-        match Solve_cache.solve ?cache ~max_nodes:cp_max_nodes ~interrupt model1 with
+        match Cp.solve ~max_nodes:cp_max_nodes ~interrupt model1 with
         | Cp.Sat sol1, st ->
             record_stats st;
             let xsol = Array.make_matrix np_s np_t 0 in
@@ -1059,7 +1033,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
             done
           done
         in
-        match Solve_cache.solve ?cache ~max_nodes:cp_max_nodes ~lp_guide model2 with
+        match Cp.solve ~max_nodes:cp_max_nodes ~lp_guide model2 with
         | Cp.Sat sol2, st ->
             record_stats st;
             for i = 0 to np_s - 1 do
@@ -1113,48 +1087,36 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
               List.rev !segs
             end)
       in
+      Par.run pool np_t (fun j ->
+        let rng_j = Rng.split ~stream:j pf_rng in
+        let tv, rows = t_partitions.(j) in
+        if tv = 0 then
+          (* one draw per row, same sequence [Rng.pick] made on the alias *)
+          Array.iter
+            (fun r -> Col.Ivec.set fk r (all_pk_at (Rng.int rng_j n_s)))
+            rows
+        else begin
+          let n_rows = Array.length rows in
+          let total =
+            List.fold_left (fun acc (_, _, _, x) -> acc + x) 0 plans.(j)
+          in
+          if total <> n_rows then
+            raise (Key_error "internal: population does not cover partition");
+          let values = Array.make n_rows 0 in
+          let w = ref 0 in
+          List.iter
+            (fun (pks, off, d, x) ->
+              let len = if d >= 1 then d else Col.Ivec.length pks in
+              let base = if d >= 1 then off else 0 in
+              for q = 0 to x - 1 do
+                values.(!w) <- Col.Ivec.get pks (base + (q mod len));
+                incr w
+              done)
+            plans.(j);
+          Rng.shuffle rng_j values;
+          Array.iteri (fun q r -> Col.Ivec.set fk r values.(q)) rows
+        end);
       times.t_pf <- times.t_pf +. (now () -. t2);
-      (* the fill closure owns everything it reads — this batch's partitions,
-         plan segments whose pool slices were reserved above, and an RNG
-         pre-split from the edge stream — and writes only this batch's row
-         range of [fk]; queueing it cannot perturb any draw or any state the
-         next batch's prepare touches *)
-      let fill () =
-        let t3 = now () in
-        Par.run pool np_t (fun j ->
-          let rng_j = Rng.split ~stream:j pf_rng in
-          let tv, rows = t_partitions.(j) in
-          if tv = 0 then
-            (* one draw per row, same sequence [Rng.pick] made on the alias *)
-            Array.iter
-              (fun r -> Col.Ivec.set fk r (all_pk_at (Rng.int rng_j n_s)))
-              rows
-          else begin
-            let n_rows = Array.length rows in
-            let total =
-              List.fold_left (fun acc (_, _, _, x) -> acc + x) 0 plans.(j)
-            in
-            if total <> n_rows then
-              raise (Key_error "internal: population does not cover partition");
-            let values = Array.make n_rows 0 in
-            let w = ref 0 in
-            List.iter
-              (fun (pks, off, d, x) ->
-                let len = if d >= 1 then d else Col.Ivec.length pks in
-                let base = if d >= 1 then off else 0 in
-                for q = 0 to x - 1 do
-                  values.(!w) <- Col.Ivec.get pks (base + (q mod len));
-                  incr w
-                done)
-              plans.(j);
-            Rng.shuffle rng_j values;
-            Array.iteri (fun q r -> Col.Ivec.set fk r values.(q)) rows
-          end);
-        times.t_pf <- times.t_pf +. (now () -. t3)
-      in
-      (* remaining totals depend only on this batch's allocations (fixed at
-         reservation time), never on the fill, so updating them now frees the
-         fill to run behind batch b+1's prepare *)
       for k = 0 to m - 1 do
         (match (jcc_batch.(k), !(jcc_left.(k))) with
         | Some a, Some left -> jcc_left.(k) := Some (left - a)
@@ -1164,31 +1126,17 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
         | _ -> ());
         vr_left.(k) := !(vr_left.(k)) - batch_vr.(k)
       done;
-      if overlap then begin
-        times.batch_alloc_bytes <-
-          max times.batch_alloc_bytes
-            (int_of_float (Gc.allocated_bytes () -. alloc0));
-        (* window of one: wait out batch b-1's fill before queueing ours, so
-           at most two batches of fill state are ever live *)
-        await_pending ();
-        pending := Some (Par.Future.submit pool fill)
-      end
-      else begin
-        fill ();
-        times.batch_alloc_bytes <-
-          max times.batch_alloc_bytes
-            (int_of_float (Gc.allocated_bytes () -. alloc0))
-      end
+      times.batch_alloc_bytes <-
+        max times.batch_alloc_bytes
+          (int_of_float (Gc.allocated_bytes () -. alloc0))
     done;
-    await_pending ();
-    (* per-edge CP accounting: solves, cache reuse, search effort, wall time
-       — an Info diagnostic so perf triage does not need a debug build *)
+    (* per-edge CP accounting: solves, search effort, wall time — an Info
+       diagnostic so perf triage does not need a debug build *)
     let summary =
       Diag.info ~table:t_table Diag.Cp
-        "edge %s.%s: %d CP solves (%d cache hits), %d nodes, %d propagations, %.3fs"
+        "edge %s.%s: %d CP solves, %d nodes, %d propagations, %.3fs"
         t_table edge.Ir.e_fk_col
         (times.cp_solves - edge_solves0)
-        (times.cp_cache_hits - edge_hits0)
         (times.cp_nodes - edge_nodes0)
         (times.cp_props - edge_props0)
         (times.t_cp -. edge_tcp0)
@@ -1196,7 +1144,6 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
     Ok (fk, List.rev (summary :: !resized))
   with
   | Key_error msg ->
-      drain_quiet ();
       Error
         {
           kf_diag =
@@ -1205,7 +1152,6 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
           kf_culprits = [];
         }
   | Key_conflict (culprits, msg) ->
-      drain_quiet ();
       Error
         {
           kf_diag =
@@ -1217,8 +1163,3 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
               Diag.Keygen "%s.%s: %s" edge.Ir.e_fk_table edge.Ir.e_fk_col msg;
           kf_culprits = culprits;
         }
-  | e ->
-      (* budget breach or solver failure: drain the in-flight fill, then let
-         the driver's classification see the original exception *)
-      drain_quiet ();
-      raise e

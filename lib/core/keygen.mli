@@ -27,9 +27,6 @@ type stage_times = {
   mutable cp_nodes : int;
   mutable cp_restarts : int;  (** restart-ladder rungs taken across solves *)
   mutable cp_props : int;  (** propagator executions across solves *)
-  mutable cp_cache_hits : int;
-      (** solves answered by the cross-partition {!Solve_cache} instead of
-          running search *)
   mutable batch_alloc_bytes : int;
       (** largest single-batch allocation volume: the per-batch working set *)
 }
@@ -62,9 +59,7 @@ val populate_edge :
   ?sparsify:bool ->
   ?capacity_repair:bool ->
   ?pool:Mirage_par.Par.pool ->
-  ?cache:Solve_cache.t ->
   ?interrupt:(unit -> unit) ->
-  ?overlap:bool ->
   rng:Mirage_util.Rng.t ->
   db:Mirage_engine.Db.t ->
   env:Mirage_sql.Pred.Env.t ->
@@ -79,25 +74,16 @@ val populate_edge :
     solver's 64-node cancellation points; whatever it raises (typically
     {!Mirage_util.Budget.Exceeded}) propagates out of the populate call.
 
-    [overlap] opens a solve-ahead window of one batch: batch [b]'s FK fill
-    runs as a pool task while batch [b+1]'s CP model builds and solves.  The
-    fill reads only state frozen at reservation time (its plan segments, row
-    windows and a pre-split RNG stream) and writes a disjoint row range of
-    the FK column, so the window changes wall time, never bytes; at most two
-    batches of fill state are live at once, and every exit path — including
-    failures — drains the in-flight fill before returning.
+    Batches run one after another: each batch's CP solve and FK fill finish
+    before the next batch starts, and [batch_alloc_bytes] covers both.
 
     Returns the FK column for [edge.e_fk_table] as a raw integer-key vector
     ({!Mirage_engine.Col.Ivec} — off-heap, convertible zero-copy via
-    [Ivec.to_col]) plus resize/deviation
-    diagnostics (the §6 bounded-error adjustments) and a per-edge Info
-    diagnostic with the CP solve/cache/node/propagation counters.  [cache]
-    reuses outcomes across structurally identical population systems
-    (recurring FK partitions and repeated AQT shapes); because the solver is
-    deterministic in everything {!Mirage_cp.Cp.fingerprint} covers, enabling
-    it never changes the generated column.  On a proved-infeasible
-    population system the failure names the conflicting constraint sources so
-    the caller can quarantine them.  The synthetic database must already
+    [Ivec.to_col]) plus resize/deviation diagnostics (the §6 bounded-error
+    adjustments) and a per-edge Info diagnostic with the CP
+    solve/node/propagation counters.  On a proved-infeasible population
+    system the failure names the conflicting constraint sources so the
+    caller can quarantine them.  The synthetic database must already
     contain the non-key columns of both tables and any FK columns that the
     constraints' subplan views join on. *)
 

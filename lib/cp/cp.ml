@@ -77,64 +77,6 @@ let lp_linear_le t terms rhs =
   t.lp_constrs <- Linear { terms; eq = false; rhs } :: t.lp_constrs
 
 let solution_of_fun t f = Array.init t.nvars (fun v -> f v)
-let fun_of_solution a = fun v -> a.(v)
-
-(* Canonical fingerprint of the population system: variable bounds and aux
-   flags (creation order), constraints / LP rows / objective in posting
-   order, names excluded — two systems differing only in variable names
-   digest identically, and equal digests replay the exact same solve (the
-   solver is deterministic in everything the digest covers). *)
-let fingerprint t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "cp1\x00";
-  Buffer.add_string b (string_of_int t.nvars);
-  for v = 0 to t.nvars - 1 do
-    Buffer.add_char b '\x01';
-    Buffer.add_string b (string_of_int t.lo0.(v));
-    Buffer.add_char b ',';
-    Buffer.add_string b (string_of_int t.hi0.(v));
-    if t.aux.(v) then Buffer.add_char b 'a'
-  done;
-  let add_terms terms =
-    List.iter
-      (fun (a, v) ->
-        Buffer.add_string b (string_of_int a);
-        Buffer.add_char b '*';
-        Buffer.add_string b (string_of_int v);
-        Buffer.add_char b ' ')
-      terms
-  in
-  let add_constr c =
-    match c with
-    | Linear { terms; eq; rhs } ->
-        Buffer.add_char b (if eq then 'E' else 'L');
-        add_terms terms;
-        Buffer.add_string b (string_of_int rhs)
-    | Ge (x, y) ->
-        Buffer.add_char b 'G';
-        Buffer.add_string b (string_of_int x);
-        Buffer.add_char b ',';
-        Buffer.add_string b (string_of_int y)
-    | Imply_pos (x, y) ->
-        Buffer.add_char b 'I';
-        Buffer.add_string b (string_of_int x);
-        Buffer.add_char b ',';
-        Buffer.add_string b (string_of_int y)
-  in
-  List.iter
-    (fun c ->
-      Buffer.add_char b '\x02';
-      add_constr c)
-    (List.rev t.constrs);
-  Buffer.add_char b '\x03';
-  List.iter
-    (fun c ->
-      Buffer.add_char b '\x02';
-      add_constr c)
-    (List.rev t.lp_constrs);
-  Buffer.add_char b '\x04';
-  add_terms t.objective;
-  Digest.to_hex (Digest.string (Buffer.contents b))
 
 exception Fail
 

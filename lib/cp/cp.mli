@@ -87,15 +87,6 @@ val stats_nodes : t -> int
 val stats_props : t -> int
 (** Propagator executions in the last [solve] call (same as [st_props]). *)
 
-val fingerprint : t -> string
-(** Canonical digest of the population system: variable bounds and aux flags
-    in creation order plus constraints, LP-only rows and the objective in
-    posting order — variable {e names} are excluded, so two structurally
-    identical systems that differ only in naming digest identically.  The
-    solver is deterministic in exactly what the digest covers, hence equal
-    fingerprints (with equal solve options) yield identical outcomes — the
-    contract the keygen solve cache relies on. *)
-
 val root_fixpoint : t -> (int array * int array) option
 (** Bounds-consistency propagation to fixpoint on the initial domains, no
     search: [Some (lo, hi)] with the tightened bounds per variable, or
@@ -104,10 +95,7 @@ val root_fixpoint : t -> (int array * int array) option
 
 val solution_of_fun : t -> (var -> int) -> int array
 (** Materialise a [Sat] assignment as a plain array in variable-creation
-    order (for caching / serialisation). *)
-
-val fun_of_solution : int array -> var -> int
-(** Inverse of {!solution_of_fun}. *)
+    order. *)
 
 (**/**)
 

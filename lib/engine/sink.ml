@@ -397,24 +397,21 @@ let write_shard t ?seq ~name body =
     let w =
       { w_file = file; w_backend = t.backend; w_bytes = 0; w_raw = -1; w_crc = 0 }
     in
-    let cleanup () =
-      (try t.backend.bk_close file with _ -> ());
-      try t.backend.bk_remove tmp with _ -> ()
-    in
     (try
        body w;
        t.backend.bk_close file;
        t.backend.bk_rename ~src:tmp ~dst:final
      with
     | Injected_crash _ as e ->
-        (* a real kill closes fds and leaves the temp file; do the same *)
+        (* a real kill closes fds and leaves the temp file; do the same,
+           and let the crash, not a close error, reach the caller *)
         (try t.backend.bk_close file with _ -> ());
         raise e
-    | Io_failure _ as e ->
-        cleanup ();
-        raise e
     | e ->
-        cleanup ();
+        (* best-effort cleanup: the original exception wins over a failing
+           close, and a temp file that is already gone is the goal *)
+        (try t.backend.bk_close file with _ -> ());
+        (try t.backend.bk_remove tmp with _ -> ());
         raise e);
     locked t (fun () ->
         let sh_seq =
@@ -451,6 +448,8 @@ let forget t names =
         List.iter
           (fun n ->
             Hashtbl.remove t.committed n;
+            (* best effort: the shard leaves the manifest either way, and a
+               file that is already gone is the goal *)
             try t.backend.bk_remove (Filename.concat t.dir n) with _ -> ())
           dead;
         t.order <- List.filter (fun s -> not (List.mem s.sh_name dead)) t.order;

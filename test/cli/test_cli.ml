@@ -4,12 +4,13 @@
    bundle; the default export (no --chunk-rows) is one resumable shard per
    table; pinned digests hold the bytes of the benchmark-scale exports and
    of the extracted bundles.  The command-line arguments are the binary's
-   path, then the digest lists of TPC-H sf 4, SSB sf 64 and the sf 2
-   bundles. *)
+   path, then the digest lists of TPC-H sf 4, SSB sf 64, TPC-DS sf 2 and
+   the sf 2 bundles. *)
 
 let cli = ref ""
 let tpch_sf4_md5 = ref ""
 let ssb_sf64_md5 = ref ""
+let tpcds_sf2_md5 = ref ""
 let bundle_sf2_md5 = ref ""
 
 let read_file path =
@@ -270,6 +271,24 @@ let test_ssb_sf64_digests () =
       "--chunk-rows"; "100000" ];
   check_digests ~md5:!ssb_sf64_md5 ~count:6 out
 
+(* The tpcds-cp benchmark's instance, whose key generator solves the largest
+   LP relaxation: its shards and parameters.txt pin the CP layer's bytes,
+   both from anonymous memory and with column payloads mapped from files
+   under --big-dir, which the run must leave empty. *)
+let test_tpcds_sf2_digests () =
+  with_dir @@ fun dir ->
+  let run ?(extra = []) out =
+    expect_ok ~log:(Filename.concat dir "run.log")
+      ([ "generate"; "-w"; "tpcds"; "--sf"; "2"; "--seed"; "7"; "-o"; out;
+         "--chunk-rows"; "100000" ] @ extra);
+    check_digests ~md5:!tpcds_sf2_md5 ~count:10 out
+  in
+  run (Filename.concat dir "out");
+  let spill = Filename.concat dir "spill" in
+  run ~extra:[ "--big-dir"; spill ] (Filename.concat dir "spilled");
+  Alcotest.(check (array string)) "spill dir left empty" [||]
+    (Sys.readdir spill)
+
 (* The production side's bytes: every jcc/jdc the join kernel computes, every
    AQT label and every IN/LIKE parameter's element counts land in the
    bundles of the three workloads. *)
@@ -287,7 +306,8 @@ let () =
   cli := Sys.argv.(1);
   tpch_sf4_md5 := Sys.argv.(2);
   ssb_sf64_md5 := Sys.argv.(3);
-  bundle_sf2_md5 := Sys.argv.(4);
+  tpcds_sf2_md5 := Sys.argv.(4);
+  bundle_sf2_md5 := Sys.argv.(5);
   Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
     [
       ( "from-bundle",
@@ -313,6 +333,8 @@ let () =
             `Quick test_tpch_sf4_digests;
           Alcotest.test_case "SSB sf 64 shards match the pinned digests"
             `Quick test_ssb_sf64_digests;
+          Alcotest.test_case "TPC-DS sf 2 shards match the pinned digests"
+            `Quick test_tpcds_sf2_digests;
         ] );
       ( "extract",
         [

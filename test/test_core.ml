@@ -1296,111 +1296,6 @@ let test_keygen_paper_example () =
       Alcotest.(check int) "v8 jcc" 4 (List.length !matched2);
       Alcotest.(check int) "v8 jdc" 3 (List.length (List.sort_uniq compare !matched2))
 
-(* --- cross-partition solve cache ------------------------------------------- *)
-
-module Solve_cache = Mirage_core.Solve_cache
-module Cp = Mirage_cp.Cp
-
-let cache_model names =
-  (* a small transportation system; [names] only relabels the variables and
-     must not affect the fingerprint *)
-  let m = Cp.create () in
-  let xs =
-    Array.init 6 (fun i -> Cp.var m ~name:names.(i) ~lo:0 ~hi:50)
-  in
-  Cp.linear_eq m [ (1, xs.(0)); (1, xs.(1)); (1, xs.(2)) ] 30;
-  Cp.linear_eq m [ (1, xs.(3)); (1, xs.(4)); (1, xs.(5)) ] 20;
-  Cp.linear_le m [ (1, xs.(0)); (1, xs.(3)) ] 25;
-  Cp.imply_pos m xs.(1) xs.(4);
-  m
-
-let test_solve_cache_hit_renamed () =
-  let m1 = cache_model [| "a"; "b"; "c"; "d"; "e"; "f" |] in
-  let m2 = cache_model [| "u"; "v"; "w"; "x"; "y"; "z" |] in
-  Alcotest.(check string)
-    "renamed systems share a fingerprint" (Cp.fingerprint m1) (Cp.fingerprint m2);
-  let cache = Solve_cache.create () in
-  let o1, st1 = Solve_cache.solve ~cache m1 in
-  let o2, st2 = Solve_cache.solve ~cache m2 in
-  Alcotest.(check bool) "first solve ran search" true (st1 <> None);
-  Alcotest.(check bool) "second solve was a cache hit" true (st2 = None);
-  Alcotest.(check int) "hits" 1 (Solve_cache.hits cache);
-  Alcotest.(check int) "misses" 1 (Solve_cache.misses cache);
-  match (o1, o2) with
-  | Cp.Sat f1, Cp.Sat f2 ->
-      Alcotest.(check (array int))
-        "identical solutions" (Cp.solution_of_fun m1 f1) (Cp.solution_of_fun m2 f2)
-  | _ -> Alcotest.fail "expected both solves Sat"
-
-let test_solve_cache_distinct_systems_miss () =
-  let m1 = cache_model [| "a"; "b"; "c"; "d"; "e"; "f" |] in
-  let m2 = cache_model [| "a"; "b"; "c"; "d"; "e"; "f" |] in
-  Cp.linear_le m2 [ (1, Cp.var m2 ~lo:0 ~hi:1) ] 1;
-  Alcotest.(check bool) "different structure, different fingerprint" true
-    (Cp.fingerprint m1 <> Cp.fingerprint m2);
-  let cache = Solve_cache.create () in
-  ignore (Solve_cache.solve ~cache m1);
-  ignore (Solve_cache.solve ~cache m2);
-  Alcotest.(check int) "no hits" 0 (Solve_cache.hits cache);
-  (* same options replayed: now it hits *)
-  ignore (Solve_cache.solve ~cache m1);
-  Alcotest.(check int) "replay hits" 1 (Solve_cache.hits cache);
-  (* different solve options must not share entries *)
-  ignore (Solve_cache.solve ~cache ~max_nodes:12_345 m1);
-  Alcotest.(check int) "options are part of the key" 1 (Solve_cache.hits cache)
-
-let test_solve_cache_driver_identity () =
-  (* end-to-end: the generated database is bit-identical with the cache on
-     and off (the cache only skips work, never changes outcomes) *)
-  let db = mini_db () in
-  let env =
-    Pred.Env.of_list
-      [
-        ("p1", Pred.Env.Scalar (Value.Int 30));
-        ("p2", Pred.Env.Scalar (Value.Int 2));
-        ("p3", Pred.Env.Scalar (Value.Int 2));
-      ]
-  in
-  let queries =
-    [
-      { Workload.q_name = "q1";
-        q_plan =
-          Plan.Join
-            { jt = Plan.Inner; pk_table = "s"; fk_table = "t"; fk_col = "t_fk";
-              left = Plan.Select (Parser.pred "s1 < $p1", Plan.Table "s");
-              right = Plan.Select (Parser.pred "t1 > $p2", Plan.Table "t") } };
-      { Workload.q_name = "q2";
-        q_plan = Plan.Select (Parser.pred "t2 = $p3", Plan.Table "t") };
-    ]
-  in
-  let workload = Workload.make schema queries in
-  let gen cache_on =
-    let config =
-      { Mirage_core.Driver.default_config with
-        Mirage_core.Driver.solve_cache = cache_on; seed = 11 }
-    in
-    match Mirage_core.Driver.generate ~config workload ~ref_db:db ~prod_env:env with
-    | Ok r -> r
-    | Error d -> Alcotest.failf "generation failed: %s" (Diag.to_string d)
-  in
-  let on = gen true and off = gen false in
-  List.iter
-    (fun (tbl : Schema.table) ->
-      let tname = tbl.Schema.tname in
-      Alcotest.(check int)
-        (tname ^ " row count")
-        (Db.row_count off.Mirage_core.Driver.r_db tname)
-        (Db.row_count on.Mirage_core.Driver.r_db tname);
-      List.iter
-        (fun c ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s.%s identical with cache on/off" tname c)
-            true
-            (Db.column off.Mirage_core.Driver.r_db tname c
-            = Db.column on.Mirage_core.Driver.r_db tname c))
-        (Schema.column_names tbl))
-    (Schema.tables (Db.schema on.Mirage_core.Driver.r_db))
-
 (* --- randomized end-to-end fuzz --------------------------------------------- *)
 
 let prop_random_applications_regenerate =
@@ -1600,12 +1495,6 @@ let () =
             `Quick test_membership_project_fallback;
           Alcotest.test_case "paper Figs 8-10 example" `Quick test_keygen_paper_example;
           QCheck_alcotest.to_alcotest prop_partitions_match_reference;
-          Alcotest.test_case "solve cache: renamed systems hit" `Quick
-            test_solve_cache_hit_renamed;
-          Alcotest.test_case "solve cache: keying" `Quick
-            test_solve_cache_distinct_systems_miss;
-          Alcotest.test_case "solve cache: driver identity" `Quick
-            test_solve_cache_driver_identity;
         ] );
       ( "sql-export",
         [

@@ -11,27 +11,6 @@ let big_dir_ref = ref (Sys.getenv_opt "MIRAGE_BIG_DIR")
 let big_dir () = !big_dir_ref
 let set_big_dir d = big_dir_ref := d
 
-(* Payloads of at least this size are mapped rather than malloc'd: from an
-   unlinked temp file under the spill directory when one is set, else from
-   /dev/zero (private zero pages, as an anonymous mmap).  Either way the
-   kernel zero-fills the pages, and they do not pace the GC: the runtime
-   counts malloc'd Bigarray bytes toward its major-collection speed, which
-   cost about 50% more major collections on TPC-H sf 4 once every column
-   was a Bigarray.  Smaller payloads are malloc'd, so a CP-batch vector or
-   a small bitmap costs neither a temp file nor a mapping of its own. *)
-let mapped_min_bytes = 1 lsl 20
-
-let anon_big : type a b. (a, b) Bigarray.kind -> a -> int ->
-               (a, b, Bigarray.c_layout) Bigarray.Array1.t =
- fun kind zero n ->
-  let ba = Bigarray.Array1.create kind Bigarray.c_layout n in
-  (* malloc'd pages are not zeroed; mapped pages are *)
-  Bigarray.Array1.fill ba zero;
-  ba
-
-let map_fd kind ~shared fd n =
-  Bigarray.array1_of_genarray (Unix.map_file fd kind Bigarray.c_layout shared [| n |])
-
 (* File-backed allocation: an unlinked temp file under the spill directory
    keeps the pages evictable by the kernel (dirty pages write back to the
    file instead of pinning swap), and unlinking immediately means a crash
@@ -49,34 +28,25 @@ let map_spill kind dir n =
     ~finally:(fun () ->
       (try Unix.unlink path with Unix.Unix_error _ -> ());
       Unix.close fd)
-    (fun () -> map_fd kind ~shared:true fd n)
-
-let map_zero kind n =
-  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> map_fd kind ~shared:false fd n)
+    (fun () -> Mirage_util.Mem.map_fd kind ~shared:true fd n)
 
 (* every payload is off the OCaml heap — the GC neither scans nor compacts
-   it.  A spill directory or /dev/zero that cannot be mapped falls back to
-   the next option rather than failing generation. *)
+   it.  From [Mem.mapped_min_bytes] a payload spills under the spill
+   directory when one is set; otherwise, or when the spill file cannot be
+   mapped, it is [Mem.zeroed]. *)
 let alloc_big : type a b. (a, b) Bigarray.kind -> a -> int ->
                 (a, b, Bigarray.c_layout) Bigarray.Array1.t =
  fun kind zero n ->
   let n = max n 0 in
-  let attempt map =
-    match map () with
-    | ba -> Some ba
-    | exception (Unix.Unix_error _ | Sys_error _) -> None
-  in
-  let mapped =
-    if n * Bigarray.kind_size_in_bytes kind < mapped_min_bytes then None
+  let spilled =
+    if n * Bigarray.kind_size_in_bytes kind < Mirage_util.Mem.mapped_min_bytes then None
     else
-      match
-        Option.bind !big_dir_ref (fun dir -> attempt (fun () -> map_spill kind dir n))
-      with
-      | Some _ as spilled -> spilled
-      | None -> attempt (fun () -> map_zero kind n)
+      Option.bind !big_dir_ref (fun dir ->
+          match map_spill kind dir n with
+          | ba -> Some ba
+          | exception (Unix.Unix_error _ | Sys_error _) -> None)
   in
-  match mapped with Some ba -> ba | None -> anon_big kind zero n
+  match spilled with Some ba -> ba | None -> Mirage_util.Mem.zeroed kind zero n
 
 let alloc_int_big n : int_big = alloc_big Bigarray.int 0 n
 let alloc_float_big n : float_big = alloc_big Bigarray.float64 0.0 n

@@ -3,21 +3,30 @@ type outcome =
   | Infeasible
   | Unbounded
 
+module Mem = Mirage_util.Mem
+
+type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 (* Standard-form tableau simplex.
    Tableau layout: rows 0..m-1 are constraints, row m is the objective.
    Columns 0..total-1 are variables, column total is the RHS.
    [basis.(r)] is the variable basic in row r.
 
-   The tableau is stored dense, but the LPs the generator builds are almost
-   empty (about 0.1% non-zeros), so a pivot reads column j once, into
-   [rows], and updates only the non-zero columns of the pivot row, gathered
-   into [idx].  A skipped row has a zero in column j and a skipped column a
-   zero in the pivot row, and [x -. f *. ±0.0 = x] for finite [f]: the
-   values, the pivot sequence and the solution are those of the full dense
+   The tableau is stored dense, row r at offset [r * w] of one off-heap
+   vector, but the LPs the generator builds are almost empty (about 0.1%
+   non-zeros), so a pivot reads column j once, into [rows], and updates
+   only the non-zero columns of the pivot row, gathered into [idx].  A
+   skipped row has a zero in column j and a skipped column a zero in the
+   pivot row, and [x -. f *. ±0.0 = x] for finite [f]: the values, the
+   pivot sequence and the solution are those of the full dense
    Gauss–Jordan update, up to the sign of a zero, which no comparison can
-   see. *)
+   see.  A large tableau is mapped from zero pages ([Mem.zeroed]), so only
+   the pages a solve writes become resident, and they go back to the OS
+   when the tableau is collected; the largest TPC-DS sf 2 relaxation is
+   99 MB dense. *)
 type tableau = {
-  tab : float array array;
+  tab : vec;
+  w : int;  (* row width: total + 1 *)
   basis : int array;
   m : int;
   total : int;
@@ -25,21 +34,27 @@ type tableau = {
   rows : int array;  (* constraint rows with a non-zero in the pivot column *)
 }
 
-(* [dst.(k) <- dst.(k) -. f *. src.(k)] over the first [cnt] columns of
-   [idx]. *)
-let sub_scaled idx cnt dst f src =
+(* inlined, so the floats they read and write stay unboxed *)
+let[@inline] get (v : vec) i = Bigarray.Array1.unsafe_get v i
+let[@inline] set (v : vec) i x = Bigarray.Array1.unsafe_set v i x
+let[@inline] at t r j = get t.tab ((r * t.w) + j)
+let[@inline] put t r j x = set t.tab ((r * t.w) + j) x
+
+(* [tab.{dst + k} <- tab.{dst + k} -. f *. tab.{src + k}] over the first
+   [cnt] columns of [idx]; [dst] and [src] are row offsets. *)
+let sub_scaled tab idx cnt dst f src =
   for i = 0 to cnt - 1 do
     let k = Array.unsafe_get idx i in
-    Array.unsafe_set dst k
-      (Array.unsafe_get dst k -. (f *. Array.unsafe_get src k))
+    set tab (dst + k) (get tab (dst + k) -. (f *. get tab (src + k)))
   done
 
-(* Gather the non-zero columns of [row] into [idx]; returns their count. *)
-let gather idx row =
+(* Gather the non-zero columns of the row at offset [row] into [t.idx];
+   returns their count. *)
+let gather t row =
   let cnt = ref 0 in
-  for k = 0 to Array.length row - 1 do
-    if Array.unsafe_get row k <> 0.0 then begin
-      Array.unsafe_set idx !cnt k;
+  for k = 0 to t.w - 1 do
+    if get t.tab (row + k) <> 0.0 then begin
+      Array.unsafe_set t.idx !cnt k;
       incr cnt
     end
   done;
@@ -50,7 +65,7 @@ let gather idx row =
 let gather_column t j =
   let cnt = ref 0 in
   for r = 0 to t.m - 1 do
-    if abs_float t.tab.(r).(j) > 0.0 then begin
+    if abs_float (at t r j) > 0.0 then begin
       t.rows.(!cnt) <- r;
       incr cnt
     end
@@ -62,27 +77,28 @@ let gather_column t j =
    column-j entry, then eliminate column j from every other row, the
    objective row last. *)
 let pivot t ~ncol r j =
-  let prow = t.tab.(r) in
-  let piv = prow.(j) in
-  let cnt = gather t.idx prow in
+  let tab = t.tab and w = t.w in
+  let prow = r * w in
+  let piv = get tab (prow + j) in
+  let cnt = gather t prow in
   for i = 0 to cnt - 1 do
     let k = t.idx.(i) in
-    prow.(k) <- prow.(k) /. piv
+    set tab (prow + k) (get tab (prow + k) /. piv)
   done;
   for i = 0 to ncol - 1 do
     let r' = t.rows.(i) in
     if r' <> r then begin
-      let row = t.tab.(r') in
-      sub_scaled t.idx cnt row row.(j) prow
+      let row = r' * w in
+      sub_scaled tab t.idx cnt row (get tab (row + j)) prow
     end
   done;
-  let objrow = t.tab.(t.m) in
-  let f = objrow.(j) in
-  if abs_float f > 0.0 then sub_scaled t.idx cnt objrow f prow;
+  let objrow = t.m * w in
+  let f = get tab (objrow + j) in
+  if abs_float f > 0.0 then sub_scaled tab t.idx cnt objrow f prow;
   t.basis.(r) <- j
 
 let simplex_tableau ~eps ?allowed t =
-  let { tab; basis; m; total; _ } = t in
+  let { basis; m; total; _ } = t in
   let obj = m in
   let rhs = total in
   (* columns eligible to enter the basis: phase II must never re-admit the
@@ -95,7 +111,7 @@ let simplex_tableau ~eps ?allowed t =
       let entering = ref (-1) in
       (try
          for j = 0 to allowed - 1 do
-           if tab.(obj).(j) < -.eps then begin
+           if at t obj j < -.eps then begin
              entering := j;
              raise Exit
            end
@@ -111,8 +127,8 @@ let simplex_tableau ~eps ?allowed t =
         let best = ref infinity in
         for i = 0 to ncol - 1 do
           let r = t.rows.(i) in
-          if tab.(r).(j) > eps then begin
-            let ratio = tab.(r).(rhs) /. tab.(r).(j) in
+          if at t r j > eps then begin
+            let ratio = at t r rhs /. at t r j in
             if
               ratio < !best -. eps
               || (abs_float (ratio -. !best) <= eps
@@ -152,41 +168,42 @@ let solve ?(eps = 1e-9) ~a ~b ~c () =
   check_rows ~n a;
   let total = n + m in
   (* columns: n structural + m artificial *)
-  let tab = Array.make_matrix (m + 1) (total + 1) 0.0 in
+  let w = total + 1 in
+  let tab : vec = Mem.zeroed Bigarray.float64 0.0 ((m + 1) * w) in
   let t =
     {
       tab;
+      w;
       basis = Array.init m (fun r -> n + r);
       m;
       total;
-      idx = Array.make (total + 1) 0;
+      idx = Array.make w 0;
       rows = Array.make m 0;
     }
   in
   (* fill rows normalised to b >= 0, and the phase I objective (minimise the
      sum of artificials = the sum of rows) as column sums in row order *)
-  let objrow = tab.(m) in
+  let obj = m in
   for r = 0 to m - 1 do
-    let row = tab.(r) in
     let neg = b.(r) < 0.0 in
     Array.iter
       (fun (j, v) ->
         let v = if neg then -.v else v in
-        row.(j) <- v;
-        objrow.(j) <- objrow.(j) +. v)
+        put t r j v;
+        put t obj j (at t obj j +. v))
       a.(r);
-    row.(n + r) <- 1.0;
-    row.(total) <- (if neg then -.b.(r) else b.(r));
-    objrow.(total) <- objrow.(total) +. row.(total)
+    put t r (n + r) 1.0;
+    put t r total (if neg then -.b.(r) else b.(r));
+    put t obj total (at t obj total +. at t r total)
   done;
   for j = 0 to n - 1 do
-    objrow.(j) <- -.objrow.(j)
+    put t obj j (-.at t obj j)
   done;
-  objrow.(total) <- -.objrow.(total);
+  put t obj total (-.at t obj total);
   match simplex_tableau ~eps t with
   | `Unbounded -> Infeasible (* phase I is bounded; numerical trouble *)
   | `Optimal ->
-      if objrow.(total) < -.(eps *. 1e3) -. 1e-6 then Infeasible
+      if at t obj total < -.(eps *. 1e3) -. 1e-6 then Infeasible
       else begin
         (* drive artificials out of the basis where possible *)
         for r = 0 to m - 1 do
@@ -194,7 +211,7 @@ let solve ?(eps = 1e-9) ~a ~b ~c () =
             let j = ref (-1) in
             (try
                for k = 0 to n - 1 do
-                 if abs_float tab.(r).(k) > eps *. 10.0 then begin
+                 if abs_float (at t r k) > eps *. 10.0 then begin
                    j := k;
                    raise Exit
                  end
@@ -204,22 +221,21 @@ let solve ?(eps = 1e-9) ~a ~b ~c () =
           end
         done;
         (* Phase II objective (artificials may no longer enter) *)
-        Array.fill objrow 0 (total + 1) 0.0;
-        Array.blit c 0 objrow 0 n;
+        for k = 0 to total do
+          put t obj k (if k < n then c.(k) else 0.0)
+        done;
         (* reduce objective row against basic columns *)
         for r = 0 to m - 1 do
           let bv = t.basis.(r) in
-          if bv < n && abs_float objrow.(bv) > 0.0 then begin
-            let f = objrow.(bv) in
-            sub_scaled t.idx (gather t.idx tab.(r)) objrow f tab.(r)
-          end
+          if bv < n && abs_float (at t obj bv) > 0.0 then
+            sub_scaled tab t.idx (gather t (r * w)) (obj * w) (at t obj bv) (r * w)
         done;
         match simplex_tableau ~eps ~allowed:n t with
         | `Unbounded -> Unbounded
         | `Optimal ->
             let x = Array.make n 0.0 in
             for r = 0 to m - 1 do
-              if t.basis.(r) < n then x.(t.basis.(r)) <- tab.(r).(total)
+              if t.basis.(r) < n then x.(t.basis.(r)) <- at t r total
             done;
             (* clamp numerical negatives *)
             Array.iteri (fun i v -> if v < 0.0 then x.(i) <- 0.0) x;

@@ -310,6 +310,30 @@ let outcome_name = function
   | Lp.Infeasible -> "infeasible"
   | Lp.Unbounded -> "unbounded"
 
+(* Random LPs side by side on disjoint columns, until the tableau reaches
+   the size that [Mem.zeroed] maps from zero pages instead of mallocing. *)
+let test_mapped_tableau () =
+  let rows = ref [] and bs = ref [] and cs = ref [] and n = ref 0 and m = ref 0 in
+  let seed = ref 0 in
+  while (!m + 1) * (!n + !m + 1) * 8 < Mirage_util.Mem.mapped_min_bytes do
+    let a, b, c = random_lp !seed in
+    incr seed;
+    if outcome_name (Lp.solve ~a ~b ~c ()) = "optimal" then begin
+      let off = !n in
+      rows := Array.map (Array.map (fun (j, v) -> (j + off, v))) a :: !rows;
+      bs := b :: !bs;
+      cs := c :: !cs;
+      n := !n + Array.length c;
+      m := !m + Array.length a
+    end
+  done;
+  let a = Array.concat (List.rev !rows)
+  and b = Array.concat (List.rev !bs)
+  and c = Array.concat (List.rev !cs) in
+  Alcotest.(check string) "outcome" "optimal" (outcome_name (Lp.solve ~a ~b ~c ()));
+  Alcotest.(check bool) "same solution as the dense oracle, bitwise" true
+    (agrees_with_dense (a, b, c))
+
 let test_differential_outcomes () =
   (* the generator must reach every outcome, each bitwise-equal to the
      oracle's *)
@@ -413,6 +437,7 @@ let () =
           Alcotest.test_case "every outcome = dense oracle" `Quick
             test_differential_outcomes;
           QCheck_alcotest.to_alcotest prop_sparse_equals_dense;
+          Alcotest.test_case "mapped tableau = dense oracle" `Quick test_mapped_tableau;
         ] );
       ( "rounding",
         [

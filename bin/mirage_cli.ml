@@ -278,22 +278,17 @@ let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
               else Fmt.pr "  %-12s %d rows, %d bytes@." tname rows raw)
             rep.Scale_out.cr_tables;
           write_parameters r dir;
-          if sql then
-            match chunk with
-            | Some _ ->
-                let run_id = Printf.sprintf "%s-sql-chunk%d" run_key chunk_rows in
-                let shards, resumed_n =
-                  Mirage_core.Sql_export.export_chunked ~resume ~interrupt ~db
-                    ~workload ~env:r.Driver.r_env ~dir ~chunk_rows ~run_id ()
-                in
-                Fmt.pr
-                  "wrote schema.sql, queries.sql and %d data.sql shards (%d \
-                   resumed)@."
-                  shards resumed_n
-            | None ->
-                Mirage_core.Sql_export.export_dir ~db ~workload
-                  ~env:r.Driver.r_env ~dir;
-                Fmt.pr "wrote schema.sql, data.sql, queries.sql@.")
+          if sql then begin
+            let run_id = Printf.sprintf "%s-sql-chunk%d" run_key chunk_rows in
+            let shards, resumed_n =
+              Mirage_core.Sql_export.export_chunked ~resume ~interrupt ~db
+                ~workload ~env:r.Driver.r_env ~dir ~chunk_rows ~run_id ()
+            in
+            Fmt.pr
+              "wrote schema.sql, queries.sql and %d data.sql shards (%d \
+               resumed)@."
+              shards resumed_n
+          end)
         live;
       report r;
       verdict_code r
@@ -301,7 +296,10 @@ let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
 let generate_cmd =
   let sql_arg =
     Arg.(value & flag & info [ "sql" ]
-           ~doc:"Also write schema.sql / data.sql / queries.sql into the output directory.")
+           ~doc:"Also write schema.sql, queries.sql and the INSERT shards data.sql.<k> \
+                 (checkpointed in MANIFEST.sql.json, so $(b,--resume) skips finished \
+                 ones) into the output directory.  Without $(b,--chunk-rows) all rows \
+                 go to data.sql.0; with it, each table is cut into shards of its own.")
   in
   let run name sf seed batch out copies sql chunk resume compress brows bmb
       bsecs big_dir =

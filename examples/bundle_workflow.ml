@@ -50,6 +50,10 @@ let () =
           (* export for a real DBMS *)
           let dir = Filename.temp_file "ssb_sql" "" in
           Sys.remove dir;
-          Mirage_core.Sql_export.export_dir ~db:r.Driver.r_db
-            ~workload:loaded.Bundle.b_workload ~env:r.Driver.r_env ~dir;
-          Printf.printf "wrote %s/{schema,data,queries}.sql — load into any DBMS\n" dir)
+          ignore
+            (Mirage_core.Sql_export.export_chunked ~db:r.Driver.r_db
+               ~workload:loaded.Bundle.b_workload ~env:r.Driver.r_env ~dir
+               ~chunk_rows:max_int ~run_id:"ssb" ());
+          Printf.printf
+            "wrote %s/{schema,queries}.sql and %s/data.sql.0 — load into any DBMS\n"
+            dir dir)

@@ -238,10 +238,6 @@ let swap_cells col i j =
       codes.{i} <- codes.{j};
       codes.{j} <- t;
       swap_bits nulls
-  | Col.Boxed vs ->
-      let t = vs.(i) in
-      vs.(i) <- vs.(j);
-      vs.(j) <- t
 
 (* Arrangement repair (see below): when ties in the result view leave the
    best threshold off target, swapping one involved column's values between

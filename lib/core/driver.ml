@@ -532,25 +532,21 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
         let step =
           match config.chunk_rows with Some c -> c | None -> max 1 rows
         in
-        let pk_name = (Schema.table schema edge.Ir.e_pk_table).Schema.pk in
-        match Db.col db edge.Ir.e_pk_table pk_name with
-        | Col.Ints { nulls = None; _ } as pk_col ->
-            let n = Col.length pk_col in
+        match Keygen.pk_reader ~db edge with
+        | Ok pk_at ->
+            let n = Db.row_count db edge.Ir.e_pk_table in
             let fk = Col.Ivec.make rows 0 in
             let lo = ref 0 in
             while !lo < rows do
               Budget.check budget;
               let hi = min rows (!lo + step) in
               for i = !lo to hi - 1 do
-                Col.Ivec.unsafe_set fk i (Col.int_at pk_col (Rng.int rng_e n))
+                Col.Ivec.unsafe_set fk i (pk_at (Rng.int rng_e n))
               done;
               lo := hi
             done;
             (Col.Ivec.to_col fk, [])
-        | pk_col ->
-            let pks = Col.to_values pk_col in
-            let n = Array.length pks in
-            (Col.of_values (Array.init rows (fun _ -> pks.(Rng.int rng_e n))), [])
+        | Error f -> raise (Keygen_failed f)
       end
       else
         match

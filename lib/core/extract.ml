@@ -186,7 +186,6 @@ let iter_strs db table col f =
   | Col.Dict { codes; pool; nulls } ->
       let counts, _ = code_counts codes nulls (Array.length pool) in
       Array.iteri (fun k s -> if counts.(k) > 0 then f s counts.(k)) pool
-  | Col.Boxed vs -> Array.iter (function Value.Str s -> f s 1 | _ -> ()) vs
   | Col.Ints _ | Col.Floats _ -> ()
 
 let literal_elements db ~env ~table = function

@@ -155,6 +155,24 @@ exception Key_conflict of string list * string
 
 type failure = { kf_diag : Diag.t; kf_culprits : string list }
 
+let edge_failure edge msg =
+  {
+    kf_diag =
+      Diag.error ~table:edge.Ir.e_fk_table Diag.Keygen "%s.%s: %s"
+        edge.Ir.e_fk_table edge.Ir.e_fk_col msg;
+    kf_culprits = [];
+  }
+
+let non_integer_pk = "non-integer primary key"
+
+let pk_reader ~db edge =
+  let s_table = edge.Ir.e_pk_table in
+  match Db.col db s_table (Schema.table (Db.schema db) s_table).Schema.pk with
+  | Col.Ints { data; nulls }
+    when Option.fold ~none:true ~some:(fun b -> Col.Bitset.count b = 0) nulls ->
+      Ok (fun i -> Bigarray.Array1.unsafe_get data i)
+  | _ -> Error (edge_failure edge non_integer_pk)
+
 let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true)
     ?(pool = Par.sequential) ?(interrupt = fun () -> ())
     ~rng ~db ~env ~edge ~constraints ~batch_size ~cp_max_nodes ~times () =
@@ -237,23 +255,11 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
     in
     let s_vec = status_vec left_member n_s in
     let t_vec = status_vec right_member n_t in
-    let s_pk_col =
-      Db.col db s_table (Schema.table (Db.schema db) s_table).Schema.pk
-    in
-    (* unboxed pk reader: anything but a non-null integer is a hard error *)
-    let s_pk_at =
-      match s_pk_col with
-      | Col.Ints { data; nulls = None } -> fun i -> data.{i}
-      | Col.Ints { data; nulls = Some b } ->
-          fun i ->
-            if Col.Bitset.get b i then
-              raise (Key_error "non-integer primary key")
-            else data.{i}
-      | col -> (
-          fun i ->
-            match Col.get col i with
-            | Value.Int pk -> pk
-            | _ -> raise (Key_error "non-integer primary key"))
+    (* one pk reader, for the S pools and the unconstrained rows *)
+    let pk_at =
+      match pk_reader ~db edge with
+      | Ok f -> f
+      | Error _ -> raise (Key_error non_integer_pk)
     in
     (* S partitions: vector -> shuffled pk pool + allocation cursor.  Pools
        are Ivecs filled by a counting pass (no per-row cons cells) and sized
@@ -276,7 +282,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
     for i = 0 to n_s - 1 do
       let k = Hashtbl.find part_idx (Col.Ivec.unsafe_get s_vec i) in
       let _, pks, _ = s_partitions.(k) in
-      Col.Ivec.set pks fill.(k) (s_pk_at i);
+      Col.Ivec.set pks fill.(k) (pk_at i);
       fill.(k) <- fill.(k) + 1
     done;
     (* Shuffle each pool in [s_counts] enumeration order: the historical
@@ -352,14 +358,6 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
        vector is overwritten before it is returned; as an Ivec, the FK
        column fills directly off-heap *)
     let fk = Col.Ivec.make n_t 0 in
-    (* unconstrained rows draw any PK: an accessor, not a copy, so the PK
-       column is never re-materialised on the heap *)
-    let all_pk_at =
-      match s_pk_col with
-      | Col.Ints { data; nulls = None } -> fun i -> Bigarray.Array1.unsafe_get data i
-      | col ->
-          fun i -> ( match Col.get col i with Value.Int pk -> pk | _ -> 0)
-    in
     if n_s = 0 then raise (Key_error "referenced table is empty");
     (* --- batch loop ------------------------------------------------------ *)
     let n_batches = (n_t + batch_size - 1) / batch_size in
@@ -1093,7 +1091,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
         if tv = 0 then
           (* one draw per row, same sequence [Rng.pick] made on the alias *)
           Array.iter
-            (fun r -> Col.Ivec.set fk r (all_pk_at (Rng.int rng_j n_s)))
+            (fun r -> Col.Ivec.set fk r (pk_at (Rng.int rng_j n_s)))
             rows
         else begin
           let n_rows = Array.length rows in
@@ -1143,14 +1141,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
     in
     Ok (fk, List.rev (summary :: !resized))
   with
-  | Key_error msg ->
-      Error
-        {
-          kf_diag =
-            Diag.error ~table:edge.Ir.e_fk_table Diag.Keygen "%s.%s: %s"
-              edge.Ir.e_fk_table edge.Ir.e_fk_col msg;
-          kf_culprits = [];
-        }
+  | Key_error msg -> Error (edge_failure edge msg)
   | Key_conflict (culprits, msg) ->
       Error
         {

@@ -54,6 +54,11 @@ type failure = {
           empty for other failures *)
 }
 
+val pk_reader : db:Mirage_engine.Db.t -> Ir.edge -> (int -> int, failure) result
+(** The primary key of [edge.e_pk_table] as a reader of row [i], when it is
+    a [Col.Ints] column without a NULL row; otherwise the edge's
+    "non-integer primary key" failure. *)
+
 val populate_edge :
   ?lp_guide:bool ->
   ?sparsify:bool ->

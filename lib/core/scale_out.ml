@@ -75,13 +75,6 @@ let build_template ?(lo = 0) ?rows db (tbl : Schema.table) =
            match (List.assoc_opt c slots, col) with
            | Some (j, _), Col.Ints { data; nulls } ->
                fun i -> if not (cell_null nulls i) then splice j data.{i}
-           | Some (j, _), Col.Boxed vs -> (
-               fun i ->
-                 match vs.(i) with
-                 | Value.Int x -> splice j x
-                 | Value.Null -> ()
-                 | Value.Float f -> Render.Buf.ftoa buf f
-                 | Value.Str s -> Render.Buf.add_string buf (Render.csv_escape s))
            | _, Col.Ints { data; nulls } ->
                fun i -> if not (cell_null nulls i) then Render.Buf.itoa buf data.{i}
            | _, Col.Floats { data; nulls } ->
@@ -90,14 +83,7 @@ let build_template ?(lo = 0) ?rows db (tbl : Schema.table) =
                let epool = Render.csv_pool pool in
                fun i ->
                  if not (cell_null nulls i) then
-                   Render.Buf.add_string buf epool.(codes.{i})
-           | _, Col.Boxed vs -> (
-               fun i ->
-                 match vs.(i) with
-                 | Value.Null -> ()
-                 | Value.Int x -> Render.Buf.itoa buf x
-                 | Value.Float f -> Render.Buf.ftoa buf f
-                 | Value.Str s -> Render.Buf.add_string buf (Render.csv_escape s)))
+                   Render.Buf.add_string buf epool.(codes.{i}))
          names)
   in
   let ncols = Array.length emitters in
@@ -486,18 +472,6 @@ let tile_col ~copies ~offset_of col =
         Bigarray.Array1.blit codes (tile out t)
       done;
       Col.Dict { codes = out; pool; nulls = tile_nulls nulls }
-  | Col.Boxed vs ->
-      (* offset-0 tiles reuse the source array — Array.concat copies, so
-         sharing is safe and the common unshifted case allocates nothing
-         beyond the concatenation itself *)
-      let shifted off =
-        if off = 0 then vs
-        else
-          Array.map
-            (function Value.Int x -> Value.Int (x + off) | v -> v)
-            vs
-      in
-      Col.Boxed (Array.concat (List.init copies (fun t -> shifted (offset_of t))))
 
 let tile_db ~db ~copies =
   if copies < 1 then invalid_arg "Scale_out.tile_db: copies must be >= 1";

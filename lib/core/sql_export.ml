@@ -66,13 +66,11 @@ let sql_cell_renderer buf col =
       fun i ->
         Render.Buf.add_string buf
           (if cell_null nulls i then "NULL" else escaped.(codes.{i}))
-  | Col.Boxed vs -> fun i -> Render.Buf.add_string buf (sql_value vs.(i))
 
-(* appends one table's INSERT batches to [buf]; [export_dir] streams the
-   same buffer to disk per table instead of concatenating per-table strings.
-   [lo, hi) restricts to a row range for the chunked exporter; statements
-   restart every [batch] rows from row 0, so ranges aligned to the batch
-   size concatenate byte-identically to the full render *)
+(* appends one table's INSERT batches to [buf].  [lo, hi) restricts to a
+   row range for a data.sql shard; statements restart every [batch] rows
+   from row 0, so ranges aligned to the batch size concatenate
+   byte-identically to the full render *)
 let batch = 500
 
 let add_inserts ?(lo = 0) ?hi buf db ~table =
@@ -171,32 +169,27 @@ and all ~env = function
 
 (* --- plans ------------------------------------------------------------------- *)
 
-let fresh =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Printf.sprintf "q%d" !n
-
-(* renders a plan as something usable in a FROM clause *)
-let rec relation_sql ~env ~schema plan =
+(* renders a plan as something usable in a FROM clause; [fresh] names the
+   subquery aliases q1, q2, ... of one rendered query *)
+let rec relation_sql ~fresh ~env ~schema plan =
   match plan with
   | Plan.Table t -> Ok t
   | _ ->
-      let* s = select_sql ~env ~schema plan in
+      let* s = select_sql ~fresh ~env ~schema plan in
       Ok ("(" ^ s ^ ") " ^ fresh ())
 
-and select_sql ~env ~schema plan =
+and select_sql ~fresh ~env ~schema plan =
   match plan with
   | Plan.Table t -> Ok ("SELECT * FROM " ^ t)
   | Plan.Select (p, q) ->
-      let* rel = relation_sql ~env ~schema q in
+      let* rel = relation_sql ~fresh ~env ~schema q in
       let* w = pred_sql ~env p in
       Ok (Printf.sprintf "SELECT * FROM %s WHERE %s" rel w)
   | Plan.Project { cols; input } ->
-      let* rel = relation_sql ~env ~schema input in
+      let* rel = relation_sql ~fresh ~env ~schema input in
       Ok (Printf.sprintf "SELECT DISTINCT %s FROM %s" (String.concat ", " cols) rel)
   | Plan.Aggregate { group_by; aggs; input } ->
-      let* rel = relation_sql ~env ~schema input in
+      let* rel = relation_sql ~fresh ~env ~schema input in
       let agg_exprs =
         List.map
           (fun (f, c) ->
@@ -221,8 +214,8 @@ and select_sql ~env ~schema plan =
              (String.concat ", " group_by))
   | Plan.Join { jt; pk_table; fk_col; left; right; _ } -> (
       let pk_col = (Schema.table schema pk_table).Schema.pk in
-      let* l = relation_sql ~env ~schema left in
-      let* r = relation_sql ~env ~schema right in
+      let* l = relation_sql ~fresh ~env ~schema left in
+      let* r = relation_sql ~fresh ~env ~schema right in
       match jt with
       | Plan.Inner ->
           Ok (Printf.sprintf "SELECT * FROM %s JOIN %s ON %s = %s" l r pk_col fk_col)
@@ -268,41 +261,14 @@ and strip_rel rel =
     String.sub rel 1 (close - 1)
   else "SELECT * FROM " ^ rel
 
-let query_sql plan ~schema ~env = select_sql ~env ~schema plan
-
-let export_dir ~db ~workload ~env ~dir =
-  Mirage_engine.Sink.mkdir_p dir;
-  let schema = Db.schema db in
-  let write name contents =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc contents;
-    close_out oc
+let query_sql plan ~schema ~env =
+  let n = ref 0 in
+  let fresh () =
+    incr n;
+    Printf.sprintf "q%d" !n
   in
-  write "schema.sql" (ddl schema);
-  (* stream the INSERTs table by table through one reused kernel buffer —
-     no per-table string copies, no concatenation of the whole file *)
-  let oc = open_out (Filename.concat dir "data.sql") in
-  let buf = Render.Buf.create 65536 in
-  List.iter
-    (fun (tbl : Schema.table) ->
-      Render.Buf.clear buf;
-      add_inserts buf db ~table:tbl.Schema.tname;
-      Render.Buf.output oc buf)
-    (Schema.tables schema);
-  close_out oc;
-  let qbuf = Buffer.create 4096 in
-  List.iter
-    (fun (q : Workload.query) ->
-      match query_sql q.Workload.q_plan ~schema ~env with
-      | Ok sql ->
-          Buffer.add_string qbuf (Printf.sprintf "-- %s\n%s;\n\n" q.Workload.q_name sql)
-      | Error m ->
-          Buffer.add_string qbuf (Printf.sprintf "-- %s: %s\n\n" q.Workload.q_name m))
-    workload.Workload.w_queries;
-  write "queries.sql" (Buffer.contents qbuf)
+  select_sql ~fresh ~env ~schema plan
 
-(* crash-safe chunked variant of the data.sql stream: shards of whole INSERT
-   batches, so [cat data.sql.0 data.sql.1 ...] equals the monolithic file *)
 module Sink = Mirage_engine.Sink
 
 let export_chunked ?backend ?(resume = false) ?(interrupt = fun () -> ()) ~db
@@ -332,36 +298,50 @@ let export_chunked ?backend ?(resume = false) ?(interrupt = fun () -> ()) ~db
           Buffer.add_string qbuf (Printf.sprintf "-- %s: %s\n\n" q.Workload.q_name m))
     workload.Workload.w_queries;
   write "queries.sql" (Buffer.contents qbuf);
-  (* shard row budget rounded down to whole INSERT batches so shard
-     boundaries never split a statement *)
-  let per = max batch (chunk_rows / batch * batch) in
+  (* each shard is a list of (table, lo, hi) row ranges.  Unbounded, every
+     table goes to data.sql.0; bounded, each table is cut into shards of
+     its own, at the shard row budget rounded down to whole INSERT batches
+     so no boundary splits a statement *)
+  let tables =
+    List.map
+      (fun (tbl : Schema.table) -> (tbl.Schema.tname, Db.row_count db tbl.Schema.tname))
+      (Schema.tables schema)
+  in
+  let shards =
+    if chunk_rows = max_int then [ List.map (fun (t, n) -> (t, 0, n)) tables ]
+    else
+      let per = max batch (chunk_rows / batch * batch) in
+      List.concat_map
+        (fun (t, n) ->
+          List.init (max 1 ((n + per - 1) / per)) (fun s ->
+              [ (t, s * per, min n ((s + 1) * per)) ]))
+        tables
+  in
   let buf = Render.Buf.create 65536 in
-  let k = ref 0 and resumed = ref 0 in
-  List.iter
-    (fun (tbl : Schema.table) ->
-      let tname = tbl.Schema.tname in
-      let n = Db.row_count db tname in
-      let nshards = max 1 ((n + per - 1) / per) in
-      for s = 0 to nshards - 1 do
-        interrupt ();
-        let name = Printf.sprintf "data.sql.%d" !k in
-        incr k;
-        if Sink.is_done sink name then incr resumed
-        else
-          Sink.write_shard sink ~name (fun w ->
-              Render.Buf.clear buf;
-              add_inserts ~lo:(s * per) ~hi:(min n ((s + 1) * per)) buf db
-                ~table:tname;
-              Sink.put w (Render.Buf.unsafe_bytes buf) ~pos:0
-                ~len:(Render.Buf.length buf))
-      done)
-    (Schema.tables schema);
+  let resumed = ref 0 in
+  List.iteri
+    (fun k ranges ->
+      interrupt ();
+      let name = Printf.sprintf "data.sql.%d" k in
+      if Sink.is_done sink name then incr resumed
+      else
+        Sink.write_shard sink ~name (fun w ->
+            (* one table at a time through the reused buffer *)
+            List.iter
+              (fun (table, lo, hi) ->
+                Render.Buf.clear buf;
+                add_inserts ~lo ~hi buf db ~table;
+                Sink.put w (Render.Buf.unsafe_bytes buf) ~pos:0
+                  ~len:(Render.Buf.length buf))
+              ranges))
+    shards;
+  let k = List.length shards in
   (* drop leftovers from an earlier layout with more shards *)
-  let j = ref !k in
+  let j = ref k in
   while Sys.file_exists (Filename.concat dir (Printf.sprintf "data.sql.%d" !j)) do
     (try Sys.remove (Filename.concat dir (Printf.sprintf "data.sql.%d" !j))
      with Sys_error _ -> ());
     incr j
   done;
   Sink.finish sink;
-  (!k, !resumed)
+  (k, !resumed)

@@ -22,15 +22,9 @@ val query_sql :
   env:Mirage_sql.Pred.Env.t ->
   (string, string) result
 (** The plan rendered as a SELECT statement with the environment's parameter
-    values inlined.  Errors on unbound parameters. *)
-
-val export_dir :
-  db:Mirage_engine.Db.t ->
-  workload:Workload.t ->
-  env:Mirage_sql.Pred.Env.t ->
-  dir:string ->
-  unit
-(** Writes [schema.sql], [data.sql] and [queries.sql] into [dir]. *)
+    values inlined.  Subquery aliases are numbered [q1], [q2], ... afresh
+    in each call, so the text depends on the plan alone.  Errors on
+    unbound parameters. *)
 
 val export_chunked :
   ?backend:Mirage_engine.Sink.backend ->
@@ -44,14 +38,19 @@ val export_chunked :
   run_id:string ->
   unit ->
   int * int
-(** Crash-safe variant of {!export_dir}: the data stream is emitted as
-    shards [data.sql.0], [data.sql.1], … of at most [chunk_rows] rows each
-    (rounded down to whole 500-row INSERT batches, so no shard splits a
-    statement) through a {!Mirage_engine.Sink} run — temp file + atomic
-    rename + manifest checkpoint per shard.  The checkpoint is
-    [MANIFEST.sql.json], so the CSV shard export's [MANIFEST.json] in the
-    same directory keeps its entries.  Concatenating the shards in
-    index order reproduces the monolithic [data.sql] byte-for-byte.  With
-    [~resume:true] and a matching [run_id], committed shards are skipped
-    without rendering.  Returns [(shards, resumed)].
+(** Writes [schema.sql] ({!ddl}), [queries.sql] ({!query_sql} of every
+    query) and the INSERT stream of every table ({!inserts}, in schema
+    order) into [dir], creating it if needed.  The INSERT stream is emitted
+    as shards [data.sql.0], [data.sql.1], … through a
+    {!Mirage_engine.Sink} run — temp file + atomic rename + manifest
+    checkpoint per shard.  With [chunk_rows = max_int] (unbounded) the
+    whole stream is the one shard [data.sql.0]; otherwise each table is cut
+    into shards of its own of at most [chunk_rows] rows (rounded down to
+    whole 500-row INSERT batches, so no shard splits a statement).  The
+    checkpoint is [MANIFEST.sql.json], so the CSV shard export's
+    [MANIFEST.json] in the same directory keeps its entries.
+    Concatenating the shards in index order gives the same bytes whatever
+    [chunk_rows] is.  With [~resume:true] and a matching [run_id],
+    committed shards are skipped without rendering.  Returns
+    [(shards, resumed)].
     @raise Mirage_engine.Sink.Io_failure on I/O errors. *)

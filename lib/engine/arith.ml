@@ -1,5 +1,4 @@
 module Pred = Mirage_sql.Pred
-module Value = Mirage_sql.Value
 
 (* results at a range of positions: a value each, and its NULL bit *)
 type buf = { v : Col.float_big; z : Col.Bitset.t }
@@ -85,22 +84,6 @@ let rec fill node d ~src ~dst ~len =
           Col.Bitset.clear z i;
           Bigarray.Array1.unsafe_set v i data.{p}
         end
-      done
-  | Leaf { col = Col.Boxed vs; sel } ->
-      for k = 0 to len - 1 do
-        let r = src + k and i = dst + k in
-        let p = match sel with None -> r | Some s -> s.(r) in
-        let cell = if p < 0 then Value.Null else vs.(p) in
-        match cell with
-        | Value.Int x ->
-            Col.Bitset.clear z i;
-            Bigarray.Array1.unsafe_set v i (float_of_int x)
-        | Value.Float x ->
-            Col.Bitset.clear z i;
-            Bigarray.Array1.unsafe_set v i x
-        | Value.Null | Value.Str _ ->
-            Col.Bitset.set z i;
-            any := true
       done
   | Bin { op; a; b; tmp } ->
       let na = fill a d ~src ~dst ~len in

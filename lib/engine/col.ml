@@ -106,7 +106,6 @@ type t =
   | Ints of { data : int_big; nulls : Bitset.t option }
   | Floats of { data : float_big; nulls : Bitset.t option }
   | Dict of { codes : int_big; pool : string array; nulls : Bitset.t option }
-  | Boxed of Value.t array
 
 type col = t
 
@@ -140,7 +139,6 @@ let length = function
   | Ints { data; _ } -> Bigarray.Array1.dim data
   | Floats { data; _ } -> Bigarray.Array1.dim data
   | Dict { codes; _ } -> Bigarray.Array1.dim codes
-  | Boxed vs -> Array.length vs
 
 let null_at nulls i =
   match nulls with None -> false | Some b -> Bitset.get b i
@@ -148,7 +146,6 @@ let null_at nulls i =
 let is_null t i =
   match t with
   | Ints { nulls; _ } | Floats { nulls; _ } | Dict { nulls; _ } -> null_at nulls i
-  | Boxed vs -> vs.(i) = Value.Null
 
 let get t i =
   match t with
@@ -158,13 +155,6 @@ let get t i =
       if null_at nulls i then Value.Null else Value.Float data.{i}
   | Dict { codes; pool; nulls } ->
       if null_at nulls i then Value.Null else Value.Str pool.(codes.{i})
-  | Boxed vs -> vs.(i)
-
-let int_at t i =
-  match t with
-  | Ints { data; _ } -> data.{i}
-  | Boxed vs -> ( match vs.(i) with Value.Int x -> x | _ -> 0)
-  | _ -> 0
 
 let float_at t i =
   match t with
@@ -173,7 +163,6 @@ let float_at t i =
   | Floats { data; nulls } ->
       if null_at nulls i then None else Some data.{i}
   | Dict _ -> None
-  | Boxed vs -> Value.to_float vs.(i)
 
 let init_ints ?nulls n f = Ints { data = Ivec.init n f; nulls }
 let init_floats ?nulls n f =
@@ -237,12 +226,9 @@ let of_values vs =
   else if !n_str + !n_null = n && !n_str > 0 then
     of_strings ?nulls (Array.map (function Value.Str s -> s | _ -> "") vs)
   else if !n_null = n then const_null n
-  else Boxed (Array.copy vs)
+  else invalid_arg "Col.of_values: values of more than one kind"
 
-let to_values t =
-  match t with
-  | Boxed vs -> Array.copy vs
-  | _ -> Array.init (length t) (get t)
+let to_values t = Array.init (length t) (get t)
 
 let equal a b =
   let n = length a in
@@ -267,9 +253,3 @@ let add_csv_cell buf t i =
   | Dict { codes; pool; nulls } ->
       if not (null_at nulls i) then
         Buffer.add_string buf (Render.csv_escape pool.(codes.{i}))
-  | Boxed vs -> (
-      match vs.(i) with
-      | Value.Null -> ()
-      | Value.Int x -> Buffer.add_string buf (string_of_int x)
-      | Value.Float f -> Buffer.add_string buf (Render.float_repr f)
-      | Value.Str s -> Buffer.add_string buf (Render.csv_escape s))

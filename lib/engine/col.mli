@@ -3,9 +3,9 @@
     A column is an off-heap int vector (keys and [Kint] data), an off-heap
     float vector ([Kfloat]), or a dictionary-encoded string column
     (off-heap int codes into a shared pool of distinct strings), each with
-    an optional null bitmap.  [Boxed] is the generic fallback for
-    heterogeneous value arrays; the generators never produce it, but the
-    [Value.t]-based compatibility API ({!Db.put}) can.
+    an optional null bitmap.  These three are the only representations: a
+    [Value.t] array handed in through {!of_values} (and so {!Db.put}) must
+    hold values of one kind.
 
     Every numeric payload, null bitmap and work vector is a [Bigarray]: the
     bytes live in malloc'd or file-backed (mmap) memory the GC neither
@@ -15,7 +15,7 @@
 
     The representation is exposed so the engine and the exporters can
     pattern-match for vectorized evaluation and zero-copy rendering; the
-    accessors below are the boxed escape hatch for generic paths. *)
+    [Value.t] accessors below ({!get}, {!to_values}) serve generic paths. *)
 
 module Bitset : sig
   type t
@@ -69,7 +69,6 @@ type t =
   | Dict of { codes : int_big; pool : string array; nulls : Bitset.t option }
       (** [pool] holds distinct strings; [codes.{i}] indexes [pool].  Rows
           flagged null carry an arbitrary (ignored) code. *)
-  | Boxed of Mirage_sql.Value.t array
 
 type col = t
 (** Alias for referring to the column type inside submodule signatures. *)
@@ -101,11 +100,7 @@ val length : t -> int
 val is_null : t -> int -> bool
 
 val get : t -> int -> Mirage_sql.Value.t
-(** Boxed escape hatch; [Null] for rows flagged in the null bitmap. *)
-
-val int_at : t -> int -> int
-(** Raw int read from an int-typed column ([Ints]);
-    0 on other representations unless the boxed cell is an [Int]. *)
+(** Row [i] as a [Value.t]; [Null] for rows flagged in the null bitmap. *)
 
 val float_at : t -> int -> float option
 (** [Value.to_float] semantics on the typed representation: numeric rows
@@ -134,10 +129,11 @@ val of_values : Mirage_sql.Value.t array -> t
 (** Kind inference: homogeneous non-null values choose the typed
     representation ([Int]s, [Float]s or dictionary-encoded [Str]s, with a
     null bitmap when NULLs are present); an all-NULL array becomes
-    {!const_null}; heterogeneous arrays fall back to [Boxed] (copied). *)
+    {!const_null}.  Raises [Invalid_argument] on an array that mixes
+    kinds (say [Int] with [Float] or [Str]). *)
 
 val to_values : t -> Mirage_sql.Value.t array
-(** Freshly allocated boxed copy. *)
+(** Freshly allocated [Value.t] copy. *)
 
 val equal : t -> t -> bool
 (** Logical (value-level) equality, independent of representation. *)

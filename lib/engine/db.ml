@@ -105,10 +105,6 @@ let distinct_count t tname cname =
             end)
       in
       !count + null
-  | Col.Boxed vs ->
-      let seen = Hashtbl.create (Array.length vs) in
-      Array.iter (fun v -> Hashtbl.replace seen v ()) vs;
-      Hashtbl.length seen
 
 let to_csv t tname =
   let d = data t tname in

@@ -4,9 +4,9 @@
     extracts constraints from, and (b) the synthetic databases the generators
     emit, so that instantiated workloads can be replayed and compared.
 
-    Tables are stored as typed {!Col.t} columns (unboxed int/float arrays,
-    dictionary-encoded strings); the [Value.t]-based {!put}/{!column} pair is
-    a boxed compatibility layer that converts on the way in/out. *)
+    Tables are stored as typed {!Col.t} columns (off-heap int/float
+    vectors, dictionary-encoded strings); the [Value.t]-based
+    {!put}/{!column} pair converts on the way in/out. *)
 
 type t
 
@@ -24,8 +24,9 @@ val put_cols : t -> string -> (string * Col.t) list -> unit
 
 val put :
   t -> string -> (string * Mirage_sql.Value.t array) list -> unit
-(** Boxed compatibility wrapper over {!put_cols}: each value array is
-    converted with {!Col.of_values}. *)
+(** [Value.t] wrapper over {!put_cols}: each value array is converted
+    with {!Col.of_values}.
+    @raise Invalid_argument on an array that mixes value kinds. *)
 
 val row_count : t -> string -> int
 (** Rows actually stored (0 if table not yet populated). *)
@@ -40,7 +41,7 @@ val replace_col : t -> string -> string -> Col.t -> unit
     @raise Invalid_argument if unknown or ragged. *)
 
 val column : t -> string -> string -> Mirage_sql.Value.t array
-(** Boxed compatibility accessor: a freshly allocated [Value.t] copy of
+(** [Value.t] accessor: a freshly allocated copy of
     {!col}.  Mutating the result does NOT affect the stored table.
     @raise Invalid_argument if the table or column is unknown/unpopulated. *)
 

@@ -304,7 +304,7 @@ let filter ~env pred (rel : Rel.t) =
    ascending, so a chain lists them descending.  Pass 1 records each right
    row's chain head, marks matches and counts jcc, and jdc as the keys hit;
    pass 2 fills the exact-size pair arrays. *)
-let int_pairs ~nleft ~nright ~lsel ~ldata ~lnulls ~rsel ~rdata ~rnulls
+let int_pairs ~nleft ~nright (lsel, ldata, lnulls) (rsel, rdata, rnulls)
     left_matched right_matched =
   let index = Int_ids.create nleft in
   let heads = Array.make nleft (-1) and lens = Array.make nleft 0 in
@@ -355,51 +355,10 @@ let int_pairs ~nleft ~nright ~lsel ~ldata ~lnulls ~rsel ~rdata ~rnulls
   done;
   (pairs_l, pairs_r, !jdc)
 
-(* Any other key kind: boxed keys, structural equality. *)
-let boxed_pairs ~nleft ~nright lv rv left_matched right_matched =
-  let index = Hashtbl.create nleft in
-  for li = 0 to nleft - 1 do
-    match Rel.get_view lv li with
-    | Value.Null -> ()
-    | v ->
-        let cur = try Hashtbl.find index v with Not_found -> [] in
-        Hashtbl.replace index v (li :: cur)
-  done;
-  let matched_fk = Hashtbl.create 64 in
-  let cap = ref (max 16 nright) in
-  let pl = ref (Array.make !cap 0) in
-  let pr = ref (Array.make !cap 0) in
-  let np = ref 0 in
-  let push l r =
-    if !np = !cap then begin
-      let c = !cap * 2 in
-      let nl = Array.make c 0 and nr = Array.make c 0 in
-      Array.blit !pl 0 nl 0 !np;
-      Array.blit !pr 0 nr 0 !np;
-      pl := nl;
-      pr := nr;
-      cap := c
-    end;
-    !pl.(!np) <- l;
-    !pr.(!np) <- r;
-    incr np
-  in
-  for ri = 0 to nright - 1 do
-    match Rel.get_view rv ri with
-    | Value.Null -> ()
-    | fkv -> (
-        match Hashtbl.find_opt index fkv with
-        | None -> ()
-        | Some lidxs ->
-            Hashtbl.replace matched_fk fkv ();
-            Bytes.set right_matched ri '\001';
-            List.iter
-              (fun li ->
-                Bytes.set left_matched li '\001';
-                push li ri)
-              lidxs)
-  done;
-  (Array.sub !pl 0 !np, Array.sub !pr 0 !np, Hashtbl.length matched_fk)
+let int_key name (v : Rel.view) =
+  match v.Rel.vcol with
+  | Col.Ints { data; nulls } -> (v.Rel.vsel, data, nulls)
+  | _ -> invalid_arg (Printf.sprintf "Exec.join: key column %s is not Ints" name)
 
 (* PK–FK hash join.  The left relation carries [pk_table]'s primary key
    column, the right relation the foreign key column.  Row-pair order
@@ -415,12 +374,8 @@ let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
   let left_matched = Bytes.make nleft '\000' in
   let right_matched = Bytes.make nright '\000' in
   let pairs_l, pairs_r, jdc =
-    match (lv.Rel.vcol, rv.Rel.vcol) with
-    | ( Col.Ints { data = ldata; nulls = lnulls },
-        Col.Ints { data = rdata; nulls = rnulls } ) ->
-        int_pairs ~nleft ~nright ~lsel:lv.Rel.vsel ~ldata ~lnulls
-          ~rsel:rv.Rel.vsel ~rdata ~rnulls left_matched right_matched
-    | _ -> boxed_pairs ~nleft ~nright lv rv left_matched right_matched
+    int_pairs ~nleft ~nright (int_key pk_col lv) (int_key fk_col rv)
+      left_matched right_matched
   in
   let rows_where flags wanted =
     let wanted = if wanted then '\001' else '\000' in

@@ -31,9 +31,10 @@ val join :
 (** [join ~jt ~pk_col ~fk_col left right]: the PK–FK join [analyze] runs
     for a join view, with its statistics.  Matched pairs come right rows
     ascending and, within one right row, left rows descending; outer and
-    anti joins append the unmatched rows ascending after them.  Integer
-    keys probe a flat open-addressing index; any other key kind is
-    compared boxed.  A NULL key matches nothing. *)
+    anti joins append the unmatched rows ascending after them.  Both key
+    columns must be [Col.Ints] (nullable); the right keys probe a flat
+    open-addressing index of the left keys.  A NULL key matches nothing.
+    @raise Invalid_argument when either key column is not [Col.Ints]. *)
 
 val filter : env:Mirage_sql.Pred.Env.t -> Mirage_sql.Pred.t -> Rel.t -> Rel.t
 (** [filter ~env p rel]: the selection view [analyze] runs, keeping the

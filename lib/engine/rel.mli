@@ -24,8 +24,10 @@ val of_cols : (string * Col.t) list -> t
     @raise Invalid_argument on ragged column lengths. *)
 
 val of_rows : string array -> Mirage_sql.Value.t array array -> t
-(** Build from boxed row tuples (kind inference per column via
-    {!Col.of_values}); used for aggregate/projection outputs and tests. *)
+(** Build from [Value.t] row tuples (kind inference per column via
+    {!Col.of_values}, so each column holds values of one kind); used for
+    aggregate/projection outputs and tests.
+    @raise Invalid_argument on a column that mixes value kinds. *)
 
 val cols : t -> string array
 
@@ -36,12 +38,12 @@ val has_col : t -> string -> bool
 
 val view : t -> int -> view
 val get_view : view -> int -> Mirage_sql.Value.t
-(** Boxed value at a logical row of one view. *)
+(** The value at a logical row of one view. *)
 
 val get : t -> row:int -> col:int -> Mirage_sql.Value.t
 
 val rows : t -> Mirage_sql.Value.t array array
-(** Boxed row-major materialisation (tests and debugging). *)
+(** Row-major [Value.t] materialisation (tests and debugging). *)
 
 val select : t -> int array -> t
 (** [select t keep] keeps logical rows [keep] (in that order); entries of

@@ -3,15 +3,18 @@
    the direct [generate] run writes, and its output must verify against the
    bundle; the default export (no --chunk-rows) is one resumable shard per
    table; pinned digests hold the bytes of the benchmark-scale exports and
-   of the extracted bundles.  The command-line arguments are the binary's
-   path, then the digest lists of TPC-H sf 4, SSB sf 64, TPC-DS sf 2 and
-   the sf 2 bundles. *)
+   of the extracted bundles; an expired deadline exits 3.  The command-line
+   arguments are the binary's path, then the digest lists of TPC-H sf 4,
+   SSB sf 64, TPC-DS sf 2, the sf 2 bundles, and the tiled TPC-H sf 4
+   (gzip) and TPC-DS sf 2 exports. *)
 
 let cli = ref ""
 let tpch_sf4_md5 = ref ""
 let ssb_sf64_md5 = ref ""
 let tpcds_sf2_md5 = ref ""
 let bundle_sf2_md5 = ref ""
+let tpch_sf4_tiled_md5 = ref ""
+let tpcds_sf2_tiled_md5 = ref ""
 
 let read_file path =
   let ic = open_in_bin path in
@@ -92,6 +95,8 @@ let test_bundle_shards_match_generate () =
         (f ^ " byte-identical") true
         (read_file (Filename.concat d1 f) = read_file (Filename.concat d2 f)))
     shards;
+  Alcotest.(check bool) "from-bundle seals a complete manifest" true
+    (contains ~sub:"\"complete\": true" (read_file (Filename.concat d1 "MANIFEST.json")));
   (* the first manifest line carries the run id, which names each run's
      own inputs; every shard line must agree *)
   let shard_lines d = List.tl (lines (Filename.concat d "MANIFEST.json")) in
@@ -152,6 +157,19 @@ let test_stale_csv_beside_shards () =
   Alcotest.(check bool) "names both files" true
     (contains ~sub:stale out && contains ~sub:(stale ^ ".0") out)
 
+(* a deadline that has already passed stops the run with exit code 3, not
+   a crash, for generate and from-bundle alike *)
+let test_expired_deadline command =
+  with_dir @@ fun dir ->
+  let log = Filename.concat dir "run.log" in
+  let args =
+    match command with
+    | `Generate -> [ "generate"; "-w"; "ssb"; "--sf"; "0.05" ]
+    | `From_bundle -> [ "from-bundle"; extract dir ]
+  in
+  Alcotest.(check int) "exit code" 3
+    (mirage ~log (args @ [ "--budget-seconds"; "0.0" ]))
+
 let generate_ssb ~log d extra =
   mirage ~log
     ([ "generate"; "-w"; "ssb"; "--sf"; "0.05"; "--seed"; "42"; "-o"; d ]
@@ -209,6 +227,23 @@ let test_sql_chunked_resumes () =
   Alcotest.(check bool) "every data.sql shard resumed" true
     (contains ~sub:"5 data.sql shards (5 resumed)" resumed);
   Alcotest.(check bool) "shards and manifests unchanged" true (before = files ())
+
+(* --sql without --chunk-rows: every INSERT lands in the one shard
+   data.sql.0, which a resumed run skips *)
+let test_sql_default_resumes () =
+  with_dir @@ fun dir ->
+  let d = Filename.concat dir "d9" and log = Filename.concat dir "run.log" in
+  Alcotest.(check int) "first run" 0 (generate_ssb ~log d [ "--sql" ]);
+  Alcotest.(check bool) "one data.sql shard" true
+    (contains ~sub:"1 data.sql shards (0 resumed)" (read_file log)
+    && Sys.file_exists (Filename.concat d "data.sql.0")
+    && not (Sys.file_exists (Filename.concat d "data.sql.1")));
+  let before = read_file (Filename.concat d "data.sql.0") in
+  Alcotest.(check int) "resumed run" 0 (generate_ssb ~log d [ "--sql"; "--resume" ]);
+  Alcotest.(check bool) "data.sql.0 resumed" true
+    (contains ~sub:"1 data.sql shards (1 resumed)" (read_file log));
+  Alcotest.(check bool) "data.sql.0 unchanged" true
+    (before = read_file (Filename.concat d "data.sql.0"))
 
 (* --compress needs no --chunk-rows; verify-dir cannot inflate yet and says
    so with exit 2 *)
@@ -289,6 +324,17 @@ let test_tpcds_sf2_digests () =
   Alcotest.(check (array string)) "spill dir left empty" [||]
     (Sys.readdir spill)
 
+(* The tiled export path at benchmark scale: two copies cut into 30,000-row
+   shards, so each of the largest tables spans two shards, once through
+   gzip (TPC-H sf 4) and once plain (TPC-DS sf 2). *)
+let test_tiled_digests ~w ~sf ~extra ~md5 ~count () =
+  with_dir @@ fun dir ->
+  let out = Filename.concat dir "out" in
+  expect_ok ~log:(Filename.concat dir "run.log")
+    ([ "generate"; "-w"; w; "--sf"; sf; "--seed"; "7"; "-o"; out;
+       "--copies"; "2"; "--chunk-rows"; "30000" ] @ extra);
+  check_digests ~md5:!md5 ~count out
+
 (* The production side's bytes: every jcc/jdc the join kernel computes, every
    AQT label and every IN/LIKE parameter's element counts land in the
    bundles of the three workloads. *)
@@ -308,6 +354,8 @@ let () =
   ssb_sf64_md5 := Sys.argv.(3);
   tpcds_sf2_md5 := Sys.argv.(4);
   bundle_sf2_md5 := Sys.argv.(5);
+  tpch_sf4_tiled_md5 := Sys.argv.(6);
+  tpcds_sf2_tiled_md5 := Sys.argv.(7);
   Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
     [
       ( "from-bundle",
@@ -320,6 +368,8 @@ let () =
             test_multi_shard_verify;
           Alcotest.test_case "stale <table>.csv beside shards exits 2" `Quick
             test_stale_csv_beside_shards;
+          Alcotest.test_case "expired deadline exits 3" `Quick (fun () ->
+              test_expired_deadline `From_bundle);
         ] );
       ( "generate",
         [
@@ -335,6 +385,18 @@ let () =
             `Quick test_ssb_sf64_digests;
           Alcotest.test_case "TPC-DS sf 2 shards match the pinned digests"
             `Quick test_tpcds_sf2_digests;
+          Alcotest.test_case "TPC-H sf 4 x2 gzip shards match the pinned digests"
+            `Quick
+            (test_tiled_digests ~w:"tpch" ~sf:"4" ~extra:[ "--compress" ]
+               ~md5:tpch_sf4_tiled_md5 ~count:12);
+          Alcotest.test_case "TPC-DS sf 2 x2 shards match the pinned digests"
+            `Quick
+            (test_tiled_digests ~w:"tpcds" ~sf:"2" ~extra:[]
+               ~md5:tpcds_sf2_tiled_md5 ~count:13);
+          Alcotest.test_case "expired deadline exits 3" `Quick (fun () ->
+              test_expired_deadline `Generate);
+          Alcotest.test_case "--sql alone: one data.sql.0 shard, resumable"
+            `Quick test_sql_default_resumes;
         ] );
       ( "extract",
         [

@@ -50,7 +50,6 @@ let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
   (match (lv.Rel.vcol, rv.Rel.vcol) with
   | ( Col.Ints { data = ldata; nulls = lnulls },
       Col.Ints { data = rdata; nulls = rnulls } ) ->
-      (* unboxed fast path: int-keyed index, no Value allocation *)
       let lsel = lv.Rel.vsel and rsel = rv.Rel.vsel in
       let index = Hashtbl.create nleft in
       for li = 0 to nleft - 1 do
@@ -78,34 +77,7 @@ let join ~jt ~pk_col ~fk_col (left : Rel.t) (right : Rel.t) =
                 lidxs
       done;
       jdc := Hashtbl.length matched_fk
-  | _ ->
-      (* generic path: boxed keys, structural equality (legacy behaviour) *)
-      let index = Hashtbl.create nleft in
-      for li = 0 to nleft - 1 do
-        match Rel.get_view lv li with
-        | Value.Null -> ()
-        | v ->
-            let cur = try Hashtbl.find index v with Not_found -> [] in
-            Hashtbl.replace index v (li :: cur)
-      done;
-      let matched_fk = Hashtbl.create 64 in
-      for ri = 0 to nright - 1 do
-        match Rel.get_view rv ri with
-        | Value.Null -> ()
-        | fkv -> (
-            match Hashtbl.find_opt index fkv with
-            | None -> ()
-            | Some lidxs ->
-                Hashtbl.replace matched_fk fkv ();
-                right_matched.(ri) <- true;
-                List.iter
-                  (fun li ->
-                    incr jcc;
-                    left_matched.(li) <- true;
-                    push li ri)
-                  lidxs)
-      done;
-      jdc := Hashtbl.length matched_fk);
+  | _ -> invalid_arg "Join_reference.join: key column is not Ints");
   let pairs_l = Array.sub !pl 0 !np and pairs_r = Array.sub !pr 0 !np in
   let rows_where flags wanted =
     let n = Array.length flags in

@@ -16,14 +16,8 @@ module Render = Mirage_engine.Render
 let cell_null nulls i =
   match nulls with Some b -> Col.Bitset.get b i | None -> false
 
-let add_cell buf = function
-  | Value.Null -> ()
-  | Value.Int x -> Buffer.add_string buf (string_of_int x)
-  | Value.Float x -> Buffer.add_string buf (Render.float_repr x)
-  | Value.Str s -> Buffer.add_string buf (Render.csv_escape s)
-
 (* per-column cell writer with the tile's key offset resolved once; key
-   columns are integer, so only the [Ints] and [Boxed] arms apply it *)
+   columns are integer, so only the [Ints] arm applies it *)
 let cell_renderer buf ~offset col =
   match col with
   | Col.Ints { data; nulls } ->
@@ -38,11 +32,6 @@ let cell_renderer buf ~offset col =
       fun i ->
         if not (cell_null nulls i) then
           Buffer.add_string buf (Render.csv_escape pool.(codes.{i}))
-  | Col.Boxed vs -> (
-      fun i ->
-        match vs.(i) with
-        | Value.Int x -> Buffer.add_string buf (string_of_int (x + offset))
-        | v -> add_cell buf v)
 
 (* key shift per tile of each key column; a PK doubling as an FK keeps its
    PK shift (the first entry) *)

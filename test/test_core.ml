@@ -675,7 +675,7 @@ let el_schema =
           [
             { Schema.cname = "ei"; domain_size = 5; kind = Schema.Kint };
             { Schema.cname = "es"; domain_size = 5; kind = Schema.Kstring };
-            { Schema.cname = "eb"; domain_size = 5; kind = Schema.Kstring };
+            { Schema.cname = "ef"; domain_size = 5; kind = Schema.Kfloat };
           ];
         fks = [];
         row_count = 30;
@@ -709,7 +709,9 @@ let prop_production_elements_match_reference =
           ("e_pk", Col.of_ints (Array.init n Fun.id));
           ("ei", Col.of_ints ~nulls:(nulls ()) (Array.init n (fun _ -> Random.State.int st 5)));
           ("es", Col.of_strings ~nulls:(nulls ()) (Array.init n (fun _ -> pick strs)));
-          ("eb", Col.Boxed (Array.init n (fun _ -> value ())));
+          ( "ef",
+            Col.of_floats ~nulls:(nulls ())
+              (Array.init n (fun _ -> float_of_int (Random.State.int st 5))) );
         ];
       let operand ~list =
         match Random.State.int st 4 with
@@ -729,7 +731,7 @@ let prop_production_elements_match_reference =
       in
       List.for_all
         (fun _ ->
-          let col = pick [| "ei"; "es"; "eb"; "nosuch" |] in
+          let col = pick [| "ei"; "es"; "ef"; "nosuch" |] in
           let lit =
             match Random.State.int st 3 with
             | 0 -> Pred.In { col; neg = Random.State.bool st; arg = operand ~list:true }
@@ -1224,6 +1226,26 @@ let test_sql_query_shapes () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unbound parameter accepted"
 
+(* subquery aliases restart at q1 in every call: the text of a query does
+   not depend on what else the process rendered before it *)
+let test_sql_aliases_per_query () =
+  let plan =
+    Plan.Join
+      { jt = Plan.Inner; pk_table = "s"; fk_table = "t"; fk_col = "t_fk";
+        left = Plan.Select (Parser.pred "s1 < 3", Plan.Table "s");
+        right = Plan.Select (Parser.pred "t1 > 1", Plan.Table "t") }
+  in
+  let render () =
+    match Mirage_core.Sql_export.query_sql plan ~schema ~env:Pred.Env.empty with
+    | Ok sql -> sql
+    | Error m -> Alcotest.failf "sql failed: %s" m
+  in
+  let first = render () in
+  Alcotest.(check string) "same plan, same text" first (render ());
+  Alcotest.(check bool) ("aliases start at q1 in " ^ first) true
+    (Str_ext.contains first ") q1 JOIN (" && Str_ext.contains first ") q2 ON"
+    && not (Str_ext.contains first "q3"))
+
 (* --- Keygen on the paper's running example (Figs. 8-10) -------------------- *)
 
 let test_keygen_paper_example () =
@@ -1501,6 +1523,8 @@ let () =
           Alcotest.test_case "ddl" `Quick test_sql_ddl;
           Alcotest.test_case "insert escaping" `Quick test_sql_inserts_escaping;
           Alcotest.test_case "query shapes" `Quick test_sql_query_shapes;
+          Alcotest.test_case "query aliases restart per call" `Quick
+            test_sql_aliases_per_query;
         ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest prop_random_applications_regenerate ] );

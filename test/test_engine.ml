@@ -84,10 +84,6 @@ let hashtbl_distinct_count c =
   | Col.Ints { data; nulls } -> count_keys (Bigarray.Array1.dim data) nulls (fun i -> data.{i})
   | Col.Floats { data; nulls } -> count_keys (Bigarray.Array1.dim data) nulls (fun i -> data.{i})
   | Col.Dict { codes; nulls; _ } -> count_keys (Bigarray.Array1.dim codes) nulls (fun i -> codes.{i})
-  | Col.Boxed vs ->
-      let seen = Hashtbl.create (Array.length vs) in
-      Array.iter (fun v -> Hashtbl.replace seen v ()) vs;
-      Hashtbl.length seen
 
 let distinct_schema =
   Schema.make
@@ -377,28 +373,28 @@ let random_key st =
   | _ -> 1 + Random.State.int st 6
 
 (* a relation whose [key] column draws from [pool]: a physical column with
-   an optional null bitmap (or boxed, keys then mixed with strings), seen
-   through a selection vector that repeats rows, reorders them and pads
-   with -1; a second column shares the selection or has its own *)
+   an optional null bitmap (one in ten a float or string column, which the
+   join must refuse), seen through a selection vector that repeats rows,
+   reorders them and pads with -1; a second column shares the selection or
+   has its own *)
 let random_rel st ~key ~other pool =
   let np = Random.State.int st 12 in
   let keys = Array.init np (fun _ -> pool.(Random.State.int st (Array.length pool))) in
-  let null = Array.init np (fun _ -> Random.State.int st 5 = 0) in
-  let kcol =
-    if Random.State.int st 5 = 0 then
-      Col.Boxed
-        (Array.mapi
-           (fun i k ->
-             if null.(i) then Value.Null
-             else if Random.State.int st 6 = 0 then Value.Str (string_of_int k)
-             else Value.Int k)
-           keys)
-    else if Array.exists Fun.id null then begin
+  let nulls =
+    if Random.State.bool st then None
+    else begin
       let nb = Col.Bitset.create np in
-      Array.iteri (fun i z -> if z then Col.Bitset.set nb i) null;
-      Col.of_ints ~nulls:nb keys
+      for i = 0 to np - 1 do
+        if Random.State.int st 5 = 0 then Col.Bitset.set nb i
+      done;
+      Some nb
     end
-    else Col.of_ints keys
+  in
+  let kcol =
+    match Random.State.int st 20 with
+    | 0 -> Col.of_floats ?nulls (Array.map float_of_int keys)
+    | 1 -> Col.of_strings ?nulls (Array.map string_of_int keys)
+    | _ -> Col.of_ints ?nulls keys
   in
   let n = if np = 0 then Random.State.int st 2 else Random.State.int st 16 in
   let sel () =
@@ -424,16 +420,26 @@ let prop_join_matches_reference =
       let pool = Array.init (1 + Random.State.int st 6) (fun _ -> random_key st) in
       let left = random_rel st ~key:"pk" ~other:"l" pool in
       let right = random_rel st ~key:"fk" ~other:"r" pool in
+      let int_keys (rel : Rel.t) =
+        match rel.Rel.views.(0).Rel.vcol with Col.Ints _ -> true | _ -> false
+      in
+      let typed = int_keys left && int_keys right in
       List.for_all
         (fun jt ->
-          let rel, stat = Exec.join ~jt ~pk_col:"pk" ~fk_col:"fk" left right in
-          let rel', stat' = Join_reference.join ~jt ~pk_col:"pk" ~fk_col:"fk" left right in
-          rel.Rel.rcard = rel'.Rel.rcard
-          && stat = stat'
-          && Array.length rel.Rel.views = Array.length rel'.Rel.views
-          && Array.for_all2
-               (fun v v' -> v.Rel.vname = v'.Rel.vname && v.Rel.vsel = v'.Rel.vsel)
-               rel.Rel.views rel'.Rel.views)
+          match Exec.join ~jt ~pk_col:"pk" ~fk_col:"fk" left right with
+          | exception Invalid_argument _ -> not typed
+          | rel, stat ->
+              typed
+              &&
+              let rel', stat' =
+                Join_reference.join ~jt ~pk_col:"pk" ~fk_col:"fk" left right
+              in
+              rel.Rel.rcard = rel'.Rel.rcard
+              && stat = stat'
+              && Array.length rel.Rel.views = Array.length rel'.Rel.views
+              && Array.for_all2
+                   (fun v v' -> v.Rel.vname = v'.Rel.vname && v.Rel.vsel = v'.Rel.vsel)
+                   rel.Rel.views rel'.Rel.views)
         join_types)
 
 (* --- the arithmetic kernel ---------------------------------------------- *)
@@ -452,9 +458,8 @@ let random_float st =
   | _ -> float_of_int (Random.State.int st 9 - 4) /. 2.0
 
 (* one column view: ints or floats with an optional null bitmap, a
-   dictionary column, or boxed values mixing ints, floats, strings and
-   NULLs; the selection vector repeats and reorders rows and pads with -1
-   (an outer join's NULL rows) *)
+   dictionary column, or an all-NULL column; the selection vector repeats
+   and reorders rows and pads with -1 (an outer join's NULL rows) *)
 let random_view st ~rows name =
   let np = 1 + Random.State.int st 8 in
   let nulls () =
@@ -472,14 +477,7 @@ let random_view st ~rows name =
     | 0 | 1 -> Col.of_ints ?nulls:(nulls ()) (Array.init np (fun _ -> Random.State.int st 7 - 3))
     | 2 | 3 -> Col.of_floats ?nulls:(nulls ()) (Array.init np (fun _ -> random_float st))
     | 4 -> Col.of_strings (Array.init np (fun i -> string_of_int i))
-    | _ ->
-        Col.Boxed
-          (Array.init np (fun _ ->
-               match Random.State.int st 4 with
-               | 0 -> Value.Null
-               | 1 -> Value.Str "x"
-               | 2 -> Value.Int (Random.State.int st 5 - 2)
-               | _ -> Value.Float (random_float st)))
+    | _ -> Col.const_null np
   in
   let vsel =
     Array.init rows (fun _ ->

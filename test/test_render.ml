@@ -238,11 +238,12 @@ let special_db () =
         Col.of_strings
           [| "plain"; "comma, inside"; "quote \"q\" here"; "multi\nline" |] );
     ];
-  let null3 n =
+  let nulls_at n rows =
     let b = Col.Bitset.create n in
-    Col.Bitset.set b 3;
+    List.iter (Col.Bitset.set b) rows;
     b
   in
+  let null3 n = nulls_at n [ 3 ] in
   Db.put_cols db "fact"
     [
       ("f_key", Col.of_ints [| 1; 2; 3; 4; 5; 6; 7; 8 |]);
@@ -252,13 +253,11 @@ let special_db () =
       ( "f_ratio",
         Col.of_floats ~nulls:(null3 8)
           [| 0.5; -2.25; 1.0 /. 3.0; 0.0; 1e22; -0.0; 42.0; 0.1 |] );
-      (* a Boxed column: the fallback arms must splice identically *)
+      (* numbers and quote-needing text as one dictionary column, NULL at
+         rows 1 and 6 *)
       ( "f_count",
-        Col.Boxed
-          [|
-            Value.Int 7; Value.Null; Value.Str "n,a"; Value.Float 2.5;
-            Value.Int (-3); Value.Str "plain"; Value.Null; Value.Int 0;
-          |] );
+        Col.of_strings ~nulls:(nulls_at 8 [ 1; 6 ])
+          [| "7"; ""; "n,a"; "2.5"; "-3"; "plain"; ""; "0" |] );
       ("f_dim", Col.of_ints ~nulls:(null3 8) [| 1; 2; 3; 0; 4; 1; 2; 3 |]);
     ];
   db

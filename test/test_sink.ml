@@ -363,7 +363,9 @@ let test_sql_chunked_identity () =
   let workload, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
   let db = r.Driver.r_db and env = r.Driver.r_env in
   let mono = fresh_dir "mirage_sqlm" and chunk = fresh_dir "mirage_sqlc" in
-  Sql_export.export_dir ~db ~workload ~env ~dir:mono;
+  ignore
+    (Sql_export.export_chunked ~db ~workload ~env ~dir:mono ~chunk_rows:max_int
+       ~run_id:"mono" ());
   (* crash mid-export, then resume *)
   let crashed =
     let backend =
@@ -388,7 +390,7 @@ let test_sql_chunked_identity () =
   in
   Alcotest.(check bool)
     "data.sql chunked = monolithic" true
-    (String.equal (read_file (Filename.concat mono "data.sql")) (cat 0 ""));
+    (String.equal (read_file (Filename.concat mono "data.sql.0")) (cat 0 ""));
   Alcotest.(check bool)
     "schema.sql written" true
     (String.equal

@@ -107,7 +107,6 @@ let same_repr a b =
   | Col.Floats a, Col.Floats b -> big_eq a.data b.data && same_nulls a.nulls b.nulls
   | Col.Dict a, Col.Dict b ->
       a.pool = b.pool && big_eq a.codes b.codes && same_nulls a.nulls b.nulls
-  | Col.Boxed a, Col.Boxed b -> a = b
   | _ -> false
 
 let test_refgen_typed_equals_boxed () =

@@ -49,9 +49,6 @@ let run_mirage ?(config = bench_config) workload ref_db prod_env =
 let gen_seconds (r : Driver.result) =
   r.Driver.r_timings.Driver.t_total -. r.Driver.r_timings.Driver.t_extract
 
-let peak_mb (r : Driver.result) =
-  float_of_int r.Driver.r_peak_bytes /. 1_048_576.0
-
 (* the fig15/fig16 sweeps step the query count through the same quartiles *)
 let quarter_steps total =
   List.sort_uniq compare
@@ -244,22 +241,22 @@ let fig14 () =
 
 let fig15 () =
   header
-    "Fig. 15: generation time and memory as queries are added stepwise.  \
-     Paper shape: GD/PF stable; CS stable; CP grows with constraint count \
-     (faster for TPC-H, which has JDCs); memory stable.";
+    "Fig. 15: generation time as queries are added stepwise.  Paper shape: \
+     GD/PF stable; CS stable; CP grows with constraint count (faster for \
+     TPC-H, which has JDCs); memory stable, which this sweep does not \
+     measure (process RSS is the measure that sees off-heap columns).";
   foreach_workload (fun wl ->
       let workload, ref_db, prod_env = make_workload wl in
       let steps = quarter_steps (List.length workload.Workload.w_queries) in
-      pf "\n%s\n%-9s %8s %8s %8s %8s %8s %10s\n%!" wl.wl_name "queries" "gd(s)"
-        "cs(s)" "cp(s)" "pf(s)" "total" "peak(MB)";
+      pf "\n%s\n%-9s %8s %8s %8s %8s %8s\n%!" wl.wl_name "queries" "gd(s)"
+        "cs(s)" "cp(s)" "pf(s)" "total";
       List.iter
         (fun n ->
           let sub = Workload.take workload n in
           let r = run_mirage sub ref_db prod_env in
           let t = r.Driver.r_timings in
-          pf "%-9d %8.3f %8.3f %8.3f %8.3f %8.3f %10.1f\n%!" n t.Driver.t_gd
-            t.Driver.t_cs t.Driver.t_cp t.Driver.t_pf (gen_seconds r)
-            (peak_mb r))
+          pf "%-9d %8.3f %8.3f %8.3f %8.3f %8.3f\n%!" n t.Driver.t_gd
+            t.Driver.t_cs t.Driver.t_cp t.Driver.t_pf (gen_seconds r))
         steps)
 
 (* --- Fig. 16: portraying non-key distributions --------------------------- *)
@@ -269,19 +266,19 @@ let fig16 () =
     "Fig. 16: time to portray non-key distributions (decoupling + CDF \
      construction) and ACC sampling/instantiation, as queries are added.  \
      Paper shape: CDF portraying <= 20ms per column; ACC solving within 2s; \
-     memory conservative.";
+     memory conservative, which this sweep does not measure.";
   foreach_workload (fun wl ->
       let workload, ref_db, prod_env = make_workload wl in
       let steps = quarter_steps (List.length workload.Workload.w_queries) in
-      pf "\n%s\n%-9s %12s %10s %10s %10s\n%!" wl.wl_name "queries" "decouple(s)"
-        "cdf(s)" "acc(s)" "peak(MB)";
+      pf "\n%s\n%-9s %12s %10s %10s\n%!" wl.wl_name "queries" "decouple(s)"
+        "cdf(s)" "acc(s)";
       List.iter
         (fun n ->
           let sub = Workload.take workload n in
           let r = run_mirage sub ref_db prod_env in
           let t = r.Driver.r_timings in
-          pf "%-9d %12.4f %10.4f %10.4f %10.1f\n%!" n t.Driver.t_decouple
-            t.Driver.t_cdf t.Driver.t_acc (peak_mb r))
+          pf "%-9d %12.4f %10.4f %10.4f\n%!" n t.Driver.t_decouple
+            t.Driver.t_cdf t.Driver.t_acc)
         steps)
 
 (* --- Ablation: contribution of each design choice ------------------------- *)

@@ -28,24 +28,34 @@ module Par = Mirage_par.Par
    render in parallel, at no extra spawn cost *)
 let export_pool () = Par.get ()
 
-(* process exit codes, also rendered in every subcommand's man page *)
-let exits =
-  Cmd.Exit.info 0 ~doc:"generation succeeded with every query exact."
-  :: Cmd.Exit.info 1
-       ~doc:
-         "degraded result: at least one query was generated with adjusted, \
-          quarantined or unsupported constraints (see the per-query \
-          feasibility report), or a verification found mismatches."
-  :: Cmd.Exit.info 2 ~doc:"infeasible workload or generation failure."
-  :: Cmd.Exit.info 3
-       ~doc:
-         "resource budget exceeded: max rows, heap watermark or wall-clock \
-          deadline (--budget-rows / --budget-mb / --budget-seconds)."
-  :: Cmd.Exit.info 4
-       ~doc:
-         "I/O failure while exporting (disk full, permissions).  Committed \
-          shards and MANIFEST.json are intact; rerun with --resume."
-  :: Cmd.Exit.defaults
+(* process exit codes: each subcommand's man page lists the ones it can
+   return, then cmdliner's own 124 (command-line error) and 125 (uncaught
+   exception).  Its 123 is never returned: every subcommand evaluates to
+   its exit code. *)
+let exits codes =
+  List.map (fun (code, doc) -> Cmd.Exit.info code ~doc) codes
+  @ List.filter
+      (fun i -> Cmd.Exit.info_code i >= Cmd.Exit.cli_error)
+      Cmd.Exit.defaults
+
+let exit_exact = (0, "generation succeeded with every query exact.")
+
+let exit_degraded =
+  ( 1,
+    "degraded result: at least one query was generated with adjusted, \
+     quarantined or unsupported constraints (see the per-query feasibility \
+     report)." )
+
+let exit_budget =
+  ( 3,
+    "resource budget exceeded: heap watermark or wall-clock deadline \
+     (--budget-mb / --budget-seconds)." )
+
+let exit_export_io =
+  ( 4,
+    "I/O failure while exporting (disk full, permissions, a surplus shard \
+     that cannot be removed).  Committed shards and MANIFEST.json are \
+     intact; rerun with --resume." )
 
 (* uniform classification: a budget breach or sink failure anywhere in a
    subcommand maps to its documented exit code *)
@@ -102,13 +112,9 @@ let copies_arg =
   in
   Arg.(value & opt int 1 & info [ "copies" ] ~docv:"K" ~doc)
 
-let budget_rows_arg =
-  let doc = "Clamp the generation batch and export chunk sizes to $(docv) rows." in
-  Arg.(value & opt (some int) None & info [ "budget-rows" ] ~docv:"ROWS" ~doc)
-
 let budget_mb_arg =
   let doc =
-    "Abort with exit code 3 once the heap exceeds $(docv) MB (polled at stage      boundaries, every keygen batch and every 64 CP search nodes)."
+    "Abort with exit code 3 once the OCaml major heap exceeds $(docv) MB      (polled at stage boundaries, every keygen batch and every 64 CP search      nodes).  Only the OCaml heap is polled: off-heap column payloads and      the process RSS are not counted."
   in
   Arg.(value & opt (some int) None & info [ "budget-mb" ] ~docv:"MB" ~doc)
 
@@ -116,8 +122,7 @@ let budget_seconds_arg =
   let doc = "Abort with exit code 3 after $(docv) seconds of wall-clock time." in
   Arg.(value & opt (some float) None & info [ "budget-seconds" ] ~docv:"S" ~doc)
 
-let limits_of rows mb secs =
-  { Budget.max_chunk_rows = rows; max_heap_mb = mb; deadline_s = secs }
+let limits_of mb secs = { Budget.max_heap_mb = mb; deadline_s = secs }
 
 let chunk_rows_arg =
   let doc =
@@ -232,9 +237,7 @@ let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
     ~compress ~resume ~sql ~report generate =
   let token = Budget.start config.Driver.budget in
   let interrupt () = Budget.check token in
-  let chunk_rows =
-    Budget.chunk_rows token ~default:(Option.value chunk ~default:max_int)
-  in
+  let chunk_rows = Option.value chunk ~default:max_int in
   let live =
     Option.map
       (fun dir ->
@@ -299,33 +302,53 @@ let generate_cmd =
            ~doc:"Also write schema.sql, queries.sql and the INSERT shards data.sql.<k> \
                  (checkpointed in MANIFEST.sql.json, so $(b,--resume) skips finished \
                  ones) into the output directory.  Without $(b,--chunk-rows) all rows \
-                 go to data.sql.0; with it, each table is cut into shards of its own.")
+                 go to data.sql.0; with it, each table is cut into shards of its own.  \
+                 It writes one copy of the database, so $(b,--copies) above 1 is \
+                 rejected (exit 2) before anything is generated or written.")
   in
-  let run name sf seed batch out copies sql chunk resume compress brows bmb
-      bsecs big_dir =
+  let run name sf seed batch out copies sql chunk resume compress bmb bsecs
+      big_dir =
     guarded @@ fun () ->
+    if sql && copies > 1 then
+      failwith
+        (Printf.sprintf
+           "--sql writes one copy of the database and cannot be combined \
+            with --copies %d"
+           copies);
     apply_big_dir big_dir;
     let workload, generate = direct name sf seed in
     generate_and_export
       ~what:(Printf.sprintf "%s (sf %.2f)" name sf)
       ~run_key:(Printf.sprintf "%s-sf%g-seed%d" name sf seed)
       ~workload
-      ~config:{ (base_config batch (limits_of brows bmb bsecs)) with Driver.seed }
+      ~config:{ (base_config batch (limits_of bmb bsecs)) with Driver.seed }
       ~out ~copies ~chunk ~compress ~resume ~sql ~report:report_errors generate
   in
   let doc = "Regenerate a benchmark application and export the synthetic database." in
+  let exits =
+    exits
+      [
+        exit_exact;
+        exit_degraded;
+        ( 2,
+          "infeasible workload, generation failure, unknown workload, or \
+           --sql with --copies above 1." );
+        exit_budget;
+        exit_export_io;
+      ]
+  in
   Cmd.v (Cmd.info "generate" ~doc ~exits)
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ out_arg
       $ copies_arg $ sql_arg $ chunk_rows_arg $ resume_arg $ compress_arg
-      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
+      $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
 
 let verify_cmd =
-  let run name sf seed batch chunk brows bmb bsecs big_dir =
+  let run name sf seed batch chunk bmb bsecs big_dir =
     guarded @@ fun () ->
     apply_big_dir big_dir;
     let _, generate = direct name sf seed in
-    let config = base_config batch (limits_of brows bmb bsecs) in
+    let config = base_config batch (limits_of bmb bsecs) in
     match generate { config with Driver.seed; chunk_rows = chunk } with
     | Error d -> report_fatal d
     | Ok r ->
@@ -333,10 +356,20 @@ let verify_cmd =
         verdict_code r
   in
   let doc = "Regenerate and report per-query relative errors." in
+  let exits =
+    exits
+      [
+        exit_exact;
+        exit_degraded;
+        (2, "infeasible workload, generation failure or unknown workload.");
+        exit_budget;
+        (4, "the --big-dir directory cannot be created.");
+      ]
+  in
   Cmd.v (Cmd.info "verify" ~doc ~exits)
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ chunk_rows_arg
-      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
+      $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
 
 let compare_cmd =
   let run name sf seed =
@@ -371,6 +404,9 @@ let compare_cmd =
     0
   in
   let doc = "Run the baseline generators on the same workload." in
+  let exits =
+    exits [ (0, "the baselines ran."); (2, "unknown workload.") ]
+  in
   Cmd.v (Cmd.info "compare" ~doc ~exits)
     Term.(const run $ workload_arg $ sf_arg $ seed_arg)
 
@@ -395,6 +431,14 @@ let extract_cmd =
   let doc =
     "Extract a constraint bundle from the production side (schema, templates,      cardinality constraints, parameter values) — the only artifact generation      needs."
   in
+  let exits =
+    exits
+      [
+        (0, "the bundle was written.");
+        (2, "unknown workload.");
+        (4, "the bundle file cannot be written.");
+      ]
+  in
   Cmd.v (Cmd.info "extract" ~doc ~exits)
     Term.(const run $ workload_arg $ sf_arg $ seed_arg $ bundle_arg)
 
@@ -402,7 +446,7 @@ let from_bundle_cmd =
   let bundle_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BUNDLE")
   in
-  let run path batch out copies chunk brows bmb bsecs big_dir =
+  let run path batch out copies chunk bmb bsecs big_dir =
     guarded @@ fun () ->
     apply_big_dir big_dir;
     match Mirage_core.Bundle.load ~path with
@@ -415,16 +459,31 @@ let from_bundle_cmd =
         generate_and_export ~what:"from bundle"
           ~run_key:("bundle-" ^ Digest.to_hex (Digest.file path))
           ~workload:b.Mirage_core.Bundle.b_workload
-          ~config:(base_config batch (limits_of brows bmb bsecs))
+          ~config:(base_config batch (limits_of bmb bsecs))
           ~out ~copies ~chunk ~compress:false ~resume:false ~sql:false
           ~report:ignore
           (fun config -> Driver.generate_from_bundle ~config b)
   in
   let doc = "Generate a synthetic database from a saved constraint bundle (no production data needed)." in
+  let exits =
+    exits
+      [
+        exit_exact;
+        exit_degraded;
+        ( 2,
+          "the bundle cannot be parsed or fails validation, or generation \
+           failed." );
+        exit_budget;
+        ( 4,
+          "the bundle cannot be read, or an I/O failure while exporting (disk \
+           full, permissions, a surplus shard that cannot be removed).  \
+           Committed shards and MANIFEST.json are intact." );
+      ]
+  in
   Cmd.v (Cmd.info "from-bundle" ~doc ~exits)
     Term.(
       const run $ bundle_arg $ batch_arg $ out_arg $ copies_arg $ chunk_rows_arg
-      $ budget_rows_arg $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
+      $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
 
 (* one table's CSV in [dir]: a single <table>.csv (a DBMS re-export), or
    the export's shards <table>.csv.0, .1, ... concatenated in index order
@@ -542,6 +601,19 @@ let verify_dir_cmd =
         if !bad > 0 then 1 else 0
   in
   let doc = "Verify exported CSVs against a constraint bundle (selection constraints)." in
+  let exits =
+    exits
+      [
+        (0, "every selection constraint holds on the loaded data.");
+        ( 1,
+          "at least one selection constraint does not hold (MISMATCH \
+           lines)." );
+        ( 2,
+          "the bundle or parameter file cannot be parsed, or a table has both \
+           a <table>.csv and shards, or gzip-compressed shards." );
+        (4, "a bundle, CSV or parameter file cannot be read.");
+      ]
+  in
   Cmd.v (Cmd.info "verify-dir" ~doc ~exits)
     Term.(const run $ bundle_arg $ dir_arg $ params_arg)
 
@@ -553,7 +625,11 @@ let explain_cmd =
   let run name sf seed qname =
     guarded @@ fun () ->
     let workload, ref_db, prod_env = make_workload name sf seed in
-    let q = Mirage_core.Workload.query workload qname in
+    let q =
+      try Mirage_core.Workload.query workload qname
+      with Invalid_argument _ ->
+        failwith (Printf.sprintf "unknown query %s in workload %s" qname name)
+    in
     Fmt.pr "=== original plan ===@.%a@." Mirage_relalg.Plan.pp
       q.Mirage_core.Workload.q_plan;
     let rw = Mirage_core.Rewrite.push_down workload.Mirage_core.Workload.w_schema
@@ -617,6 +693,9 @@ let explain_cmd =
     0
   in
   let doc = "Show how a query's constraints are derived: rewriting, extraction, decoupling." in
+  let exits =
+    exits [ (0, "the query was explained."); (2, "unknown workload or query.") ]
+  in
   Cmd.v (Cmd.info "explain" ~doc ~exits)
     Term.(const run $ workload_arg $ sf_arg $ seed_arg $ query_arg)
 
@@ -626,7 +705,9 @@ let table1_cmd =
     0
   in
   let doc = "Print the operator-supportability matrix (Table 1)." in
-  Cmd.v (Cmd.info "table1" ~doc ~exits) Term.(const run $ const ())
+  Cmd.v
+    (Cmd.info "table1" ~doc ~exits:(exits [ (0, "the matrix was printed.") ]))
+    Term.(const run $ const ())
 
 let parse_cmd =
   let pred_arg =
@@ -643,10 +724,25 @@ let parse_cmd =
         2
   in
   let doc = "Parse a predicate of the template language and print it back." in
+  let exits =
+    exits [ (0, "the predicate parsed."); (2, "the predicate does not parse.") ]
+  in
   Cmd.v (Cmd.info "parse" ~doc ~exits) Term.(const run $ pred_arg)
 
 let () =
   let doc = "query-aware database generation (Mirage, ICDE 2024)" in
+  let exits =
+    exits
+      [
+        (0, "success; for generation, every query exact.");
+        ( 1,
+          "degraded generation result, or verify-dir found a selection \
+           constraint that does not hold." );
+        (2, "infeasible workload, generation failure or invalid input.");
+        exit_budget;
+        (4, "I/O failure (committed shards and MANIFEST.json stay intact).");
+      ]
+  in
   let info = Cmd.info "mirage" ~version:"1.0.0" ~doc ~exits in
   exit
     (Cmd.eval'

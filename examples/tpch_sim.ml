@@ -4,6 +4,7 @@
    Run with:  dune exec examples/tpch_sim.exe [scale]   (default scale 0.2) *)
 
 module Driver = Mirage_core.Driver
+module Diag = Mirage_core.Diag
 module Error = Mirage_core.Error
 
 let () =
@@ -21,7 +22,11 @@ let () =
         t.Driver.t_total t.Driver.t_extract
         (t.Driver.t_decouple +. t.Driver.t_cdf +. t.Driver.t_gd +. t.Driver.t_acc)
         t.Driver.t_cs t.Driver.t_cp t.Driver.t_pf;
-      List.iter (fun w -> Printf.printf "note: %s\n" w) r.Driver.r_warnings;
+      List.iter
+        (fun (d : Diag.t) ->
+          if d.Diag.d_severity <> Diag.Info then
+            Printf.printf "note: %s\n" (Diag.to_string d))
+        r.Driver.r_diags;
       let errs = Driver.measure_errors r in
       Printf.printf "%-12s %s\n" "query" "relative error";
       List.iter

@@ -30,6 +30,10 @@ val instantiate :
     dictionary column), or if a sampled row, or a row a repair swap
     rearranges, divides by zero.  Unsampled rows are never read. *)
 
+(**/**)
+
+(* Tested by test_core "exact thresholds", "extremes" and "threshold minimises
+   deviation", against test/acc_reference.ml. *)
 val choose_threshold :
   cmp:Mirage_sql.Pred.cmp -> target:int -> Mirage_engine.Col.float_big -> float
 (** The order-statistic search on a materialised result view (exposed for

@@ -19,9 +19,6 @@ type t = {
 val of_extraction :
   Workload.t -> Extract.extraction -> prod_env:Mirage_sql.Pred.Env.t -> t
 
-val to_string : t -> string
-val of_string : string -> (t, string) result
-
 val save : t -> path:string -> unit
 val load : path:string -> (t, string) result
 
@@ -34,9 +31,12 @@ val validate : t -> Diag.t list
     {!Workload.validate} of the embedded workload.  Errors in the returned
     list make generation fail fast ({!Driver.generate_from_bundle}). *)
 
-(** Individual serialisers, exposed for tests. *)
+(**/**)
 
-val plan_to_sexp : Mirage_relalg.Plan.t -> Mirage_util.Sexp.t
-val plan_of_sexp : Mirage_util.Sexp.t -> (Mirage_relalg.Plan.t, string) result
-val value_to_sexp : Mirage_sql.Value.t -> Mirage_util.Sexp.t
-val value_of_sexp : Mirage_util.Sexp.t -> (Mirage_sql.Value.t, string) result
+(* Tested by test_integration "round trip equals direct generation" and
+   test_robustness "truncated bundle". *)
+val to_string : t -> string
+
+(* Tested by test_integration "rejects garbage" and test_robustness "malformed
+   integer". *)
+val of_string : string -> (t, string) result

@@ -34,6 +34,9 @@ val run :
     clauses so the elimination's kept-literal choice sees the true remaining
     per-column row budget. *)
 
+(**/**)
+
+(* Tested by test_core "sentinels". *)
 val universe_sentinel :
   Mirage_sql.Schema.kind -> dom:int -> Mirage_sql.Pred.literal ->
   Mirage_sql.Pred.Env.binding option

@@ -20,7 +20,7 @@ type stage =
   | Bundle  (** bundle (de)serialisation *)
   | Driver  (** pipeline orchestration *)
   | Sink  (** crash-safe chunked export (shard files, manifest) *)
-  | Budget  (** resource-budget breach: rows / heap / wall-clock deadline *)
+  | Budget  (** resource-budget breach: heap watermark or wall-clock deadline *)
 
 type severity = Info | Warning | Error
 
@@ -45,9 +45,6 @@ val warning :
 val info :
   ?table:string -> ?query:string -> ?hint:string -> stage ->
   ('a, Format.formatter, unit, t) format4 -> 'a
-
-val stage_name : stage -> string
-val severity_name : severity -> string
 
 val exit_code : t -> int
 (** Process exit code a fatal diagnostic maps to (see [mirage_cli --help]):
@@ -92,3 +89,8 @@ type verdict = {
 
 val status_name : status -> string
 val pp_verdict : Format.formatter -> verdict -> unit
+
+(**/**)
+
+(* Tested by test_sink "deadline yields typed Diag (exit 3)". *)
+val stage_name : stage -> string

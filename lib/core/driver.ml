@@ -6,7 +6,6 @@ module Col = Mirage_engine.Col
 module Db = Mirage_engine.Db
 module Rng = Mirage_util.Rng
 module Par = Mirage_par.Par
-module Mem = Mirage_util.Mem
 module Budget = Mirage_util.Budget
 module Hoeffding = Mirage_util.Hoeffding
 module Toposort = Mirage_util.Toposort
@@ -23,8 +22,8 @@ type config = {
   capacity_repair : bool;
   guided_placement : bool;
   budget : Budget.limits;
-      (** resource budget: max chunk rows, heap watermark, wall-clock
-          deadline.  Breaches surface as a typed [Diag.Budget] error, never
+      (** resource budget: heap watermark and wall-clock deadline.
+          Breaches surface as a typed [Diag.Budget] error, never
           an uncaught exception or a wedged domain pool. *)
   chunk_rows : int option;
       (** row-scan step: with [Some c] every row scan of the generation
@@ -102,8 +101,6 @@ type result = {
   r_env : Pred.Env.t;
   r_extraction : Extract.extraction;
   r_timings : timings;
-  r_peak_bytes : int;
-  r_warnings : string list;
   r_diags : Diag.t list;
   r_verdicts : Diag.verdict list;
 }
@@ -219,11 +216,8 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
      re-raising, so no domain is left wedged and the resident pool stays
      usable for the next run. *)
   let budget = Budget.start config.budget in
-  let batch_size = Budget.chunk_rows budget ~default:config.batch_size in
   let t_start = now () -. t_extract in
   let cpu_start = cpu_now () in
-  let peak = ref (Mem.live_bytes ()) in
-  let bump_peak () = peak := max !peak (Mem.live_bytes ()) in
   let full_ir = extraction.Extract.ir in
   (* fail fast on an IR or config that cannot drive generation at all *)
   let config_problems =
@@ -263,8 +257,7 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
      [Keygen_failed] on an infeasible population system so the retry loop
      can widen the quarantine *)
   let run_attempt quarantined =
-    let warnings = ref [] and diags = ref [] in
-    let warn fmt = Fmt.kstr (fun s -> warnings := s :: !warnings) fmt in
+    let diags = ref [] in
     let pushd d = diags := d :: !diags in
     let rng = Rng.create config.seed in
     let ir = filter_ir quarantined full_ir in
@@ -278,13 +271,7 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
       Decouple.run schema ~dom ~table_rows ~param_key:(param_key_fn prod_env)
         ir.Ir.sccs
     in
-    List.iter
-      (fun d ->
-        pushd d;
-        warn "decouple %s: %s"
-          (Option.value ~default:"env" d.Diag.d_query)
-          d.Diag.d_message)
-      dec.Decouple.skipped;
+    List.iter pushd dec.Decouple.skipped;
     let t_decouple = now () -. t0 in
     Budget.check budget;
     (* --- 3. per-column CDFs -------------------------------------------- *)
@@ -364,7 +351,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
         match degraded with
         | None -> ()
         | Some msg ->
-            warn "cdf: %s (column degraded to default layout)" msg;
             pushd
               (Diag.warning ~table:tname Diag.Cdf
                  "%s (column degraded to default layout)" msg))
@@ -394,7 +380,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
           layouts)
       layouts_by_table;
     let t_cdf = now () -. t0 in
-    bump_peak ();
     Budget.check budget;
     (* --- 4. non-key data (GD) ------------------------------------------ *)
     let t0 = now () in
@@ -477,8 +462,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
       (fun (tname, cols, dropped) ->
         List.iter
           (fun (b : Ir.bound_rows) ->
-            warn "bound group from %s dropped (degraded column layout)"
-              b.Ir.br_source;
             pushd
               (Diag.warning ~table:tname ~query:b.Ir.br_source Diag.Nonkey
                  "bound group dropped (degraded column layout)"))
@@ -487,7 +470,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
         Db.put_cols db tname cols)
       gd_results;
     let t_gd = now () -. t0 in
-    bump_peak ();
     Budget.check budget;
     (* --- 5. ACC parameters --------------------------------------------- *)
     let t0 = now () in
@@ -554,23 +536,11 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
             ~sparsify:config.sparsify ~capacity_repair:config.capacity_repair
             ~pool ~interrupt:(fun () -> Budget.check budget)
             ~rng:rng_e ~db ~env:env_e ~edge ~constraints
-            ~batch_size ~cp_max_nodes:config.cp_max_nodes ~times:times_e ()
+            ~batch_size:config.batch_size ~cp_max_nodes:config.cp_max_nodes
+            ~times:times_e ()
         with
         | Ok (fk, notices) -> (Col.Ivec.to_col fk, notices)
         | Error f -> raise (Keygen_failed f)
-    in
-    let handle_notices notices =
-      List.iter
-        (fun d ->
-          pushd d;
-          (* Info notices (per-edge CP counters) stay diagnostics
-             only; resize/deviation warnings also hit the legacy
-             warning channel *)
-          if d.Diag.d_severity <> Diag.Info then
-            warn "keygen resize: %s: %s"
-              (Option.value ~default:"?" d.Diag.d_query)
-              d.Diag.d_message)
-        notices
     in
     let commit_edge edge fk_col =
       let tname = edge.Ir.e_fk_table in
@@ -598,7 +568,7 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
           let fk_col, notices =
             edge_work ~rng_e ~times_e:times ~env_e:!env edge constraints
           in
-          handle_notices notices;
+          List.iter pushd notices;
           commit_edge edge fk_col)
         sorted_ids
     else begin
@@ -715,7 +685,7 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
               | notices ->
                   if !first_err = None then begin
                     Keygen.add_times times (Hashtbl.find times_of id);
-                    handle_notices notices;
+                    List.iter pushd notices;
                     List.iter
                       (fun s ->
                         let left = Hashtbl.find remaining s - 1 in
@@ -741,12 +711,10 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
         !export_futs;
       match !first_err with Some e -> raise e | None -> ()
     end;
-    bump_peak ();
     (* --- 7. close the environment -------------------------------------- *)
     List.iter
       (fun p ->
         if Pred.Env.find p !env = None then begin
-          warn "parameter %s left unbound; defaulting" p;
           pushd
             (Diag.warning Diag.Driver "parameter %s left unbound; defaulting" p);
           env := Pred.Env.add p (Pred.Env.Scalar (Value.Int 1)) !env
@@ -755,7 +723,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
     ( db,
       !env,
       (t_decouple, t_cdf, t_gd, t_acc, times),
-      List.rev !warnings,
       List.rev !diags )
   in
   (* degraded mode: on an infeasible population system, quarantine the most
@@ -801,16 +768,14 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
         Error
           (Diag.error
              ~hint:
-               "raise the budget (rows / heap / deadline) or lower the \
+               "raise the budget (heap / deadline) or lower the \
                 scale factor and rerun"
              Diag.Budget "%s" (Budget.describe r))
   in
   let outcome = attempt [] (List.length w.Workload.w_queries) in
   match outcome with
   | Error d -> Error d
-  | Ok ((db, env, (t_decouple, t_cdf, t_gd, t_acc, times), warnings, diags), quarantined)
-    ->
-      bump_peak ();
+  | Ok ((db, env, (t_decouple, t_cdf, t_gd, t_acc, times), diags), quarantined) ->
       let quarantine_diags = List.rev !quarantine_diags in
       let all_diags =
         init_diags @ extraction.Extract.diags @ quarantine_diags @ diags
@@ -885,8 +850,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
               cp_cache_hits = 0;
               batch_alloc_bytes = times.Keygen.batch_alloc_bytes;
             };
-          r_peak_bytes = !peak;
-          r_warnings = warnings;
           r_diags = all_diags;
           r_verdicts = verdicts;
         }

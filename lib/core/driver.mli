@@ -26,12 +26,11 @@ type config = {
   guided_placement : bool;  (** ablation: production-guided CDF bin placement *)
   budget : Mirage_util.Budget.limits;
       (** cooperative resource budget (default {!Mirage_util.Budget.no_limits}):
-          [max_chunk_rows] clamps the keygen batch size, [max_heap_mb] and
-          [deadline_s] are polled at stage boundaries, every keygen batch and
-          every 64 CP search nodes.  A breach aborts generation with a typed
-          [Diag.Budget] error result (process exit code 3) — never an
-          uncaught exception, and the domain pool is left fully usable for
-          the next run. *)
+          [max_heap_mb] and [deadline_s] are polled at stage boundaries,
+          every keygen batch and every 64 CP search nodes.  A breach aborts
+          generation with a typed [Diag.Budget] error result (process exit
+          code 3) — never an uncaught exception, and the domain pool is
+          left fully usable for the next run. *)
   chunk_rows : int option;
       (** row-scan step (the CLI's [--chunk-rows]): [Some c] makes every
           row scan — non-key instantiation, unconstrained FK fill, ACC
@@ -107,16 +106,10 @@ type result = {
   r_env : Mirage_sql.Pred.Env.t;  (** instantiated parameters (workload W') *)
   r_extraction : Extract.extraction;
   r_timings : timings;
-  r_peak_bytes : int;
-      (** high-water mark of the OCaml heap's live words, in bytes, sampled
-          at stage boundaries ({!Mirage_util.Mem.live_bytes}).  Column
-          payloads, null bitmaps and work vectors are off-heap Bigarrays
-          and are not counted; process RSS is the measure that sees them. *)
-  r_warnings : string list;
-      (** legacy one-line rendering of the warning diagnostics *)
   r_diags : Diag.t list;
       (** structured diagnostics from every stage, including validation
-          warnings and quarantine decisions *)
+          warnings and quarantine decisions — the run's one diagnostics
+          channel *)
   r_verdicts : Diag.verdict list;
       (** per-query feasibility verdict — Exact, Degraded, Quarantined or
           Unsupported — in workload order *)

@@ -25,9 +25,6 @@ val measure :
     (e.g. unbound parameter) scores 1.0, with the exception's message
     recorded in [qe_note]; unexpected exceptions propagate. *)
 
-val unsupported : ?note:string -> string -> query_error
-(** The 100%-error marker for a query a generator cannot handle. *)
-
 type latency = { lat_name : string; lat_ref : float; lat_synth : float }
 
 val latencies :

@@ -24,9 +24,6 @@ val run :
 (** A template that cannot be pushed down or analysed contributes no
     constraints; the failure is recorded in [diags]. *)
 
-val child_view_of : table:string -> Mirage_relalg.Plan.t -> Ir.child_view
-(** Classify a join child subtree (exposed for tests). *)
-
 val production_elements :
   Mirage_sql.Schema.t ->
   Mirage_engine.Db.t ->
@@ -40,3 +37,9 @@ val production_elements :
     sorted.  A parameter operand resolves in [env]; an unbound one, a
     non-string pattern, a column no table owns and any other literal give
     [[]].  The same counter fills {!Ir.t}'s [param_elements]. *)
+
+(**/**)
+
+(* Tested by test_core "child view classification". *)
+val child_view_of : table:string -> Mirage_relalg.Plan.t -> Ir.child_view
+(** Classify a join child subtree (exposed for tests). *)

@@ -56,11 +56,6 @@ type t = {
   param_elements : (string * (Mirage_sql.Value.t * int) list) list;
 }
 
-let child_view_table = function
-  | Cv_full t -> t
-  | Cv_select { cv_table; _ } -> cv_table
-  | Cv_subplan { cv_table; _ } -> cv_table
-
 let pp_child_view ppf = function
   | Cv_full t -> Fmt.pf ppf "%s" t
   | Cv_select { cv_table; cv_pred } ->

@@ -77,7 +77,4 @@ type t = {
           access to the production database *)
 }
 
-val child_view_table : child_view -> string
-val pp_child_view : Format.formatter -> child_view -> unit
-val pp_join_constraint : Format.formatter -> join_constraint -> unit
 val pp : Format.formatter -> t -> unit

@@ -461,9 +461,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
             for i = 0 to np_s - 1 do
               xs.(i).(j) <-
                 Some
-                  (Cp.var model1
-                     ~name:(Printf.sprintf "x_%d_%d" i j)
-                     ~lo:0 ~hi:(Array.length rows))
+                  (Cp.var model1 ~lo:0 ~hi:(Array.length rows))
             done
         done;
         for j = 0 to np_t - 1 do
@@ -512,9 +510,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
                     in
                     if row_terms <> [] && pool > 0 then begin
                       let y =
-                        Cp.var model1 ~aux:true
-                          ~name:(Printf.sprintf "y_%d_%d" k i)
-                          ~lo:0 ~hi:pool
+                        Cp.var model1 ~aux:true ~lo:0 ~hi:pool
                       in
                       Cp.lp_linear_le model1
                         ((1, y) :: List.map (fun (c, v) -> (-c, v)) row_terms)
@@ -999,7 +995,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
               let lo = min (if x > 0 then 1 else 0) hi in
               if hi >= 0 then
                 ds.(i).(j) <-
-                  Some (Cp.var model2 ~name:(Printf.sprintf "d_%d_%d" i j) ~lo ~hi)
+                  Some (Cp.var model2 ~lo ~hi)
             end
           done
         done;

@@ -40,12 +40,6 @@ val add_times : stage_times -> stage_times -> unit
     topological edge order, reproducing the totals the barrier path
     accumulates in its single shared record. *)
 
-val partition_rows : Mirage_engine.Col.Ivec.t -> int -> int -> (int * int array) array
-(** [partition_rows vec lo hi] groups rows [lo] to [hi] of a status vector
-    by value: one [(value, rows)] pair per distinct value, values ascending
-    and each group's rows ascending.  The T partitions of one batch; PF's
-    per-partition RNG streams follow this order.  Empty when [hi < lo]. *)
-
 type failure = {
   kf_diag : Diag.t;  (** what went wrong, with table/query context *)
   kf_culprits : string list;
@@ -108,3 +102,13 @@ val membership :
     view does not point at the stored column (a [Project]- or
     [Aggregate]-rooted subplan), membership falls back to matching PK
     values. *)
+
+(**/**)
+
+(* Tested by test_core "T partitions = hashtable reference on random status
+   vectors". *)
+val partition_rows : Mirage_engine.Col.Ivec.t -> int -> int -> (int * int array) array
+(** [partition_rows vec lo hi] groups rows [lo] to [hi] of a status vector
+    by value: one [(value, rows)] pair per distinct value, values ascending
+    and each group's rows ascending.  The T partitions of one batch; PF's
+    per-partition RNG streams follow this order.  Empty when [hi < lo]. *)

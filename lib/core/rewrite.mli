@@ -32,6 +32,9 @@ val push_down : Mirage_sql.Schema.t -> Mirage_relalg.Plan.t -> result
     spanning both join sides, or more than one mixed OR clause above one
     join). *)
 
+(**/**)
+
+(* Tested by test_core "pushes conjuncts". *)
 val is_pushed_down : Mirage_relalg.Plan.t -> bool
 (** True when every select's input is a base table or another select over
     one (the invariant [push_down] establishes). *)

@@ -192,14 +192,7 @@ let with_payload ~compress w body =
 let remove_surplus_shards ~dir tname nshards =
   List.iter
     (fun compress ->
-      let j = ref nshards in
-      while
-        Sys.file_exists (Filename.concat dir (shard_name ~compress tname !j))
-      do
-        (try Sys.remove (Filename.concat dir (shard_name ~compress tname !j))
-         with Sys_error _ -> ());
-        incr j
-      done)
+      Sink.remove_surplus ~dir (shard_name ~compress tname) nshards)
     [ false; true ]
 
 (* shard layout: tables in schema order, [tiles_per_shard] tiles per shard,
@@ -495,9 +488,3 @@ let tile_db ~db ~copies =
       Db.put_cols out tname cols)
     (Schema.tables schema);
   out
-
-let scaled_rows db ~copies =
-  List.map
-    (fun (tbl : Schema.table) ->
-      (tbl.Schema.tname, copies * Db.row_count db tbl.Schema.tname))
-    (Schema.tables (Db.schema db))

@@ -133,11 +133,9 @@ val finish_csv_export :
     counts, mark the manifest complete and return the report.  After this
     the concatenation contract of {!open_csv_export} holds verbatim.
     @raise Mirage_engine.Sink.Io_failure on I/O errors (no temp files left
-    behind). *)
+    behind), a surplus shard that cannot be removed included; the manifest
+    is then not marked complete. *)
 
 val tile_db : db:Mirage_engine.Db.t -> copies:int -> Mirage_engine.Db.t
 (** In-memory tiled database (for verification and tests; memory grows with
     [copies], unlike the shard export). *)
-
-val scaled_rows : Mirage_engine.Db.t -> copies:int -> (string * int) list
-(** Row count per table after tiling. *)

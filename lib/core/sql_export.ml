@@ -336,12 +336,6 @@ let export_chunked ?backend ?(resume = false) ?(interrupt = fun () -> ()) ~db
               ranges))
     shards;
   let k = List.length shards in
-  (* drop leftovers from an earlier layout with more shards *)
-  let j = ref k in
-  while Sys.file_exists (Filename.concat dir (Printf.sprintf "data.sql.%d" !j)) do
-    (try Sys.remove (Filename.concat dir (Printf.sprintf "data.sql.%d" !j))
-     with Sys_error _ -> ());
-    incr j
-  done;
+  Sink.remove_surplus ~dir (Printf.sprintf "data.sql.%d") k;
   Sink.finish sink;
   (k, !resumed)

@@ -7,25 +7,6 @@
     anti joins as NOT EXISTS, FK projections as SELECT DISTINCT, aggregates
     as GROUP BY). *)
 
-val ddl : Mirage_sql.Schema.t -> string
-(** CREATE TABLE statements with primary/foreign keys. *)
-
-val inserts : Mirage_engine.Db.t -> table:string -> string
-(** Multi-row INSERT statements for one table (batches of 500 rows),
-    rendered on the shared kernel ({!Mirage_engine.Render}): digits written
-    in place, string pools SQL-escaped once per distinct entry, floats in
-    the unified round-trip format. *)
-
-val query_sql :
-  Mirage_relalg.Plan.t ->
-  schema:Mirage_sql.Schema.t ->
-  env:Mirage_sql.Pred.Env.t ->
-  (string, string) result
-(** The plan rendered as a SELECT statement with the environment's parameter
-    values inlined.  Subquery aliases are numbered [q1], [q2], ... afresh
-    in each call, so the text depends on the plan alone.  Errors on
-    unbound parameters. *)
-
 val export_chunked :
   ?backend:Mirage_engine.Sink.backend ->
   ?resume:bool ->
@@ -54,3 +35,27 @@ val export_chunked :
     committed shards are skipped without rendering.  Returns
     [(shards, resumed)].
     @raise Mirage_engine.Sink.Io_failure on I/O errors. *)
+
+(**/**)
+
+(* Tested by test_core "ddl". *)
+val ddl : Mirage_sql.Schema.t -> string
+(** CREATE TABLE statements with primary/foreign keys. *)
+
+(* Tested by test_core "insert escaping". *)
+val inserts : Mirage_engine.Db.t -> table:string -> string
+(** Multi-row INSERT statements for one table (batches of 500 rows),
+    rendered on the shared kernel ({!Mirage_engine.Render}): digits written
+    in place, string pools SQL-escaped once per distinct entry, floats in
+    the unified round-trip format. *)
+
+(* Tested by test_core "query shapes" and "query aliases restart per call". *)
+val query_sql :
+  Mirage_relalg.Plan.t ->
+  schema:Mirage_sql.Schema.t ->
+  env:Mirage_sql.Pred.Env.t ->
+  (string, string) result
+(** The plan rendered as a SELECT statement with the environment's parameter
+    values inlined.  Subquery aliases are numbered [q1], [q2], ... afresh
+    in each call, so the text depends on the plan alone.  Errors on
+    unbound parameters. *)

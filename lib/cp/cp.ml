@@ -7,7 +7,6 @@ type constr =
   | Imply_pos of var * var  (** x > 0 ⇒ y > 0 *)
 
 type t = {
-  mutable names : string array;  (* indexed by var id, grown with the bounds *)
   mutable nvars : int;
   mutable lo0 : int array;  (* initial bounds, grown on demand *)
   mutable hi0 : int array;
@@ -25,7 +24,6 @@ type stats = { st_nodes : int; st_restarts : int; st_props : int }
 
 let create () =
   {
-    names = Array.make 16 "";
     nvars = 0;
     lo0 = Array.make 16 0;
     hi0 = Array.make 16 0;
@@ -42,18 +40,15 @@ let grow t =
   if t.nvars >= cap then begin
     let lo = Array.make (2 * cap) 0 and hi = Array.make (2 * cap) 0 in
     let aux = Array.make (2 * cap) false in
-    let names = Array.make (2 * cap) "" in
     Array.blit t.lo0 0 lo 0 cap;
     Array.blit t.hi0 0 hi 0 cap;
     Array.blit t.aux 0 aux 0 cap;
-    Array.blit t.names 0 names 0 cap;
     t.lo0 <- lo;
     t.hi0 <- hi;
-    t.aux <- aux;
-    t.names <- names
+    t.aux <- aux
   end
 
-let var ?name ?(aux = false) t ~lo ~hi =
+let var ?(aux = false) t ~lo ~hi =
   if lo > hi then invalid_arg "Cp.var: lo > hi";
   grow t;
   let id = t.nvars in
@@ -61,11 +56,8 @@ let var ?name ?(aux = false) t ~lo ~hi =
   t.lo0.(id) <- lo;
   t.hi0.(id) <- hi;
   t.aux.(id) <- aux;
-  t.names.(id) <- (match name with Some n -> n | None -> Printf.sprintf "v%d" id);
   id
 
-let var_name t v = t.names.(v)
-let var_count t = t.nvars
 
 let linear_eq t terms rhs = t.constrs <- Linear { terms; eq = true; rhs } :: t.constrs
 let linear_le t terms rhs = t.constrs <- Linear { terms; eq = false; rhs } :: t.constrs
@@ -681,5 +673,3 @@ let solve ?(max_nodes = 1_000_000) ?(lp_guide = true) ?(interrupt = fun () -> ()
   in
   ladder ~restart:0 ~budget:(max 1_000 (max_nodes / 8))
 
-let stats_nodes t = t.nodes
-let stats_props t = t.props

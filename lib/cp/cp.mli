@@ -35,13 +35,10 @@ type stats = {
 
 val create : unit -> t
 
-val var : ?name:string -> ?aux:bool -> t -> lo:int -> hi:int -> var
+val var : ?aux:bool -> t -> lo:int -> hi:int -> var
 (** New variable with inclusive bounds.  [aux] variables participate in
     LP-only rows but are never branched on by the search.
     @raise Invalid_argument if [lo > hi]. *)
-
-val var_name : t -> var -> string
-val var_count : t -> int
 
 val linear_eq : t -> (int * var) list -> int -> unit
 (** [linear_eq t terms c] posts [Σ coeff·var = c]. *)
@@ -53,12 +50,6 @@ val lp_linear_le : t -> (int * var) list -> int -> unit
 (** Like {!linear_le}, but the row is seen only by the internal LP
     relaxation (to shape the branching guide), not by propagation or the
     feasibility check — use for redundant capacity hints. *)
-
-val ge : t -> var -> var -> unit
-(** [ge t x y] posts [x ≥ y]. *)
-
-val imply_pos : t -> var -> var -> unit
-(** [imply_pos t x y] posts [x > 0 ⇒ y > 0]. *)
 
 val solve :
   ?max_nodes:int -> ?lp_guide:bool -> ?interrupt:(unit -> unit) -> t ->
@@ -81,24 +72,28 @@ val solve :
     immediately at any budget; [Unknown] means every attempt was node-limited.
     Search statistics are returned alongside every outcome. *)
 
-val stats_nodes : t -> int
-(** Search nodes explored by the last [solve] call (same as [st_nodes]). *)
-
-val stats_props : t -> int
-(** Propagator executions in the last [solve] call (same as [st_props]). *)
-
-val root_fixpoint : t -> (int array * int array) option
-(** Bounds-consistency propagation to fixpoint on the initial domains, no
-    search: [Some (lo, hi)] with the tightened bounds per variable, or
-    [None] when propagation alone proves infeasibility.  Exposed for the
-    kernel-equivalence differential test. *)
-
-val solution_of_fun : t -> (var -> int) -> int array
-(** Materialise a [Sat] assignment as a plain array in variable-creation
-    order. *)
-
 (**/**)
 
 val set_objective : t -> (int * var) list -> unit
 (** Objective (minimised) used only by the internal LP relaxation to pick
     good branching values; the search itself remains pure feasibility. *)
+
+(* Test hooks, called only from test/test_cp.ml. *)
+
+val ge : t -> var -> var -> unit
+(** [ge t x y] posts [x ≥ y].  Tested by "ge" and the QCheck kernel
+    properties. *)
+
+val imply_pos : t -> var -> var -> unit
+(** [imply_pos t x y] posts [x > 0 ⇒ y > 0].  Tested by "imply_pos" and
+    "imply contrapositive". *)
+
+val root_fixpoint : t -> (int array * int array) option
+(** Bounds-consistency propagation to fixpoint on the initial domains, no
+    search: [Some (lo, hi)] with the tightened bounds per variable, or
+    [None] when propagation alone proves infeasibility.  For "event kernel
+    == naive fixpoint bounds, solve == brute-force verdict". *)
+
+val solution_of_fun : t -> (var -> int) -> int array
+(** Materialise a [Sat] assignment as a plain array in variable-creation
+    order.  For the QCheck kernel properties. *)

@@ -95,11 +95,6 @@ module Bitset = struct
     !n
 
   let count b = count_range b 0 b.len
-
-  let copy b =
-    let c = create b.len in
-    Bigarray.Array1.blit b.bits c.bits;
-    c
 end
 
 type t =

@@ -36,17 +36,10 @@ module Bitset : sig
   (** [count_range b lo hi]: number of set bits at positions [lo] to
       [hi - 1]; [0] when [hi <= lo].  Counts whole bytes at a time.
       Requires [0 <= lo] and [hi <= length b]. *)
-
-  val copy : t -> t
 end
 
 type int_big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float_big = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-val big_dir : unit -> string option
-(** Spill directory for file-backed payloads.  Seeded from the
-    [MIRAGE_BIG_DIR] environment variable at startup; [None] means
-    anonymous memory. *)
 
 val set_big_dir : string option -> unit
 (** Override the spill directory (the CLI's [--big-dir] flag).  Read per
@@ -92,6 +85,10 @@ module Ivec : sig
   val to_col : ?nulls:Bitset.t -> t -> col
   (** Zero-copy: the column aliases the vector's storage. *)
 
+  (**/**)
+
+  (* Tested by test_columnar "dict encoding: distinct pool, faithful decode"
+     and test_core "paper Figs 8-10 example". *)
   val to_array : t -> int array
   (** Heap copy. *)
 end
@@ -144,3 +141,12 @@ val add_csv_cell : Buffer.t -> t -> int -> unit
     (round-trip, shared with every exporter), strings RFC-4180 quoted when
     — and only when — they contain a comma, quote, CR or LF
     ({!Render.csv_escape}). *)
+
+(**/**)
+
+(* Tested by test_sink "spill directory: same bytes, no files left, missing dir
+   falls back". *)
+val big_dir : unit -> string option
+(** Spill directory for file-backed payloads.  Seeded from the
+    [MIRAGE_BIG_DIR] environment variable at startup; [None] means
+    anonymous memory. *)

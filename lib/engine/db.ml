@@ -66,8 +66,6 @@ let replace_col t tname cname c =
     invalid_arg (Printf.sprintf "Db.put: ragged column %s.%s" tname cname);
   Hashtbl.replace d.cols cname c
 
-let has_table t tname = Hashtbl.mem t.tables tname
-
 (* NULL counts as one more value.  Dictionary codes index a pool, so a flag
    per pool entry counts them; ints get dense ids from [Int_ids].  Floats,
    which the reference generator never makes, keep a hash table, whose
@@ -208,16 +206,3 @@ let load_csv t tname csv =
           names
       in
       put_cols t tname cols
-
-let iter_rows t tname f =
-  let d = data t tname in
-  let lookup i c =
-    match Hashtbl.find_opt d.cols c with
-    | Some a -> Col.get a i
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Db.iter_rows: unknown column %s.%s" tname c)
-  in
-  for i = 0 to d.nrows - 1 do
-    f i (lookup i)
-  done

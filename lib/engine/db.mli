@@ -36,16 +36,10 @@ val col : t -> string -> string -> Col.t
     arrays is visible to all readers — the ACC repair pass relies on this.
     @raise Invalid_argument if the table or column is unknown/unpopulated. *)
 
-val replace_col : t -> string -> string -> Col.t -> unit
-(** Swap in a new version of one existing column (same length).
-    @raise Invalid_argument if unknown or ragged. *)
-
 val column : t -> string -> string -> Mirage_sql.Value.t array
 (** [Value.t] accessor: a freshly allocated copy of
     {!col}.  Mutating the result does NOT affect the stored table.
     @raise Invalid_argument if the table or column is unknown/unpopulated. *)
-
-val has_table : t -> string -> bool
 
 val distinct_count : t -> string -> string -> int
 (** Number of distinct values in a stored column (NULL counts as a value). *)
@@ -59,6 +53,9 @@ val load_csv : t -> string -> string -> unit
     follows the declared column kinds; empty cells become NULL.
     @raise Invalid_argument on header mismatch or unparseable cells. *)
 
-val iter_rows :
-  t -> string -> (int -> (string -> Mirage_sql.Value.t) -> unit) -> unit
-(** [iter_rows db tname f] calls [f i lookup] for every row index. *)
+(**/**)
+
+(* Tested by test_core "membership forms". *)
+val replace_col : t -> string -> string -> Col.t -> unit
+(** Swap in a new version of one existing column (same length).
+    @raise Invalid_argument if unknown or ragged. *)

@@ -21,32 +21,6 @@ type analysis = {
   join_stats : (int * join_stat) list;  (** per join view index *)
 }
 
-val join :
-  jt:Mirage_relalg.Plan.join_type ->
-  pk_col:string ->
-  fk_col:string ->
-  Rel.t ->
-  Rel.t ->
-  Rel.t * join_stat
-(** [join ~jt ~pk_col ~fk_col left right]: the PK–FK join [analyze] runs
-    for a join view, with its statistics.  Matched pairs come right rows
-    ascending and, within one right row, left rows descending; outer and
-    anti joins append the unmatched rows ascending after them.  Both key
-    columns must be [Col.Ints] (nullable); the right keys probe a flat
-    open-addressing index of the left keys.  A NULL key matches nothing.
-    @raise Invalid_argument when either key column is not [Col.Ints]. *)
-
-val filter : env:Mirage_sql.Pred.Env.t -> Mirage_sql.Pred.t -> Rel.t -> Rel.t
-(** [filter ~env p rel]: the selection view [analyze] runs, keeping the
-    rows of [rel] that satisfy [p], in order, with {!Mirage_sql.Pred.eval}'s
-    semantics.  Each literal is compiled once, on the first row that
-    reaches it, so an unbound parameter or unknown column raises only if a
-    row does.  An arithmetic comparison runs the columnar kernel
-    ({!Arith}) over windows of {!Arith.block} rows, starting at the first
-    row that reaches it, and compares each row's value with the operand
-    under [Stdlib.compare] (NaN below every number); a NULL value or a
-    non-numeric operand selects nothing. *)
-
 val run : Db.t -> env:Mirage_sql.Pred.Env.t -> Mirage_relalg.Plan.t -> Rel.t
 (** Evaluate and return the final relation. *)
 
@@ -72,3 +46,33 @@ val select_mask :
 val timed_run :
   Db.t -> env:Mirage_sql.Pred.Env.t -> Mirage_relalg.Plan.t -> Rel.t * float
 (** Result plus wall-clock seconds (for the Fig. 12 latency experiment). *)
+
+(**/**)
+
+(* Tested by test_engine "join = cons-list reference on random relations". *)
+val join :
+  jt:Mirage_relalg.Plan.join_type ->
+  pk_col:string ->
+  fk_col:string ->
+  Rel.t ->
+  Rel.t ->
+  Rel.t * join_stat
+(** [join ~jt ~pk_col ~fk_col left right]: the PK–FK join [analyze] runs
+    for a join view, with its statistics.  Matched pairs come right rows
+    ascending and, within one right row, left rows descending; outer and
+    anti joins append the unmatched rows ascending after them.  Both key
+    columns must be [Col.Ints] (nullable); the right keys probe a flat
+    open-addressing index of the left keys.  A NULL key matches nothing.
+    @raise Invalid_argument when either key column is not [Col.Ints]. *)
+
+(* Tested by test_engine "Arith_cmp selection = Pred.eval, all comparators". *)
+val filter : env:Mirage_sql.Pred.Env.t -> Mirage_sql.Pred.t -> Rel.t -> Rel.t
+(** [filter ~env p rel]: the selection view [analyze] runs, keeping the
+    rows of [rel] that satisfy [p], in order, with {!Mirage_sql.Pred.eval}'s
+    semantics.  Each literal is compiled once, on the first row that
+    reaches it, so an unbound parameter or unknown column raises only if a
+    row does.  An arithmetic comparison runs the columnar kernel
+    ({!Arith}) over windows of {!Arith.block} rows, starting at the first
+    row that reaches it, and compares each row's value with the operand
+    under [Stdlib.compare] (NaN below every number); a NULL value or a
+    non-numeric operand selects nothing. *)

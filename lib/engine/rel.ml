@@ -6,15 +6,6 @@ type t = { rcard : int; views : view array }
 
 let card t = t.rcard
 
-let empty names =
-  {
-    rcard = 0;
-    views =
-      Array.map
-        (fun c -> { vname = c; vcol = Col.of_ints [||]; vsel = [||] })
-        names;
-  }
-
 let identity_sel n = Array.init n (fun i -> i)
 
 let of_cols cols =
@@ -48,8 +39,6 @@ let of_rows names rows =
   in
   { rcard = n; views }
 
-let cols t = Array.map (fun v -> v.vname) t.views
-
 let col_index t name =
   let n = Array.length t.views in
   let rec go i =
@@ -60,15 +49,11 @@ let col_index t name =
   in
   go 0
 
-let has_col t name = Array.exists (fun v -> v.vname = name) t.views
-
 let view t i = t.views.(i)
 
 let get_view v i =
   let p = v.vsel.(i) in
   if p < 0 then Value.Null else Col.get v.vcol p
-
-let get t ~row ~col = get_view t.views.(col) row
 
 let rows t =
   let width = Array.length t.views in

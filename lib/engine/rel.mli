@@ -16,7 +16,6 @@ type view = {
 
 type t = { rcard : int; views : view array }
 
-val empty : string array -> t
 val card : t -> int
 
 val of_cols : (string * Col.t) list -> t
@@ -29,33 +28,34 @@ val of_rows : string array -> Mirage_sql.Value.t array array -> t
     aggregate/projection outputs and tests.
     @raise Invalid_argument on a column that mixes value kinds. *)
 
-val cols : t -> string array
-
 val col_index : t -> string -> int
 (** @raise Invalid_argument on unknown column. *)
-
-val has_col : t -> string -> bool
 
 val view : t -> int -> view
 val get_view : view -> int -> Mirage_sql.Value.t
 (** The value at a logical row of one view. *)
 
-val get : t -> row:int -> col:int -> Mirage_sql.Value.t
-
-val rows : t -> Mirage_sql.Value.t array array
-(** Row-major [Value.t] materialisation (tests and debugging). *)
-
 val select : t -> int array -> t
 (** [select t keep] keeps logical rows [keep] (in that order); entries of
     [-1] become NULL rows.  O(|keep| · distinct sel arrays). *)
 
-val column_values : t -> string -> Mirage_sql.Value.t array
-(** Extracted (copied) column. *)
-
 val distinct_on : t -> string list -> t
 (** Duplicate-eliminating projection onto the named columns. *)
 
-val distinct_count_on : t -> string list -> int
-
 val int_set : t -> string -> (int, unit) Hashtbl.t
 (** The set of [Int] values in a column; non-int values are ignored. *)
+
+(**/**)
+
+(* The membership oracle of test_core "membership forms" and its QCheck
+   property. *)
+val column_values : t -> string -> Mirage_sql.Value.t array
+(** Extracted (copied) column. *)
+
+(* Tested by test_engine "distinct". *)
+val distinct_count_on : t -> string list -> int
+
+(* Tested by test_engine "aggregate groups", "aggregate global" and "outer join
+   null padding". *)
+val rows : t -> Mirage_sql.Value.t array array
+(** Row-major [Value.t] materialisation (tests and debugging). *)

@@ -115,7 +115,6 @@ module Buf = struct
       else itoa b (int_of_float f)
     else add_string b (float_repr f)
 
-  let output oc b = Stdlib.output oc b.bytes 0 b.len
   let unsafe_bytes b = b.bytes
 end
 

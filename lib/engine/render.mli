@@ -60,9 +60,6 @@ module Buf : sig
       [2{^53}] are written digit-by-digit with a trailing ['.'] without
       allocating; other values fall back to a (cold) formatting call. *)
 
-  val output : out_channel -> t -> unit
-  (** Write the contents to a channel without copying them to a string. *)
-
   val unsafe_bytes : t -> Bytes.t
   (** The underlying storage, without copying; only the first {!length}
       bytes are meaningful, and any mutating call invalidates the view.
@@ -73,10 +70,6 @@ val float_repr : float -> string
 (** The unified float format (see the formatting policy above): shortest
     round-trip decimal, valid-float-lexem form.  [float_of_string
     (float_repr f)] is [f] for every non-NaN [f], and NaN maps to ["nan"]. *)
-
-val csv_needs_quote : string -> bool
-(** True iff RFC 4180 requires the cell to be quoted (comma, double
-    quote, CR, LF). *)
 
 val csv_escape : string -> string
 (** RFC 4180 cell image: the input itself (physically — no copy) when no

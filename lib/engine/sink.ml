@@ -140,6 +140,18 @@ let crc32 ?(crc = 0) b ~pos ~len =
 let mkdir_p dir =
   Mirage_util.Fsutil.mkdir_p ~fail:(fun m -> Io_failure m) dir
 
+let remove_surplus ~dir name k =
+  let rec go k =
+    let path = Filename.concat dir (name k) in
+    if Sys.file_exists path then begin
+      (try Sys.remove path
+       with Sys_error m ->
+         raise (Io_failure ("cannot remove surplus shard: " ^ m)));
+      go (k + 1)
+    end
+  in
+  go k
+
 (* --- manifest --------------------------------------------------------------- *)
 
 type shard = {

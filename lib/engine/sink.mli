@@ -72,6 +72,14 @@ val mkdir_p : string -> unit
     @raise Io_failure when creation fails for any other reason (a path
     component is a file, permission denied, …). *)
 
+val remove_surplus : dir:string -> (int -> string) -> int -> unit
+(** [remove_surplus ~dir name k] deletes [name k], [name (k + 1)], … in
+    [dir], stopping at the first that does not exist: the shards an earlier
+    export with more of them left behind, which would corrupt
+    concatenation.  Call it before sealing the manifest.
+    @raise Io_failure when one exists but cannot be removed (a directory
+    squatting on the name, permission denied, …). *)
+
 type shard = {
   sh_name : string;
   sh_seq : int;

@@ -246,8 +246,6 @@ module Future = struct
     end;
     fut
 
-  let ready v = { st = Done v; fpool = sequential }
-
   let await fut =
     (* always synchronise through the pool mutex, even when the state is
        already published: awaiting a dependency must also make the dep
@@ -274,6 +272,4 @@ module Future = struct
     in
     Mutex.lock pool.m;
     loop ()
-
-  let is_done fut = match fut.st with Pending -> false | _ -> true
 end

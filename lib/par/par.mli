@@ -17,30 +17,24 @@
 
     Pools are built to be {e long-lived}: a region that raises still drains
     fully before the exception re-raises in the caller, leaving the workers
-    parked on the queue and the pool usable for the next region.  Prefer
-    {!get} — one resident pool per width for the whole process — over
-    {!with_pool}, which pays a domain spawn/join per call. *)
+    parked on the queue and the pool usable for the next region.  {!get}
+    hands out one resident pool per width for the whole process. *)
 
 type pool
 
-val create : ?domains:int -> unit -> pool
-(** [create ~domains ()] spawns [domains - 1] worker domains.  [domains] is
-    clamped to [\[1, 64\]]; it defaults to {!default_domains}.  A pool of
-    size 1 spawns nothing and runs every region inline. *)
-
 val sequential : pool
-(** A shared size-1 pool: every region runs inline on the caller.  Never
-    needs {!shutdown}. *)
+(** A shared size-1 pool: every region runs inline on the caller. *)
 
 val get : ?domains:int -> unit -> pool
 (** [get ~domains ()] returns the process-global resident pool of that
-    width, creating it on first use ([domains] clamps and defaults as in
-    {!create}; width 1 returns {!sequential}).  The pool is shared by every
-    caller for the life of the process — generation runs, CLI exports and
-    repeated benchmark runs reuse the same worker domains instead of
-    re-spawning them — and is joined automatically at process exit.  Never
-    {!shutdown} a pool obtained here.  A failed region (exception, budget
-    breach) leaves the pool fully usable. *)
+    width, creating it on first use ([domains - 1] worker domains;
+    [domains] is clamped to [\[1, 64\]] and defaults to
+    {!default_domains}; width 1 returns {!sequential}).  The pool is shared
+    by every caller for the life of the process — generation runs, CLI
+    exports and repeated benchmark runs reuse the same worker domains
+    instead of re-spawning them — and is joined automatically at process
+    exit.  A failed region (exception, budget breach) leaves the pool
+    fully usable. *)
 
 val size : pool -> int
 (** Total domains participating in a region, including the caller. *)
@@ -48,16 +42,6 @@ val size : pool -> int
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()] clamped to [\[1, 8\]] — the default
     width used when a config does not pin one. *)
-
-val shutdown : pool -> unit
-(** Joins the worker domains.  Idempotent.  The pool must not be used
-    afterwards.  Only for pools from {!create}/{!with_pool} — the resident
-    pools of {!get} shut down at process exit. *)
-
-val with_pool : ?domains:int -> (pool -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool and shuts it down afterwards,
-    also on exception.  Pays a domain spawn/join per call; prefer {!get}
-    unless the test specifically wants an isolated pool. *)
 
 val run : pool -> int -> (int -> unit) -> unit
 (** [run pool n f] executes [f 0 .. f (n-1)], distributing tasks over the
@@ -78,10 +62,6 @@ val iter_chunks :
 
 val init : pool -> ?chunks:int -> ?grain:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init]: element order is by index, as sequentially. *)
-
-val map_chunks :
-  pool -> ?chunks:int -> ?grain:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] with chunked scheduling. *)
 
 val map_list : pool -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map]; preserves list order.  Each element is one task, so
@@ -112,15 +92,24 @@ module Future : sig
       [f] before returning.  An exception escaping [f] is stored and
       re-raised by every {!await}. *)
 
-  val ready : 'a -> 'a t
-  (** An already-completed future; [await] returns immediately.  Lets DAG
-      nodes with no work share the plumbing of real tasks. *)
-
   val await : 'a t -> 'a
   (** Blocks until the future completes, running queued pool tasks while it
       waits; returns the result or re-raises the task's exception.  May be
       called from multiple domains and any number of times. *)
-
-  val is_done : 'a t -> bool
-  (** Non-blocking completion probe (true for [Raised] results too). *)
 end
+
+(**/**)
+
+(* Test hooks, called only from test/. *)
+
+val with_pool : ?domains:int -> (pool -> 'a) -> 'a
+(** [with_pool f] runs [f] with a fresh pool of its own and joins its
+    domains afterwards, also on exception.  For the tests that want an
+    isolated pool: test_par "scale-out bytes", test_sink "mkdir_p
+    concurrent creation", test_stream "streamed db kill+resume export
+    identity" and others. *)
+
+val map_chunks :
+  pool -> ?chunks:int -> ?grain:int -> ('a -> 'b) -> 'a array -> 'b array
+(** Parallel [Array.map] with chunked scheduling.  Tested by test_par
+    "map_chunks / map_list". *)

@@ -19,14 +19,3 @@ let annotated_views t =
   |> List.mapi (fun i c -> (i, c))
   |> List.filter_map (fun (i, c) ->
          match c with Some n -> Some (i, subs.(i), n) | None -> None)
-
-let pp ppf t =
-  Fmt.pf ppf "AQT %s:@." t.name;
-  let subs = Plan.preorder t.plan in
-  List.iteri
-    (fun i sub ->
-      let label = Plan.node_label sub in
-      match t.cards.(i) with
-      | Some n -> Fmt.pf ppf "  [%d] %s  |V|=%d@." i label n
-      | None -> Fmt.pf ppf "  [%d] %s@." i label)
-    subs

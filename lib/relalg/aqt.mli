@@ -17,8 +17,10 @@ val unannotated : name:string -> Plan.t -> t
 val annotate : t -> int -> int -> t
 (** [annotate aqt i n] returns a copy with view [i] labelled [n]. *)
 
-val card : t -> int -> int option
 val annotated_views : t -> (int * Plan.t * int) list
 (** [(preorder index, subtree, cardinality)] for every labelled view. *)
 
-val pp : Format.formatter -> t -> unit
+(**/**)
+
+(* Tested by test_relalg "annotation" and "out of range". *)
+val card : t -> int -> int option

@@ -92,23 +92,6 @@ let joins p =
   |> List.mapi (fun i sub -> (i, sub))
   |> List.filter (fun (_, sub) -> match sub with Join _ -> true | _ -> false)
 
-let selects_over p =
-  let acc = Hashtbl.create 8 in
-  let add t pred =
-    let cur = try Hashtbl.find acc t with Not_found -> [] in
-    Hashtbl.replace acc t (pred @ cur)
-  in
-  let rec go pending = function
-    | Table t -> add t pending
-    | Select (pr, q) -> go (pr :: pending) q
-    | Project { input = q; _ } | Aggregate { input = q; _ } -> go [] q
-    | Join { left; right; _ } ->
-        go [] left;
-        go [] right
-  in
-  go [] p;
-  List.map (fun t -> (t, try Hashtbl.find acc t with Not_found -> [])) (tables p)
-
 let rec columns_in_scope schema = function
   | Table t -> Schema.column_names (Schema.table schema t)
   | Select (_, q) | Project { input = q; _ } | Aggregate { input = q; _ } ->
@@ -191,4 +174,3 @@ let rec pp_indent ppf (depth, p) =
       pp_indent ppf (depth + 1, right)
 
 let pp ppf p = pp_indent ppf (0, p)
-let to_string p = Fmt.str "%a" pp p

@@ -56,22 +56,11 @@ val preorder : t -> t list
 val size : t -> int
 (** Number of operator views. *)
 
-val node_label : t -> string
-(** Short human-readable label of the root operator. *)
-
 val tables : t -> string list
 (** Base tables mentioned, preorder, with duplicates removed. *)
 
 val params : t -> string list
 (** All predicate parameters, first-appearance order. *)
-
-val joins : t -> (int * t) list
-(** Preorder indices and subtrees of all join nodes. *)
-
-val selects_over : t -> (string * Mirage_sql.Pred.t list) list
-(** For each base table, the select predicates applied directly above it
-    (conjunction of stacked selects); tables scanned with no select map to
-    []. *)
 
 val validate : Mirage_sql.Schema.t -> t -> (unit, string) result
 (** Checks tables exist, join FK edges are declared in the schema, the PK
@@ -81,4 +70,13 @@ val validate : Mirage_sql.Schema.t -> t -> (unit, string) result
 val pp : Format.formatter -> t -> unit
 (** Multi-line tree rendering. *)
 
-val to_string : t -> string
+(**/**)
+
+(* Labels the cases of test_relalg "preorder" and test_engine "Table 2 join
+   sizes". *)
+val node_label : t -> string
+(** Short human-readable label of the root operator. *)
+
+(* Tested by test_relalg "joins indexed". *)
+val joins : t -> (int * t) list
+(** Preorder indices and subtrees of all join nodes. *)

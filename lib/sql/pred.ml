@@ -39,7 +39,6 @@ module Env = struct
   let add_scalar name v t = M.add name (Scalar v) t
   let of_list l = List.fold_left (fun m (k, v) -> M.add k v m) M.empty l
   let find name t = M.find_opt name t
-  let union a b = M.union (fun _ _ rhs -> Some rhs) a b
   let bindings t = M.bindings t
 end
 
@@ -258,4 +257,3 @@ let rec pp ppf = function
   | Not p -> Fmt.pf ppf "not %a" pp p
 
 let to_string p = Fmt.str "%a" pp p
-let equal a b = a = b

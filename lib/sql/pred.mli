@@ -50,9 +50,6 @@ module Env : sig
   val add_scalar : string -> Value.t -> t -> t
   val of_list : (string * binding) list -> t
   val find : string -> t -> binding option
-  val union : t -> t -> t
-  (** Right-biased union. *)
-
   val bindings : t -> (string * binding) list
 end
 
@@ -84,11 +81,6 @@ val params : t -> string list
 
 val arith_columns : arith -> string list
 
-val eval_arith : (string -> Value.t) -> arith -> float option
-(** The boxed value of an arithmetic expression on one row, [lookup]
-    giving each column's cell: [None] on a NULL or non-numeric cell or a
-    zero divisor.  {!eval}'s [Arith_cmp] uses it, and it is the reference
-    the engine's columnar kernel is checked against. *)
 
 val cnf : t -> t list list
 (** [cnf p] converts [p] to conjunctive normal form as a list of clauses,
@@ -102,4 +94,12 @@ val negate_literal : literal -> literal option
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val equal : t -> t -> bool
+
+(**/**)
+
+val eval_arith : (string -> Value.t) -> arith -> float option
+(** The boxed value of an arithmetic expression on one row, [lookup]
+    giving each column's cell: [None] on a NULL or non-numeric cell or a
+    zero divisor.  {!eval}'s [Arith_cmp] uses it, and it is the reference
+    the engine's columnar kernel is checked against in test_engine "kernel
+    = Pred.eval_arith per boxed row, bit for bit". *)

@@ -90,14 +90,3 @@ let scale t f =
   let scale_count n = max 1 (int_of_float (float_of_int n *. f)) in
   make
     (List.map (fun tbl -> { tbl with row_count = scale_count tbl.row_count }) t.list)
-
-let pp ppf t =
-  List.iter
-    (fun tbl ->
-      Fmt.pf ppf "@[<h>%s(%d rows): pk=%s%a%a@]@."
-        tbl.tname tbl.row_count tbl.pk
-        Fmt.(list ~sep:nop (fun ppf c -> Fmt.pf ppf ", %s[%d]" c.cname c.domain_size))
-        tbl.nonkeys
-        Fmt.(list ~sep:nop (fun ppf f -> Fmt.pf ppf ", %s->%s" f.fk_col f.references))
-        tbl.fks)
-    t.list

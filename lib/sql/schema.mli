@@ -46,8 +46,9 @@ val referencing_edges : t -> (string * string) list
 (** [(referenced, referencing)] pairs — the FK dependency edges used for the
     topological population order (§5.3). *)
 
+(**/**)
+
+(* Tested by test_sql "scaling". *)
 val scale : t -> float -> t
 (** [scale t f] multiplies every row count (and key-correlated domain sizes
     are left alone) by [f], for scale-factor sweeps. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,12 +1,8 @@
-type limits = {
-  max_chunk_rows : int option;
-  max_heap_mb : int option;
-  deadline_s : float option;
-}
+type limits = { max_heap_mb : int option; deadline_s : float option }
 
-let no_limits = { max_chunk_rows = None; max_heap_mb = None; deadline_s = None }
+let no_limits = { max_heap_mb = None; deadline_s = None }
 
-type reason = Deadline of float | Heap of int | Cancelled of string
+type reason = Deadline of float | Heap of int
 
 exception Exceeded of reason
 
@@ -19,8 +15,6 @@ type t = {
 }
 
 let start lim = { lim; t0 = Unix.gettimeofday (); tripped = Atomic.make None }
-let unlimited = { lim = no_limits; t0 = 0.0; tripped = Atomic.make None }
-let limits t = t.lim
 
 let heap_mb () =
   (* quick_stat reads cached counters — cheap enough for per-node checks *)
@@ -42,15 +36,6 @@ let check t =
       | Some mb when heap_mb () > mb -> trip t (Heap mb)
       | _ -> ())
 
-let exceeded t = Atomic.get t.tripped
-
-let cancel t msg =
-  ignore (Atomic.compare_and_set t.tripped None (Some (Cancelled msg)))
-
-let chunk_rows t ~default =
-  match t.lim.max_chunk_rows with Some n -> max 1 n | None -> default
-
 let describe = function
   | Deadline d -> Printf.sprintf "wall-clock deadline of %.1fs expired" d
   | Heap mb -> Printf.sprintf "heap watermark of %d MiB crossed" mb
-  | Cancelled msg -> Printf.sprintf "cancelled: %s" msg

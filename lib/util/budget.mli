@@ -1,29 +1,25 @@
 (** Resource budgets and cooperative cancellation.
 
     Generation at SF ≫ RAM must fail {e predictably}: a run that outgrows
-    its heap, overruns its wall-clock allowance or is cancelled from outside
-    should stop at the next safe point and surface a typed verdict, not OOM,
-    hang, or wedge a domain pool mid-region.  A {!t} token carries the run's
-    {!limits}; every long-running loop of the pipeline — CP search nodes,
-    keygen batches, export shards and tiles, driver stage boundaries — calls
-    {!check} at its cancellation points, and the first breach raises
-    {!Exceeded} with the reason.  The exception unwinds through
-    {!Mirage_par.Par} regions exactly like any task exception (the region
-    drains, the pool survives), so callers convert it to a diagnostic at one
-    place.
+    its heap or overruns its wall-clock allowance should stop at the next
+    safe point and surface a typed verdict, not OOM, hang, or wedge a domain
+    pool mid-region.  A {!t} token carries the run's {!limits}; every
+    long-running loop of the pipeline — CP search nodes, keygen batches,
+    export shards and tiles, driver stage boundaries — calls {!check} at its
+    cancellation points, and the first breach raises {!Exceeded} with the
+    reason.  The exception unwinds through {!Mirage_par.Par} regions exactly
+    like any task exception (the region drains, the pool survives), so
+    callers convert it to a diagnostic at one place.
 
     Checks are cheap (a clock read and a [Gc.quick_stat]) and safe to call
     from any domain; once a token trips it stays tripped, so every
     subsequent check re-raises the same reason. *)
 
 type limits = {
-  max_chunk_rows : int option;
-      (** upper bound on rows handled per chunk: caps the keygen batch size
-          and sizes export shards (a shard never exceeds this many rows,
-          rounded up to whole tiles) *)
   max_heap_mb : int option;
       (** heap watermark: trip when the OCaml major heap exceeds this many
-          MiB *)
+          MiB.  Column payloads are off-heap Bigarrays and are not counted,
+          nor is the process RSS. *)
   deadline_s : float option;
       (** wall-clock allowance in seconds, measured from {!start} *)
 }
@@ -33,7 +29,6 @@ val no_limits : limits
 type reason =
   | Deadline of float  (** the allowance that expired, in seconds *)
   | Heap of int  (** the watermark that was crossed, in MiB *)
-  | Cancelled of string  (** external cooperative cancellation *)
 
 exception Exceeded of reason
 
@@ -43,26 +38,10 @@ type t
 val start : limits -> t
 (** Arm a token: the deadline countdown begins now. *)
 
-val unlimited : t
-(** A shared token that never trips (and is never cancelled). *)
-
-val limits : t -> limits
-
 val check : t -> unit
 (** Raise [Exceeded reason] if any limit is breached (or the token was
-    already tripped / cancelled); return otherwise.  Call this at every
-    cancellation point. *)
-
-val exceeded : t -> reason option
-(** The trip reason, without raising. *)
-
-val cancel : t -> string -> unit
-(** Trip the token from outside; every later {!check} raises
-    [Exceeded (Cancelled msg)].  Safe from any domain. *)
-
-val chunk_rows : t -> default:int -> int
-(** The effective chunk-row cap: [max_chunk_rows] when set (at least 1),
-    [default] otherwise. *)
+    already tripped); return otherwise.  Call this at every cancellation
+    point. *)
 
 val describe : reason -> string
 (** One-line operator-facing rendering, e.g.

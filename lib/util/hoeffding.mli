@@ -8,6 +8,9 @@ val sample_size : delta:float -> alpha:float -> int
 (** [sample_size ~delta ~alpha] returns the minimal sample size guaranteeing
     error bound [delta] at confidence [alpha].  Both must be in (0, 1). *)
 
+(**/**)
+
 val error_bound : sample_size:int -> alpha:float -> float
 (** [error_bound ~sample_size ~alpha] inverts {!sample_size}: the [delta]
-    guaranteed by a given sample size at confidence [alpha]. *)
+    guaranteed by a given sample size at confidence [alpha].  Checks
+    {!sample_size} in test_util "hoeffding inverse". *)

@@ -1,10 +1,3 @@
-let word_bytes = Sys.word_size / 8
-
-let live_bytes () =
-  Gc.minor ();
-  let st = Gc.quick_stat () in
-  st.Gc.heap_words * word_bytes
-
 (* Payloads of at least this size are mapped rather than malloc'd.  Mapped
    pages are the kernel's zero pages until written, and they do not pace the
    GC: the runtime counts malloc'd Bigarray bytes toward its

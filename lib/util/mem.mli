@@ -1,12 +1,6 @@
-(** Coarse memory metering for the efficiency experiments (Figs. 14–16),
-    and the zero-filled off-heap vectors that column payloads and the LP
-    tableau live in.
-
-    We report the OCaml heap's high-water mark, which is the analogue of the
-    paper's "memory required to guarantee the generation". *)
-
-val live_bytes : unit -> int
-(** Current live heap bytes (after a minor collection). *)
+(** The zero-filled off-heap vectors that column payloads and the LP
+    tableau live in.  Memory is measured as process RSS, which sees them;
+    the OCaml heap does not. *)
 
 val mapped_min_bytes : int
 (** Payloads of at least this many bytes (1 MiB) are mapped rather than

@@ -45,7 +45,6 @@ let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (r /. 9007199254740992.0)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let shuffle_swap t n swap =
   for i = n - 1 downto 1 do

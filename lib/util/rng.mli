@@ -44,8 +44,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] returns a uniform float in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

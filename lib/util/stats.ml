@@ -1,7 +1,3 @@
-let mean = function
-  | [] -> 0.0
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 let sum_int = List.fold_left ( + ) 0
 
 let relative_error ~expected ~actual =
@@ -26,19 +22,3 @@ let percentile data p =
   else
     let w = idx -. float_of_int lo in
     ((1.0 -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
-
-let histogram ~buckets data =
-  if buckets <= 0 then invalid_arg "Stats.histogram: buckets must be positive";
-  let counts = Array.make buckets 0 in
-  if Array.length data > 0 then begin
-    let lo = Array.fold_left min data.(0) data in
-    let hi = Array.fold_left max data.(0) data in
-    let width = if hi > lo then (hi -. lo) /. float_of_int buckets else 1.0 in
-    Array.iter
-      (fun v ->
-        let b = int_of_float ((v -. lo) /. width) in
-        let b = if b >= buckets then buckets - 1 else b in
-        counts.(b) <- counts.(b) + 1)
-      data
-  end;
-  counts

@@ -9,6 +9,9 @@ val sort : vertices:string list -> edges:(string * string) list -> string list
 
     @raise Failure if the graph contains a cycle. *)
 
+(**/**)
+
 val is_topological : vertices:string list -> edges:(string * string) list -> string list -> bool
 (** [is_topological ~vertices ~edges order] checks that [order] is a
-    permutation of [vertices] respecting every edge; used by tests. *)
+    permutation of [vertices] respecting every edge: the oracle of
+    test_util "respects edges" and "random DAGs sort topologically". *)

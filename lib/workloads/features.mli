@@ -17,5 +17,8 @@ type t = {
 val of_plan : Mirage_sql.Schema.t -> Mirage_relalg.Plan.t -> t
 val pp : Format.formatter -> t -> unit
 
+(**/**)
+
+(* Tested by test_workloads "unit detection". *)
 val none : t
 (** All flags false. *)

@@ -5,8 +5,6 @@ module Parser = Mirage_sql.Parser
 module Plan = Mirage_relalg.Plan
 module Workload = Mirage_core.Workload
 
-let name = "ssb"
-
 let col n d k = { Schema.cname = n; domain_size = d; kind = k }
 let fk c r = { Schema.fk_col = c; references = r }
 

@@ -4,8 +4,6 @@
     Base scale ([sf = 1.0]) is laptop-sized: 6 000 lineorder rows; [sf]
     scales the facts and the large dimensions linearly. *)
 
-val name : string
-
 val make :
   sf:float ->
   seed:int ->
@@ -13,6 +11,9 @@ val make :
 (** Returns the workload (schema + 13 query plans), a freshly generated
     production database, and the production parameter values. *)
 
+(**/**)
+
+(* Tested by test_workloads "typed refgen = boxed reference". *)
 val specs : (string * (string * Refgen.col_spec) list) list
 (** The production database's column specs per table, as passed to
     {!Refgen.build}. *)

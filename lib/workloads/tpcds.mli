@@ -8,13 +8,14 @@
 
     See DESIGN.md for why this stands in for the official 100-query set. *)
 
-val name : string
-
 val make :
   sf:float ->
   seed:int ->
   Mirage_core.Workload.t * Mirage_engine.Db.t * Mirage_sql.Pred.Env.t
 
+(**/**)
+
+(* Tested by test_workloads "typed refgen = boxed reference". *)
 val specs : (string * (string * Refgen.col_spec) list) list
 (** The production database's column specs per table, as passed to
     {!Refgen.build}. *)

@@ -5,8 +5,6 @@ module Parser = Mirage_sql.Parser
 module Plan = Mirage_relalg.Plan
 module Workload = Mirage_core.Workload
 
-let name = "tpch"
-
 let col n d k = { Schema.cname = n; domain_size = d; kind = k }
 let fk c r = { Schema.fk_col = c; references = r }
 let scale sf n = max 4 (int_of_float (float_of_int n *. sf))

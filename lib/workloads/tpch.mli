@@ -14,13 +14,14 @@
     Base scale [sf = 1.0] is 1/100 of the official SF-1 database (60 000
     lineitem rows). *)
 
-val name : string
-
 val make :
   sf:float ->
   seed:int ->
   Mirage_core.Workload.t * Mirage_engine.Db.t * Mirage_sql.Pred.Env.t
 
+(**/**)
+
+(* Tested by test_workloads "typed refgen = boxed reference". *)
 val specs : (string * (string * Refgen.col_spec) list) list
 (** The production database's column specs per table, as passed to
     {!Refgen.build}. *)

@@ -3,10 +3,13 @@
    the direct [generate] run writes, and its output must verify against the
    bundle; the default export (no --chunk-rows) is one resumable shard per
    table; pinned digests hold the bytes of the benchmark-scale exports and
-   of the extracted bundles; an expired deadline exits 3.  The command-line
-   arguments are the binary's path, then the digest lists of TPC-H sf 4,
-   SSB sf 64, TPC-DS sf 2, the sf 2 bundles, and the tiled TPC-H sf 4
-   (gzip) and TPC-DS sf 2 exports. *)
+   of the extracted bundles; an expired deadline exits 3; --sql with
+   --copies, and a surplus shard that cannot be removed, fail with their
+   exit codes, and so does an unknown query to explain; each --help lists
+   only its command's exit codes.  The command-line arguments are the
+   binary's path, then the digest lists of TPC-H sf 4, SSB sf 64, TPC-DS
+   sf 2, the sf 2 bundles, and the tiled TPC-H sf 4 (gzip) and TPC-DS sf 2
+   exports. *)
 
 let cli = ref ""
 let tpch_sf4_md5 = ref ""
@@ -245,6 +248,80 @@ let test_sql_default_resumes () =
   Alcotest.(check bool) "data.sql.0 unchanged" true
     (before = read_file (Filename.concat d "data.sql.0"))
 
+(* --sql writes one copy of the database, so it refuses --copies above 1
+   before generating or writing anything *)
+let test_sql_rejects_copies () =
+  with_dir @@ fun dir ->
+  let d = Filename.concat dir "d10" and log = Filename.concat dir "run.log" in
+  Alcotest.(check int) "exit code" 2
+    (generate_ssb ~log d [ "--copies"; "2"; "--sql" ]);
+  Alcotest.(check bool) "message names --sql" true
+    (contains ~sub:"--sql" (read_file log));
+  Alcotest.(check bool) "no output directory" false (Sys.file_exists d)
+
+(* a directory squatting on a surplus shard name cannot be removed: the
+   export fails with exit 4 before its manifest is sealed, for the CSV
+   shards and the data.sql shards alike *)
+let test_surplus_shard_squatter () =
+  with_dir @@ fun dir ->
+  let d = Filename.concat dir "d11" and log = Filename.concat dir "run.log" in
+  let squat f = Sys.mkdir (Filename.concat d f) 0o755 in
+  let manifest f = read_file (Filename.concat d f) in
+  Sys.mkdir d 0o755;
+  squat "customer.csv.1";
+  squat "data.sql.1";
+  Alcotest.(check int) "CSV squatter: exit code" 4
+    (generate_ssb ~log d [ "--sql" ]);
+  Alcotest.(check bool) "CSV squatter: I/O failure named" true
+    (contains ~sub:"customer.csv.1" (read_file log));
+  Alcotest.(check bool) "CSV squatter: MANIFEST.json not complete" false
+    (contains ~sub:"\"complete\": true" (manifest "MANIFEST.json"));
+  Sys.rmdir (Filename.concat d "customer.csv.1");
+  Alcotest.(check int) "data.sql squatter: exit code" 4
+    (generate_ssb ~log d [ "--sql" ]);
+  Alcotest.(check bool) "data.sql squatter: I/O failure named" true
+    (contains ~sub:"data.sql.1" (read_file log));
+  Alcotest.(check bool) "data.sql squatter: MANIFEST.json complete" true
+    (contains ~sub:"\"complete\": true" (manifest "MANIFEST.json"));
+  Alcotest.(check bool) "data.sql squatter: MANIFEST.sql.json not complete" false
+    (contains ~sub:"\"complete\": true" (manifest "MANIFEST.sql.json"))
+
+(* the exit codes a subcommand's --help lists, in order *)
+let help_exit_codes command =
+  with_dir @@ fun dir ->
+  let log = Filename.concat dir "help.log" in
+  expect_ok ~log [ command; "--help=plain" ];
+  let rec section = function
+    | [] -> []
+    | l :: rest when String.trim l = "EXIT STATUS" -> codes rest
+    | _ :: rest -> section rest
+  and codes = function
+    | [] -> []
+    | l :: _ when l <> "" && l.[0] <> ' ' -> []
+    | l :: rest -> (
+        match String.split_on_char ' ' (String.trim l) with
+        | c :: _ when int_of_string_opt c <> None -> int_of_string c :: codes rest
+        | _ -> codes rest)
+  in
+  (section (lines log), read_file log)
+
+let test_help_exit_codes () =
+  let extract, text = help_exit_codes "extract" in
+  Alcotest.(check (list int)) "extract" [ 0; 2; 4; 124; 125 ] extract;
+  Alcotest.(check bool) "extract does not promise exact queries" false
+    (contains ~sub:"every query exact" text);
+  let generate, _ = help_exit_codes "generate" in
+  Alcotest.(check (list int)) "generate" [ 0; 1; 2; 3; 4; 124; 125 ] generate
+
+(* an unknown query is an input error (exit 2), not an internal one *)
+let test_explain_unknown_query () =
+  with_dir @@ fun dir ->
+  let log = Filename.concat dir "run.log" in
+  Alcotest.(check int) "exit code" 2
+    (mirage ~log [ "explain"; "-w"; "ssb"; "--sf"; "0.05"; "-q"; "nope" ]);
+  Alcotest.(check bool) "message names the query" true
+    (contains ~sub:"unknown query nope" (read_file log))
+
 (* --compress needs no --chunk-rows; verify-dir cannot inflate yet and says
    so with exit 2 *)
 let test_default_export_gzip () =
@@ -397,10 +474,21 @@ let () =
               test_expired_deadline `Generate);
           Alcotest.test_case "--sql alone: one data.sql.0 shard, resumable"
             `Quick test_sql_default_resumes;
+          Alcotest.test_case "--sql --copies 2 exits 2, writes nothing" `Quick
+            test_sql_rejects_copies;
+          Alcotest.test_case "unremovable surplus shard exits 4, manifest open"
+            `Quick test_surplus_shard_squatter;
         ] );
       ( "extract",
         [
           Alcotest.test_case "sf 2 bundles match the pinned digests" `Quick
             test_bundle_sf2_digests;
+        ] );
+      ( "exit codes",
+        [
+          Alcotest.test_case "--help lists only the command's exit codes" `Quick
+            test_help_exit_codes;
+          Alcotest.test_case "explain: unknown query exits 2" `Quick
+            test_explain_unknown_query;
         ] );
     ]

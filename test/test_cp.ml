@@ -59,7 +59,7 @@ let test_negative_coefficients () =
 let test_transportation_model () =
   (* the keygen shape: two covers + overlapping group sums *)
   let m = Cp.create () in
-  let xs = Array.init 6 (fun i -> Cp.var m ~name:(string_of_int i) ~lo:0 ~hi:100) in
+  let xs = Array.init 6 (fun _ -> Cp.var m ~lo:0 ~hi:100) in
   Cp.linear_eq m [ (1, xs.(0)); (1, xs.(1)); (1, xs.(2)) ] 60;
   Cp.linear_eq m [ (1, xs.(3)); (1, xs.(4)); (1, xs.(5)) ] 40;
   Cp.linear_eq m [ (1, xs.(0)); (1, xs.(3)) ] 30;

@@ -57,14 +57,6 @@ let test_joins_indexed () =
   | [ (idx, Plan.Join _) ] -> Alcotest.(check int) "join at preorder 1" 1 idx
   | _ -> Alcotest.fail "expected exactly one join"
 
-let test_selects_over () =
-  let so = Plan.selects_over q1 in
-  Alcotest.(check int) "two tables" 2 (List.length so);
-  List.iter
-    (fun (t, preds) ->
-      Alcotest.(check int) (t ^ " has one select") 1 (List.length preds))
-    so
-
 let test_validate_ok () =
   Alcotest.(check bool) "valid" true (Plan.validate schema q1 = Ok ())
 
@@ -134,7 +126,6 @@ let () =
           Alcotest.test_case "preorder" `Quick test_preorder_order;
           Alcotest.test_case "size/tables/params" `Quick test_size_tables_params;
           Alcotest.test_case "joins indexed" `Quick test_joins_indexed;
-          Alcotest.test_case "selects_over" `Quick test_selects_over;
           Alcotest.test_case "validate ok" `Quick test_validate_ok;
           Alcotest.test_case "validate errors" `Quick test_validate_errors;
           Alcotest.test_case "all join types" `Quick test_all_join_types_validate;

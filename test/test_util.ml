@@ -125,10 +125,6 @@ let test_percentile () =
   Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.percentile data 0.0);
   Alcotest.(check (float 1e-9)) "max" 5.0 (Stats.percentile data 1.0)
 
-let test_histogram () =
-  let h = Stats.histogram ~buckets:2 [| 0.0; 0.1; 0.9; 1.0 |] in
-  Alcotest.(check (array int)) "split" [| 2; 2 |] h
-
 let prop_shuffle_permutation =
   QCheck.Test.make ~name:"shuffle preserves multiset" ~count:100
     QCheck.(pair small_int (list small_int))
@@ -242,6 +238,5 @@ let () =
           Alcotest.test_case "paper metric" `Quick test_relative_error_paper_metric;
           Alcotest.test_case "degenerate" `Quick test_relative_error_degenerate;
           Alcotest.test_case "percentile" `Quick test_percentile;
-          Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
     ]

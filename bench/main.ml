@@ -292,8 +292,6 @@ let ablate () =
       ("all-on", bench_config);
       ("no-acc-repair", { bench_config with Driver.acc_repair = false });
       ("no-lp-guide", { bench_config with Driver.lp_guide = false; cp_max_nodes = 30_000 });
-      ("no-jdc-sparsify", { bench_config with Driver.sparsify = false });
-      ("no-capacity-repair", { bench_config with Driver.capacity_repair = false });
       ("no-guided-placement", { bench_config with Driver.guided_placement = false });
     ]
   in

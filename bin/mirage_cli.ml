@@ -513,6 +513,114 @@ let read_table_csv dir tname =
            s)
   | false, _ -> shards 0 []
 
+(* parameters.txt, as [write_parameters] prints it: one 'name = value' line
+   per parameter, the value an integer, a float, a 'quoted string' or
+   a parenthesised, comma-separated list of those.  Every parameter that a
+   selection constraint of [ir] reads must be bound, to a single value where
+   the constraint compares with one.  A line that breaks any of this fails
+   (exit 2) naming the file, the line and the parameter.  The predicate
+   parser's literal grammar does not fit: floats are printed with %g, which
+   can write an exponent, and its numbers have none. *)
+let read_parameters path (ir : Mirage_core.Ir.t) =
+  let module Pred = Mirage_sql.Pred in
+  let module Value = Mirage_sql.Value in
+  let fail_line lnum fmt =
+    Printf.ksprintf (fun m -> failwith (Printf.sprintf "%s:%d: %s" path lnum m)) fmt
+  in
+  let fail_at lnum name fmt =
+    Printf.ksprintf (fun m -> fail_line lnum "parameter %s: %s" name m) fmt
+  in
+  let scalar lnum name v =
+    let n = String.length v in
+    let only chars = n > 0 && String.for_all (fun c -> String.contains chars c) v in
+    let num =
+      if only "0123456789-" then Option.map (fun i -> Value.Int i) (int_of_string_opt v)
+      else if only "0123456789-+.e" then
+        Option.map (fun f -> Value.Float f) (float_of_string_opt v)
+      else None
+    in
+    match num with
+    | Some x -> x
+    | None when n >= 2 && v.[0] = '\'' && v.[n - 1] = '\'' -> Value.Str (String.sub v 1 (n - 2))
+    | None when n > 0 && v.[0] = '\'' -> fail_at lnum name "unterminated string %s" v
+    | None -> fail_at lnum name "%S is not an integer, float or quoted string" v
+  in
+  (* a list's items: a quoted item ends at the first quote that a comma or
+     the end follows, as strings are printed unescaped *)
+  let rec items lnum name rest =
+    match String.trim rest with
+    | "" -> []
+    | rest ->
+        let n = String.length rest in
+        let rec close i =
+          match String.index_from_opt rest i '\'' with
+          | None -> n
+          | Some j -> (
+              match String.trim (String.sub rest (j + 1) (n - j - 1)) with
+              | "" -> j + 1
+              | after when after.[0] = ',' -> j + 1
+              | _ -> close (j + 1))
+        in
+        let stop =
+          if rest.[0] = '\'' then close 1
+          else Option.value ~default:n (String.index_opt rest ',')
+        in
+        let item = scalar lnum name (String.trim (String.sub rest 0 stop)) in
+        let tail = String.trim (String.sub rest stop (n - stop)) in
+        if tail = "" then [ item ]
+        else
+          let more = String.sub tail 1 (String.length tail - 1) in
+          if String.trim more = "" then fail_at lnum name "empty item after the last comma"
+          else item :: items lnum name more
+  in
+  let value lnum name v =
+    let n = String.length v in
+    if n = 0 || v.[0] <> '(' then Pred.Env.Scalar (scalar lnum name v)
+    else if v.[n - 1] <> ')' then fail_at lnum name "unclosed list %s" v
+    else Pred.Env.Vlist (items lnum name (String.sub v 1 (n - 2)))
+  in
+  let env, line_of, _ =
+    List.fold_left
+      (fun (env, line_of, lnum) line ->
+        match String.index_opt line '=' with
+        | None when String.trim line = "" -> (env, line_of, lnum + 1)
+        | None -> fail_line lnum "expected 'name = value', got %S" line
+        | Some eq ->
+            let name = String.trim (String.sub line 0 eq) in
+            let v = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
+            if name = "" then fail_line lnum "no name before '='";
+            (Pred.Env.add name (value lnum name v) env, (name, lnum) :: line_of, lnum + 1))
+      (Pred.Env.empty, [], 1)
+      (String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all))
+  in
+  let rec scalar_params = function
+    | Pred.Lit
+        ( Pred.Cmp { arg = Pred.Param p; _ }
+        | Pred.Like { arg = Pred.Param p; _ }
+        | Pred.Arith_cmp { arg = Pred.Param p; _ } ) ->
+        [ p ]
+    | Pred.Lit _ | Pred.True | Pred.False -> []
+    | Pred.And ps | Pred.Or ps -> List.concat_map scalar_params ps
+    | Pred.Not p -> scalar_params p
+  in
+  List.iter
+    (fun (s : Mirage_core.Ir.scc) ->
+      let src = s.Mirage_core.Ir.scc_source in
+      List.iter
+        (fun p ->
+          if Pred.Env.find p env = None then
+            failwith (Printf.sprintf "%s: parameter %s, read by %s, is not bound" path p src))
+        (Pred.params s.Mirage_core.Ir.scc_pred);
+      List.iter
+        (fun p ->
+          match Pred.Env.find p env with
+          | Some (Pred.Env.Vlist _) ->
+              fail_at (List.assoc p line_of) p "a list, but %s compares it with one value" src
+          | Some (Pred.Env.Scalar _) | None -> ())
+        (scalar_params s.Mirage_core.Ir.scc_pred))
+    ir.Mirage_core.Ir.sccs;
+  env
+
 let verify_dir_cmd =
   let bundle_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BUNDLE")
@@ -542,43 +650,7 @@ let verify_dir_cmd =
           (fun (tbl : Schema.table) ->
             Db.load_csv db tbl.Schema.tname (read_table_csv dir tbl.Schema.tname))
           (Schema.tables schema);
-        (* parameters.txt: name = value lines; values as printed by the CLI *)
-        let env = ref Mirage_sql.Pred.Env.empty in
-        let ic = open_in params in
-        (try
-           while true do
-             let line = input_line ic in
-             match String.index_opt line '=' with
-             | None -> ()
-             | Some eq ->
-                 let name = String.trim (String.sub line 0 eq) in
-                 let v =
-                   String.trim (String.sub line (eq + 1) (String.length line - eq - 1))
-                 in
-                 let parse_scalar v =
-                   if String.length v >= 2 && v.[0] = '\'' then
-                     Mirage_sql.Value.Str (String.sub v 1 (String.length v - 2))
-                   else if String.contains v '.' || String.contains v 'e' then
-                     Mirage_sql.Value.Float (float_of_string v)
-                   else Mirage_sql.Value.Int (int_of_string v)
-                 in
-                 if String.length v >= 1 && v.[0] = '(' then begin
-                   let inner = String.sub v 1 (String.length v - 2) in
-                   let vs =
-                     if String.trim inner = "" then []
-                     else
-                       String.split_on_char ',' inner
-                       |> List.map (fun x -> parse_scalar (String.trim x))
-                   in
-                   env := Mirage_sql.Pred.Env.add name (Mirage_sql.Pred.Env.Vlist vs) !env
-                 end
-                 else
-                   env :=
-                     Mirage_sql.Pred.Env.add name
-                       (Mirage_sql.Pred.Env.Scalar (parse_scalar v))
-                       !env
-           done
-         with End_of_file -> close_in ic);
+        let env = read_parameters params b.Mirage_core.Bundle.b_ir in
         (* check every constraint in the bundle against the loaded data *)
         let ir = b.Mirage_core.Bundle.b_ir in
         let bad = ref 0 and total = ref 0 in
@@ -586,7 +658,7 @@ let verify_dir_cmd =
           (fun (s : Mirage_core.Ir.scc) ->
             incr total;
             let actual =
-              Mirage_engine.Exec.count_select db ~env:!env ~table:s.Mirage_core.Ir.scc_table
+              Mirage_engine.Exec.count_select db ~env ~table:s.Mirage_core.Ir.scc_table
                 s.Mirage_core.Ir.scc_pred
             in
             if actual <> s.Mirage_core.Ir.scc_rows then begin

@@ -18,8 +18,6 @@ type config = {
   domains : int;
   acc_repair : bool;
   lp_guide : bool;
-  sparsify : bool;
-  capacity_repair : bool;
   guided_placement : bool;
   budget : Budget.limits;
       (** resource budget: heap watermark and wall-clock deadline.
@@ -31,15 +29,10 @@ type config = {
           steps; [None] scans each table in one step.  Output is
           byte-identical either way — the step only changes where the run
           can be interrupted, never what is drawn. *)
-  schedule : [ `Barrier | `Overlap ];
-      (** keygen stage scheduling.  [`Overlap] (the default) runs the
-          per-edge population as a dependency-aware task DAG on the pool:
-          independent FK edges populate concurrently, and a table whose
-          last edge committed can start exporting while other tables still
-          generate.  [`Barrier] is the legacy strictly-sequential stage
-          structure, kept as the differential oracle.  Every RNG stream is
-          pre-sequenced at submission time, so the two schedules produce
-          byte-identical databases for any domain count. *)
+  schedule : [ `Overlap ];
+      (** keygen stage scheduling: the per-edge population always runs as
+          a dependency-aware task DAG on the pool.  A field with one value,
+          kept only because callers still set it. *)
   on_table_ready : (Db.t -> string -> unit) option;
       (** called once per table as soon as every column of that table is
           final (its last FK edge committed; immediately for tables with
@@ -66,8 +59,6 @@ let default_config =
     domains = Par.default_domains ();
     acc_repair = true;
     lp_guide = true;
-    sparsify = true;
-    capacity_repair = true;
     guided_placement = true;
     budget = Budget.no_limits;
     chunk_rows = None;
@@ -498,12 +489,11 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
     let ids = List.map edge_id edges in
     let sorted_ids = Toposort.sort ~vertices:ids ~edges:order_edges in
     let edge_of_id id = List.find (fun e -> edge_id e = id) edges in
-    let overlap = config.schedule = `Overlap in
-    (* one edge's population.  [rng_e] is the exact RNG stream the
-       sequential barrier walk would hand this edge — pre-sequenced by the
-       caller, so the schedule decides only when the work runs, never what
-       it draws. *)
-    let edge_work ~rng_e ~times_e ~env_e edge constraints =
+    (* one edge's population.  [rng_e] is pre-sequenced by the caller in
+       topological edge order, so when the work runs never changes what it
+       draws. *)
+    let env_e = !env in
+    let edge_work ~rng_e ~times_e edge constraints =
       let tname = edge.Ir.e_fk_table in
       let rows = table_rows tname in
       if constraints = [] then begin
@@ -532,9 +522,8 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
       end
       else
         match
-          Keygen.populate_edge ~lp_guide:config.lp_guide
-            ~sparsify:config.sparsify ~capacity_repair:config.capacity_repair
-            ~pool ~interrupt:(fun () -> Budget.check budget)
+          Keygen.populate_edge ~lp_guide:config.lp_guide ~pool
+            ~interrupt:(fun () -> Budget.check budget)
             ~rng:rng_e ~db ~env:env_e ~edge ~constraints
             ~batch_size:config.batch_size ~cp_max_nodes:config.cp_max_nodes
             ~times:times_e ()
@@ -556,161 +545,142 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
     let constraints_of edge =
       List.filter (fun jc -> jc.Ir.jc_edge = edge) ir.Ir.joins
     in
-    if not overlap then
-      (* barrier schedule: edges strictly one after another in topological
-         order, drawing from the shared RNG in place — the differential
-         oracle the overlap path is tested against *)
-      List.iter
-        (fun id ->
-          let edge = edge_of_id id in
-          let constraints = constraints_of edge in
-          let rng_e = if constraints = [] then rng else Rng.split rng in
-          let fk_col, notices =
-            edge_work ~rng_e ~times_e:times ~env_e:!env edge constraints
-          in
-          List.iter pushd notices;
-          commit_edge edge fk_col)
-        sorted_ids
-    else begin
-      (* overlap schedule: one pool task per edge.  The walk below visits
-         edges in the same topological order as the barrier path and
-         pre-sequences each task's RNG there — a constrained edge takes a
-         split (one draw), an unconstrained edge takes a copy of the
-         stream while the shared RNG skips the [rows] draws the fill will
-         consume — so execution order cannot change a single byte.
+    (* One pool task per edge.  The walk below visits edges in topological
+       order and pre-sequences each task's RNG there — a constrained edge
+       takes a split (one draw), an unconstrained edge takes a copy of the
+       stream while the shared RNG skips the [rows] draws the fill will
+       consume — so execution order cannot change a single byte.
 
-         Scheduling is orchestrator-driven: a task is submitted only once
-         every one of its dependencies (its [order_edges] predecessors,
-         plus the previous edge of its own FK table — commits
-         read-modify-write that table's column list) has been awaited.
-         Task bodies therefore never block on other tasks, which makes
-         [Future.await]'s queue-helping safe: nothing a blocked caller can
-         pop depends on work suspended beneath it on the same stack.
-         [await] synchronises through the pool mutex, so a committed
-         dependency is fully visible to every task submitted after it. *)
-      let env_e = !env in
-      (* per edge id, in topo order: pre-sequenced RNG, private counter
-         record, dependency set (deduplicated) *)
-      let rng_of = Hashtbl.create 16 in
-      let times_of = Hashtbl.create 16 in
-      let deps_of = Hashtbl.create 16 in
-      let last_seen = Hashtbl.create 8 in
-      List.iter
-        (fun id ->
-          let edge = edge_of_id id in
-          let constraints = constraints_of edge in
-          let rng_e =
-            if constraints = [] then begin
-              let c = Rng.copy rng in
-              Rng.skip rng (table_rows edge.Ir.e_fk_table);
-              c
-            end
-            else Rng.split rng
-          in
-          Hashtbl.replace rng_of id rng_e;
-          Hashtbl.replace times_of id (Keygen.fresh_times ());
-          let deps =
-            List.filter_map
-              (fun (a, b) -> if b = id && a <> id then Some a else None)
-              order_edges
-            @
-            match Hashtbl.find_opt last_seen edge.Ir.e_fk_table with
-            | Some prev -> [ prev ]
-            | None -> []
-          in
-          Hashtbl.replace deps_of id (List.sort_uniq compare deps);
-          Hashtbl.replace last_seen edge.Ir.e_fk_table id)
-        sorted_ids;
-      let succs_of id =
-        List.filter (fun s -> List.mem id (Hashtbl.find deps_of s)) sorted_ids
-      in
-      let futs = Hashtbl.create 16 in
-      let submit id =
+       Scheduling is orchestrator-driven: a task is submitted only once
+       every one of its dependencies (its [order_edges] predecessors, plus
+       the previous edge of its own FK table — commits read-modify-write
+       that table's column list) has been awaited.  Task bodies therefore
+       never block on other tasks, which makes [Future.await]'s
+       queue-helping safe: nothing a blocked caller can pop depends on work
+       suspended beneath it on the same stack.  [await] synchronises
+       through the pool mutex, so a committed dependency is fully visible
+       to every task submitted after it. *)
+    (* per edge id, in topo order: pre-sequenced RNG, private counter
+       record, dependency set (deduplicated) *)
+    let rng_of = Hashtbl.create 16 in
+    let times_of = Hashtbl.create 16 in
+    let deps_of = Hashtbl.create 16 in
+    let last_seen = Hashtbl.create 8 in
+    List.iter
+      (fun id ->
         let edge = edge_of_id id in
         let constraints = constraints_of edge in
-        let rng_e = Hashtbl.find rng_of id in
-        let times_e = Hashtbl.find times_of id in
-        Hashtbl.replace futs id
-          (Par.Future.submit pool (fun () ->
-               let fk_col, notices =
-                 edge_work ~rng_e ~times_e ~env_e edge constraints
-               in
-               commit_edge edge fk_col;
-               notices))
-      in
-      (* a table is exportable the moment its last edge committed — or
-         right now, if no edge writes into it (non-key data is final once
-         ACC ran) *)
-      let export_futs = ref [] in
-      let edges_left = Hashtbl.create 8 in
-      List.iter
-        (fun id ->
-          let t = (edge_of_id id).Ir.e_fk_table in
-          Hashtbl.replace edges_left t
-            (1 + Option.value ~default:0 (Hashtbl.find_opt edges_left t)))
-        sorted_ids;
-      let submit_export tname =
-        match config.on_table_ready with
-        | None -> ()
-        | Some ready ->
-            export_futs :=
-              Par.Future.submit pool (fun () -> ready db tname) :: !export_futs
-      in
-      List.iter
-        (fun (tbl : Schema.table) ->
-          if not (Hashtbl.mem edges_left tbl.Schema.tname) then
-            submit_export tbl.Schema.tname)
-        (Schema.tables schema);
-      let remaining = Hashtbl.create 16 in
-      List.iter
-        (fun id ->
-          Hashtbl.replace remaining id (List.length (Hashtbl.find deps_of id)))
-        sorted_ids;
-      List.iter
-        (fun id -> if Hashtbl.find remaining id = 0 then submit id)
-        sorted_ids;
-      (* collect in topological order: notices, per-edge counter merges and
-         the winning error all replay exactly the barrier path's sequence.
-         A failed edge stops further submissions (its dependents never
-         run, as on the barrier path after a raise), but every submitted
-         future — exports included — is awaited before re-raising, so the
-         pool is fully drained for the quarantine retry. *)
-      let first_err = ref None in
-      List.iter
-        (fun id ->
-          match Hashtbl.find_opt futs id with
-          | None -> () (* a dependency failed; never submitted *)
-          | Some fut -> (
-              match Par.Future.await fut with
-              | notices ->
-                  if !first_err = None then begin
-                    Keygen.add_times times (Hashtbl.find times_of id);
-                    List.iter pushd notices;
-                    List.iter
-                      (fun s ->
-                        let left = Hashtbl.find remaining s - 1 in
-                        Hashtbl.replace remaining s left;
-                        if left = 0 then submit s)
-                      (succs_of id);
-                    let t = (edge_of_id id).Ir.e_fk_table in
-                    let left = Hashtbl.find edges_left t - 1 in
-                    Hashtbl.replace edges_left t left;
-                    if left = 0 then submit_export t
-                  end
-              | exception e -> if !first_err = None then first_err := Some e))
-        sorted_ids;
-      (* Await every live export so the pool is drained, and drop what they
-         raised: the [on_table_ready] contract (driver.mli) makes the hook
-         best-effort.  [Scale_out.export_table] releases a failed table's
-         claim before it re-raises, so the caller's finish pass exports
-         that table again and a persistent failure surfaces there, typed
-         (an I/O error exits 4, a budget breach 3).  Raising here instead
-         would turn an export failure into a generation failure. *)
-      List.iter
-        (fun f -> try ignore (Par.Future.await f) with _ -> ())
-        !export_futs;
-      match !first_err with Some e -> raise e | None -> ()
-    end;
+        let rng_e =
+          if constraints = [] then begin
+            let c = Rng.copy rng in
+            Rng.skip rng (table_rows edge.Ir.e_fk_table);
+            c
+          end
+          else Rng.split rng
+        in
+        Hashtbl.replace rng_of id rng_e;
+        Hashtbl.replace times_of id (Keygen.fresh_times ());
+        let deps =
+          List.filter_map
+            (fun (a, b) -> if b = id && a <> id then Some a else None)
+            order_edges
+          @
+          match Hashtbl.find_opt last_seen edge.Ir.e_fk_table with
+          | Some prev -> [ prev ]
+          | None -> []
+        in
+        Hashtbl.replace deps_of id (List.sort_uniq compare deps);
+        Hashtbl.replace last_seen edge.Ir.e_fk_table id)
+      sorted_ids;
+    let succs_of id =
+      List.filter (fun s -> List.mem id (Hashtbl.find deps_of s)) sorted_ids
+    in
+    let futs = Hashtbl.create 16 in
+    let submit id =
+      let edge = edge_of_id id in
+      let constraints = constraints_of edge in
+      let rng_e = Hashtbl.find rng_of id in
+      let times_e = Hashtbl.find times_of id in
+      Hashtbl.replace futs id
+        (Par.Future.submit pool (fun () ->
+             let fk_col, notices =
+               edge_work ~rng_e ~times_e edge constraints
+             in
+             commit_edge edge fk_col;
+             notices))
+    in
+    (* a table is exportable the moment its last edge committed — or
+       right now, if no edge writes into it (non-key data is final once
+       ACC ran) *)
+    let export_futs = ref [] in
+    let edges_left = Hashtbl.create 8 in
+    List.iter
+      (fun id ->
+        let t = (edge_of_id id).Ir.e_fk_table in
+        Hashtbl.replace edges_left t
+          (1 + Option.value ~default:0 (Hashtbl.find_opt edges_left t)))
+      sorted_ids;
+    let submit_export tname =
+      match config.on_table_ready with
+      | None -> ()
+      | Some ready ->
+          export_futs :=
+            Par.Future.submit pool (fun () -> ready db tname) :: !export_futs
+    in
+    List.iter
+      (fun (tbl : Schema.table) ->
+        if not (Hashtbl.mem edges_left tbl.Schema.tname) then
+          submit_export tbl.Schema.tname)
+      (Schema.tables schema);
+    let remaining = Hashtbl.create 16 in
+    List.iter
+      (fun id ->
+        Hashtbl.replace remaining id (List.length (Hashtbl.find deps_of id)))
+      sorted_ids;
+    List.iter
+      (fun id -> if Hashtbl.find remaining id = 0 then submit id)
+      sorted_ids;
+    (* collect in topological order, so notices, per-edge counter merges
+       and the winning error come out in one order whatever ran first.  A
+       failed edge stops further submissions (its dependents never run),
+       but every submitted future — exports included — is awaited before
+       re-raising, so the pool is fully drained for the quarantine
+       retry. *)
+    let first_err = ref None in
+    List.iter
+      (fun id ->
+        match Hashtbl.find_opt futs id with
+        | None -> () (* a dependency failed; never submitted *)
+        | Some fut -> (
+            match Par.Future.await fut with
+            | notices ->
+                if !first_err = None then begin
+                  Keygen.add_times times (Hashtbl.find times_of id);
+                  List.iter pushd notices;
+                  List.iter
+                    (fun s ->
+                      let left = Hashtbl.find remaining s - 1 in
+                      Hashtbl.replace remaining s left;
+                      if left = 0 then submit s)
+                    (succs_of id);
+                  let t = (edge_of_id id).Ir.e_fk_table in
+                  let left = Hashtbl.find edges_left t - 1 in
+                  Hashtbl.replace edges_left t left;
+                  if left = 0 then submit_export t
+                end
+            | exception e -> if !first_err = None then first_err := Some e))
+      sorted_ids;
+    (* Await every live export so the pool is drained, and drop what they
+       raised: the [on_table_ready] contract (driver.mli) makes the hook
+       best-effort.  [Scale_out.export_table] releases a failed table's
+       claim before it re-raises, so the caller's finish pass exports
+       that table again and a persistent failure surfaces there, typed
+       (an I/O error exits 4, a budget breach 3).  Raising here instead
+       would turn an export failure into a generation failure. *)
+    List.iter
+      (fun f -> try ignore (Par.Future.await f) with _ -> ())
+      !export_futs;
+    (match !first_err with Some e -> raise e | None -> ());
     (* --- 7. close the environment -------------------------------------- *)
     List.iter
       (fun p ->

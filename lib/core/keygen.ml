@@ -28,10 +28,9 @@ let fresh_times () =
   { t_cs = 0.0; t_cp = 0.0; t_pf = 0.0; cp_solves = 0; cp_nodes = 0;
     cp_restarts = 0; cp_props = 0; batch_alloc_bytes = 0 }
 
-(* fold [src] into [acc]: the overlap scheduler gives each edge task its own
-   counter record (so concurrent edges never race on one) and merges them in
-   topological edge order afterwards — same totals as the shared record the
-   barrier path threads through every call *)
+(* fold [src] into [acc]: the driver gives each edge task its own counter
+   record, so concurrent edges never race on one, and merges them in
+   topological edge order afterwards *)
 let add_times acc src =
   acc.t_cs <- acc.t_cs +. src.t_cs;
   acc.t_cp <- acc.t_cp +. src.t_cp;
@@ -173,8 +172,8 @@ let pk_reader ~db edge =
       Ok (fun i -> Bigarray.Array1.unsafe_get data i)
   | _ -> Error (edge_failure edge non_integer_pk)
 
-let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true)
-    ?(pool = Par.sequential) ?(interrupt = fun () -> ())
+let populate_edge ?(lp_guide = true) ?(pool = Par.sequential)
+    ?(interrupt = fun () -> ())
     ~rng ~db ~env ~edge ~constraints ~batch_size ~cp_max_nodes ~times () =
   try
     let s_table = edge.Ir.e_pk_table and t_table = edge.Ir.e_fk_table in
@@ -711,206 +710,6 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
                          "population CP unsolved within node budget (batch %d)" b
                      )))
       in
-      (* JDC sparsification: a positive JDC pair consumes at least one
-         distinct PK from S_i's pool, so shift population mass from JDC pairs
-         onto JCC-signature-compatible non-JDC pairs in the same cover
-         column.  This is the integral counterpart of the LP-guide objective
-         and keeps distinct-count capacity for the views that need it. *)
-      let jcc_signature sv tv =
-        let s = ref 0 in
-        for k = 0 to m - 1 do
-          if jcc_batch.(k) <> None && sv land (1 lsl k) <> 0 && tv land (1 lsl k) <> 0
-          then s := !s lor (1 lsl k)
-        done;
-        !s
-      in
-      let jdc_view_x_sum k =
-        List.fold_left (fun acc (i, j) -> acc + xsol.(i).(j)) 0 (pairs_of k)
-      in
-      let pool_of i =
-        let _, pks, cursor = s_partitions.(i) in
-        Col.Ivec.length pks - !cursor
-      in
-      let view_x k i =
-        let bit v = v land (1 lsl k) <> 0 in
-        let sv, _, _ = s_partitions.(i) in
-        if not (bit sv) then 0
-        else begin
-          let s = ref 0 in
-          for j = 0 to np_t - 1 do
-            let tv, _ = t_partitions.(j) in
-            if bit tv then s := !s + xsol.(i).(j)
-          done;
-          !s
-        end
-      in
-      let achievable k =
-        let s = ref 0 in
-        for i = 0 to np_s - 1 do
-          s := !s + min (pool_of i) (view_x k i)
-        done;
-        !s
-      in
-      (* per-view health: (total reaches target, pool-capped capacity reaches
-         target); moves must never turn a true into a false *)
-      let view_state () =
-        Array.init m (fun k ->
-            match jdc_batch.(k) with
-            | Some target ->
-                (jdc_view_x_sum k >= target, achievable k >= target)
-            | None -> (true, true))
-      in
-      let degraded before after =
-        let bad = ref false in
-        Array.iteri
-          (fun k (t0, a0) ->
-            let t1, a1 = after.(k) in
-            if (t0 && not t1) || (a0 && not a1) then bad := true)
-          before;
-        !bad
-      in
-      for j = 0 to np_t - 1 do
-        let tv, _ = t_partitions.(j) in
-        if sparsify && tv <> 0 then
-          for i = 0 to np_s - 1 do
-            if xsol.(i).(j) > 0 && jdc_pair i j then begin
-              let sv, _, _ = s_partitions.(i) in
-              let want = jcc_signature sv tv in
-              let target = ref (-1) in
-              for i' = 0 to np_s - 1 do
-                if !target = -1 && i' <> i then begin
-                  let sv', _, _ = s_partitions.(i') in
-                  if (not (jdc_pair i' j)) && jcc_signature sv' tv = want then
-                    target := i'
-                end
-              done;
-              match !target with
-              | -1 -> ()
-              | i' ->
-                  (* tentatively move, then re-validate every JDC view's
-                     matched-pair lower bound *)
-                  let before = view_state () in
-                  let moved = xsol.(i).(j) in
-                  xsol.(i).(j) <- 0;
-                  xsol.(i').(j) <- xsol.(i').(j) + moved;
-                  (* the move must not degrade any JDC view's total or its
-                     pool-capped achievability *)
-                  if degraded before (view_state ()) then begin
-                    xsol.(i).(j) <- moved;
-                    xsol.(i').(j) <- xsol.(i').(j) - moved
-                  end
-            end
-          done
-      done;
-      (* Capacity repair: a JDC view can draw at most
-         Σ_i min(pool_i, Σ_{j∈view} x_ij) distinct PKs.  When that falls
-         short of the target, shift x within a cover column from a
-         pool-starved partition to a signature-compatible partition with
-         spare pool, re-validating every view after each move. *)
-      for k = 0 to m - 1 do
-        match jdc_batch.(k) with
-        | None -> ()
-        | Some target ->
-            let bit v = v land (1 lsl k) <> 0 in
-            let guard = ref (if capacity_repair then 0 else 200) in
-            while achievable k < target && !guard < 200 do
-              incr guard;
-              let moved = ref false in
-              (* donor: surplus beyond its pool; receiver: spare pool *)
-              for a = 0 to np_s - 1 do
-                if (not !moved) && view_x k a > pool_of a then
-                  for j = 0 to np_t - 1 do
-                    let tv, _ = t_partitions.(j) in
-                    let sva, _, _ = s_partitions.(a) in
-                    if
-                      (not !moved) && bit tv && bit sva && xsol.(a).(j) > 0
-                    then
-                      for b = 0 to np_s - 1 do
-                        let svb, _, _ = s_partitions.(b) in
-                        if
-                          (not !moved) && b <> a && bit svb
-                          && view_x k b < pool_of b
-                          && jcc_signature sva tv = jcc_signature svb tv
-                        then begin
-                          let amount =
-                            min xsol.(a).(j)
-                              (min (view_x k a - pool_of a) (pool_of b - view_x k b))
-                          in
-                          if amount > 0 then begin
-                            let before = view_state () in
-                            xsol.(a).(j) <- xsol.(a).(j) - amount;
-                            xsol.(b).(j) <- xsol.(b).(j) + amount;
-                            if degraded before (view_state ()) then begin
-                              (* undo: the move starved another view *)
-                              xsol.(a).(j) <- xsol.(a).(j) + amount;
-                              xsol.(b).(j) <- xsol.(b).(j) - amount
-                            end
-                            else moved := true
-                          end
-                        end
-                      done
-                  done
-              done;
-              (* 2-opt: when no signature-compatible single move exists,
-                 exchange mass on two columns (a→b on j, b→a on j'), which
-                 cancels the JCC effects; verified by snapshotting the sums *)
-              if not !moved then begin
-                let jcc_sums () =
-                  Array.init m (fun k' ->
-                      match jcc_batch.(k') with
-                      | Some _ ->
-                          List.fold_left
-                            (fun acc (i, j) -> acc + xsol.(i).(j))
-                            0 (pairs_of k')
-                      | None -> 0)
-                in
-                for a = 0 to np_s - 1 do
-                  if (not !moved) && view_x k a > pool_of a then
-                    for j = 0 to np_t - 1 do
-                      let tv_j, _ = t_partitions.(j) in
-                      let sva, _, _ = s_partitions.(a) in
-                      if (not !moved) && bit tv_j && bit sva && xsol.(a).(j) > 0 then
-                        for b = 0 to np_s - 1 do
-                          let svb, _, _ = s_partitions.(b) in
-                          if (not !moved) && b <> a && bit svb && view_x k b < pool_of b
-                          then
-                            for j' = 0 to np_t - 1 do
-                              if (not !moved) && j' <> j && xsol.(b).(j') > 0 then begin
-                                let amount =
-                                  min
-                                    (min xsol.(a).(j) xsol.(b).(j'))
-                                    (min (view_x k a - pool_of a)
-                                       (pool_of b - view_x k b))
-                                in
-                                if amount > 0 then begin
-                                  let before = view_state () in
-                                  let sums0 = jcc_sums () in
-                                  let ach0 = achievable k in
-                                  xsol.(a).(j) <- xsol.(a).(j) - amount;
-                                  xsol.(b).(j) <- xsol.(b).(j) + amount;
-                                  xsol.(b).(j') <- xsol.(b).(j') - amount;
-                                  xsol.(a).(j') <- xsol.(a).(j') + amount;
-                                  if
-                                    jcc_sums () <> sums0
-                                    || degraded before (view_state ())
-                                    || achievable k <= ach0
-                                  then begin
-                                    xsol.(a).(j) <- xsol.(a).(j) + amount;
-                                    xsol.(b).(j) <- xsol.(b).(j) - amount;
-                                    xsol.(b).(j') <- xsol.(b).(j') + amount;
-                                    xsol.(a).(j') <- xsol.(a).(j') - amount
-                                  end
-                                  else moved := true
-                                end
-                              end
-                            done
-                        done
-                    done
-                done
-              end;
-              if not !moved then guard := 200
-            done
-      done;
       (* best-effort distinct counts when the exact CP is infeasible: start
          every positive JDC pair at one PK, clamp to pools, then walk the
          views adjusting toward their targets.  Residual deviations are
@@ -1027,7 +826,7 @@ let populate_edge ?(lp_guide = true) ?(sparsify = true) ?(capacity_repair = true
             done
           done
         in
-        match Cp.solve ~max_nodes:cp_max_nodes ~lp_guide model2 with
+        match Cp.solve ~max_nodes:cp_max_nodes ~lp_guide ~interrupt model2 with
         | Cp.Sat sol2, st ->
             record_stats st;
             for i = 0 to np_s - 1 do

@@ -35,10 +35,9 @@ val fresh_times : unit -> stage_times
 
 val add_times : stage_times -> stage_times -> unit
 (** [add_times acc src] folds [src]'s counters into [acc] (times and counts
-    add; [batch_alloc_bytes] takes the max).  The overlap scheduler gives
-    each concurrent edge task a private record and merges them in
-    topological edge order, reproducing the totals the barrier path
-    accumulates in its single shared record. *)
+    add; [batch_alloc_bytes] takes the max).  The driver gives each
+    concurrent edge task a private record and merges them in topological
+    edge order, so the totals do not depend on which edges overlapped. *)
 
 type failure = {
   kf_diag : Diag.t;  (** what went wrong, with table/query context *)
@@ -55,8 +54,6 @@ val pk_reader : db:Mirage_engine.Db.t -> Ir.edge -> (int -> int, failure) result
 
 val populate_edge :
   ?lp_guide:bool ->
-  ?sparsify:bool ->
-  ?capacity_repair:bool ->
   ?pool:Mirage_par.Par.pool ->
   ?interrupt:(unit -> unit) ->
   rng:Mirage_util.Rng.t ->
@@ -69,8 +66,9 @@ val populate_edge :
   times:stage_times ->
   unit ->
   (Mirage_engine.Col.Ivec.t * Diag.t list, failure) result
-(** [interrupt] is checked at every batch boundary and forwarded into the CP
-    solver's 64-node cancellation points; whatever it raises (typically
+(** [interrupt] is checked at every batch boundary and forwarded into every
+    CP solve of the batch (both phases and the conflict filter), which
+    polls it before searching and every 64 nodes; whatever it raises (typically
     {!Mirage_util.Budget.Exceeded}) propagates out of the populate call.
 
     Batches run one after another: each batch's CP solve and FK fill finish

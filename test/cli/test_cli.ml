@@ -1,7 +1,8 @@
 (* End-to-end tests of the built [mirage] binary: the deployment story
    (extract a bundle, generate from it elsewhere) must write the same files
    the direct [generate] run writes, and its output must verify against the
-   bundle; the default export (no --chunk-rows) is one resumable shard per
+   bundle, and a malformed parameter file is refused with its line; the
+   default export (no --chunk-rows) is one resumable shard per
    table; pinned digests hold the bytes of the benchmark-scale exports and
    of the extracted bundles; an expired deadline exits 3; --sql with
    --copies, and a surplus shard that cannot be removed, fail with their
@@ -159,6 +160,50 @@ let test_stale_csv_beside_shards () =
   let out = read_file log in
   Alcotest.(check bool) "names both files" true
     (contains ~sub:stale out && contains ~sub:(stale ^ ".0") out)
+
+(* a malformed parameters.txt exits 2 with a message that names the file,
+   the line and the parameter: a bad number, an unclosed list, a list
+   missing its ')', a list where a constraint compares with one value, and
+   (with no line to name) a parameter a constraint reads but no line binds *)
+let test_malformed_parameters () =
+  with_dir @@ fun dir ->
+  let bundle = extract dir in
+  let d = Filename.concat dir "d8" and log = Filename.concat dir "run.log" in
+  expect_ok ~log [ "from-bundle"; bundle; "-o"; d ];
+  let good = List.filter (( <> ) "") (lines (Filename.concat d "parameters.txt")) in
+  let line_of name =
+    let rec go i = function
+      | [] -> Alcotest.failf "no %s in parameters.txt" name
+      | l :: rest -> if String.starts_with ~prefix:(name ^ " = ") l then i else go (i + 1) rest
+    in
+    go 1 good
+  in
+  let replace name v =
+    List.map (fun l -> if String.starts_with ~prefix:(name ^ " = ") l then name ^ " = " ^ v else l) good
+  in
+  let params = Filename.concat dir "bad-parameters.txt" in
+  let at name lnum = Printf.sprintf "%s:%d: parameter %s:" params lnum name in
+  let appended = List.length good + 1 in
+  List.iter
+    (fun (label, ls, where) ->
+      write_file params (String.concat "\n" ls ^ "\n");
+      Alcotest.(check int) (label ^ ": exit code") 2
+        (mirage ~log [ "verify-dir"; bundle; "-d"; d; "-p"; params ]);
+      Alcotest.(check bool) (label ^ ": names " ^ where) true
+        (contains ~sub:where (read_file log)))
+    [
+      ("bad number", good @ [ "x_bad = 12abc" ], at "x_bad" appended);
+      ("unclosed list", good @ [ "x = (" ], at "x" appended);
+      ( "list without ')'",
+        replace "s33_ccity" "('v00000001', 'v00000000'",
+        at "s33_ccity" (line_of "s33_ccity") );
+      ( "list for a scalar",
+        replace "s21_cat" "('v00000001', 'v00000000')",
+        at "s21_cat" (line_of "s21_cat") );
+      ( "unbound",
+        List.filter (fun l -> not (String.starts_with ~prefix:"s21_cat = " l)) good,
+        params ^ ": parameter s21_cat, read by" );
+    ]
 
 (* a deadline that has already passed stops the run with exit code 3, not
    a crash, for generate and from-bundle alike *)
@@ -445,6 +490,8 @@ let () =
             test_multi_shard_verify;
           Alcotest.test_case "stale <table>.csv beside shards exits 2" `Quick
             test_stale_csv_beside_shards;
+          Alcotest.test_case "malformed parameters.txt exits 2" `Quick
+            test_malformed_parameters;
           Alcotest.test_case "expired deadline exits 3" `Quick (fun () ->
               test_expired_deadline `From_bundle);
         ] );

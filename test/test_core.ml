@@ -1282,12 +1282,21 @@ let test_keygen_paper_example () =
     ]
   in
   let times = Keygen.fresh_times () in
+  let polls = ref 0 in
   match
-    Keygen.populate_edge ~rng:(Mirage_util.Rng.create 5) ~db ~env ~edge ~constraints
+    Keygen.populate_edge ~interrupt:(fun () -> incr polls)
+      ~rng:(Mirage_util.Rng.create 5) ~db ~env ~edge ~constraints
       ~batch_size:1000 ~cp_max_nodes:100_000 ~times ()
   with
   | Error f -> Alcotest.fail (Diag.to_string f.Keygen.kf_diag)
   | Ok (fk_vec, notices) ->
+      (* one batch, a phase-1 and a phase-2 solve: the budget poll runs at
+         the batch and before each solve searches *)
+      Alcotest.(check int) "phase 1 and phase 2" 2 times.Keygen.cp_solves;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d polls reach both solves" !polls)
+        true
+        (!polls >= 1 + times.Keygen.cp_solves);
       let fk = Col.Ivec.to_array fk_vec in
       (* the per-edge CP summary is Info severity; resize notices are not *)
       let resizes =

@@ -1,9 +1,10 @@
-(* Pipeline scheduler (Driver.config.schedule): the dependency-aware overlap
-   schedule must generate byte-identical databases and parameters to the
-   legacy barrier walk — across workloads, domain counts, chunk sizes and
-   batch sizes — run the same number of CP solves, survive a
-   kill-and-resume through the live per-table export, and never start a task
-   before its dependencies complete (QCheck, randomized task latencies). *)
+(* Pipeline scheduler (Driver.config.schedule): the dependency-aware task
+   DAG must generate the database, parameters and CP solve count pinned in
+   goldens/sched — captured from the one-edge-at-a-time barrier walk it
+   replaced — across workloads, domain counts, chunk sizes and batch sizes,
+   survive a kill-and-resume through the live per-table export, and never
+   start a task before its dependencies complete (QCheck, randomized task
+   latencies). *)
 
 module Driver = Mirage_core.Driver
 module Scale_out = Mirage_core.Scale_out
@@ -53,83 +54,103 @@ let db_digest db =
     (Schema.tables (Db.schema db));
   Digest.to_hex (Digest.string (Buffer.contents acc))
 
-let generate ?(schedule = `Overlap) ?chunk_rows ?(domains = 1)
-    ?(batch_size = 1_000_000) ?on_table_ready ?on_attempt_abort make ~sf =
+(* one binding per line; floats at full precision, so a changed bit shows *)
+let param_lines env =
+  let value = function
+    | Mirage_sql.Value.Float f -> Printf.sprintf "%.17g" f
+    | v -> Mirage_sql.Value.to_string v
+  in
+  List.map
+    (fun (p, b) ->
+      match b with
+      | Mirage_sql.Pred.Env.Scalar v -> p ^ " = " ^ value v
+      | Mirage_sql.Pred.Env.Vlist vs ->
+          p ^ " = (" ^ String.concat ", " (List.map value vs) ^ ")")
+    (Mirage_sql.Pred.Env.bindings env)
+
+(* goldens/sched/<workload>-batch<rows>.txt: the database digest, the CP
+   solve count, then [param_lines] of the barrier walk's run at sf 0.05
+   (workload seed 7, generation seed 42) *)
+type pinned = { p_digest : string; p_solves : int; p_params : string list }
+
+let pinned name ~batch_size =
+  let path = Printf.sprintf "goldens/sched/%s-batch%d.txt" name batch_size in
+  match
+    String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+    |> List.filter (( <> ) "")
+  with
+  | digest :: solves :: params ->
+      {
+        p_digest = Scanf.sscanf digest "db_digest %s" Fun.id;
+        p_solves = Scanf.sscanf solves "cp_solves %d" Fun.id;
+        p_params = params;
+      }
+  | _ -> Alcotest.failf "%s: truncated golden" path
+
+let generate ?chunk_rows ?(domains = 1) ?(batch_size = 1_000_000)
+    ?on_table_ready ?on_attempt_abort make ~sf =
   let workload, ref_db, prod_env = make ~sf ~seed:7 in
   let config =
     { Driver.default_config with
-      seed = 42; batch_size; domains; chunk_rows; schedule; on_table_ready;
+      seed = 42; batch_size; domains; chunk_rows; on_table_ready;
       on_attempt_abort }
   in
   match Driver.generate ~config workload ~ref_db ~prod_env with
   | Error d -> Alcotest.fail (Mirage_core.Diag.to_string d)
   | Ok r -> r
 
-(* --- overlap = barrier byte identity --------------------------------------- *)
+(* --- overlap = pinned barrier outputs ------------------------------------- *)
+
+let check_pinned label (p : pinned) (r : Driver.result) =
+  Alcotest.(check string) (label ^ ": db") p.p_digest (db_digest r.Driver.r_db);
+  Alcotest.(check (list string))
+    (label ^ ": parameters") p.p_params (param_lines r.Driver.r_env);
+  Alcotest.(check int)
+    (label ^ ": CP solves") p.p_solves r.Driver.r_timings.Driver.cp_solves
 
 (* [small] is a second batch size: every constrained edge whose FK table
    holds at least three such batches fills in three or more *)
-let test_sched_identity make ~sf ~small () =
-  let one_batch = generate ~schedule:`Barrier make ~sf in
-  let multi_batch = generate ~schedule:`Barrier ~batch_size:small make ~sf in
+let test_sched_identity name make ~sf ~small () =
+  let one_batch = pinned name ~batch_size:1_000_000 in
+  let multi_batch = pinned name ~batch_size:small in
   Alcotest.(check bool)
     "small batches run more CP solves" true
-    (multi_batch.Driver.r_timings.Driver.cp_solves
-    > one_batch.Driver.r_timings.Driver.cp_solves);
+    (multi_batch.p_solves > one_batch.p_solves);
   List.iter
-    (fun (batch_size, barrier) ->
-      let ref_digest = db_digest barrier.Driver.r_db in
-      let ref_env = Mirage_sql.Pred.Env.bindings barrier.Driver.r_env in
-      let largest = largest_table barrier.Driver.r_db in
+    (fun (batch_size, p) ->
+      (* monolithic too — the schedule must not depend on chunking *)
+      let mono = generate ~domains:4 ~batch_size make ~sf in
+      check_pinned (Printf.sprintf "batch=%d monolithic" batch_size) p mono;
+      let largest = largest_table mono.Driver.r_db in
       (* a non-dividing prime and a several-chunks-per-fact-table size, so
          row scans cross ragged chunk boundaries *)
       List.iter
         (fun chunk_rows ->
           List.iter
             (fun domains ->
-              let r = generate ~chunk_rows ~domains ~batch_size make ~sf in
-              let label =
-                Printf.sprintf "batch=%d chunk=%d domains=%d" batch_size
-                  chunk_rows domains
-              in
-              Alcotest.(check string)
-                (label ^ ": overlap db = barrier db")
-                ref_digest (db_digest r.Driver.r_db);
-              Alcotest.(check bool)
-                (label ^ ": parameters identical")
-                true
-                (ref_env = Mirage_sql.Pred.Env.bindings r.Driver.r_env))
+              check_pinned
+                (Printf.sprintf "batch=%d chunk=%d domains=%d" batch_size
+                   chunk_rows domains)
+                p
+                (generate ~chunk_rows ~domains ~batch_size make ~sf))
             [ 1; 2; 4 ])
-        [ 37; max 2 (largest / 3) ];
-      (* monolithic overlap too — the schedule must not depend on chunking *)
-      let r = generate ~domains:4 ~batch_size make ~sf in
-      Alcotest.(check string)
-        (Printf.sprintf "batch=%d: monolithic overlap db = barrier db"
-           batch_size)
-        ref_digest (db_digest r.Driver.r_db))
+        [ 37; max 2 (largest / 3) ])
     [ (1_000_000, one_batch); (small, multi_batch) ]
 
 (* --- CP solve count parity ------------------------------------------------- *)
 
-(* both schedules run the same CP solves, batch by batch, in every edge *)
+(* the pinned CP solves, batch by batch, in every edge, with no chunking *)
 let test_solve_parity () =
-  let run schedule =
-    let r =
-      generate ~schedule ~domains:2 ~batch_size:300 Mirage_workloads.Tpch.make
-        ~sf:0.05
-    in
-    (r.Driver.r_timings.Driver.cp_solves, db_digest r.Driver.r_db)
-  in
-  let solves_b, dg_b = run `Barrier in
-  let solves_o, dg_o = run `Overlap in
-  Alcotest.(check string) "same database" dg_b dg_o;
-  Alcotest.(check int) "same CP solve count" solves_b solves_o
+  check_pinned "tpch batch=300 domains=2"
+    (pinned "tpch" ~batch_size:300)
+    (generate ~domains:2 ~batch_size:300 Mirage_workloads.Tpch.make ~sf:0.05)
 
 (* --- kill + resume through the live per-table export ------------------------ *)
 
 let test_live_export_crash_resume () =
   let make = Mirage_workloads.Ssb.make and sf = 0.05 in
-  let mono = generate ~schedule:`Barrier make ~sf in
+  let mono = generate make ~sf in
+  check_pinned "monolithic" (pinned "ssb" ~batch_size:1_000_000) mono;
   let dir_c = fresh_dir "mirage_sched_c" in
   let chunk_rows = max 1 (largest_table mono.Driver.r_db / 3) in
   let run_id = "sched-resume" in
@@ -254,12 +275,13 @@ let () =
           Alcotest.test_case
             "ssb overlap = barrier, chunks x domains 1/2/4" `Slow
             (* 60-row batches: 5 per lineorder edge (300 rows) *)
-            (test_sched_identity Mirage_workloads.Ssb.make ~sf:0.05 ~small:60);
+            (test_sched_identity "ssb" Mirage_workloads.Ssb.make ~sf:0.05
+               ~small:60);
           Alcotest.test_case
             "tpch overlap = barrier, chunks x domains 1/2/4" `Slow
             (* 300-row batches: 10 per lineitem edge (3,000 rows), 3 per
                orders edge (750 rows) *)
-            (test_sched_identity Mirage_workloads.Tpch.make ~sf:0.05
+            (test_sched_identity "tpch" Mirage_workloads.Tpch.make ~sf:0.05
                ~small:300);
         ] );
       ( "solves",

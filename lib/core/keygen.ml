@@ -28,19 +28,6 @@ let fresh_times () =
   { t_cs = 0.0; t_cp = 0.0; t_pf = 0.0; cp_solves = 0; cp_nodes = 0;
     cp_restarts = 0; cp_props = 0; batch_alloc_bytes = 0 }
 
-(* fold [src] into [acc]: the driver gives each edge task its own counter
-   record, so concurrent edges never race on one, and merges them in
-   topological edge order afterwards *)
-let add_times acc src =
-  acc.t_cs <- acc.t_cs +. src.t_cs;
-  acc.t_cp <- acc.t_cp +. src.t_cp;
-  acc.t_pf <- acc.t_pf +. src.t_pf;
-  acc.cp_solves <- acc.cp_solves + src.cp_solves;
-  acc.cp_nodes <- acc.cp_nodes + src.cp_nodes;
-  acc.cp_restarts <- acc.cp_restarts + src.cp_restarts;
-  acc.cp_props <- acc.cp_props + src.cp_props;
-  acc.batch_alloc_bytes <- max acc.batch_alloc_bytes src.batch_alloc_bytes
-
 let now () = Unix.gettimeofday ()
 
 (* Membership vectors are bitsets — 1 bit per row instead of the 8 bytes a

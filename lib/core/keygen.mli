@@ -33,12 +33,6 @@ type stage_times = {
 
 val fresh_times : unit -> stage_times
 
-val add_times : stage_times -> stage_times -> unit
-(** [add_times acc src] folds [src]'s counters into [acc] (times and counts
-    add; [batch_alloc_bytes] takes the max).  The driver gives each
-    concurrent edge task a private record and merges them in topological
-    edge order, so the totals do not depend on which edges overlapped. *)
-
 type failure = {
   kf_diag : Diag.t;  (** what went wrong, with table/query context *)
   kf_culprits : string list;

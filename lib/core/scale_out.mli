@@ -40,8 +40,8 @@ type chunk_report = {
 
 (** {2 Live (per-table) export}
 
-    The overlapped pipeline scheduler ({!Driver.config.schedule}) exports a
-    table the moment its last FK edge commits, while other tables still
+    The driver's [on_table_ready] hook ({!Driver.config}) exports a
+    table the moment its last FK edge commits, while later edges still
     generate.  These four calls are the CSV writer: an open /
     export-table / finish protocol with an abort hook for dead generation
     attempts.  Exporting a finished database is [open_csv_export] followed

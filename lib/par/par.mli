@@ -70,8 +70,8 @@ val map_list : pool -> ('a -> 'b) -> 'a list -> 'b list
 val both : pool -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** [both pool f g] runs [f] and [g] concurrently and returns both. *)
 
-(** Futures on the resident pool — the task layer under the dependency-aware
-    pipeline scheduler ({!Mirage_core.Driver} overlap mode).
+(** Futures on the resident pool.  {!Mirage_core.Driver} runs each table's
+    live export ([on_table_ready]) as one, beside the key-generation walk.
 
     A future wraps one closure queued on the pool.  The pool decides only
     {e when} the closure runs, never what it computes: submitters must hand
@@ -83,7 +83,7 @@ val both : pool -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
     only blocking is [await] therefore cannot deadlock — in the degenerate
     case the caller executes every task itself, which is exactly the
     sequential schedule.  On a width-1 pool [submit] runs the closure
-    inline, so overlap mode on one domain {e is} the sequential schedule. *)
+    inline, in submission order. *)
 module Future : sig
   type 'a t
 

@@ -14,13 +14,6 @@ let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let copy t = { state = t.state }
-
-let skip t n =
-  (* every draw advances the state by exactly one gamma before mixing, so
-     skipping n draws is a single multiply-add on the state *)
-  t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) golden_gamma)
-
 let split ?stream t =
   match stream with
   | None -> { state = next_int64 t }

@@ -22,18 +22,6 @@ val split : ?stream:int -> t -> t
     stream indices give independent streams (one SplitMix64 finaliser apart,
     like successive {!split}s). *)
 
-val copy : t -> t
-(** [copy t] returns an independent generator whose next draws equal [t]'s:
-    a snapshot of the current state.  Pair with {!skip} to hand a consumer
-    its exact stream while the owner jumps past it in O(1). *)
-
-val skip : t -> int -> unit
-(** [skip t n] advances [t] as if [n] single-word draws ([int], [float],
-    [bool], one {!split}) had been made, in constant time.  SplitMix64
-    advances its state by a fixed gamma per draw, so the jump is one
-    multiply-add.  Draws that consume several words (none today) would need
-    their word count, not their call count. *)
-
 val int : t -> int -> int
 (** [int t bound] returns a uniform integer in [\[0, bound)].  [bound] must be
     positive. *)

@@ -184,6 +184,47 @@ let test_abort_hook_failure () =
              && d.Diag.d_message = "attempt-abort hook failed: Failure(\"hook down\")")
            r.Driver.r_diags)
 
+(* a raising [on_table_ready] hook is best-effort: generation succeeds with
+   the same database and verdicts, and the hook's error comes back as a
+   warning naming the table *)
+let test_export_hook_failure () =
+  let b = bundle (feasible :: contradictory) in
+  let run on_table_ready =
+    let config = { Driver.default_config with domains = 2; on_table_ready } in
+    match Driver.generate_from_bundle ~config b with
+    | Error d -> Alcotest.failf "expected Ok, got Error: %s" (Diag.to_string d)
+    | Ok r -> r
+  in
+  let plain = run None in
+  let hooked =
+    run (Some (fun _ tname -> if tname = "t" then failwith "export down"))
+  in
+  List.iter
+    (fun (t, c) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s.%s unchanged" t c)
+        true
+        (Db.column plain.Driver.r_db t c = Db.column hooked.Driver.r_db t c))
+    [ ("s", "s_pk"); ("s", "s1"); ("t", "t_pk"); ("t", "t1"); ("t", "t2");
+      ("t", "t_fk") ];
+  Alcotest.(check (list string)) "same verdicts"
+    (List.map
+       (fun (v : Diag.verdict) ->
+         v.Diag.v_query ^ " " ^ Diag.status_name v.Diag.v_status)
+       plain.Driver.r_verdicts)
+    (List.map
+       (fun (v : Diag.verdict) ->
+         v.Diag.v_query ^ " " ^ Diag.status_name v.Diag.v_status)
+       hooked.Driver.r_verdicts);
+  Alcotest.(check bool) "hook failure reported as a warning on t" true
+    (List.exists
+       (fun (d : Diag.t) ->
+         d.Diag.d_severity = Diag.Warning
+         && d.Diag.d_stage = Diag.Driver
+         && d.Diag.d_table = Some "t"
+         && d.Diag.d_message = "export hook failed: Failure(\"export down\")")
+       hooked.Driver.r_diags)
+
 let test_all_queries_infeasible () =
   (* both queries carry self-contradictory annotations: the quarantine must
      widen until nothing is left, and the result is still Ok *)
@@ -323,6 +364,8 @@ let () =
             test_all_queries_infeasible;
           Alcotest.test_case "failing attempt-abort hook is a warning" `Quick
             test_abort_hook_failure;
+          Alcotest.test_case "failing export hook is a warning" `Quick
+            test_export_hook_failure;
           Alcotest.test_case "tiny cp node budget" `Quick test_tiny_node_budget;
         ] );
       ( "bundle-validation",

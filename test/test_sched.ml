@@ -1,8 +1,8 @@
-(* Pipeline scheduler (Driver.config.schedule): the dependency-aware task
-   DAG must generate the database, parameters and CP solve count pinned in
-   goldens/sched — captured from the one-edge-at-a-time barrier walk it
-   replaced — across workloads, domain counts, chunk sizes and batch sizes,
-   survive a kill-and-resume through the live per-table export, and never
+(* Key-generation schedule (Driver.config.schedule): the topological edge
+   walk with its overlapped per-table export must generate the database,
+   parameters and CP solve count pinned in goldens/sched across workloads,
+   domain counts, chunk sizes and batch sizes; the live export must survive
+   a kill-and-resume and a quarantine retry; and Par.Future must never
    start a task before its dependencies complete (QCheck, randomized task
    latencies). *)
 
@@ -99,7 +99,7 @@ let generate ?chunk_rows ?(domains = 1) ?(batch_size = 1_000_000)
   | Error d -> Alcotest.fail (Mirage_core.Diag.to_string d)
   | Ok r -> r
 
-(* --- overlap = pinned barrier outputs ------------------------------------- *)
+(* --- the walk = pinned outputs ---------------------------------------------- *)
 
 let check_pinned label (p : pinned) (r : Driver.result) =
   Alcotest.(check string) (label ^ ": db") p.p_digest (db_digest r.Driver.r_db);
@@ -199,6 +199,79 @@ let test_live_export_crash_resume () =
         (table_names r.Driver.r_db));
   rm_rf dir_c
 
+(* --- live export across a quarantine retry ----------------------------------- *)
+
+(* TPC-DS sf 0.1 at workload and generation seed 1: two attempts die on an
+   infeasible population system before the third succeeds, each after the
+   live export has already written shards for it.  Wired as the CLI wires
+   it, the export must end holding exactly the final database: every
+   table's shards (two tiles, so two shards each) concatenate to its
+   reference render, and the manifest names only the shards on disk. *)
+let test_live_export_quarantine () =
+  let workload, ref_db, prod_env = Mirage_workloads.Tpcds.make ~sf:0.1 ~seed:1 in
+  let dir = fresh_dir "mirage_sched_q" in
+  let copies = 2 and chunk_rows = 1000 and run_id = "sched-quarantine" in
+  let h =
+    Scale_out.open_csv_export ~pool:(Par.get ~domains:2 ()) ~copies
+      ~chunk_rows ~dir ~run_id ()
+  in
+  (* tables exported, and tables exported by the attempts that died *)
+  let exported = Atomic.make 0 and dead_exports = ref 0 and aborts = ref 0 in
+  let config =
+    { Driver.default_config with
+      seed = 1; domains = 2; chunk_rows = Some chunk_rows;
+      on_table_ready =
+        Some
+          (fun db tname ->
+            Scale_out.export_table h ~db tname;
+            Atomic.incr exported);
+      on_attempt_abort =
+        Some
+          (fun () ->
+            incr aborts;
+            dead_exports := Atomic.get exported;
+            Scale_out.abort_csv_export h) }
+  in
+  let r =
+    match Driver.generate ~config workload ~ref_db ~prod_env with
+    | Error d -> Alcotest.fail (Mirage_core.Diag.to_string d)
+    | Ok r -> r
+  in
+  let db = r.Driver.r_db in
+  let rep = Scale_out.finish_csv_export h ~db in
+  Alcotest.(check int) "aborted attempts" 2 !aborts;
+  Alcotest.(check bool) "dead attempts exported tables" true
+    (!dead_exports > 0);
+  Alcotest.(check (list string)) "quarantined queries"
+    [ "tpcds_q14.4"; "tpcds_q14.5" ]
+    (List.filter_map
+       (fun (v : Mirage_core.Diag.verdict) ->
+         if v.Mirage_core.Diag.v_status = Mirage_core.Diag.Quarantined then
+           Some v.Mirage_core.Diag.v_query
+         else None)
+       r.Driver.r_verdicts);
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: shards = reference render" t)
+        true
+        (String.equal (Reference.csv ~db ~copies t) (Shards.concat dir t)))
+    (table_names db);
+  let committed =
+    List.map
+      (fun (s : Sink.shard) -> s.Sink.sh_name)
+      (Sink.completed (Sink.create ~resume:true ~dir ~run_id ()))
+  in
+  Alcotest.(check int) "manifest = report" rep.Scale_out.cr_shards
+    (List.length committed);
+  Alcotest.(check (list string)) "manifest = shards on disk"
+    (List.sort compare committed)
+    (List.sort compare
+       (List.filter
+          (fun f -> f <> Filename.basename (Sink.manifest_path ~dir))
+          (Array.to_list (Sys.readdir dir))));
+  rm_rf dir
+
 (* --- QCheck: task-DAG ordering under randomized latencies ------------------- *)
 
 (* test/dune has no unix dependency, so latency is a spin-wait; opaque to
@@ -209,10 +282,9 @@ let spin n =
     x := Sys.opaque_identity (!x + 1)
   done
 
-(* the driver's orchestration pattern in miniature: a task is submitted only
-   once every dependency's future has been awaited, so no queued task ever
-   waits on upward work (the helping-deadlock freedom argument in
-   DESIGN.md).  The property: every task runs exactly once and never starts
+(* a task DAG over Par.Future: a task is submitted only once every
+   dependency's future has been awaited, so no queued task ever waits on
+   upward work and the helping [await] cannot deadlock.  The property: every task runs exactly once and never starts
    before all of its dependencies finished, for random DAGs, random task
    latencies and random pool widths. *)
 let qcheck_dag_ordering =
@@ -290,6 +362,8 @@ let () =
         [
           Alcotest.test_case "kill+resume through the live export" `Slow
             test_live_export_crash_resume;
+          Alcotest.test_case "live export across a quarantine retry" `Slow
+            test_live_export_quarantine;
         ] );
       ( "dag",
         [ QCheck_alcotest.to_alcotest qcheck_dag_ordering ] );

@@ -66,6 +66,13 @@ val default_layout :
   layout
 (** Unconstrained column: uniform counts over the domain. *)
 
+val impossible_string : string
+(** A LIKE pattern that matches no value a layout renders: printable, with
+    no wildcard ([%], [_]) and no quote, so it survives every exporter, and
+    not of the ["v%08d"] shape of rendered strings.  Bound to a LIKE
+    parameter that must select nothing, and to a NOT LIKE parameter that
+    must select everything. *)
+
 val lookup_param_card : layout -> string -> int option
 
 val to_col : layout -> Mirage_engine.Col.Ivec.t -> Mirage_engine.Col.t

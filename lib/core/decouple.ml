@@ -21,8 +21,6 @@ let value_in_kind kind v =
   | Schema.Kfloat -> Value.Float (float_of_int v)
   | Schema.Kstring -> Value.Str (Printf.sprintf "v%08d" v)
 
-let impossible_string = "\000nomatch"
-
 let param_of_operand = function
   | Pred.Param p -> Some p
   | Pred.Const _ | Pred.Const_list _ -> None
@@ -50,7 +48,7 @@ let universe_sentinel kind ~dom lit =
       | Pred.In { neg = true; _ } -> Some (Pred.Env.Vlist [])
       | Pred.In { neg = false; _ } -> None
       | Pred.Like { neg = true; _ } ->
-          Some (Pred.Env.Scalar (Value.Str impossible_string))
+          Some (Pred.Env.Scalar (Value.Str Cdf.impossible_string))
       | Pred.Like { neg = false; _ } -> None
       | Pred.Arith_cmp { cmp = Pred.Lt | Pred.Le; _ } ->
           Some (Pred.Env.Scalar (Value.Float 1e18))
@@ -74,7 +72,7 @@ let empty_sentinel kind ~dom lit =
       | Pred.In { neg = false; _ } -> Some (Pred.Env.Vlist [])
       | Pred.In { neg = true; _ } -> None
       | Pred.Like { neg = false; _ } ->
-          Some (Pred.Env.Scalar (Value.Str impossible_string))
+          Some (Pred.Env.Scalar (Value.Str Cdf.impossible_string))
       | Pred.Like { neg = true; _ } -> None
       | Pred.Arith_cmp { cmp = Pred.Lt | Pred.Le; _ } ->
           Some (Pred.Env.Scalar (Value.Float (-1e18)))

@@ -429,7 +429,7 @@ let build ?(guided_placement = true) ~table ~col ~kind ~dom ~rows ~uccs ~element
             | Some (_, gi, _ :: _) ->
                 bind p (Pred.Env.Scalar (Value.Str (Printf.sprintf "%%_g%d_%%" gi)))
             | Some (_, _, []) ->
-                bind p (Pred.Env.Scalar (Value.Str "\000nomatch"))
+                bind p (Pred.Env.Scalar (Value.Str Mirage_core.Cdf.impossible_string))
             | None -> fail "internal: like parameter %s has no group" p)
         | Pred.Cmp _ | Pred.In _ | Pred.Like _ | Pred.Arith_cmp _ ->
             fail "UCC literal without parameter")

@@ -379,7 +379,10 @@ let test_cdf_like_items_scale_linearly () =
     let uccs =
       [ ucc "t" "c" (Pred.Like { col = "c"; neg = false; arg = Pred.Param "p" }) (rows - m) ]
     in
-    (* CPU seconds: time other processes take on the host is not counted *)
+    (* CPU seconds: time other processes take on the host is not counted.
+       A full major collection first, so no run pays for the garbage the
+       previous one left. *)
+    Gc.full_major ();
     let t0 = Sys.time () in
     let l =
       layout_exn
@@ -390,14 +393,14 @@ let test_cdf_like_items_scale_linearly () =
     Alcotest.(check int) "one card per item" m (List.length l.Cdf.l_param_card);
     dt
   in
-  (* best of up to 3 rounds, stopping at the first within the bound; a round
-     times both sizes, so that a change in the host's load reaches both *)
-  let rec rounds k small large =
-    let small = Float.min small (build_seconds 50_000) in
-    let large = Float.min large (build_seconds 200_000) in
-    if large <= 8.0 *. small || k = 1 then (small, large) else rounds (k - 1) small large
-  in
-  let small, large = rounds 3 infinity infinity in
+  (* each size's minimum CPU time over 3 runs; the sizes alternate, so a
+     change in the host's load reaches both *)
+  let small = ref infinity and large = ref infinity in
+  for _ = 1 to 3 do
+    small := Float.min !small (build_seconds 50_000);
+    large := Float.min !large (build_seconds 200_000)
+  done;
+  let small = !small and large = !large in
   if large > 8.0 *. small then
     Alcotest.failf "200k LIKE items took %.3f CPU s, %.1fx the %.3f CPU s of 50k" large
       (large /. small) small

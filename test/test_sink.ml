@@ -419,7 +419,7 @@ let dir_files dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
   |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
 
-(* every table exported from its own pool task, as the overlap scheduler
+(* every table exported from its own pool task, as the driver's live export
    does, then the finish pass seals the manifest *)
 let live_gz_export ?backend ?(resume = false) ~pool ~db ~dir () =
   let h =

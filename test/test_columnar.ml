@@ -1,9 +1,9 @@
-(* Storage-layer regression suite: the committed goldens under
-   test/goldens/ were produced before the typed-column refactor, so
-   byte-comparing freshly generated exports against them proves the
-   columnar store changes no generated byte and no replay verdict — at
-   any domain count.  The QCheck properties pin down the Col round-trips
-   the rest of the engine relies on. *)
+(* Storage-layer regression suite.  The 1-domain runs write their exports
+   under the working directory at their golden paths (Pinned): every CSV,
+   the SQL export and the per-query verdicts of SSB and TPC-H, the TPC-DS
+   verdicts and a digest line per TPC-DS CSV.  Runs at 2 and 4 domains must
+   give the 1-domain bytes.  The QCheck properties pin down the Col
+   round-trips the rest of the engine relies on. *)
 
 module Value = Mirage_sql.Value
 module Schema = Mirage_sql.Schema
@@ -11,9 +11,6 @@ module Col = Mirage_engine.Col
 module Db = Mirage_engine.Db
 module Driver = Mirage_core.Driver
 module Workload = Mirage_core.Workload
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-let golden parts = read_file (List.fold_left Filename.concat "goldens" parts)
 
 let generate make ~sf ~domains =
   let workload, ref_db, prod_env = make ~sf ~seed:7 in
@@ -24,21 +21,17 @@ let generate make ~sf ~domains =
   | Error d -> Alcotest.fail (Mirage_core.Diag.to_string d)
   | Ok r -> (workload, r)
 
-let check_bytes label want got =
-  (* compare without Alcotest's diff printer: dumping megabytes of CSV on a
-     mismatch helps nobody *)
-  if not (String.equal want got) then
-    Alcotest.failf "%s: %d bytes generated vs %d golden bytes (content differs)"
-      label (String.length got) (String.length want)
+(* a workload at its scale factor, with its 1-domain run: the one written
+   out *)
+let at make ~sf = (make, sf, lazy (generate make ~sf ~domains:1))
+let ssb = at Mirage_workloads.Ssb.make ~sf:0.1
+let tpch = at Mirage_workloads.Tpch.make ~sf:0.05
+let _, _, tpcds = at Mirage_workloads.Tpcds.make ~sf:0.1
 
-let check_csvs wl (workload : Workload.t) db ~domains =
-  List.iter
+let csvs (workload : Workload.t) (r : Driver.result) =
+  List.map
     (fun (tbl : Schema.table) ->
-      let name = tbl.Schema.tname in
-      check_bytes
-        (Printf.sprintf "%s/%s.csv (domains=%d)" wl name domains)
-        (golden [ wl; name ^ ".csv" ])
-        (Db.to_csv db name))
+      (tbl.Schema.tname, Db.to_csv r.Driver.r_db tbl.Schema.tname))
     (Schema.tables workload.Workload.w_schema)
 
 let verdict_text (r : Driver.result) =
@@ -53,75 +46,56 @@ let verdict_text (r : Driver.result) =
     r.Driver.r_verdicts errs;
   Buffer.contents buf
 
-(* the unbounded export writes every INSERT to the one shard data.sql.0,
-   whose golden is data.sql *)
-let check_sql_export wl workload (r : Driver.result) =
-  let dir = Filename.temp_dir "mirage_columnar" wl in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-  @@ fun () ->
+(* <wl>/<table>.csv, the SQL export and <wl>/verdicts.txt; the unbounded
+   SQL export writes every INSERT to the one shard data.sql.0, pinned as
+   data.sql *)
+let full_export wl (_, _, run) () =
+  let workload, r = Lazy.force run in
+  let file f = Filename.concat wl f in
+  List.iter (fun (t, csv) -> Pinned.write (file (t ^ ".csv")) csv) (csvs workload r);
   ignore
     (Mirage_core.Sql_export.export_chunked ~db:r.Driver.r_db ~workload
-       ~env:r.Driver.r_env ~dir ~chunk_rows:max_int ~run_id:wl ());
-  List.iter
-    (fun (f, g) ->
-      check_bytes
-        (Printf.sprintf "%s/%s" wl g)
-        (golden [ wl; g ])
-        (read_file (Filename.concat dir f)))
-    [ ("schema.sql", "schema.sql"); ("data.sql.0", "data.sql");
-      ("queries.sql", "queries.sql") ]
+       ~env:r.Driver.r_env ~dir:wl ~chunk_rows:max_int ~run_id:wl ());
+  Sys.rename (file "data.sql.0") (file "data.sql");
+  Sys.remove (file "MANIFEST.sql.json");
+  Pinned.write (file "verdicts.txt") (verdict_text r)
 
-let full_check wl make ~sf () =
-  let workload, r = generate make ~sf ~domains:1 in
-  check_csvs wl workload r.Driver.r_db ~domains:1;
-  check_sql_export wl workload r;
-  check_bytes (wl ^ "/verdicts.txt") (golden [ wl; "verdicts.txt" ])
-    (verdict_text r)
+let check_bytes label want got =
+  (* compare without Alcotest's diff printer: dumping megabytes of CSV on a
+     mismatch helps nobody *)
+  if not (String.equal want got) then
+    Alcotest.failf "%s: %d bytes vs %d at domains=1 (content differs)" label
+      (String.length got) (String.length want)
 
-let domain_check wl make ~sf ~domains () =
-  let workload, r = generate make ~sf ~domains in
-  check_csvs wl workload r.Driver.r_db ~domains;
+let domain_check wl (make, sf, run) ~domains () =
+  let workload, r1 = Lazy.force run in
+  let _, r = generate make ~sf ~domains in
+  List.iter2
+    (fun (t, want) (_, got) ->
+      check_bytes (Printf.sprintf "%s/%s.csv (domains=%d)" wl t domains) want got)
+    (csvs workload r1) (csvs workload r);
   check_bytes
     (Printf.sprintf "%s/verdicts.txt (domains=%d)" wl domains)
-    (golden [ wl; "verdicts.txt" ])
-    (verdict_text r)
-
-let tpcds = lazy (generate Mirage_workloads.Tpcds.make ~sf:0.1 ~domains:1)
+    (verdict_text r1) (verdict_text r)
 
 let test_tpcds_verdicts () =
   let _, r = Lazy.force tpcds in
-  check_bytes "tpcds/verdicts.txt" (golden [ "tpcds"; "verdicts.txt" ])
-    (verdict_text r)
+  Pinned.write "tpcds/verdicts.txt" (verdict_text r)
 
-(* TPC-DS CSVs are pinned by digest rather than by committed bytes: one
+(* TPC-DS CSVs are pinned by digest rather than by their bytes: one
    "<table> <rows> <bytes> <md5>" line per table.  Its key generator solves
    the largest LP relaxations of the three workloads, so this is where an LP
-   kernel change would first move a byte.  Regenerate with
-   MIRAGE_UPDATE_GOLDENS=1 from the source test/ dir. *)
+   kernel change would first move a byte. *)
 let test_tpcds_digests () =
-  let (workload : Workload.t), r = Lazy.force tpcds in
-  let db = r.Driver.r_db in
-  let lines =
-    List.map
-      (fun (tbl : Schema.table) ->
-        let name = tbl.Schema.tname in
-        let csv = Db.to_csv db name in
-        Printf.sprintf "%s %d %d %s" name (Db.row_count db name)
-          (String.length csv)
-          (Digest.to_hex (Digest.string csv)))
-      (Schema.tables workload.Workload.w_schema)
-  in
-  let path = List.fold_left Filename.concat "goldens" [ "tpcds"; "digests.txt" ] in
-  if Sys.getenv_opt "MIRAGE_UPDATE_GOLDENS" <> None then
-    Out_channel.with_open_bin path (fun oc ->
-        Out_channel.output_string oc (String.concat "\n" lines ^ "\n"))
-  else
-    Alcotest.(check (list string))
-      "tpcds CSV digests" (String.split_on_char '\n' (String.trim (read_file path)))
-      lines
+  let workload, r = Lazy.force tpcds in
+  Pinned.write "tpcds/digests.txt"
+    (String.concat ""
+       (List.map
+          (fun (t, csv) ->
+            Printf.sprintf "%s %d %d %s\n" t (Db.row_count r.Driver.r_db t)
+              (String.length csv)
+              (Digest.to_hex (Digest.string csv)))
+          (csvs workload r)))
 
 (* --- Col round-trip properties --------------------------------------------- *)
 
@@ -259,17 +233,17 @@ let () =
       ( "goldens",
         [
           Alcotest.test_case "ssb full export, domains 1" `Slow
-            (full_check "ssb" Mirage_workloads.Ssb.make ~sf:0.1);
+            (full_export "ssb" ssb);
           Alcotest.test_case "tpch full export, domains 1" `Slow
-            (full_check "tpch" Mirage_workloads.Tpch.make ~sf:0.05);
+            (full_export "tpch" tpch);
           Alcotest.test_case "ssb csv bytes, domains 2" `Slow
-            (domain_check "ssb" Mirage_workloads.Ssb.make ~sf:0.1 ~domains:2);
+            (domain_check "ssb" ssb ~domains:2);
           Alcotest.test_case "ssb csv bytes, domains 4" `Slow
-            (domain_check "ssb" Mirage_workloads.Ssb.make ~sf:0.1 ~domains:4);
+            (domain_check "ssb" ssb ~domains:4);
           Alcotest.test_case "tpch csv bytes, domains 2" `Slow
-            (domain_check "tpch" Mirage_workloads.Tpch.make ~sf:0.05 ~domains:2);
+            (domain_check "tpch" tpch ~domains:2);
           Alcotest.test_case "tpch csv bytes, domains 4" `Slow
-            (domain_check "tpch" Mirage_workloads.Tpch.make ~sf:0.05 ~domains:4);
+            (domain_check "tpch" tpch ~domains:4);
           Alcotest.test_case "tpcds verdicts" `Slow test_tpcds_verdicts;
           Alcotest.test_case "tpcds csv digests" `Slow test_tpcds_digests;
         ] );

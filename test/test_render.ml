@@ -149,8 +149,6 @@ let prop_csv_escape_roundtrip =
 
 (* --- templated splicer vs reference renderer ------------------------------- *)
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 let table_names db =
   List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
 
@@ -286,28 +284,12 @@ let test_special_matches_tile_db () =
         (String.equal got (Db.to_csv tiled tname)))
     got
 
-(* committed golden with quote-needing strings: pins the escaping bytes.
-   Regenerate with MIRAGE_UPDATE_GOLDENS=1 from the source test/ dir. *)
+(* quote-needing strings: goldens/quote/<table>.csv pins the escaping bytes *)
 let test_quote_golden () =
   let db = special_db () in
   let _, tables = export_tables ~db ~copies:2 ~domains:1 ~chunk_rows:max_int in
-  let update = Sys.getenv_opt "MIRAGE_UPDATE_GOLDENS" <> None in
-  if update then Mirage_engine.Sink.mkdir_p (Filename.concat "goldens" "quote");
   List.iter
-    (fun tname ->
-      let got = List.assoc tname tables in
-      let golden =
-        List.fold_left Filename.concat "goldens" [ "quote"; tname ^ ".csv" ]
-      in
-      if update then
-        Out_channel.with_open_bin golden (fun oc ->
-            Out_channel.output_string oc got)
-      else begin
-        let want = read_file golden in
-        if not (String.equal want got) then
-          Alcotest.failf "goldens/quote/%s.csv: bytes differ (%d vs %d golden)"
-            tname (String.length got) (String.length want)
-      end)
+    (fun t -> Pinned.write ("quote/" ^ t ^ ".csv") (List.assoc t tables))
     [ "dim"; "fact" ]
 
 let test_nested_dir () =

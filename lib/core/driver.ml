@@ -13,7 +13,6 @@ module Toposort = Mirage_util.Toposort
 type config = {
   seed : int;
   batch_size : int;
-  sample_size : int;
   cp_max_nodes : int;
   domains : int;
   acc_repair : bool;
@@ -51,11 +50,13 @@ type config = {
           [--resume]. *)
 }
 
+(* ACC sample size: Hoeffding's bound for delta = 0.1%, alpha = 99.9% (§4.4) *)
+let acc_sample_size = Hoeffding.sample_size ~delta:0.001 ~alpha:0.999
+
 let default_config =
   {
     seed = 42;
     batch_size = 7_000_000;
-    sample_size = Hoeffding.sample_size ~delta:0.001 ~alpha:0.999;
     cp_max_nodes = 100_000;
     domains = Par.default_domains ();
     acc_repair = true;
@@ -211,35 +212,23 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
   let t_start = now () -. t_extract in
   let cpu_start = cpu_now () in
   let full_ir = extraction.Extract.ir in
-  (* fail fast on an IR or config that cannot drive generation at all *)
-  let config_problems =
-    match config.chunk_rows with
-    | Some c when c < 1 ->
-        [
-          Diag.error ~hint:"pass a positive --chunk-rows (or None)"
-            Diag.Validate "chunk_rows must be >= 1 (got %d)" c;
-        ]
-    | _ -> []
+  (* fail fast on a config that cannot drive generation at all *)
+  let config_problem =
+    if config.batch_size < 1 then
+      Some
+        (Diag.error ~hint:"pass a positive --batch" Diag.Validate
+           "batch_size must be >= 1 (got %d)" config.batch_size)
+    else
+      match config.chunk_rows with
+      | Some c when c < 1 ->
+          Some
+            (Diag.error ~hint:"pass a positive --chunk-rows (or None)"
+               Diag.Validate "chunk_rows must be >= 1 (got %d)" c)
+      | _ -> None
   in
-  let card_problems =
-    List.filter_map
-      (fun (tbl : Schema.table) ->
-        let t = tbl.Schema.tname in
-        match List.assoc_opt t full_ir.Ir.table_cards with
-        | None ->
-            Some
-              (Diag.error ~table:t
-                 ~hint:"add a (rows ...) entry for every schema table"
-                 Diag.Validate "no target row count for table %s" t)
-        | Some n when n < 0 ->
-            Some
-              (Diag.error ~table:t Diag.Validate "negative row count %d for table %s" n t)
-        | Some _ -> None)
-      (Schema.tables schema)
-  in
-  match config_problems @ card_problems with
-  | d :: _ -> Error d
-  | [] ->
+  match config_problem with
+  | Some d -> Error d
+  | None ->
   (* one pool for the whole generation: CDF fan-out, per-table non-key
      instantiation, keygen CS/PF regions and retries all share its domains.
      The pool is the process-global resident one, shared across runs — no
@@ -477,7 +466,7 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
           Acc.instantiate ~repair:config.acc_repair
             ~frozen_prefix:(frozen_prefix_of acc.Ir.acc_table)
             ~interrupt:(fun () -> Budget.check budget)
-            ~rng:(Rng.split rng) ~db ~sample_size:config.sample_size acc
+            ~rng:(Rng.split rng) ~db ~sample_size:acc_sample_size acc
         in
         env := Pred.Env.add p b !env)
       dec.Decouple.accs;

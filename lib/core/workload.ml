@@ -4,35 +4,7 @@ type query = { q_name : string; q_plan : Plan.t }
 
 type t = { w_schema : Mirage_sql.Schema.t; w_queries : query list }
 
-let make w_schema w_queries =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun q ->
-      if Hashtbl.mem seen q.q_name then
-        invalid_arg (Printf.sprintf "Workload.make: duplicate query %s" q.q_name);
-      Hashtbl.add seen q.q_name ();
-      match Plan.validate w_schema q.q_plan with
-      | Ok () -> ()
-      | Error msg ->
-          invalid_arg (Printf.sprintf "Workload.make: query %s: %s" q.q_name msg))
-    w_queries;
-  let params = Hashtbl.create 64 in
-  List.iter
-    (fun q ->
-      List.iter
-        (fun p ->
-          match Hashtbl.find_opt params p with
-          | Some other when other <> q.q_name ->
-              invalid_arg
-                (Printf.sprintf
-                   "Workload.make: parameter %s shared by queries %s and %s" p
-                   other q.q_name)
-          | _ -> Hashtbl.replace params p q.q_name)
-        (Plan.params q.q_plan))
-    w_queries;
-  { w_schema; w_queries }
-
-(* non-raising counterpart of [make]'s checks, for fail-fast validation of
+(* the checks behind [make], non-raising, for fail-fast validation of
    workloads that arrive pre-constructed (e.g. deserialised from a bundle) *)
 let validate t =
   let diags = ref [] in
@@ -68,6 +40,12 @@ let validate t =
         (Plan.params q.q_plan))
     t.w_queries;
   List.rev !diags
+
+let make w_schema w_queries =
+  let t = { w_schema; w_queries } in
+  match validate t with
+  | d :: _ -> invalid_arg ("Workload.make: " ^ Diag.to_string d)
+  | [] -> t
 
 let query t name =
   match List.find_opt (fun q -> q.q_name = name) t.w_queries with

@@ -10,11 +10,11 @@ type query = { q_name : string; q_plan : Mirage_relalg.Plan.t }
 type t = { w_schema : Mirage_sql.Schema.t; w_queries : query list }
 
 val make : Mirage_sql.Schema.t -> query list -> t
-(** Validates every plan against the schema and checks query names are
-    unique.  @raise Invalid_argument on failure. *)
+(** Builds a workload that {!validate} finds well-formed.
+    @raise Invalid_argument with {!validate}'s first error otherwise. *)
 
 val validate : t -> Diag.t list
-(** Non-raising counterpart of {!make}'s checks: duplicate query names,
+(** The checks behind {!make}, non-raising: duplicate query names,
     plan/schema coherence, cross-query parameter sharing.  Empty when the
     workload is well-formed. *)
 

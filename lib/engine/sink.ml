@@ -287,29 +287,23 @@ let load_manifest path =
               in
               find 0
             in
+            (* an entry missing a field, or with one that does not parse,
+               is not resumed: its shard is rendered again *)
             let shards =
-              List.filteri
-                (fun _ line -> string_field line "name" <> None)
+              List.filter_map
+                (fun line ->
+                  match
+                    ( string_field line "name",
+                      int_field line "seq",
+                      int_field line "bytes",
+                      int_field line "raw",
+                      Option.bind (string_field line "crc32") hex32 )
+                  with
+                  | Some sh_name, Some sh_seq, Some sh_bytes, Some sh_raw, Some sh_crc
+                    ->
+                      Some { sh_name; sh_seq; sh_bytes; sh_raw; sh_crc }
+                  | _ -> None)
                 lines
-              |> List.mapi (fun i line ->
-                     match
-                       ( string_field line "name",
-                         int_field line "bytes",
-                         Option.bind (string_field line "crc32") hex32 )
-                     with
-                     | Some sh_name, Some sh_bytes, Some sh_crc ->
-                         (* manifests written before the sharded-sink fields
-                            existed carry neither [seq] nor [raw]: fall back
-                            to file position and on-disk size *)
-                         let sh_seq =
-                           Option.value ~default:i (int_field line "seq")
-                         in
-                         let sh_raw =
-                           Option.value ~default:sh_bytes (int_field line "raw")
-                         in
-                         Some { sh_name; sh_seq; sh_bytes; sh_raw; sh_crc }
-                     | _ -> None)
-              |> List.filter_map Fun.id
             in
             (run_id, complete, shards))
           (string_field head "run_id")

@@ -353,6 +353,40 @@ let test_multi_seed_smoke () =
             true (worst < 0.02))
     [ 1; 2; 3 ]
 
+(* Workload.make raises Workload.validate's first error *)
+let test_make_duplicate_query () =
+  let q = { Workload.q_name = "q1"; q_plan = join_plan (Plan.Table "s") } in
+  match Workload.make schema [ q; q ] with
+  | _ -> Alcotest.fail "a duplicate query name was accepted"
+  | exception Invalid_argument m ->
+      Alcotest.(check bool) "names the duplicate" true
+        (contains m "duplicate query name q1")
+
+(* a batch or chunk below one row is a Validate error, not a crash, from
+   generate and generate_from_bundle alike *)
+let test_nonpositive_sizes () =
+  let ssb, ref_db, prod_env = Mirage_workloads.Ssb.make ~sf:0.05 ~seed:7 in
+  List.iter
+    (fun (label, config) ->
+      List.iter
+        (fun (entry, result) ->
+          match result () with
+          | Error d ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %s: stage" label entry)
+                "validate" (Diag.stage_name d.Diag.d_stage)
+          | Ok _ -> Alcotest.failf "%s, %s: generation succeeded" label entry)
+        [
+          ( "generate_from_bundle",
+            fun () -> Driver.generate_from_bundle ~config (bundle [ feasible ]) );
+          ("generate", fun () -> Driver.generate ~config ssb ~ref_db ~prod_env);
+        ])
+    [
+      ("batch 0", { Driver.default_config with Driver.batch_size = 0 });
+      ("batch -5", { Driver.default_config with Driver.batch_size = -5 });
+      ("chunk 0", { Driver.default_config with Driver.chunk_rows = Some 0 });
+    ]
+
 let () =
   Alcotest.run "robustness"
     [
@@ -378,6 +412,10 @@ let () =
           Alcotest.test_case "sane bundle is clean" `Quick test_valid_bundle_clean;
           Alcotest.test_case "malformed integer" `Quick test_malformed_int;
           Alcotest.test_case "truncated bundle" `Quick test_truncated_bundle;
+          Alcotest.test_case "Workload.make raises on a duplicate query name"
+            `Quick test_make_duplicate_query;
+          Alcotest.test_case "non-positive batch or chunk is a Validate error"
+            `Quick test_nonpositive_sizes;
         ] );
       ( "multi-seed",
         [ Alcotest.test_case "three-seed ssb smoke" `Quick test_multi_seed_smoke ] );

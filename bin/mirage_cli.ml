@@ -141,11 +141,11 @@ let chunk_rows_arg =
 
 let big_dir_arg =
   let doc =
-    "Back off-heap column buffers of 1 MiB or more with unlinked temp files      under $(docv) (created if missing) instead of anonymous memory, letting      the OS page cold columns out to that filesystem.  Overrides the MIRAGE_BIG_DIR      environment variable, which stays the default."
+    "Back off-heap column buffers of 1 MiB or more with unlinked temp files      under $(docv) (created if missing) instead of anonymous memory, letting      the OS page cold columns out to that filesystem."
   in
   Arg.(value & opt (some string) None & info [ "big-dir" ] ~docv:"DIR" ~doc)
 
-(* the flag wins over the environment for this process only *)
+(* the spill directory for this process, created if missing *)
 let apply_big_dir big_dir =
   match big_dir with
   | Some d ->
@@ -350,34 +350,6 @@ let generate_cmd =
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ out_arg
       $ copies_arg $ sql_arg $ chunk_rows_arg $ resume_arg $ compress_arg
-      $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
-
-let verify_cmd =
-  let run name sf seed batch chunk bmb bsecs big_dir =
-    guarded @@ fun () ->
-    apply_big_dir big_dir;
-    let _, generate = direct name sf seed in
-    let config = base_config batch (limits_of bmb bsecs) in
-    match generate { config with Driver.seed; chunk_rows = chunk } with
-    | Error d -> report_fatal d
-    | Ok r ->
-        report_errors r;
-        verdict_code r
-  in
-  let doc = "Regenerate and report per-query relative errors." in
-  let exits =
-    exits
-      [
-        exit_exact;
-        exit_degraded;
-        (2, "infeasible workload, generation failure or unknown workload.");
-        exit_budget;
-        (4, "the --big-dir directory cannot be created.");
-      ]
-  in
-  Cmd.v (Cmd.info "verify" ~doc ~exits)
-    Term.(
-      const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ chunk_rows_arg
       $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
 
 let compare_cmd =
@@ -829,6 +801,6 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            generate_cmd; verify_cmd; compare_cmd; extract_cmd; from_bundle_cmd;
+            generate_cmd; compare_cmd; extract_cmd; from_bundle_cmd;
             verify_dir_cmd; explain_cmd; table1_cmd; parse_cmd;
           ]))

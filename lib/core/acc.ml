@@ -5,66 +5,6 @@ module Col = Mirage_engine.Col
 module Arith = Mirage_engine.Arith
 module Rng = Mirage_util.Rng
 
-(* Rows of an ascending array of [n] values satisfying [x ◦ t], given the
-   index of its first element >= t ([lower]) and of its first > t ([upper]). *)
-let selected ~cmp ~n ~lower ~upper =
-  match cmp with
-  | Pred.Gt -> n - upper
-  | Pred.Ge -> n - lower
-  | Pred.Lt -> lower
-  | Pred.Le -> upper
-  | Pred.Eq -> upper - lower
-  | Pred.Neq -> n - (upper - lower)
-
-(* first index of [sorted] whose element fails [below] *)
-let search sorted below =
-  let lo = ref 0 and hi = ref (Array.length sorted) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if below sorted.(mid) then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* The sort-and-sweep: copy the values, heap-sort the copy, and pick the
-   candidate minimising |count − target|; the first strictly better one
-   wins, visiting every sorted value from the top down and then two
-   sentinels outside the data range.  The values of one run of equal values
-   select the same rows, so the run's top element stands for it, and one
-   downward sweep finds every run's bounds.  Where a run's elements differ
-   in bits (a NaN, or a zero run holding both signs), the heap sort's
-   permutation decides which bits come back, so only this sweep returns
-   them. *)
-let sweep ~cmp ~target (values : Col.float_big) =
-  let n = Bigarray.Array1.dim values in
-  let sorted = Array.init n (fun i -> values.{i}) in
-  Array.sort Float.compare sorted;
-  let best = ref 0.0 and best_dev = ref max_int in
-  let consider t ~lower ~upper =
-    let dev = abs (selected ~cmp ~n ~lower ~upper - target) in
-    if dev < !best_dev then begin
-      best_dev := dev;
-      best := t
-    end
-  in
-  let upper = ref n in
-  while !upper > 0 do
-    let t = sorted.(!upper - 1) in
-    let lower = ref (!upper - 1) in
-    while !lower > 0 && sorted.(!lower - 1) = t do
-      decr lower
-    done;
-    consider t ~lower:!lower ~upper:!upper;
-    upper := !lower
-  done;
-  (* a sentinel can equal an extreme value (an infinity, or a magnitude
-     where ±1 rounds away), so its bounds are searched *)
-  List.iter
-    (fun t ->
-      consider t ~lower:(search sorted (fun x -> x < t))
-        ~upper:(search sorted (fun x -> x <= t)))
-    [ sorted.(0) -. 1.0; sorted.(n - 1) +. 1.0 ];
-  !best
-
 let median3 x y z =
   if x < y then if y < z then y else if x < z then z else x
   else if x < z then x
@@ -73,19 +13,47 @@ let median3 x y z =
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
+(* Sorts [a.{lo}] .. [a.{hi - 1}] (NaN-free) in place: a heap sort, so
+   O(m log m) in the range's length [m], with no allocation. *)
+let heap_sort (a : Col.float_big) lo hi =
+  let get i = Bigarray.Array1.unsafe_get a (lo + i)
+  and set i x = Bigarray.Array1.unsafe_set a (lo + i) x in
+  (* sift element [i] down the max-heap held by the first [len] *)
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && get (l + 1) > get l then l + 1 else l in
+      if get c > get i then begin
+        let x = get i in
+        set i (get c);
+        set c x;
+        sift c len
+      end
+    end
+  in
+  let m = hi - lo in
+  for i = (m / 2) - 1 downto 0 do
+    sift i m
+  done;
+  for last = m - 1 downto 1 do
+    let x = get 0 in
+    set 0 (get last);
+    set last x;
+    sift 0 last
+  done
+
 (* The [k]-th smallest element of [a] (NaN-free), permuting [a]: a
    three-way quickselect on median-of-three pivots, so a tie-heavy range
    ends as soon as [k] falls among the pivot's equals.  A range still
-   unresolved after [2 log2 n] partitions, or small, is sorted instead
+   unresolved after [2 log2 n] partitions, or small, is heap-sorted instead
    (introselect), which bounds the worst case by O(n log n). *)
 let select (a : Col.float_big) k =
   let lo = ref 0 and hi = ref (Bigarray.Array1.dim a) in
   let depth = ref (2 * log2 !hi) and found = ref None in
   while Option.is_none !found do
     if !hi - !lo <= 16 || !depth = 0 then begin
-      let sub = Array.init (!hi - !lo) (fun i -> a.{!lo + i}) in
-      Array.sort Float.compare sub;
-      found := Some sub.(k - !lo)
+      heap_sort a !lo !hi;
+      found := Some a.{k}
     end
     else begin
       decr depth;
@@ -114,34 +82,37 @@ let select (a : Col.float_big) k =
   done;
   Option.get !found
 
-(* For [Gt]/[Ge]/[Lt]/[Le] the selected count is monotone in the run, so
-   |count − target| falls and then rises over the sweep's runs: the best
-   run is the one holding the order statistic at the target rank, or its
-   nearest distinct neighbour below or above.  One selection finds that
-   statistic [v]; one pass counts the rows below and at [v], finds both
-   neighbours with their multiplicities, the extremes with theirs (the
-   sentinels' bounds) and the zero signs.  The same candidates in the
-   sweep's order (neighbour above, [v], neighbour below, sentinels) pick
-   the same winner.  [None] when the sweep must decide the bits: a NaN, or
-   a winning zero run that holds both [-0.0] and [+0.0]. *)
-let bracket ~cmp ~target (values : Col.float_big) =
+(* The count of rows selected by [x ◦ t] is monotone in [t], so
+   |count − target| falls and then rises over the runs of equal values:
+   the best run is the one holding the order statistic at the target rank,
+   or its nearest distinct neighbour below or above.  One selection on a
+   scratch copy finds that statistic [v]; one pass counts the rows below
+   and at [v], finds both neighbours with their multiplicities, the
+   extremes with theirs (the sentinels' bounds) and the zero signs.  The
+   candidates are visited as a downward sweep over every run would visit
+   them (neighbour above, [v], neighbour below, sentinels), and the first
+   strictly better one wins. *)
+let choose_threshold ~cmp ~target (values : Col.float_big) =
   let n = Bigarray.Array1.dim values in
-  let scratch = Col.alloc_float_big n in
-  let nan = ref false in
-  for i = 0 to n - 1 do
-    let x = values.{i} in
-    if Float.is_nan x then nan := true;
-    Bigarray.Array1.unsafe_set scratch i x
-  done;
-  if !nan then None
+  (* the target rank, and the rows selected given the index of the first
+     value >= t ([lower]) and of the first > t ([upper]) *)
+  let rank, selected =
+    match cmp with
+    | Pred.Gt -> (n - target - 1, fun ~lower:_ ~upper -> n - upper)
+    | Pred.Ge -> (n - target, fun ~lower ~upper:_ -> n - lower)
+    | Pred.Lt -> (target, fun ~lower ~upper:_ -> lower)
+    | Pred.Le -> (target - 1, fun ~lower:_ ~upper -> upper)
+    | Pred.Eq | Pred.Neq ->
+        invalid_arg "Acc: arithmetic predicates only support <, <=, >, >="
+  in
+  if n = 0 then 0.0
   else begin
-    let rank =
-      match cmp with
-      | Pred.Gt -> n - target - 1
-      | Pred.Le -> target - 1
-      | Pred.Ge -> n - target
-      | Pred.Lt | Pred.Eq | Pred.Neq -> target
-    in
+    let scratch = Col.alloc_float_big n in
+    for i = 0 to n - 1 do
+      let x = values.{i} in
+      if Float.is_nan x then invalid_arg "Acc: NaN in arithmetic expression";
+      Bigarray.Array1.unsafe_set scratch i x
+    done;
     let v = select scratch (max 0 (min (n - 1) rank)) in
     let lt = ref 0 and le = ref 0 in
     let below = ref 0.0 and below_n = ref 0 in
@@ -178,37 +149,26 @@ let bracket ~cmp ~target (values : Col.float_big) =
       else if x = !hi then incr hi_n;
       if x = 0.0 then if Float.sign_bit x then neg0 := true else pos0 := true
     done;
-    let best = ref 0.0 and best_dev = ref max_int and best_run = ref false in
-    let consider ~run t ~lower ~upper =
-      let dev = abs (selected ~cmp ~n ~lower ~upper - target) in
+    let best = ref 0.0 and best_dev = ref max_int in
+    let consider t ~lower ~upper =
+      let dev = abs (selected ~lower ~upper - target) in
       if dev < !best_dev then begin
         best_dev := dev;
-        best := t;
-        best_run := run
+        best := t
       end
     in
-    if !above_n > 0 then
-      consider ~run:true !above ~lower:!le ~upper:(!le + !above_n);
-    consider ~run:true v ~lower:!lt ~upper:!le;
-    if !below_n > 0 then
-      consider ~run:true !below ~lower:(!lt - !below_n) ~upper:!lt;
+    if !above_n > 0 then consider !above ~lower:!le ~upper:(!le + !above_n);
+    consider v ~lower:!lt ~upper:!le;
+    if !below_n > 0 then consider !below ~lower:(!lt - !below_n) ~upper:!lt;
     (* a sentinel equals an extreme only where ±1 rounds away *)
     let t = !lo -. 1.0 in
-    consider ~run:false t ~lower:0 ~upper:(if t < !lo then 0 else !lo_n);
+    consider t ~lower:0 ~upper:(if t < !lo then 0 else !lo_n);
     let t = !hi +. 1.0 in
-    consider ~run:false t ~lower:(if t > !hi then n else n - !hi_n) ~upper:n;
-    if !best_run && !best = 0.0 && !neg0 && !pos0 then None else Some !best
+    consider t ~lower:(if t > !hi then n else n - !hi_n) ~upper:n;
+    (* both zeros select the same rows; a sentinel is zero only when the
+       values hold none *)
+    if !best = 0.0 && !neg0 && !pos0 then 0.0 else !best
   end
-
-let choose_threshold ~cmp ~target values =
-  if Bigarray.Array1.dim values = 0 then 0.0
-  else
-    match cmp with
-    | Pred.Eq | Pred.Neq -> sweep ~cmp ~target values
-    | Pred.Gt | Pred.Ge | Pred.Lt | Pred.Le -> (
-        match bracket ~cmp ~target values with
-        | Some t -> t
-        | None -> sweep ~cmp ~target values)
 
 (* swap two rows of one stored column in place; value multisets (and hence
    every UCC) are preserved by construction *)
@@ -292,8 +252,7 @@ let instantiate ?(repair = true) ?(frozen_prefix = 0)
        | Pred.Ge -> fun i -> Bool.to_int (values.{i} >= p)
        | Pred.Lt -> fun i -> Bool.to_int (values.{i} < p)
        | Pred.Le -> fun i -> Bool.to_int (values.{i} <= p)
-       | Pred.Eq -> fun i -> Bool.to_int (values.{i} = p)
-       | Pred.Neq -> fun i -> Bool.to_int (values.{i} <> p)
+       | Pred.Eq | Pred.Neq -> assert false (* refused by [choose_threshold] *)
      in
      let count = ref 0 in
      for i = 0 to n - 1 do

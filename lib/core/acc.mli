@@ -27,8 +27,9 @@ val instantiate :
     in place, and the result view is off-heap too.
     @raise Invalid_argument if the expression references unknown columns,
     if a sampled row holds a NULL or non-numeric cell (any row of a
-    dictionary column), or if a sampled row, or a row a repair swap
-    rearranges, divides by zero.  Unsampled rows are never read. *)
+    dictionary column) or evaluates to NaN, if a sampled row, or a row a
+    repair swap rearranges, divides by zero, or if the comparison is [Eq]
+    or [Neq].  Unsampled rows are never read. *)
 
 (**/**)
 
@@ -40,16 +41,12 @@ val choose_threshold :
     tests): picks the threshold whose selected count is as close as possible
     to [target].  Candidates are the distinct values, visited from the top
     down, then the sentinels [min − 1] and [max + 1]; the first strictly
-    better one wins.
-
-    For [Gt], [Ge], [Lt] and [Le] the count is monotone in the candidate,
-    so the winner is the run of equal values at the target rank, one of
-    its two distinct neighbours, or a sentinel: one selection and linear
-    passes find them in O(n), with an O(n)-sized off-heap scratch copy.
-    The O(n log n) heap sort and sweep over every run remain for the
-    cases where the sort's permutation decides the returned bits or the
-    count is not monotone:
-    - [Eq] and [Neq];
-    - a view holding a NaN;
-    - a winning run of zeros holding both [-0.0] and [+0.0].
-    Either way the result is bit-identical to the full sweep. *)
+    better one wins.  The count is monotone in the candidate, so the winner
+    is the run of equal values at the target rank, one of its two distinct
+    neighbours, or a sentinel: one selection and linear passes find it in
+    O(n), with an O(n)-sized off-heap scratch copy.  A winning run of zeros
+    that holds both [-0.0] and [+0.0] returns [+0.0]; both select the same
+    rows.  An empty view returns [0.0].
+    @raise Invalid_argument if [cmp] is [Eq] or [Neq] (an arithmetic
+    predicate compares with [<], [<=], [>] or [>=], §2.2), or if the view
+    holds a NaN. *)

@@ -9,6 +9,7 @@ type t = {
   b_workload : Workload.t;
   b_ir : Ir.t;
   b_env : Pred.Env.t;
+  b_unsupported : Diag.t list;
 }
 
 let ( let* ) = Result.bind
@@ -336,7 +337,15 @@ let of_extraction (w : Workload.t) (ex : Extract.extraction) ~prod_env =
         | None -> acc)
       Pred.Env.empty params
   in
-  { b_workload = w; b_ir = ex.Extract.ir; b_env = env }
+  { b_workload = w; b_ir = ex.Extract.ir; b_env = env; b_unsupported = ex.Extract.diags }
+
+(* one extraction failure: the query, the message and the hint, if any *)
+let unsupported_to_sexp (d : Diag.t) =
+  Sexp.List
+    (Sexp.Atom "unsupported"
+    :: Sexp.Atom (Option.value d.Diag.d_query ~default:"")
+    :: Sexp.Atom d.Diag.d_message
+    :: Option.to_list (Option.map (fun h -> Sexp.Atom h) d.Diag.d_hint))
 
 let to_string b =
   let buf = Buffer.create 4096 in
@@ -353,6 +362,7 @@ let to_string b =
         (Sexp.List
            [ Sexp.Atom "query"; Sexp.Atom q.Workload.q_name; plan_to_sexp q.Workload.q_plan ]))
     b.b_workload.Workload.w_queries;
+  List.iter (fun d -> line (unsupported_to_sexp d)) b.b_unsupported;
   List.iter line (ir_to_sexps b.b_ir);
   List.iter line (env_to_sexps b.b_env);
   Buffer.contents buf
@@ -364,6 +374,7 @@ let of_string str =
       let tables = ref [] and queries = ref [] in
       let rows = ref [] and domains = ref [] and sccs = ref [] in
       let joins = ref [] and elements = ref [] and env = ref Pred.Env.empty in
+      let unsupported = ref [] in
       let* () =
         List.fold_left
           (fun acc s ->
@@ -376,6 +387,17 @@ let of_string str =
             | Sexp.List [ Sexp.Atom "query"; Sexp.Atom name; plan ] ->
                 let* plan = plan_of_sexp plan in
                 queries := { Workload.q_name = name; q_plan = plan } :: !queries;
+                Ok ()
+            | Sexp.List (Sexp.Atom "unsupported" :: Sexp.Atom query :: Sexp.Atom msg :: rest)
+              ->
+                let* hint =
+                  match rest with
+                  | [] -> Ok None
+                  | [ Sexp.Atom h ] -> Ok (Some h)
+                  | _ -> err "bad unsupported line %s" (Sexp.to_string s)
+                in
+                unsupported :=
+                  Diag.error ~query ?hint Diag.Extract "%s" msg :: !unsupported;
                 Ok ()
             | Sexp.List [ Sexp.Atom "rows"; Sexp.Atom t; Sexp.Atom n ] ->
                 let* n = int_atom "row count" n in
@@ -468,6 +490,7 @@ let of_string str =
               param_elements = List.rev !elements;
             };
           b_env = !env;
+          b_unsupported = List.rev !unsupported;
         }
   | _ -> Error "not a mirage bundle (expected header)"
 

@@ -7,13 +7,18 @@
     without ever seeing production rows.
 
     A bundle contains the schema, the query templates, the extracted
-    constraint IR (including the in/like production elements) and the
-    production parameter values, in a line-oriented s-expression format. *)
+    constraint IR (including the in/like production elements), the
+    production parameter values and the queries the extraction rejected,
+    in a line-oriented s-expression format. *)
 
 type t = {
   b_workload : Workload.t;
   b_ir : Ir.t;
   b_env : Mirage_sql.Pred.Env.t;
+  b_unsupported : Diag.t list;
+      (** the extraction's per-query failures ({!Extract.extraction}'s
+          [diags]), one [(unsupported QUERY MESSAGE [HINT])] line each: the
+          queries generation reports Unsupported *)
 }
 
 val of_extraction :

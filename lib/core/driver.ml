@@ -200,7 +200,7 @@ let victim_query ~quarantined (f : Keygen.failure) =
 exception Keygen_failed of Keygen.failure
 
 let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
-    ~elements_fallback ~prod_env ~init_diags =
+    ~prod_env ~init_diags =
   let schema = w.Workload.w_schema in
   (* one budget token for the whole run: stage boundaries poll it, and the
      keygen/CP layers poll it from inside their loops via [interrupt].  A
@@ -212,23 +212,6 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
   let t_start = now () -. t_extract in
   let cpu_start = cpu_now () in
   let full_ir = extraction.Extract.ir in
-  (* fail fast on a config that cannot drive generation at all *)
-  let config_problem =
-    if config.batch_size < 1 then
-      Some
-        (Diag.error ~hint:"pass a positive --batch" Diag.Validate
-           "batch_size must be >= 1 (got %d)" config.batch_size)
-    else
-      match config.chunk_rows with
-      | Some c when c < 1 ->
-          Some
-            (Diag.error ~hint:"pass a positive --chunk-rows (or None)"
-               Diag.Validate "chunk_rows must be >= 1 (got %d)" c)
-      | _ -> None
-  in
-  match config_problem with
-  | Some d -> Error d
-  | None ->
   (* one pool for the whole generation: CDF fan-out, per-table non-key
      instantiation, keygen CS/PF regions and retries all share its domains.
      The pool is the process-global resident one, shared across runs — no
@@ -257,19 +240,12 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
     Budget.check budget;
     (* --- 3. per-column CDFs -------------------------------------------- *)
     let t0 = now () in
-    let elements lit =
-      (* prefer the elements collected by the workload parser (which also
-         serve generation from a saved bundle); fall back to the production
-         database *)
-      let param_of = function
-        | Pred.In { arg = Pred.Param p; _ } | Pred.Like { arg = Pred.Param p; _ } ->
-            Some p
-        | _ -> None
-      in
-      match param_of lit with
-      | Some p when List.mem_assoc p ir.Ir.param_elements ->
-          List.assoc p ir.Ir.param_elements
-      | _ -> elements_fallback lit
+    (* the elements the workload parser collected for every IN/LIKE
+       parameter of the selection constraints; a bundle carries them *)
+    let elements = function
+      | Pred.In { arg = Pred.Param p; _ } | Pred.Like { arg = Pred.Param p; _ } ->
+          Option.value ~default:[] (List.assoc_opt p ir.Ir.param_elements)
+      | _ -> []
     in
     let param_key = param_key_fn prod_env in
     let layouts_by_table = Hashtbl.create 16 in
@@ -735,39 +711,53 @@ let generate_internal ~config (w : Workload.t) ~extraction ~t_extract
           r_verdicts = verdicts;
         }
 
-let first_error diags =
-  List.find_opt (fun d -> d.Diag.d_severity = Diag.Error) diags
+(* why generation cannot start, checked before any work: a config that
+   cannot drive it, else the first error among the inputs' diagnostics *)
+let first_problem config vdiags =
+  if config.batch_size < 1 then
+    Some
+      (Diag.error ~hint:"pass a positive --batch" Diag.Validate
+         "batch_size must be >= 1 (got %d)" config.batch_size)
+  else
+    match config.chunk_rows with
+    | Some c when c < 1 ->
+        Some
+          (Diag.error ~hint:"pass a positive --chunk-rows (or None)"
+             Diag.Validate "chunk_rows must be >= 1 (got %d)" c)
+    | _ -> List.find_opt (fun d -> d.Diag.d_severity = Diag.Error) vdiags
 
 let generate ?(config = default_config) (w : Workload.t) ~ref_db ~prod_env =
   let vdiags = Workload.validate w in
-  match first_error vdiags with
+  match first_problem config vdiags with
   | Some d -> Error d
   | None -> (
       let t0 = now () in
       match Extract.run w ~ref_db ~prod_env with
       | extraction ->
           let t_extract = now () -. t0 in
-          generate_internal ~config w ~extraction ~t_extract
-            ~elements_fallback:
-              (Extract.production_elements w.Workload.w_schema ref_db ~env:prod_env)
-            ~prod_env ~init_diags:vdiags
+          generate_internal ~config w ~extraction ~t_extract ~prod_env
+            ~init_diags:vdiags
       | exception Rewrite.Unsupported msg ->
           Error (Diag.error Diag.Extract "rewrite: %s" msg)
       | exception Invalid_argument msg ->
           Error (Diag.error Diag.Extract "%s" msg))
 
 let generate_from_bundle ?(config = default_config) (b : Bundle.t) =
-  (* generation from a saved constraint bundle: no production database —
-     unresolved in/like elements simply have no production signal *)
+  (* generation from a saved constraint bundle: no production database;
+     the bundle carries the extraction's per-query failures *)
   let vdiags = Bundle.validate b in
-  match first_error vdiags with
+  match first_problem config vdiags with
   | Some d -> Error d
   | None ->
       let extraction =
-        { Extract.ir = b.Bundle.b_ir; aqts = []; rewritten = []; diags = [] }
+        {
+          Extract.ir = b.Bundle.b_ir;
+          aqts = [];
+          rewritten = [];
+          diags = b.Bundle.b_unsupported;
+        }
       in
       generate_internal ~config b.Bundle.b_workload ~extraction ~t_extract:0.0
-        ~elements_fallback:(fun _ -> [])
         ~prod_env:b.Bundle.b_env ~init_diags:vdiags
 
 let measure_errors r =

@@ -188,59 +188,28 @@ let iter_strs db table col f =
       Array.iteri (fun k s -> if counts.(k) > 0 then f s counts.(k)) pool
   | Col.Ints _ | Col.Floats _ -> ()
 
-let literal_elements db ~env ~table = function
-  | Pred.In { col; arg; _ } -> (
-      let vs =
-        match arg with
-        | Pred.Const_list vs -> vs
-        | Pred.Const v -> [ v ]
-        | Pred.Param p -> (
-            match Pred.Env.find p env with
-            | Some (Pred.Env.Vlist vs) -> vs
-            | Some (Pred.Env.Scalar v) -> [ v ]
-            | None -> [])
-      in
-      match vs with
-      | [] -> []
-      | vs ->
+(* the production elements of an IN or LIKE literal over parameter [p] on
+   [table]: each listed value with its row count, in list order, or each
+   string matching the pattern with its row count, sorted *)
+let elements_of_param db ~env ~table p = function
+  | Pred.In { col; _ } -> (
+      match Pred.Env.find p env with
+      | Some (Pred.Env.Vlist []) | None -> []
+      | Some (Pred.Env.Vlist vs) ->
           let count = count_eq db table col in
-          List.map (fun v -> (v, count v)) vs)
-  | Pred.Like { col; arg; _ } -> (
-      let pattern =
-        match arg with
-        | Pred.Const (Value.Str s) -> Some s
-        | Pred.Param p -> (
-            match Pred.Env.find p env with
-            | Some (Pred.Env.Scalar (Value.Str s)) -> Some s
-            | _ -> None)
-        | Pred.Const _ | Pred.Const_list _ -> None
-      in
-      match pattern with
-      | None -> []
-      | Some pattern ->
+          List.map (fun v -> (v, count v)) vs
+      | Some (Pred.Env.Scalar v) -> [ (v, count_eq db table col v) ])
+  | Pred.Like { col; _ } -> (
+      match Pred.Env.find p env with
+      | Some (Pred.Env.Scalar (Value.Str pattern)) ->
           let counts = Hashtbl.create 16 in
           iter_strs db table col (fun str rows ->
               if Mirage_sql.Like.matches ~pattern str then
                 Hashtbl.replace counts str
                   (rows + try Hashtbl.find counts str with Not_found -> 0));
           Hashtbl.fold (fun v c acc -> (Value.Str v, c) :: acc) counts []
-          |> List.sort compare)
-  | Pred.Cmp _ | Pred.Arith_cmp _ -> []
-
-(* columns are named uniquely across the schema: the owner is the table
-   whose non-key columns include it *)
-let production_elements schema db ~env lit =
-  let owner col =
-    List.find_opt
-      (fun (tbl : Schema.table) ->
-        List.exists (fun (c : Schema.column) -> c.Schema.cname = col) tbl.Schema.nonkeys)
-      (Schema.tables schema)
-  in
-  match lit with
-  | Pred.In { col; _ } | Pred.Like { col; _ } -> (
-      match owner col with
-      | Some tbl -> literal_elements db ~env ~table:tbl.Schema.tname lit
-      | None -> [])
+          |> List.sort compare
+      | _ -> [])
   | Pred.Cmp _ | Pred.Arith_cmp _ -> []
 
 let run (w : Workload.t) ~ref_db ~prod_env =
@@ -405,7 +374,7 @@ let run (w : Workload.t) ~ref_db ~prod_env =
       | Pred.In { arg = Pred.Param p; _ } | Pred.Like { arg = Pred.Param p; _ } ->
           if not (Hashtbl.mem seen p) then begin
             Hashtbl.add seen p ();
-            out := (p, literal_elements ref_db ~env:prod_env ~table lit) :: !out
+            out := (p, elements_of_param ref_db ~env:prod_env ~table p lit) :: !out
           end
       | Pred.Cmp _ | Pred.In _ | Pred.Like _ | Pred.Arith_cmp _ -> ()
     in

@@ -22,21 +22,13 @@ val run :
   prod_env:Mirage_sql.Pred.Env.t ->
   extraction
 (** A template that cannot be pushed down or analysed contributes no
-    constraints; the failure is recorded in [diags]. *)
-
-val production_elements :
-  Mirage_sql.Schema.t ->
-  Mirage_engine.Db.t ->
-  env:Mirage_sql.Pred.Env.t ->
-  Mirage_sql.Pred.literal ->
-  (Mirage_sql.Value.t * int) list
-(** The production elements of one [IN] or [LIKE] literal (§4.2), read
-    from the stored column of the table owning the literal's column: each
-    listed [IN] value with its row count under [Value.compare], in list
-    order, or each string matching the [LIKE] pattern with its row count,
-    sorted.  A parameter operand resolves in [env]; an unbound one, a
-    non-string pattern, a column no table owns and any other literal give
-    [[]].  The same counter fills {!Ir.t}'s [param_elements]. *)
+    constraints; the failure is recorded in [diags].  {!Ir.t}'s
+    [param_elements] holds the production elements (§4.2) of every [IN] or
+    [LIKE] parameter in the final selection constraints, read from the
+    stored column of the constraint's table: each listed [IN] value with
+    its row count under [Value.compare], in list order, or each string
+    matching the [LIKE] pattern with its row count, sorted.  A non-string
+    pattern gives [[]]. *)
 
 (**/**)
 

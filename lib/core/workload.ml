@@ -1,8 +1,22 @@
 module Plan = Mirage_relalg.Plan
+module Pred = Mirage_sql.Pred
 
 type query = { q_name : string; q_plan : Plan.t }
 
 type t = { w_schema : Mirage_sql.Schema.t; w_queries : query list }
+
+(* an arithmetic predicate compares with <, <=, > or >= (§2.2): the parser
+   refuses = and <> there, and so must a plan built in code *)
+let arith_equality plan =
+  let rec holds = function
+    | Pred.Lit (Pred.Arith_cmp { cmp = Pred.Eq | Pred.Neq; _ }) -> true
+    | Pred.Lit _ | Pred.True | Pred.False -> false
+    | Pred.Not p -> holds p
+    | Pred.And ps | Pred.Or ps -> List.exists holds ps
+  in
+  List.exists
+    (function Plan.Select (p, _) -> holds p | _ -> false)
+    (Plan.preorder plan)
 
 (* the checks behind [make], non-raising, for fail-fast validation of
    workloads that arrive pre-constructed (e.g. deserialised from a bundle) *)
@@ -17,14 +31,19 @@ let validate t =
           (Diag.error ~query:q.q_name Diag.Validate "duplicate query name %s"
              q.q_name)
       else Hashtbl.add seen q.q_name ();
-      match Plan.validate t.w_schema q.q_plan with
+      (match Plan.validate t.w_schema q.q_plan with
       | Ok () -> ()
       | Error msg ->
           push
             (Diag.error ~query:q.q_name
                ~hint:"the plan references tables or columns absent from the \
                       schema"
-               Diag.Validate "%s" msg))
+               Diag.Validate "%s" msg));
+      if arith_equality q.q_plan then
+        push
+          (Diag.error ~query:q.q_name
+             ~hint:"compare the arithmetic expression with <, <=, > or >="
+             Diag.Validate "arithmetic predicates only support <, <=, >, >="))
     t.w_queries;
   let params = Hashtbl.create 64 in
   List.iter

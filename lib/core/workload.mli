@@ -15,8 +15,10 @@ val make : Mirage_sql.Schema.t -> query list -> t
 
 val validate : t -> Diag.t list
 (** The checks behind {!make}, non-raising: duplicate query names,
-    plan/schema coherence, cross-query parameter sharing.  Empty when the
-    workload is well-formed. *)
+    plan/schema coherence, arithmetic predicates compared with [=] or [<>]
+    (only [<], [<=], [>] and [>=] are allowed, as in the parser),
+    cross-query parameter sharing.  Empty when the workload is
+    well-formed. *)
 
 val query : t -> string -> query
 val take : t -> int -> t

@@ -4,10 +4,9 @@ type int_big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float_big = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type byte_big = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* spill directory: the env var seeds the default, the CLI flag overrides
-   via [set_big_dir] — read per allocation so a change applies to every
-   subsequent payload *)
-let big_dir_ref = ref (Sys.getenv_opt "MIRAGE_BIG_DIR")
+(* spill directory, set by the CLI's --big-dir via [set_big_dir] — read per
+   allocation so a change applies to every subsequent payload *)
+let big_dir_ref = ref None
 let big_dir () = !big_dir_ref
 let set_big_dir d = big_dir_ref := d
 

@@ -147,6 +147,5 @@ val add_csv_cell : Buffer.t -> t -> int -> unit
 (* Tested by test_sink "spill directory: same bytes, no files left, missing dir
    falls back". *)
 val big_dir : unit -> string option
-(** Spill directory for file-backed payloads.  Seeded from the
-    [MIRAGE_BIG_DIR] environment variable at startup; [None] means
-    anonymous memory. *)
+(** Spill directory for file-backed payloads, as {!set_big_dir} last set
+    it; [None] (the default) means anonymous memory. *)

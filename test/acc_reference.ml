@@ -1,8 +1,9 @@
 (* [Acc.choose_threshold] as it was before the one-sweep search, kept as a
    test oracle: every sorted value and the two sentinels become a boxed
    candidate list, and each candidate's selected count takes two binary
-   searches.  [test_core] checks that the sweep returns the bit-identical
-   threshold. *)
+   searches.  [test_core] checks that the selection returns the
+   bit-identical threshold for [<], [<=], [>] and [>=], except that a
+   winning zero run holding both signs is [+0.0]. *)
 
 module Pred = Mirage_sql.Pred
 

@@ -8,7 +8,8 @@
    against the goldens; an expired deadline exits 3; --sql with --copies,
    and a surplus shard that cannot be removed, fail with their exit codes,
    and so does an unknown query to explain; each --help lists only its
-   command's exit codes.  The one argument is the binary's path. *)
+   command's exit codes.  The first argument is the binary's path; the
+   rest go to alcotest. *)
 
 let cli = ref ""
 
@@ -504,9 +505,31 @@ let test_nonpositive_sizes command =
     [ [ "--batch"; "0" ]; [ "--batch=-5" ]; [ "--chunk-rows"; "0" ];
       [ "--copies"; "0" ] ]
 
+(* without -o, generate exports nothing and prints the per-query error
+   table *)
+let test_generate_without_out () =
+  with_dir @@ fun dir ->
+  let log = Filename.concat dir "run.log" in
+  Alcotest.(check int) "exit code" 0
+    (mirage ~log [ "generate"; "-w"; "ssb"; "--sf"; "0.05" ]);
+  let out = read_file log in
+  Alcotest.(check bool) "error table header" true
+    (contains ~sub:"relative error" out);
+  Alcotest.(check bool) "every query exact" true (contains ~sub:"13/13 exact" out);
+  Alcotest.(check bool) "nothing written" false (contains ~sub:"wrote" out);
+  Alcotest.(check (array string)) "no files" [| "run.log" |] (Sys.readdir dir)
+
+(* verify was generate without -o; it is gone *)
+let test_verify_unknown () =
+  with_dir @@ fun dir ->
+  Alcotest.(check int) "exit code" 124
+    (mirage ~log:(Filename.concat dir "run.log") [ "verify"; "-w"; "ssb" ])
+
 let () =
   cli := Sys.argv.(1);
-  Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
+  Alcotest.run
+    ~argv:(Array.append [| Sys.argv.(0) |] (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)))
+    "cli"
     [
       ( "from-bundle",
         [
@@ -559,6 +582,8 @@ let () =
             `Quick test_tpch_sf4_no_nul;
           Alcotest.test_case "non-positive --batch/--chunk-rows/--copies exit 124"
             `Quick (fun () -> test_nonpositive_sizes `Generate);
+          Alcotest.test_case "no -o: per-query errors, exit 0" `Quick
+            test_generate_without_out;
         ] );
       ( "extract",
         [
@@ -571,5 +596,7 @@ let () =
             test_help_exit_codes;
           Alcotest.test_case "explain: unknown query exits 2" `Quick
             test_explain_unknown_query;
+          Alcotest.test_case "verify is an unknown command (124)" `Quick
+            test_verify_unknown;
         ] );
     ]

@@ -1,8 +1,8 @@
 (* The production-element lookup [Driver] used before it shared
    [Extract]'s typed counter, kept as a test oracle: every IN value is
    counted by a scan of a boxed copy of the whole column, and every LIKE
-   match by a scan of another.  [test_core] checks that
-   [Extract.production_elements] returns the same list, in the same order. *)
+   match by a scan of another.  [test_core] checks that [Extract.run]'s
+   [param_elements] hold the same list, in the same order. *)
 
 module Pred = Mirage_sql.Pred
 module Value = Mirage_sql.Value

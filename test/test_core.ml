@@ -499,6 +499,19 @@ let prop_acc_threshold_best_effort =
       in
       abs (count - target) <= best)
 
+(* the comparators of an arithmetic predicate (§2.2) *)
+let acc_cmp = QCheck.Gen.oneofl Pred.[ Gt; Ge; Lt; Le ]
+
+let bits = Int64.bits_of_float
+
+(* the candidate-list reference, except that a winning run of zeros holding
+   both signs is [+0.0]: the reference returns whichever zero its sort put
+   last *)
+let reference_threshold ~cmp ~target values =
+  let t = Acc_reference.choose_threshold ~cmp ~target values in
+  let has z = Array.exists (fun x -> bits x = bits z) values in
+  if t = 0.0 && has 0.0 && has (-0.0) then 0.0 else t
+
 let prop_acc_threshold_matches_reference =
   let value =
     QCheck.Gen.(
@@ -508,17 +521,15 @@ let prop_acc_threshold_matches_reference =
           oneofl [ 0.0; -0.0; 0.5; -0.5; infinity; neg_infinity; 1e20; -1e20; max_float ];
         ])
   in
-  let cmp = QCheck.Gen.oneofl Pred.[ Gt; Ge; Lt; Le; Eq; Neq ] in
   QCheck.Test.make ~name:"threshold = candidate-list reference, bit for bit" ~count:2000
     (QCheck.make
        ~print:(fun (_, values, target) ->
          Printf.sprintf "target %d, values [%s]" target
            (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") values))))
-       QCheck.Gen.(triple cmp (array_size (0 -- 40) value) (int_range 0 42)))
+       QCheck.Gen.(triple acc_cmp (array_size (0 -- 40) value) (int_range 0 42)))
     (fun (cmp, values, target) ->
-      let bits f = Int64.bits_of_float f in
       bits (Acc.choose_threshold ~cmp ~target (fbig values))
-      = bits (Acc_reference.choose_threshold ~cmp ~target values))
+      = bits (reference_threshold ~cmp ~target values))
 
 (* [Acc.instantiate] on a stored table: two small-int date columns whose
    difference takes five values, so every threshold sits on a tie run, and
@@ -646,11 +657,10 @@ let test_acc_unsampled_null () =
 (* tables large enough for the selection to partition several times, with
    long tie runs and signed zeros *)
 let prop_acc_threshold_large_matches_reference =
-  let cmp = QCheck.Gen.oneofl Pred.[ Gt; Ge; Lt; Le; Eq; Neq ] in
   QCheck.Test.make ~name:"threshold = reference on tie-heavy views up to 3000" ~count:200
     (QCheck.make
        QCheck.Gen.(
-         triple cmp (int_range 0 3000)
+         triple acc_cmp (int_range 0 3000)
            (pair (int_range 1 40) (int_range 0 1000000))))
     (fun (cmp, n, (spread, seed)) ->
       let st = Random.State.make [| seed |] in
@@ -662,9 +672,21 @@ let prop_acc_threshold_large_matches_reference =
             | _ -> float_of_int (Random.State.int st spread - (spread / 2)))
       in
       let target = Random.State.int st (n + 3) - 1 in
-      let bits f = Int64.bits_of_float f in
       bits (Acc.choose_threshold ~cmp ~target (fbig values))
-      = bits (Acc_reference.choose_threshold ~cmp ~target values))
+      = bits (reference_threshold ~cmp ~target values))
+
+(* [=] and [<>] are no arithmetic comparison, and a NaN has no rank *)
+let test_acc_threshold_refuses () =
+  let raises label msg cmp values =
+    Alcotest.check_raises label (Invalid_argument msg) (fun () ->
+        ignore (Acc.choose_threshold ~cmp ~target:1 (fbig values)))
+  in
+  let only = "Acc: arithmetic predicates only support <, <=, >, >=" in
+  raises "=" only Pred.Eq [| 1.0; 2.0 |];
+  raises "<>" only Pred.Neq [||];
+  raises "NaN" "Acc: NaN in arithmetic expression" Pred.Gt [| 1.0; Float.nan |];
+  Alcotest.(check int64) "a mixed-sign zero run is +0.0" (bits 0.0)
+    (bits (Acc.choose_threshold ~cmp:Pred.Le ~target:2 (fbig [| -0.0; 0.0; 1.0 |])))
 
 (* --- production elements (§4.2) --------------------------------------- *)
 
@@ -716,43 +738,43 @@ let prop_production_elements_match_reference =
             Col.of_floats ~nulls:(nulls ())
               (Array.init n (fun _ -> float_of_int (Random.State.int st 5))) );
         ];
-      let operand ~list =
-        match Random.State.int st 4 with
-        | 0 -> Pred.Param "p"
-        | 1 -> Pred.Param "unbound"
-        | 2 when list -> Pred.Const_list (List.init (Random.State.int st 4) (fun _ -> value ()))
-        | _ -> Pred.Const (value ())
+      let pattern () = Value.Str (pick [| "a%"; "%b"; "_"; "%"; "c"; "b%a" |]) in
+      (* six queries, each selecting [e] on one IN or LIKE literal over its
+         own parameter *)
+      let lits, bindings =
+        List.split
+          (List.init 6 (fun i ->
+               let p = Printf.sprintf "p%d" i in
+               let col = pick [| "ei"; "es"; "ef" |] in
+               let neg = Random.State.bool st in
+               if Random.State.bool st then
+                 ( Pred.In { col; neg; arg = Pred.Param p },
+                   ( p,
+                     if Random.State.bool st then
+                       Pred.Env.Vlist (List.init (Random.State.int st 4) (fun _ -> value ()))
+                     else Pred.Env.Scalar (value ()) ) )
+               else
+                 ( Pred.Like { col; neg; arg = Pred.Param p },
+                   (p, Pred.Env.Scalar (pattern ())) )))
       in
-      let env =
-        Pred.Env.of_list
-          [
-            ( "p",
-              if Random.State.bool st then
-                Pred.Env.Vlist (List.init (Random.State.int st 4) (fun _ -> value ()))
-              else Pred.Env.Scalar (if Random.State.bool st then Value.Str (pick [| "a%"; "%b"; "_"; "%"; "c" |]) else value ()) );
-          ]
+      let env = Pred.Env.of_list bindings in
+      let w =
+        Workload.make el_schema
+          (List.mapi
+             (fun i lit ->
+               {
+                 Workload.q_name = Printf.sprintf "q%d" i;
+                 q_plan = Plan.Select (Pred.Lit lit, Plan.Table "e");
+               })
+             lits)
       in
-      List.for_all
-        (fun _ ->
-          let col = pick [| "ei"; "es"; "ef"; "nosuch" |] in
-          let lit =
-            match Random.State.int st 3 with
-            | 0 -> Pred.In { col; neg = Random.State.bool st; arg = operand ~list:true }
-            | 1 ->
-                Pred.Like
-                  {
-                    col;
-                    neg = false;
-                    arg =
-                      (if Random.State.bool st then
-                         Pred.Const (Value.Str (pick [| "a%"; "%b"; "_"; "%"; "b%a" |]))
-                       else operand ~list:false);
-                  }
-            | _ -> Pred.Cmp { col; cmp = Pred.Eq; arg = operand ~list:false }
-          in
-          Extract.production_elements el_schema db ~env lit
-          = Elements_reference.elements_fn el_schema db env lit)
-        (List.init 6 Fun.id))
+      let ex = Extract.run w ~ref_db:db ~prod_env:env in
+      ex.Extract.diags = []
+      && List.for_all2
+           (fun lit (p, _) ->
+             List.assoc_opt p ex.Extract.ir.Ir.param_elements
+             = Some (Elements_reference.elements_fn el_schema db env lit))
+           lits bindings)
 
 (* --- Rewrite (§3) ----------------------------------------------------------- *)
 
@@ -1501,6 +1523,8 @@ let () =
             test_acc_invalid_rows;
           Alcotest.test_case "an unsampled NULL is never read" `Quick
             test_acc_unsampled_null;
+          Alcotest.test_case "=, <> and NaN raise; mixed zeros give +0.0" `Quick
+            test_acc_threshold_refuses;
         ] );
       ( "elements",
         [ QCheck_alcotest.to_alcotest prop_production_elements_match_reference ] );

@@ -331,6 +331,53 @@ let test_bundle_roundtrip_generation () =
       Alcotest.(check (float 1e-9)) (e.Error.qe_name ^ " exact") 0.0 e.Error.qe_relative)
     errs
 
+(* a query the rewriter rejects travels in the bundle: from-bundle reports
+   it Unsupported, as direct generation does, instead of Exact *)
+let test_bundle_keeps_unsupported () =
+  let q5 =
+    Plan.Select
+      ( Parser.pred "(s1 < $p9 or t1 > $p10) and (s1 > $p11 or t2 < $p12)",
+        Plan.Join
+          {
+            jt = Plan.Inner;
+            pk_table = "s";
+            fk_table = "t";
+            fk_col = "t_fk";
+            left = Plan.Table "s";
+            right = Plan.Table "t";
+          } )
+  in
+  let w =
+    Workload.make schema
+      (workload.Workload.w_queries @ [ { Workload.q_name = "q5"; q_plan = q5 } ])
+  in
+  let prod_env =
+    List.fold_left
+      (fun env p -> Pred.Env.add p (Pred.Env.Scalar (Value.Int 2)) env)
+      prod_env [ "p9"; "p10"; "p11"; "p12" ]
+  in
+  let ref_db = ref_db () in
+  let ex = Mirage_core.Extract.run w ~ref_db ~prod_env in
+  let bundle = Mirage_core.Bundle.of_extraction w ex ~prod_env in
+  let reloaded =
+    match Mirage_core.Bundle.of_string (Mirage_core.Bundle.to_string bundle) with
+    | Ok b -> b
+    | Error m -> Alcotest.failf "bundle parse: %s" m
+  in
+  let verdicts = function
+    | Ok r -> r.Driver.r_verdicts
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
+  let direct = verdicts (Driver.generate ~config w ~ref_db ~prod_env) in
+  let from_bundle = verdicts (Driver.generate_from_bundle ~config reloaded) in
+  let status q vs =
+    Diag.status_name
+      (List.find (fun (v : Diag.verdict) -> v.Diag.v_query = q) vs).Diag.v_status
+  in
+  Alcotest.(check string) "direct: q5" "unsupported" (status "q5" direct);
+  Alcotest.(check string) "from bundle: q5" "unsupported" (status "q5" from_bundle);
+  Alcotest.(check bool) "the same verdicts" true (direct = from_bundle)
+
 let test_bundle_rejects_garbage () =
   (match Mirage_core.Bundle.of_string "(not-a-bundle)" with
   | Error _ -> ()
@@ -364,6 +411,8 @@ let () =
           Alcotest.test_case "round trip equals direct generation" `Quick
             test_bundle_roundtrip_generation;
           Alcotest.test_case "rejects garbage" `Quick test_bundle_rejects_garbage;
+          Alcotest.test_case "an Unsupported query stays Unsupported" `Quick
+            test_bundle_keeps_unsupported;
         ] );
       ( "scale-out",
         [

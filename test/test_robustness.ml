@@ -100,6 +100,7 @@ let bundle ?table_cards joins =
     b_env =
       Mirage_sql.Pred.Env.of_list
         [ ("p1", Mirage_sql.Pred.Env.Scalar (Value.Int 2)) ];
+    b_unsupported = [];
   }
 
 let feasible = join ~source:"q1#j0" ~jcc:8
@@ -363,9 +364,11 @@ let test_make_duplicate_query () =
         (contains m "duplicate query name q1")
 
 (* a batch or chunk below one row is a Validate error, not a crash, from
-   generate and generate_from_bundle alike *)
+   generate and generate_from_bundle alike, found before the production
+   database is read: one the extraction would reject changes nothing *)
 let test_nonpositive_sizes () =
   let ssb, ref_db, prod_env = Mirage_workloads.Ssb.make ~sf:0.05 ~seed:7 in
+  let empty = Db.create ssb.Workload.w_schema in
   List.iter
     (fun (label, config) ->
       List.iter
@@ -380,12 +383,35 @@ let test_nonpositive_sizes () =
           ( "generate_from_bundle",
             fun () -> Driver.generate_from_bundle ~config (bundle [ feasible ]) );
           ("generate", fun () -> Driver.generate ~config ssb ~ref_db ~prod_env);
+          ( "generate on an empty database",
+            fun () -> Driver.generate ~config ssb ~ref_db:empty ~prod_env );
         ])
     [
       ("batch 0", { Driver.default_config with Driver.batch_size = 0 });
       ("batch -5", { Driver.default_config with Driver.batch_size = -5 });
       ("chunk 0", { Driver.default_config with Driver.chunk_rows = Some 0 });
     ]
+
+(* an arithmetic predicate compares with <, <=, > or >=; a plan built in
+   code with = is refused as the parser refuses it *)
+let test_arith_equality_rejected () =
+  let pred =
+    Mirage_sql.Pred.(
+      Lit (Arith_cmp { expr = Asub (Acol "t1", Acol "t2"); cmp = Eq; arg = Param "p9" }))
+  in
+  let w =
+    {
+      workload with
+      Workload.w_queries =
+        workload.Workload.w_queries
+        @ [ { Workload.q_name = "q3"; q_plan = Plan.Select (pred, Plan.Table "t") } ];
+    }
+  in
+  match List.filter (fun d -> d.Diag.d_severity = Diag.Error) (Workload.validate w) with
+  | [ d ] ->
+      Alcotest.(check string) "stage" "validate" (Diag.stage_name d.Diag.d_stage);
+      Alcotest.(check (option string)) "query" (Some "q3") d.Diag.d_query
+  | ds -> Alcotest.failf "expected one error, got %d" (List.length ds)
 
 let () =
   Alcotest.run "robustness"
@@ -416,6 +442,8 @@ let () =
             `Quick test_make_duplicate_query;
           Alcotest.test_case "non-positive batch or chunk is a Validate error"
             `Quick test_nonpositive_sizes;
+          Alcotest.test_case "arithmetic = is a Validate error" `Quick
+            test_arith_equality_rejected;
         ] );
       ( "multi-seed",
         [ Alcotest.test_case "three-seed ssb smoke" `Quick test_multi_seed_smoke ] );

@@ -7,7 +7,6 @@
 
 module Driver = Mirage_core.Driver
 module Error = Mirage_core.Error
-module Extract = Mirage_core.Extract
 module Workload = Mirage_core.Workload
 module Types = Mirage_baselines.Types
 module Par = Mirage_par.Par
@@ -44,10 +43,6 @@ let run_mirage ?(config = bench_config) workload ref_db prod_env =
   match Driver.generate ~config workload ~ref_db ~prod_env with
   | Ok r -> r
   | Error d -> failwith ("mirage generation failed: " ^ Mirage_core.Diag.to_string d)
-
-(* generation seconds as the paper counts them: total minus extraction *)
-let gen_seconds (r : Driver.result) =
-  r.Driver.r_timings.Driver.t_total -. r.Driver.r_timings.Driver.t_extract
 
 (* the fig15/fig16 sweeps step the query count through the same quartiles *)
 let quarter_steps total =
@@ -90,7 +85,7 @@ let fig11 wl =
   let workload, ref_db, prod_env = make_workload wl in
   let r = run_mirage workload ref_db prod_env in
   let mirage_errs = Driver.measure_errors r in
-  let aqts = r.Driver.r_extraction.Extract.aqts in
+  let aqts = r.Driver.r_aqts in
   (* the two baseline generators are independent of each other — fan out on
      the resident pool *)
   let ts, hy =
@@ -148,7 +143,7 @@ let fig12 () =
       let workload, ref_db, prod_env = make_workload wl in
       let r = run_mirage workload ref_db prod_env in
       let lats =
-        Error.latencies ~aqts:r.Driver.r_extraction.Extract.aqts ~ref_db ~prod_env
+        Error.latencies ~aqts:r.Driver.r_aqts ~ref_db ~prod_env
           ~synth_db:r.Driver.r_db ~synth_env:r.Driver.r_env ~repeat:5
       in
       let devs =
@@ -191,7 +186,7 @@ let fig13 () =
           let sf = wl.wl_sf *. factor in
           let workload, ref_db, prod_env = make_workload ~sf_override:sf wl in
           let r = run_mirage workload ref_db prod_env in
-          let m_time = gen_seconds r in
+          let m_time = r.Driver.r_timings.Driver.t_total in
           let ts, hy =
             let pool = Par.get ~domains:2 () in
             Par.both pool
@@ -233,7 +228,7 @@ let fig14 () =
           let t = r.Driver.r_timings in
           pf "%-10d %8.3f %8.3f %8.3f %8.3f %8.3f %10d %12.2f\n%!" batch
             t.Driver.t_gd t.Driver.t_cs t.Driver.t_cp t.Driver.t_pf
-            (gen_seconds r) t.Driver.cp_solves
+            (r.Driver.r_timings.Driver.t_total) t.Driver.cp_solves
             (float_of_int t.Driver.batch_alloc_bytes /. 1_048_576.0))
         [ 1_000; 2_000; 4_000; 7_000; 10_000; 1_000_000 ])
 
@@ -256,7 +251,7 @@ let fig15 () =
           let r = run_mirage sub ref_db prod_env in
           let t = r.Driver.r_timings in
           pf "%-9d %8.3f %8.3f %8.3f %8.3f %8.3f\n%!" n t.Driver.t_gd
-            t.Driver.t_cs t.Driver.t_cp t.Driver.t_pf (gen_seconds r))
+            t.Driver.t_cs t.Driver.t_cp t.Driver.t_pf (r.Driver.r_timings.Driver.t_total))
         steps)
 
 (* --- Fig. 16: portraying non-key distributions --------------------------- *)
@@ -316,7 +311,7 @@ let ablate () =
               pf "%-22s %5d/%-2d %10.5f %10.5f %12d %10.3f\n%!" name exact
                 (List.length rels) (mean rels)
                 (List.fold_left max 0.0 rels)
-                r.Driver.r_timings.Driver.cp_nodes (gen_seconds r))
+                r.Driver.r_timings.Driver.cp_nodes (r.Driver.r_timings.Driver.t_total))
         variants)
     [ List.nth workloads 1; List.nth workloads 2 ]
 

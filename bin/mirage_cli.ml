@@ -212,11 +212,15 @@ let report_errors r =
 let base_config batch limits =
   { Driver.default_config with Driver.batch_size = batch; budget = limits }
 
-(* the production side of a direct run: its workload and the generation
-   closure over the reference database and parameters *)
-let direct name sf seed =
+(* the production side, shared by [extract] and [generate]: the workload's
+   constraint bundle and its AQTs, the ground truth [generate] measures
+   errors against.  The reference database and parameters stay in here, so
+   nothing reaches them once it returns. *)
+let production name sf seed =
   let workload, ref_db, prod_env = make_workload name sf seed in
-  (workload, fun config -> Driver.generate ~config workload ~ref_db ~prod_env)
+  let ex = Mirage_core.Extract.run workload ~ref_db ~prod_env in
+  ( Mirage_core.Bundle.of_extraction workload ex ~prod_env,
+    ex.Mirage_core.Extract.aqts )
 
 let write_parameters r dir =
   let oc = open_out (Filename.concat dir "parameters.txt") in
@@ -232,18 +236,19 @@ let write_parameters r dir =
   close_out oc;
   Fmt.pr "wrote %s@." (Filename.concat dir "parameters.txt")
 
-(* The one generate-and-export pipeline behind [generate] and [from-bundle].
-   With [-o DIR] the crash-safe shard export opens before generation, each
-   table's shards stream out the moment its last FK edge commits, and the
-   finish pass renders whatever the hook missed and seals MANIFEST.json.
+(* The one generate-and-export pipeline behind [generate] and [from-bundle]:
+   generation from a loaded bundle.  With [-o DIR] the crash-safe shard
+   export opens before generation, each table's shards stream out the
+   moment its last FK edge commits, and the finish pass renders whatever
+   the hook missed and seals MANIFEST.json.
    Without [--chunk-rows] the export chunk is unbounded, so each table is
    one shard, <table>.csv.0.  parameters.txt follows, and the SQL export
    when asked.  The export's deadline runs from the start of generation,
    which it overlaps.  [run_key] names the run's inputs; the run ids append
    every other parameter that changes the output bytes (compression changes
    shard names and contents, the domain count does not). *)
-let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
-    ~compress ~resume ~sql ~report generate =
+let generate_and_export ~what ~run_key ~config ~out ~copies ~chunk ~compress
+    ~resume ~sql ~report b =
   let token = Budget.start config.Driver.budget in
   let interrupt () = Budget.check token in
   let chunk_rows = Option.value chunk ~default:max_int in
@@ -267,7 +272,7 @@ let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
       on_attempt_abort =
         Option.map (fun (_, h) () -> Scale_out.abort_csv_export h) live }
   in
-  match generate config with
+  match Driver.generate_from_bundle ~config b with
   | Error d -> report_fatal d
   | Ok r ->
       let db = r.Driver.r_db in
@@ -294,7 +299,8 @@ let generate_and_export ~what ~run_key ~workload ~config ~out ~copies ~chunk
             let run_id = Printf.sprintf "%s-sql-chunk%d" run_key chunk_rows in
             let shards, resumed_n =
               Mirage_core.Sql_export.export_chunked ~resume ~interrupt ~db
-                ~workload ~env:r.Driver.r_env ~dir ~chunk_rows ~run_id ()
+                ~workload:b.Mirage_core.Bundle.b_workload ~env:r.Driver.r_env
+                ~dir ~chunk_rows ~run_id ()
             in
             Fmt.pr
               "wrote schema.sql, queries.sql and %d data.sql shards (%d \
@@ -325,13 +331,19 @@ let generate_cmd =
             with --copies %d"
            copies);
     apply_big_dir big_dir;
-    let workload, generate = direct name sf seed in
+    let b, aqts = production name sf seed in
+    (* the bundle crosses its text format, as between extract and
+       from-bundle *)
+    let b =
+      Mirage_core.Bundle.(of_string (to_string b)) |> Result.fold ~ok:Fun.id ~error:failwith
+    in
     generate_and_export
       ~what:(Printf.sprintf "%s (sf %.2f)" name sf)
       ~run_key:(Printf.sprintf "%s-sf%g-seed%d" name sf seed)
-      ~workload
       ~config:{ (base_config batch (limits_of bmb bsecs)) with Driver.seed }
-      ~out ~copies ~chunk ~compress ~resume ~sql ~report:report_errors generate
+      ~out ~copies ~chunk ~compress ~resume ~sql
+      ~report:(fun r -> report_errors { r with Driver.r_aqts = aqts })
+      b
   in
   let doc = "Regenerate a benchmark application and export the synthetic database." in
   let exits =
@@ -398,13 +410,11 @@ let extract_cmd =
   in
   let run name sf seed out =
     guarded @@ fun () ->
-    let workload, ref_db, prod_env = make_workload name sf seed in
-    let ex = Mirage_core.Extract.run workload ~ref_db ~prod_env in
-    let b = Mirage_core.Bundle.of_extraction workload ex ~prod_env in
+    let b, _ = production name sf seed in
     Mirage_core.Bundle.save b ~path:out;
     Fmt.pr "wrote constraint bundle %s (%d queries, %d selection and %d join constraints)@."
       out
-      (List.length workload.Mirage_core.Workload.w_queries)
+      (List.length b.Mirage_core.Bundle.b_workload.Mirage_core.Workload.w_queries)
       (List.length b.Mirage_core.Bundle.b_ir.Mirage_core.Ir.sccs)
       (List.length b.Mirage_core.Bundle.b_ir.Mirage_core.Ir.joins);
     0
@@ -439,11 +449,9 @@ let from_bundle_cmd =
            bundle's bytes name the run's inputs *)
         generate_and_export ~what:"from bundle"
           ~run_key:("bundle-" ^ Digest.to_hex (Digest.file path))
-          ~workload:b.Mirage_core.Bundle.b_workload
           ~config:(base_config batch (limits_of bmb bsecs))
           ~out ~copies ~chunk ~compress:false ~resume:false ~sql:false
-          ~report:ignore
-          (fun config -> Driver.generate_from_bundle ~config b)
+          ~report:ignore b
   in
   let doc = "Generate a synthetic database from a saved constraint bundle (no production data needed)." in
   let exits =

@@ -62,7 +62,7 @@ let () =
   | Error d ->
       prerr_endline ("generation failed: " ^ Mirage_core.Diag.to_string d)
   | Ok r ->
-      let aqts = r.Driver.r_extraction.Mirage_core.Extract.aqts in
+      let aqts = r.Driver.r_aqts in
       let lats =
         Error.latencies ~aqts ~ref_db ~prod_env ~synth_db:r.Driver.r_db
           ~synth_env:r.Driver.r_env ~repeat:3

@@ -11,15 +11,18 @@ let () =
   let sf = try float_of_string Sys.argv.(1) with _ -> 0.2 in
   Printf.printf "building the TPC-H production environment at scale %.2f...\n%!" sf;
   let workload, ref_db, prod_env = Mirage_workloads.Tpch.make ~sf ~seed:7 in
+  let t0 = Unix.gettimeofday () in
   match Driver.generate workload ~ref_db ~prod_env with
   | Error d ->
       prerr_endline ("generation failed: " ^ Mirage_core.Diag.to_string d)
   | Ok r ->
       let t = r.Driver.r_timings in
+      (* t_total is generation alone: extraction and the bundle are the rest *)
       Printf.printf
         "generated in %.2fs (parse %.2fs, non-keys %.3fs, keys: status %.3fs + CP \
          %.3fs + populate %.3fs)\n"
-        t.Driver.t_total t.Driver.t_extract
+        t.Driver.t_total
+        (Unix.gettimeofday () -. t0 -. t.Driver.t_total)
         (t.Driver.t_decouple +. t.Driver.t_cdf +. t.Driver.t_gd +. t.Driver.t_acc)
         t.Driver.t_cs t.Driver.t_cp t.Driver.t_pf;
       List.iter

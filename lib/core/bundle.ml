@@ -16,6 +16,15 @@ let ( let* ) = Result.bind
 
 let err fmt = Fmt.kstr (fun s -> Error s) fmt
 
+(* [f] over every element, or the first error *)
+let map_all f l =
+  List.fold_right
+    (fun x acc ->
+      let* acc = acc in
+      let* y = f x in
+      Ok (y :: acc))
+    l (Ok [])
+
 let int_atom what a =
   match int_of_string_opt a with
   | Some n -> Ok n
@@ -134,35 +143,19 @@ let rec plan_of_sexp s =
       let* right = plan_of_sexp right in
       Ok (Plan.Join { jt; pk_table; fk_table; fk_col; left; right })
   | [ Sexp.Atom "project"; Sexp.List cols; input ] ->
-      let* cols =
-        List.fold_right
-          (fun c acc ->
-            let* acc = acc in
-            let* c = Sexp.atom c in
-            Ok (c :: acc))
-          cols (Ok [])
-      in
+      let* cols = map_all Sexp.atom cols in
       let* input = plan_of_sexp input in
       Ok (Plan.Project { cols; input })
   | [ Sexp.Atom "aggregate"; Sexp.List group; Sexp.List aggs; input ] ->
-      let* group_by =
-        List.fold_right
-          (fun c acc ->
-            let* acc = acc in
-            let* c = Sexp.atom c in
-            Ok (c :: acc))
-          group (Ok [])
-      in
+      let* group_by = map_all Sexp.atom group in
       let* aggs =
-        List.fold_right
-          (fun a acc ->
-            let* acc = acc in
-            match a with
+        map_all
+          (function
             | Sexp.List [ Sexp.Atom f; Sexp.Atom c ] ->
                 let* f = agg_of_name f in
-                Ok ((f, c) :: acc)
+                Ok (f, c)
             | other -> err "bad aggregate spec %s" (Sexp.to_string other))
-          aggs (Ok [])
+          aggs
       in
       let* input = plan_of_sexp input in
       Ok (Plan.Aggregate { group_by; aggs; input })
@@ -212,10 +205,8 @@ let table_of_sexp s =
         match int_of_string_opt rows with Some r -> Ok r | None -> err "bad rows"
       in
       let* nonkeys =
-        List.fold_right
-          (fun c acc ->
-            let* acc = acc in
-            match c with
+        map_all
+          (function
             | Sexp.List [ Sexp.Atom cname; Sexp.Atom dom; Sexp.Atom kind ] ->
                 let* kind = kind_of_name kind in
                 let* domain_size =
@@ -223,19 +214,17 @@ let table_of_sexp s =
                   | Some d -> Ok d
                   | None -> err "bad domain"
                 in
-                Ok ({ Schema.cname; domain_size; kind } :: acc)
+                Ok { Schema.cname; domain_size; kind }
             | other -> err "bad column %s" (Sexp.to_string other))
-          nonkeys (Ok [])
+          nonkeys
       in
       let* fks =
-        List.fold_right
-          (fun f acc ->
-            let* acc = acc in
-            match f with
+        map_all
+          (function
             | Sexp.List [ Sexp.Atom fk_col; Sexp.Atom references ] ->
-                Ok ({ Schema.fk_col; references } :: acc)
+                Ok { Schema.fk_col; references }
             | other -> err "bad fk %s" (Sexp.to_string other))
-          fks (Ok [])
+          fks
       in
       Ok { Schema.tname; pk; row_count; nonkeys; fks }
   | _ -> err "bad table %s" (Sexp.to_string s)
@@ -439,16 +428,14 @@ let of_string str =
                 Ok ()
             | Sexp.List (Sexp.Atom "elements" :: Sexp.Atom p :: els) ->
                 let* els =
-                  List.fold_right
-                    (fun e acc ->
-                      let* acc = acc in
-                      match e with
+                  map_all
+                    (function
                       | Sexp.List [ v; Sexp.Atom c ] ->
                           let* v = value_of_sexp v in
                           let* c = int_atom "element count" c in
-                          Ok ((v, c) :: acc)
+                          Ok (v, c)
                       | other -> err "bad element %s" (Sexp.to_string other))
-                    els (Ok [])
+                    els
                 in
                 elements := (p, els) :: !elements;
                 Ok ()
@@ -457,14 +444,7 @@ let of_string str =
                 env := Pred.Env.add p (Pred.Env.Scalar v) !env;
                 Ok ()
             | Sexp.List (Sexp.Atom "param-list" :: Sexp.Atom p :: vs) ->
-                let* vs =
-                  List.fold_right
-                    (fun v acc ->
-                      let* acc = acc in
-                      let* v = value_of_sexp v in
-                      Ok (v :: acc))
-                    vs (Ok [])
-                in
+                let* vs = map_all value_of_sexp vs in
                 env := Pred.Env.add p (Pred.Env.Vlist vs) !env;
                 Ok ()
             | other -> err "unknown bundle line %s" (Sexp.to_string other))
@@ -618,13 +598,6 @@ let validate (b : t) : Diag.t list =
   List.rev !diags
 
 let save b ~path =
-  let oc = open_out path in
-  output_string oc (to_string b);
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string b))
 
-let load ~path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let str = really_input_string ic len in
-  close_in ic;
-  of_string str
+let load ~path = of_string (In_channel.with_open_bin path In_channel.input_all)

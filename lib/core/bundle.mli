@@ -9,7 +9,9 @@
     A bundle contains the schema, the query templates, the extracted
     constraint IR (including the in/like production elements), the
     production parameter values and the queries the extraction rejected,
-    in a line-oriented s-expression format. *)
+    in a line-oriented s-expression format.  Every generation crosses it:
+    {!Driver.generate} runs {!of_extraction}, {!to_string} and {!of_string}
+    before {!Driver.generate_from_bundle}. *)
 
 type t = {
   b_workload : Workload.t;
@@ -24,6 +26,15 @@ type t = {
 val of_extraction :
   Workload.t -> Extract.extraction -> prod_env:Mirage_sql.Pred.Env.t -> t
 
+val to_string : t -> string
+(** One s-expression per line after a [(mirage-bundle 1)] header; [param],
+    [param-list] and [elements] values write floats as [%h].  The text is
+    a fixed point: [to_string] of [of_string s] is [s]. *)
+
+val of_string : string -> (t, string) result
+(** Parses {!to_string}'s text; [Error] names the first bad line.  The
+    constraints are checked by {!validate}, not here. *)
+
 val save : t -> path:string -> unit
 val load : path:string -> (t, string) result
 
@@ -35,13 +46,3 @@ val validate : t -> Diag.t list
     populated table references a zero-row table.  Includes
     {!Workload.validate} of the embedded workload.  Errors in the returned
     list make generation fail fast ({!Driver.generate_from_bundle}). *)
-
-(**/**)
-
-(* Tested by test_integration "round trip equals direct generation" and
-   test_robustness "truncated bundle". *)
-val to_string : t -> string
-
-(* Tested by test_integration "rejects garbage" and test_robustness "malformed
-   integer". *)
-val of_string : string -> (t, string) result

@@ -224,18 +224,6 @@ let of_values vs =
 
 let to_values t = Array.init (length t) (get t)
 
-let equal a b =
-  let n = length a in
-  n = length b
-  &&
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < n do
-    if not (Value.equal (get a !i) (get b !i)) then ok := false;
-    incr i
-  done;
-  !ok
-
 let add_csv_cell buf t i =
   match t with
   | Ints { data; nulls } ->

@@ -28,7 +28,6 @@ module Bitset : sig
   val set : t -> int -> unit
   val clear : t -> int -> unit
   val get : t -> int -> bool
-  val length : t -> int
   val count : t -> int
   (** Number of set bits. *)
 
@@ -36,6 +35,13 @@ module Bitset : sig
   (** [count_range b lo hi]: number of set bits at positions [lo] to
       [hi - 1]; [0] when [hi <= lo].  Counts whole bytes at a time.
       Requires [0 <= lo] and [hi <= length b]. *)
+
+  (**/**)
+
+  (* Tested by test_columnar "Bitset matches a bool-array model", test_core
+     "membership forms" and test_workloads "typed refgen = boxed
+     reference". *)
+  val length : t -> int
 end
 
 type int_big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -94,7 +100,6 @@ module Ivec : sig
 end
 
 val length : t -> int
-val is_null : t -> int -> bool
 
 val get : t -> int -> Mirage_sql.Value.t
 (** Row [i] as a [Value.t]; [Null] for rows flagged in the null bitmap. *)
@@ -132,9 +137,6 @@ val of_values : Mirage_sql.Value.t array -> t
 val to_values : t -> Mirage_sql.Value.t array
 (** Freshly allocated [Value.t] copy. *)
 
-val equal : t -> t -> bool
-(** Logical (value-level) equality, independent of representation. *)
-
 val add_csv_cell : Buffer.t -> t -> int -> unit
 (** Append row [i] in {!Db.to_csv} cell syntax: NULL renders as the empty
     string, ints via [string_of_int], floats via {!Render.float_repr}
@@ -143,6 +145,9 @@ val add_csv_cell : Buffer.t -> t -> int -> unit
     ({!Render.csv_escape}). *)
 
 (**/**)
+
+(* Tested by test_columnar "null bitmap agrees with boxed view". *)
+val is_null : t -> int -> bool
 
 (* Tested by test_sink "spill directory: same bytes, no files left, missing dir
    falls back". *)

@@ -39,7 +39,11 @@ let tokenize s =
       let buf = Buffer.create 8 in
       let closed = ref false in
       while !i < n && not !closed do
-        if s.[!i] = '\'' then (closed := true; incr i)
+        (* a doubled quote is one quote inside the string, as in SQL *)
+        if s.[!i] = '\'' && !i + 1 < n && s.[!i + 1] = '\'' then (
+          Buffer.add_char buf '\'';
+          i := !i + 2)
+        else if s.[!i] = '\'' then (closed := true; incr i)
         else (Buffer.add_char buf s.[!i]; incr i)
       done;
       if not !closed then fail "unterminated string literal";

@@ -16,6 +16,8 @@
     cmpop  := '=' | '<>' | '!=' | '<' | '<=' | '>' | '>='
     v}
 
+    A [number] with a decimal point is a float, and has no exponent.  A
+    [string] is single-quoted; two quotes in a row inside it stand for one.
     An [expr] consisting of a single column becomes a unary comparison; any
     compound arithmetic expression becomes an arithmetic predicate, which is
     only legal with an inequality comparator (as in the paper). *)

@@ -93,6 +93,10 @@ val negate_literal : literal -> literal option
     [None] only for unsatisfiable/odd cases (none currently). *)
 
 val pp : Format.formatter -> t -> unit
+(** Template-language text that {!Parser.pred} reads back as an equal
+    predicate: float constants keep every digit and a ['.'], and a quote
+    inside a string constant is doubled. *)
+
 val to_string : t -> string
 
 (**/**)

@@ -26,8 +26,6 @@ let cmp_sql a b =
   | Str x, Str y -> Some (String.compare x y)
   | _ -> None
 
-let equal a b = compare a b = 0
-
 (* an [Int] hashes as its float image, so values that {!compare} equates
    ([Int 1] and [Float 1.0]) hash alike *)
 let hash = function

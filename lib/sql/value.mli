@@ -21,9 +21,6 @@ val cmp_sql : t -> t -> int option
     comparable, otherwise [Some c] with [c] as {!Stdlib.compare}.  [Int] and
     [Float] are compared numerically. *)
 
-val equal : t -> t -> bool
-(** Structural equality (NOT SQL equality: [equal Null Null = true]). *)
-
 val hash : t -> int
 (** Consistent with {!compare}: [compare a b = 0] implies
     [hash a = hash b]. *)

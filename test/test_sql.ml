@@ -232,6 +232,37 @@ let prop_pp_parse_roundtrip =
       | Error _ -> false
       | Ok p' -> ev p = ev p')
 
+(* constants print as text the parser reads back: the bundle carries
+   predicates as this text, so a float printed with six digits, or with an
+   exponent the parser has no syntax for, or a string holding a quote would
+   change or lose the constraint *)
+let prop_constants_roundtrip =
+  QCheck.Test.make ~name:"float and string constants survive pp/parse" ~count:500
+    QCheck.(pair float (oneofl [ 2.0; 0.05; -0.5; 1e20; 1.5e-7; 0.1234567 ]))
+    (fun (x, y) ->
+      QCheck.assume (Float.is_finite x);
+      let p =
+        Pred.And
+          [
+            Pred.Lit (Pred.Cmp { col = "a"; cmp = Pred.Lt; arg = Pred.Const (Value.Float x) });
+            Pred.Lit
+              (Pred.In
+                 {
+                   col = "a";
+                   neg = false;
+                   arg = Pred.Const_list [ Value.Float y; Value.Str "it's ''x'''" ];
+                 });
+            Pred.Lit
+              (Pred.Arith_cmp
+                 {
+                   expr = Pred.Amul (Pred.Acol "a", Pred.Aconst x);
+                   cmp = Pred.Gt;
+                   arg = Pred.Const (Value.Float y);
+                 });
+          ]
+      in
+      Parser.pred_opt (Pred.to_string p) = Ok p)
+
 (* --- Parser -------------------------------------------------------------- *)
 
 let test_parser_roundtrip_shapes () =
@@ -340,6 +371,7 @@ let () =
           Alcotest.test_case "negate involution" `Quick test_negate_literal_involution;
           QCheck_alcotest.to_alcotest prop_cnf_preserves_semantics;
           QCheck_alcotest.to_alcotest prop_pp_parse_roundtrip;
+          QCheck_alcotest.to_alcotest prop_constants_roundtrip;
         ] );
       ( "parser",
         [

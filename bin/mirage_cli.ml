@@ -2,7 +2,6 @@
 
    Subcommands:
      generate     regenerate a benchmark application and export CSVs
-     verify       regenerate and report per-query relative errors
      compare      run the baseline generators on the same workload
      extract      write a constraint bundle from the production side
      from-bundle  generate and export from a saved constraint bundle
@@ -226,12 +225,7 @@ let write_parameters r dir =
   let oc = open_out (Filename.concat dir "parameters.txt") in
   List.iter
     (fun (p, b) ->
-      match b with
-      | Mirage_sql.Pred.Env.Scalar v ->
-          Printf.fprintf oc "%s = %s\n" p (Mirage_sql.Value.to_string v)
-      | Mirage_sql.Pred.Env.Vlist vs ->
-          Printf.fprintf oc "%s = (%s)\n" p
-            (String.concat ", " (List.map Mirage_sql.Value.to_string vs)))
+      Printf.fprintf oc "%s = %s\n" p (Mirage_sql.Pred.Env.binding_to_string b))
     (Mirage_sql.Pred.Env.bindings r.Driver.r_env);
   close_out oc;
   Fmt.pr "wrote %s@." (Filename.concat dir "parameters.txt")
@@ -503,70 +497,18 @@ let read_table_csv dir tname =
   | false, _ -> shards 0 []
 
 (* parameters.txt, as [write_parameters] prints it: one 'name = value' line
-   per parameter, the value an integer, a float, a 'quoted string' or
-   a parenthesised, comma-separated list of those.  Every parameter that a
-   selection constraint of [ir] reads must be bound, to a single value where
-   the constraint compares with one.  A line that breaks any of this fails
-   (exit 2) naming the file, the line and the parameter.  The predicate
-   parser's literal grammar does not fit: floats are printed with %g, which
-   can write an exponent, and its numbers have none. *)
+   per parameter, the value as Pred.Env.binding_to_string spells it, which
+   Parser.binding reads back.  Every parameter that a selection constraint
+   of [ir] reads must be bound, to a single value where the constraint
+   compares with one.  A line that breaks any of this fails (exit 2) naming
+   the file, the line and the parameter. *)
 let read_parameters path (ir : Mirage_core.Ir.t) =
   let module Pred = Mirage_sql.Pred in
-  let module Value = Mirage_sql.Value in
   let fail_line lnum fmt =
     Printf.ksprintf (fun m -> failwith (Printf.sprintf "%s:%d: %s" path lnum m)) fmt
   in
   let fail_at lnum name fmt =
     Printf.ksprintf (fun m -> fail_line lnum "parameter %s: %s" name m) fmt
-  in
-  let scalar lnum name v =
-    let n = String.length v in
-    let only chars = n > 0 && String.for_all (fun c -> String.contains chars c) v in
-    let num =
-      if only "0123456789-" then Option.map (fun i -> Value.Int i) (int_of_string_opt v)
-      else if only "0123456789-+.e" then
-        Option.map (fun f -> Value.Float f) (float_of_string_opt v)
-      else None
-    in
-    match num with
-    | Some x -> x
-    | None when n >= 2 && v.[0] = '\'' && v.[n - 1] = '\'' -> Value.Str (String.sub v 1 (n - 2))
-    | None when n > 0 && v.[0] = '\'' -> fail_at lnum name "unterminated string %s" v
-    | None -> fail_at lnum name "%S is not an integer, float or quoted string" v
-  in
-  (* a list's items: a quoted item ends at the first quote that a comma or
-     the end follows, as strings are printed unescaped *)
-  let rec items lnum name rest =
-    match String.trim rest with
-    | "" -> []
-    | rest ->
-        let n = String.length rest in
-        let rec close i =
-          match String.index_from_opt rest i '\'' with
-          | None -> n
-          | Some j -> (
-              match String.trim (String.sub rest (j + 1) (n - j - 1)) with
-              | "" -> j + 1
-              | after when after.[0] = ',' -> j + 1
-              | _ -> close (j + 1))
-        in
-        let stop =
-          if rest.[0] = '\'' then close 1
-          else Option.value ~default:n (String.index_opt rest ',')
-        in
-        let item = scalar lnum name (String.trim (String.sub rest 0 stop)) in
-        let tail = String.trim (String.sub rest stop (n - stop)) in
-        if tail = "" then [ item ]
-        else
-          let more = String.sub tail 1 (String.length tail - 1) in
-          if String.trim more = "" then fail_at lnum name "empty item after the last comma"
-          else item :: items lnum name more
-  in
-  let value lnum name v =
-    let n = String.length v in
-    if n = 0 || v.[0] <> '(' then Pred.Env.Scalar (scalar lnum name v)
-    else if v.[n - 1] <> ')' then fail_at lnum name "unclosed list %s" v
-    else Pred.Env.Vlist (items lnum name (String.sub v 1 (n - 2)))
   in
   let env, line_of, _ =
     List.fold_left
@@ -576,9 +518,14 @@ let read_parameters path (ir : Mirage_core.Ir.t) =
         | None -> fail_line lnum "expected 'name = value', got %S" line
         | Some eq ->
             let name = String.trim (String.sub line 0 eq) in
-            let v = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
+            let v = String.sub line (eq + 1) (String.length line - eq - 1) in
             if name = "" then fail_line lnum "no name before '='";
-            (Pred.Env.add name (value lnum name v) env, (name, lnum) :: line_of, lnum + 1))
+            let b =
+              try Mirage_sql.Parser.binding v
+              with Mirage_sql.Parser.Parse_error m ->
+                fail_at lnum name "%s in %S" m (String.trim v)
+            in
+            (Pred.Env.add name b env, (name, lnum) :: line_of, lnum + 1))
       (Pred.Env.empty, [], 1)
       (String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all))
   in
@@ -743,13 +690,11 @@ let explain_cmd =
       dec.Mirage_core.Decouple.bound;
     List.iter
       (fun (param, binding) ->
-        match binding with
-        | Mirage_sql.Pred.Env.Scalar v ->
-            Fmt.pr "eliminated: $%s := %s (boundary value)@." param
-              (Mirage_sql.Value.to_string v)
-        | Mirage_sql.Pred.Env.Vlist vs ->
-            Fmt.pr "eliminated: $%s := (%s)@." param
-              (String.concat ", " (List.map Mirage_sql.Value.to_string vs)))
+        Fmt.pr "eliminated: $%s := %s%s@." param
+          (Mirage_sql.Pred.Env.binding_to_string binding)
+          (match binding with
+          | Mirage_sql.Pred.Env.Scalar _ -> " (boundary value)"
+          | Mirage_sql.Pred.Env.Vlist _ -> ""))
       (Mirage_sql.Pred.Env.bindings dec.Mirage_core.Decouple.fixed_env);
     0
   in

@@ -119,12 +119,7 @@ let () =
       (* the instantiated workload W' *)
       print_endline "instantiated parameters:";
       List.iter
-        (fun (p, b) ->
-          match b with
-          | Pred.Env.Scalar v -> Printf.printf "  $%s = %s\n" p (Value.to_string v)
-          | Pred.Env.Vlist vs ->
-              Printf.printf "  $%s = (%s)\n" p
-                (String.concat ", " (List.map Value.to_string vs)))
+        (fun (p, b) -> Printf.printf "  $%s = %s\n" p (Pred.Env.binding_to_string b))
         (Pred.Env.bindings r.Driver.r_env);
       (* replay: every annotated cardinality must be reproduced *)
       print_endline "replaying the workload on the synthetic database:";

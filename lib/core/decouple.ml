@@ -125,7 +125,7 @@ type ctx = {
   e_used : (string * string, int * int) Hashtbl.t;
       (* per-column (rows, values) already claimed by equality-class
          constraints *)
-  e_claimed : (string * string * string * int, unit) Hashtbl.t;
+  e_claimed : (string * string * Value.t * int, unit) Hashtbl.t;
   param_key : string -> Value.t option;
   mutable out_uccs : Ir.ucc list;
   mutable out_accs : Ir.acc list;
@@ -203,7 +203,7 @@ let claim_budget ctx table lit n =
           match literal_param lit with
           | Some p -> (
               match ctx.param_key p with
-              | Some v -> Some (table, col, Value.to_string v, n)
+              | Some v -> Some (table, col, v, n)
               | None -> None)
           | None -> None
         in

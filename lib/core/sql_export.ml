@@ -8,16 +8,6 @@ module Render = Mirage_engine.Render
 
 let ( let* ) = Result.bind
 
-let sql_string = Render.sql_quote
-
-(* floats everywhere in the SQL export share the render kernel's round-trip
-   format, the same one the CSV writers use *)
-let sql_value = function
-  | Value.Null -> "NULL"
-  | Value.Int x -> string_of_int x
-  | Value.Float x -> Render.float_repr x
-  | Value.Str s -> sql_string s
-
 let sql_kind = function
   | Schema.Kint -> "BIGINT"
   | Schema.Kfloat -> "DOUBLE PRECISION"
@@ -117,20 +107,19 @@ let cmp_sql = function
 
 let rec arith_sql = function
   | Pred.Acol c -> c
-  | Pred.Aconst f -> Render.float_repr f
+  | Pred.Aconst f -> Value.float_digits f
   | Pred.Aadd (a, b) -> Printf.sprintf "(%s + %s)" (arith_sql a) (arith_sql b)
   | Pred.Asub (a, b) -> Printf.sprintf "(%s - %s)" (arith_sql a) (arith_sql b)
   | Pred.Amul (a, b) -> Printf.sprintf "(%s * %s)" (arith_sql a) (arith_sql b)
   | Pred.Adiv (a, b) -> Printf.sprintf "(%s / %s)" (arith_sql a) (arith_sql b)
 
+(* literals in Value's one spelling, which is also SQL's *)
 let operand_sql ~env = function
-  | Pred.Const v -> Ok (sql_value v)
-  | Pred.Const_list vs -> Ok ("(" ^ String.concat ", " (List.map sql_value vs) ^ ")")
+  | Pred.Const v -> Ok (Value.to_string v)
+  | Pred.Const_list vs -> Ok (Pred.Env.binding_to_string (Pred.Env.Vlist vs))
   | Pred.Param p -> (
       match Pred.Env.find p env with
-      | Some (Pred.Env.Scalar v) -> Ok (sql_value v)
-      | Some (Pred.Env.Vlist vs) ->
-          Ok ("(" ^ String.concat ", " (List.map sql_value vs) ^ ")")
+      | Some b -> Ok (Pred.Env.binding_to_string b)
       | None -> Error (Printf.sprintf "unbound parameter %s" p))
 
 let rec pred_sql ~env = function

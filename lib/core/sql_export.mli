@@ -56,6 +56,6 @@ val query_sql :
   env:Mirage_sql.Pred.Env.t ->
   (string, string) result
 (** The plan rendered as a SELECT statement with the environment's parameter
-    values inlined.  Subquery aliases are numbered [q1], [q2], ... afresh
-    in each call, so the text depends on the plan alone.  Errors on
-    unbound parameters. *)
+    values inlined, each spelt by {!Mirage_sql.Value.to_string}.  Subquery
+    aliases are numbered [q1], [q2], ... afresh in each call, so the text
+    depends on the plan alone.  Errors on unbound parameters. *)

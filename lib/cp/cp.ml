@@ -1,10 +1,7 @@
 type var = int
 
-type constr =
-  | Linear of { terms : (int * var) list; eq : bool; rhs : int }
-      (** [Σ a·x (= | ≤) rhs] *)
-  | Ge of var * var  (** x ≥ y *)
-  | Imply_pos of var * var  (** x > 0 ⇒ y > 0 *)
+(* [Σ a·x (= | ≤) rhs] *)
+type constr = { terms : (int * var) list; eq : bool; rhs : int }
 
 type t = {
   mutable nvars : int;
@@ -59,14 +56,12 @@ let var ?(aux = false) t ~lo ~hi =
   id
 
 
-let linear_eq t terms rhs = t.constrs <- Linear { terms; eq = true; rhs } :: t.constrs
-let linear_le t terms rhs = t.constrs <- Linear { terms; eq = false; rhs } :: t.constrs
-let ge t x y = t.constrs <- Ge (x, y) :: t.constrs
-let imply_pos t x y = t.constrs <- Imply_pos (x, y) :: t.constrs
+let linear_eq t terms rhs = t.constrs <- { terms; eq = true; rhs } :: t.constrs
+let linear_le t terms rhs = t.constrs <- { terms; eq = false; rhs } :: t.constrs
 let set_objective t terms = t.objective <- terms
 
 let lp_linear_le t terms rhs =
-  t.lp_constrs <- Linear { terms; eq = false; rhs } :: t.lp_constrs
+  t.lp_constrs <- { terms; eq = false; rhs } :: t.lp_constrs
 
 let solution_of_fun t f = Array.init t.nvars (fun v -> f v)
 
@@ -86,10 +81,7 @@ exception Fail
    (var, old_lo, old_hi) entry on a trail, and backtracking undoes the trail
    to a saved mark — no per-node domain copies. *)
 
-type cc =
-  | C_lin of { coefs : int array; cvars : int array; eq : bool; rhs : int }
-  | C_ge of int * int
-  | C_imp of int * int
+type cc = { coefs : int array; cvars : int array; ceq : bool; crhs : int }
 
 type kernel = {
   cs : cc array;
@@ -111,47 +103,28 @@ let compile t =
   let cs =
     Array.of_list
       (List.rev_map
-         (fun c ->
-           match c with
-           | Linear { terms; eq; rhs } ->
-               let terms = Array.of_list terms in
-               C_lin
-                 {
-                   coefs = Array.map fst terms;
-                   cvars = Array.map snd terms;
-                   eq;
-                   rhs;
-                 }
-           | Ge (x, y) -> C_ge (x, y)
-           | Imply_pos (x, y) -> C_imp (x, y))
+         (fun { terms; eq; rhs } ->
+           let terms = Array.of_list terms in
+           {
+             coefs = Array.map fst terms;
+             cvars = Array.map snd terms;
+             ceq = eq;
+             crhs = rhs;
+           })
          t.constrs)
   in
   let nc = Array.length cs in
   let deg = Array.make n 0 in
-  let mention f =
-    Array.iter
-      (fun c ->
-        match c with
-        | C_lin { cvars; _ } -> Array.iter f cvars
-        | C_ge (x, y) | C_imp (x, y) ->
-            f x;
-            f y)
-      cs
-  in
-  mention (fun v -> deg.(v) <- deg.(v) + 1);
+  Array.iter (fun c -> Array.iter (fun v -> deg.(v) <- deg.(v) + 1) c.cvars) cs;
   let watch = Array.init n (fun v -> Array.make deg.(v) 0) in
   let fill = Array.make n 0 in
   Array.iteri
     (fun ci c ->
-      let add v =
-        watch.(v).(fill.(v)) <- ci;
-        fill.(v) <- fill.(v) + 1
-      in
-      match c with
-      | C_lin { cvars; _ } -> Array.iter add cvars
-      | C_ge (x, y) | C_imp (x, y) ->
-          add x;
-          add y)
+      Array.iter
+        (fun v ->
+          watch.(v).(fill.(v)) <- ci;
+          fill.(v) <- fill.(v) + 1)
+        c.cvars)
     cs;
   {
     cs;
@@ -276,14 +249,8 @@ let prop_linear k coefs cvars eq rhs =
   done
 
 let run_propagator k c =
-  match k.cs.(c) with
-  | C_lin { coefs; cvars; eq; rhs } -> prop_linear k coefs cvars eq rhs
-  | C_ge (x, y) ->
-      tighten_lo k x k.lo.(y);
-      tighten_hi k y k.hi.(x)
-  | C_imp (x, y) ->
-      if k.hi.(y) = 0 then tighten_hi k x 0;
-      if k.lo.(x) > 0 then tighten_lo k y 1
+  let { coefs; cvars; ceq; crhs } = k.cs.(c) in
+  prop_linear k coefs cvars ceq crhs
 
 (* Drain the work queue to fixpoint.  The pending flag is cleared before the
    propagator runs, so a propagator that tightens one of its own variables
@@ -313,8 +280,7 @@ let root_fixpoint t =
   | exception Fail -> None
 
 (* LP relaxation of the model, used to guide branching the way CP-SAT's
-   internal LP does.  Equalities map directly; ≤ rows get a slack; Ge gets a
-   slack; Imply_pos is ignored (it only matters at integrality).  Variable
+   internal LP does.  Equalities map directly; ≤ rows get a slack.  Variable
    bounds become rows with slacks so the simplex respects them. *)
 let lp_guess t lo hi =
   let n = t.nvars in
@@ -322,19 +288,13 @@ let lp_guess t lo hi =
   let n_slack = ref 0 in
   let add_row terms slack rhs = rows := (terms, slack, rhs) :: !rows in
   List.iter
-    (fun c ->
-      match c with
-      | Linear { terms; eq = true; rhs } -> add_row terms None rhs
-      | Linear { terms; eq = false; rhs } ->
-          let s = !n_slack in
-          incr n_slack;
-          add_row terms (Some (s, 1.0)) rhs
-      | Ge (x, y) ->
-          (* x - y - s = 0 *)
-          let s = !n_slack in
-          incr n_slack;
-          add_row [ (1, x); (-1, y) ] (Some (s, -1.0)) 0
-      | Imply_pos _ -> ())
+    (fun { terms; eq; rhs } ->
+      if eq then add_row terms None rhs
+      else begin
+        let s = !n_slack in
+        incr n_slack;
+        add_row terms (Some (s, 1.0)) rhs
+      end)
     (t.constrs @ t.lp_constrs);
   (* bounds x_v + s = hi_v and x_v - s' = lo_v (lo_v > 0 only) *)
   for v = 0 to n - 1 do
@@ -398,15 +358,15 @@ let repair_guess constrs lo hi g =
   let group_of = Array.make n (-1) in
   let groups = ref [] in
   List.iter
-    (fun c ->
-      match c with
-      | Linear { terms; eq = true; rhs } when
-          terms <> []
-          && List.for_all (fun (a, v) -> a = 1 && group_of.(v) = -1) terms ->
-          let gid = List.length !groups in
-          List.iter (fun (_, v) -> group_of.(v) <- gid) terms;
-          groups := (gid, List.map snd terms, rhs) :: !groups
-      | Linear _ | Ge _ | Imply_pos _ -> ())
+    (fun { terms; eq; rhs } ->
+      if
+        eq && terms <> []
+        && List.for_all (fun (a, v) -> a = 1 && group_of.(v) = -1) terms
+      then begin
+        let gid = List.length !groups in
+        List.iter (fun (_, v) -> group_of.(v) <- gid) terms;
+        groups := (gid, List.map snd terms, rhs) :: !groups
+      end)
     (List.rev constrs);
   let group_members = Hashtbl.create 16 in
   List.iter (fun (gid, vs, _) -> Hashtbl.replace group_members gid vs) !groups;
@@ -494,49 +454,17 @@ let repair_guess constrs lo hi g =
   while (not !ok) && !passes < 100 do
     incr passes;
     ok := true;
+    (* partition equalities stay exact under swap moves; repairing them
+       again is harmless *)
     List.iter
-      (fun c ->
-        match c with
-        | Linear { terms; eq; rhs } ->
-            (* partition equalities stay exact under swap moves; repairing
-               them again is harmless *)
-            if not (repair_linear terms eq rhs) then ok := false
-        | Ge (x, y) ->
-            if g.(x) < g.(y) then begin
-              let exclude = Hashtbl.create 2 in
-              Hashtbl.replace exclude x ();
-              Hashtbl.replace exclude y ();
-              ignore (swap_toward exclude y (g.(x) - g.(y)));
-              if g.(x) < g.(y) then
-                ignore (swap_toward exclude x (g.(y) - g.(x)));
-              if g.(x) < g.(y) then ok := false
-            end
-        | Imply_pos (x, y) ->
-            if g.(x) > 0 && g.(y) = 0 then begin
-              if hi.(y) >= 1 && group_of.(y) = -1 then g.(y) <- 1
-              else begin
-                let exclude = Hashtbl.create 2 in
-                Hashtbl.replace exclude x ();
-                if hi.(y) >= 1 then ignore (swap_toward exclude y 1);
-                if g.(y) = 0 then begin
-                  let exclude2 = Hashtbl.create 2 in
-                  Hashtbl.replace exclude2 y ();
-                  ignore (swap_toward exclude2 x (-g.(x)))
-                end
-              end;
-              if g.(x) > 0 && g.(y) = 0 then ok := false
-            end)
+      (fun { terms; eq; rhs } -> if not (repair_linear terms eq rhs) then ok := false)
       constrs;
     (* verify everything still holds *)
     if !ok then
       List.iter
-        (fun c ->
-          match c with
-          | Linear { terms; eq; rhs } ->
-              let s = sum terms in
-              if (eq && s <> rhs) || ((not eq) && s > rhs) then ok := false
-          | Ge (x, y) -> if g.(x) < g.(y) then ok := false
-          | Imply_pos (x, y) -> if g.(x) > 0 && g.(y) = 0 then ok := false)
+        (fun { terms; eq; rhs } ->
+          let s = sum terms in
+          if (eq && s <> rhs) || ((not eq) && s > rhs) then ok := false)
         constrs
   done;
   !ok

@@ -1,10 +1,8 @@
 (** Finite-domain constraint-programming solver (the paper uses Google
     OR-Tools [19]; this is our from-scratch substitute, see DESIGN.md).
 
-    Variables range over integer intervals.  Supported constraints:
-    - linear equalities / inequalities [Σ aᵢ·xᵢ (= | ≤) c],
-    - pairwise order [x ≥ y],
-    - positivity implications [x > 0 ⇒ y > 0].
+    Variables range over integer intervals.  The one supported constraint
+    is linear: an equality or inequality [Σ aᵢ·xᵢ (= | ≤) c].
 
     The solver interleaves bounds-consistency propagation with
     depth-first domain-splitting search ("constraint propagation to prune
@@ -79,14 +77,6 @@ val set_objective : t -> (int * var) list -> unit
     good branching values; the search itself remains pure feasibility. *)
 
 (* Test hooks, called only from test/test_cp.ml. *)
-
-val ge : t -> var -> var -> unit
-(** [ge t x y] posts [x ≥ y].  Tested by "ge" and the QCheck kernel
-    properties. *)
-
-val imply_pos : t -> var -> var -> unit
-(** [imply_pos t x y] posts [x > 0 ⇒ y > 0].  Tested by "imply_pos" and
-    "imply contrapositive". *)
 
 val root_fixpoint : t -> (int array * int array) option
 (** Bounds-consistency propagation to fixpoint on the initial domains, no

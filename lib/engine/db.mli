@@ -45,7 +45,10 @@ val distinct_count : t -> string -> string -> int
 (** Number of distinct values in a stored column (NULL counts as a value). *)
 
 val to_csv : t -> string -> string
-(** Render a table as CSV (header + rows), for the CLI's export. *)
+(** Render a table as CSV (header + rows) in one string: the reference
+    that the tests, [dev/robustness] and the quickstart example compare the
+    exporters' concatenated shards with.  The CLI exports through
+    {!Mirage_core.Scale_out}, not through this. *)
 
 val load_csv : t -> string -> string -> unit
 (** [load_csv db tname csv] parses a CSV produced by {!to_csv} (or by the

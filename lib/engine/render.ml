@@ -144,6 +144,4 @@ let csv_escape s =
 
 let csv_pool pool = Array.map csv_escape pool
 
-let sql_quote s = "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
-
-let sql_pool pool = Array.map sql_quote pool
+let sql_pool pool = Array.map (fun s -> Mirage_sql.Value.(to_string (Str s))) pool

@@ -80,8 +80,6 @@ val csv_pool : string array -> string array
 (** [csv_escape] applied once per pool entry — dictionary columns escape
     each distinct string once, not once per row. *)
 
-val sql_quote : string -> string
-(** SQL string literal: ['…'] with embedded single quotes doubled. *)
-
 val sql_pool : string array -> string array
-(** [sql_quote] applied once per pool entry. *)
+(** Each pool entry as a SQL string literal, spelt once per entry by
+    {!Mirage_sql.Value.to_string}: ['…'] with embedded quotes doubled. *)

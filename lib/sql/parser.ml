@@ -100,30 +100,37 @@ let cmp_of_string = function
   | ">=" -> Pred.Ge
   | s -> fail "unknown comparator %s" s
 
+let float_of_number s =
+  match float_of_string_opt s with Some x -> x | None -> fail "bad number %s" s
+
 let value_of_number s =
-  if String.contains s '.' then Value.Float (float_of_string s)
-  else Value.Int (int_of_string s)
+  if String.contains s '.' then Value.Float (float_of_number s)
+  else
+    match int_of_string_opt s with
+    | Some x -> Value.Int x
+    | None -> fail "bad integer %s" s
+
+let parse_literal st =
+  match peek st with
+  | Some (Tnumber s) -> advance st; value_of_number s
+  | Some (Tstring s) -> advance st; Value.Str s
+  | _ -> fail "expected a number or a string"
 
 let parse_operand st =
   match peek st with
   | Some (Tparam p) -> advance st; Pred.Param p
-  | Some (Tnumber s) -> advance st; Pred.Const (value_of_number s)
-  | Some (Tstring s) -> advance st; Pred.Const (Value.Str s)
   | Some Tlparen ->
       advance st;
       let rec items acc =
-        match peek st with
-        | Some (Tnumber s) -> advance st; next (value_of_number s :: acc)
-        | Some (Tstring s) -> advance st; next (Value.Str s :: acc)
-        | _ -> fail "expected literal inside list operand"
-      and next acc =
+        let acc = parse_literal st :: acc in
         match peek st with
         | Some Tcomma -> advance st; items acc
         | Some Trparen -> advance st; List.rev acc
         | _ -> fail "expected ',' or ')' in list operand"
       in
-      Pred.Const_list (items [])
-  | _ -> fail "expected operand"
+      if peek st = Some Trparen then (advance st; Pred.Const_list [])
+      else Pred.Const_list (items [])
+  | _ -> Pred.Const (parse_literal st)
 
 let rec parse_expr st =
   let lhs = parse_term st in
@@ -148,7 +155,7 @@ and parse_term st =
 and parse_factor st =
   match peek st with
   | Some (Tident c) when keyword (Tident c) <> Some "not" -> advance st; Pred.Acol c
-  | Some (Tnumber s) -> advance st; Pred.Aconst (float_of_string s)
+  | Some (Tnumber s) -> advance st; Pred.Aconst (float_of_number s)
   | Some Tlparen ->
       advance st;
       let e = parse_expr st in
@@ -244,3 +251,14 @@ let pred s =
   p
 
 let pred_opt s = try Ok (pred s) with Parse_error m -> Error m
+
+let binding s =
+  let st = { toks = tokenize s } in
+  let b =
+    match parse_operand st with
+    | Pred.Const v -> Pred.Env.Scalar v
+    | Pred.Const_list vs -> Pred.Env.Vlist vs
+    | Pred.Param p -> fail "expected a value, got the parameter $%s" p
+  in
+  if st.toks <> [] then fail "trailing tokens after the value";
+  b

@@ -40,6 +40,10 @@ module Env = struct
   let of_list l = List.fold_left (fun m (k, v) -> M.add k v m) M.empty l
   let find name t = M.find_opt name t
   let bindings t = M.bindings t
+
+  let binding_to_string = function
+    | Scalar v -> Value.to_string v
+    | Vlist vs -> "(" ^ String.concat ", " (List.map Value.to_string vs) ^ ")"
 end
 
 let resolve_scalar ~env = function
@@ -226,32 +230,9 @@ let pp_cmp ppf c =
     | Gt -> ">"
     | Ge -> ">=")
 
-(* a float in the template language's number syntax, which has no exponent:
-   the shortest [%g] digits that read back as [x], in fixed notation *)
-let float_digits x =
-  let rec shortest p =
-    let s = Printf.sprintf "%.*g" p x in
-    if p >= 17 || float_of_string s = x then (p, s) else shortest (p + 1)
-  in
-  let p, s = shortest 1 in
-  match String.index_opt s 'e' with
-  | None -> s
-  | Some i ->
-      let e = int_of_string (String.sub s (i + 1) (String.length s - i - 1)) in
-      Printf.sprintf "%.*f" (max 0 (p - 1 - e)) x
-
-let pp_value ppf = function
-  (* a '.' keeps a whole float a float for the parser *)
-  | Value.Float x ->
-      let s = float_digits x in
-      Fmt.string ppf (if String.contains s '.' then s else s ^ ".")
-  | Value.Str s ->
-      Fmt.pf ppf "'%s'" (String.concat "''" (String.split_on_char '\'' s))
-  | v -> Value.pp ppf v
-
 let rec pp_arith ppf = function
   | Acol c -> Fmt.string ppf c
-  | Aconst f -> Fmt.string ppf (float_digits f)
+  | Aconst f -> Fmt.string ppf (Value.float_digits f)
   | Aadd (a, b) -> Fmt.pf ppf "(%a + %a)" pp_arith a pp_arith b
   | Asub (a, b) -> Fmt.pf ppf "(%a - %a)" pp_arith a pp_arith b
   | Amul (a, b) -> Fmt.pf ppf "(%a * %a)" pp_arith a pp_arith b
@@ -259,8 +240,8 @@ let rec pp_arith ppf = function
 
 let pp_operand ppf = function
   | Param p -> Fmt.pf ppf "$%s" p
-  | Const v -> pp_value ppf v
-  | Const_list vs -> Fmt.pf ppf "(%a)" Fmt.(list ~sep:comma pp_value) vs
+  | Const v -> Value.pp ppf v
+  | Const_list vs -> Fmt.string ppf (Env.binding_to_string (Env.Vlist vs))
 
 let pp_literal ppf = function
   | Cmp { col; cmp; arg } -> Fmt.pf ppf "%s %a %a" col pp_cmp cmp pp_operand arg

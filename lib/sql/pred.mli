@@ -51,6 +51,10 @@ module Env : sig
   val of_list : (string * binding) list -> t
   val find : string -> t -> binding option
   val bindings : t -> (string * binding) list
+
+  val binding_to_string : binding -> string
+  (** A scalar as {!Value.to_string} spells it; a list as those values,
+      comma-separated in parentheses.  {!Parser.binding} reads it back. *)
 end
 
 val eval : env:Env.t -> (string -> Value.t) -> t -> bool
@@ -94,8 +98,9 @@ val negate_literal : literal -> literal option
 
 val pp : Format.formatter -> t -> unit
 (** Template-language text that {!Parser.pred} reads back as an equal
-    predicate: float constants keep every digit and a ['.'], and a quote
-    inside a string constant is doubled. *)
+    predicate: each constant as {!Value.pp} spells it, a list constant as
+    {!Env.binding_to_string} does, and an arithmetic constant as its
+    {!Value.float_digits}. *)
 
 val to_string : t -> string
 

@@ -34,13 +34,27 @@ let hash = function
   | Float x -> Hashtbl.hash x
   | Str s -> Hashtbl.hash s
 
-let pp ppf = function
-  | Null -> Fmt.string ppf "NULL"
-  | Int x -> Fmt.int ppf x
-  | Float x -> Fmt.float ppf x
-  | Str s -> Fmt.pf ppf "'%s'" s
+(* the shortest [%g] digits that read back as [x], in fixed notation *)
+let float_digits x =
+  let rec shortest p =
+    let s = Printf.sprintf "%.*g" p x in
+    if p >= 17 || float_of_string s = x then (p, s) else shortest (p + 1)
+  in
+  let p, s = shortest 1 in
+  match String.index_opt s 'e' with
+  | None -> s
+  | Some i ->
+      let e = int_of_string (String.sub s (i + 1) (String.length s - i - 1)) in
+      Printf.sprintf "%.*f" (max 0 (p - 1 - e)) x
 
-let to_string v = Fmt.str "%a" pp v
+let to_string = function
+  | Null -> "NULL"
+  | Int x -> string_of_int x
+  (* a '.' keeps a whole float a float when it is read back *)
+  | Float x -> if Float.is_integer x then float_digits x ^ "." else float_digits x
+  | Str s -> "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+
+let pp ppf v = Fmt.string ppf (to_string v)
 
 let to_float = function
   | Int x -> Some (float_of_int x)

@@ -5,7 +5,8 @@
    default export (no --chunk-rows) is one resumable shard per
    table; the bytes of the benchmark-scale exports and of the extracted
    bundles are written out as md5sum lists, which test/cli/dune diffs
-   against the goldens; an expired deadline exits 3; --sql with --copies,
+   against the goldens, and those exports verify against their bundles; an
+   expired deadline exits 3; --sql with --copies,
    and a surplus shard that cannot be removed, fail with their exit codes,
    and so does an unknown query to explain; each --help lists only its
    command's exit codes.  The first argument is the binary's path; the
@@ -155,9 +156,11 @@ let test_stale_csv_beside_shards () =
     (contains ~sub:stale out && contains ~sub:(stale ^ ".0") out)
 
 (* a malformed parameters.txt exits 2 with a message that names the file,
-   the line and the parameter: a bad number, an unclosed list, a list
-   missing its ')', a list where a constraint compares with one value, and
-   (with no line to name) a parameter a constraint reads but no line binds *)
+   the line and the parameter: a bad number, a number with an exponent
+   (which parameters.txt never writes), an unterminated string, an unclosed
+   list, a list missing its ')', a list where a constraint compares with
+   one value, and (with no line to name) a parameter a constraint reads but
+   no line binds *)
 let test_malformed_parameters () =
   with_dir @@ fun dir ->
   let bundle = extract dir in
@@ -186,6 +189,8 @@ let test_malformed_parameters () =
         (contains ~sub:where (read_file log)))
     [
       ("bad number", good @ [ "x_bad = 12abc" ], at "x_bad" appended);
+      ("exponent", good @ [ "x = 1e+18" ], at "x" appended);
+      ("unterminated string", good @ [ "x = 'abc" ], at "x" appended);
       ("unclosed list", good @ [ "x = (" ], at "x" appended);
       ( "list without ')'",
         replace "s33_ccity" "('v00000001', 'v00000000'",
@@ -399,17 +404,28 @@ let pin path lines =
 let exported dir =
   List.filter (( <> ) "MANIFEST.json") (List.sort compare (Array.to_list (Sys.readdir dir)))
 
+(* a seed-7 export of workload [w] at scale [sf] holds every selection
+   constraint of the bundle that extract writes for the same run, read
+   with the parameter values of its parameters.txt *)
+let verify_export ~dir ~w ~sf out =
+  let bundle = Filename.concat dir (w ^ ".bundle") in
+  let log = Filename.concat dir "verify.log" in
+  expect_ok ~log [ "extract"; "-w"; w; "--sf"; sf; "--seed"; "7"; "-o"; bundle ];
+  Alcotest.(check int) "verify-dir passes" 0 (verify_dir ~log bundle out)
+
 (* The byte contract at the tpch-nonkey benchmark's scale: the shards and
    parameters.txt of TPC-H sf 4 pin every ACC threshold, every tie-repaired
    lineitem and partsupp row, and the LIKE parameter on orders.o_comment
-   with its 6,182 CDF items. *)
+   with its 6,182 CDF items.  The float thresholds read back exactly, so
+   the export verifies. *)
 let test_tpch_sf4_digests () =
   with_dir @@ fun dir ->
   let out = Filename.concat dir "out" in
   expect_ok ~log:(Filename.concat dir "run.log")
     [ "generate"; "-w"; "tpch"; "--sf"; "4"; "--seed"; "7"; "-o"; out;
       "--chunk-rows"; "100000" ];
-  pin "tpch/cli-sf4-seed7.md5" (md5_lines out (exported out))
+  pin "tpch/cli-sf4-seed7.md5" (md5_lines out (exported out));
+  verify_export ~dir ~w:"tpch" ~sf:"4" out
 
 (* The LIKE sentinel, the pattern no rendered value matches, is printable:
    TPC-H sf 4 binds it to tpch_q16's NOT LIKE parameter, and a DBMS that
@@ -428,19 +444,20 @@ let test_tpch_sf4_no_nul () =
 
 (* The ssb-keygen benchmark's instance: 384k lineorder rows whose FK
    columns pin the key generator's view membership (the join kernel) and
-   its T-partition order. *)
+   its T-partition order.  The export verifies. *)
 let test_ssb_sf64_digests () =
   with_dir @@ fun dir ->
   let out = Filename.concat dir "out" in
   expect_ok ~log:(Filename.concat dir "run.log")
     [ "generate"; "-w"; "ssb"; "--sf"; "64"; "--seed"; "7"; "-o"; out;
       "--chunk-rows"; "100000" ];
-  pin "ssb/cli-sf64-seed7.md5" (md5_lines out (exported out))
+  pin "ssb/cli-sf64-seed7.md5" (md5_lines out (exported out));
+  verify_export ~dir ~w:"ssb" ~sf:"64" out
 
 (* The tpcds-cp benchmark's instance, whose key generator solves the largest
    LP relaxation: its shards and parameters.txt pin the CP layer's bytes,
    both from anonymous memory and with column payloads mapped from files
-   under --big-dir, which the run must leave empty. *)
+   under --big-dir, which the run must leave empty.  The export verifies. *)
 let test_tpcds_sf2_digests () =
   with_dir @@ fun dir ->
   let run ?(extra = []) name =
@@ -452,6 +469,7 @@ let test_tpcds_sf2_digests () =
   in
   let lines = run "out" in
   pin "tpcds/cli-sf2-seed7.md5" lines;
+  verify_export ~dir ~w:"tpcds" ~sf:"2" (Filename.concat dir "out");
   let spill = Filename.concat dir "spill" in
   Alcotest.(check string) "--big-dir: same bytes" lines
     (run ~extra:[ "--big-dir"; spill ] "spilled");

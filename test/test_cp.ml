@@ -24,29 +24,6 @@ let test_unsat_bounds () =
       Alcotest.(check bool) "stats on unsat" true (st.Cp.st_nodes >= 1)
   | _ -> Alcotest.fail "expected unsat"
 
-let test_ge_constraint () =
-  let m = Cp.create () in
-  let x = Cp.var m ~lo:0 ~hi:10 and y = Cp.var m ~lo:4 ~hi:10 in
-  Cp.ge m x y;
-  Cp.linear_le m [ (1, x) ] 4;
-  let f = solve_exn m in
-  Alcotest.(check int) "x = y = 4" 4 (f x);
-  Alcotest.(check int) "y" 4 (f y)
-
-let test_imply_pos () =
-  let m = Cp.create () in
-  let x = Cp.var m ~lo:2 ~hi:5 and y = Cp.var m ~lo:0 ~hi:5 in
-  Cp.imply_pos m x y;
-  let f = solve_exn m in
-  Alcotest.(check bool) "y forced positive" true (f y >= 1)
-
-let test_imply_pos_contrapositive () =
-  let m = Cp.create () in
-  let x = Cp.var m ~lo:0 ~hi:5 and y = Cp.var m ~lo:0 ~hi:0 in
-  Cp.imply_pos m x y;
-  let f = solve_exn m in
-  Alcotest.(check int) "x forced zero" 0 (f x)
-
 let test_negative_coefficients () =
   let m = Cp.create () in
   let x = Cp.var m ~lo:0 ~hi:10 and y = Cp.var m ~lo:0 ~hi:10 in
@@ -153,10 +130,7 @@ let prop_random_feasible_systems =
 (* Test-local reference semantics, independent of the kernel: a full
    constraint sweep repeated to fixpoint (the pre-watch-list algorithm), and
    brute-force enumeration as feasibility ground truth. *)
-type ref_constr =
-  | R_lin of { terms : (int * int) list; eq : bool; rhs : int }
-  | R_ge of int * int
-  | R_imp of int * int
+type ref_constr = { terms : (int * int) list; eq : bool; rhs : int }
 
 exception Ref_fail
 
@@ -181,54 +155,44 @@ let ref_fixpoint constrs lo hi =
   while !changed do
     changed := false;
     List.iter
-      (function
-        | R_lin { terms; eq; rhs } ->
-            let sum_lo = ref 0 and sum_hi = ref 0 in
-            List.iter
-              (fun (a, v) ->
-                if a >= 0 then begin
-                  sum_lo := !sum_lo + (a * lo.(v));
-                  sum_hi := !sum_hi + (a * hi.(v))
-                end
-                else begin
-                  sum_lo := !sum_lo + (a * hi.(v));
-                  sum_hi := !sum_hi + (a * lo.(v))
-                end)
-              terms;
-            if !sum_lo > rhs then raise Ref_fail;
-            if eq && !sum_hi < rhs then raise Ref_fail;
-            List.iter
-              (fun (a, v) ->
-                if a <> 0 then begin
-                  let term_lo = if a >= 0 then a * lo.(v) else a * hi.(v) in
-                  let term_hi = if a >= 0 then a * hi.(v) else a * lo.(v) in
-                  let ub = rhs - (!sum_lo - term_lo) in
-                  if a > 0 then tighten_hi v (fdiv ub a)
-                  else tighten_lo v (cdiv (-ub) (-a));
-                  if eq then begin
-                    let lb = rhs - (!sum_hi - term_hi) in
-                    if a > 0 then tighten_lo v (cdiv lb a)
-                    else tighten_hi v (fdiv (-lb) (-a))
-                  end
-                end)
-              terms
-        | R_ge (x, y) ->
-            tighten_lo x lo.(y);
-            tighten_hi y hi.(x)
-        | R_imp (x, y) ->
-            if hi.(y) = 0 then tighten_hi x 0;
-            if lo.(x) > 0 then tighten_lo y 1)
+      (fun { terms; eq; rhs } ->
+        let sum_lo = ref 0 and sum_hi = ref 0 in
+        List.iter
+          (fun (a, v) ->
+            if a >= 0 then begin
+              sum_lo := !sum_lo + (a * lo.(v));
+              sum_hi := !sum_hi + (a * hi.(v))
+            end
+            else begin
+              sum_lo := !sum_lo + (a * hi.(v));
+              sum_hi := !sum_hi + (a * lo.(v))
+            end)
+          terms;
+        if !sum_lo > rhs then raise Ref_fail;
+        if eq && !sum_hi < rhs then raise Ref_fail;
+        List.iter
+          (fun (a, v) ->
+            if a <> 0 then begin
+              let term_lo = if a >= 0 then a * lo.(v) else a * hi.(v) in
+              let term_hi = if a >= 0 then a * hi.(v) else a * lo.(v) in
+              let ub = rhs - (!sum_lo - term_lo) in
+              if a > 0 then tighten_hi v (fdiv ub a)
+              else tighten_lo v (cdiv (-ub) (-a));
+              if eq then begin
+                let lb = rhs - (!sum_hi - term_hi) in
+                if a > 0 then tighten_lo v (cdiv lb a)
+                else tighten_hi v (fdiv (-lb) (-a))
+              end
+            end)
+          terms)
       constrs
   done
 
 let ref_holds constrs a =
   List.for_all
-    (function
-      | R_lin { terms; eq; rhs } ->
-          let s = List.fold_left (fun acc (c, v) -> acc + (c * a.(v))) 0 terms in
-          if eq then s = rhs else s <= rhs
-      | R_ge (x, y) -> a.(x) >= a.(y)
-      | R_imp (x, y) -> a.(x) <= 0 || a.(y) > 0)
+    (fun { terms; eq; rhs } ->
+      let s = List.fold_left (fun acc (c, v) -> acc + (c * a.(v))) 0 terms in
+      if eq then s = rhs else s <= rhs)
     constrs
 
 (* exhaustive feasibility over the (tiny) initial box *)
@@ -318,33 +282,23 @@ let gen_system seed =
   let constrs = ref [] in
   let nc = 1 + Mirage_util.Rng.int rng 5 in
   for _ = 1 to nc do
-    match Mirage_util.Rng.int rng 4 with
-    | 0 | 1 ->
-        let k = 2 + Mirage_util.Rng.int rng (min 3 n - 1) in
-        let terms =
-          List.init k (fun _ ->
-              let c =
-                match Mirage_util.Rng.int rng 4 with
-                | 0 -> -2
-                | 1 -> -1
-                | 2 -> 1
-                | _ -> 2
-              in
-              (c, Mirage_util.Rng.int rng n))
-        in
-        let eq = Mirage_util.Rng.int rng 2 = 0 in
-        let rhs = Mirage_util.Rng.int rng 10 - 2 in
-        if eq then Cp.linear_eq m (List.map (fun (c, v) -> (c, xs.(v))) terms) rhs
-        else Cp.linear_le m (List.map (fun (c, v) -> (c, xs.(v))) terms) rhs;
-        constrs := R_lin { terms; eq; rhs } :: !constrs
-    | 2 ->
-        let x = Mirage_util.Rng.int rng n and y = Mirage_util.Rng.int rng n in
-        Cp.ge m xs.(x) xs.(y);
-        constrs := R_ge (x, y) :: !constrs
-    | _ ->
-        let x = Mirage_util.Rng.int rng n and y = Mirage_util.Rng.int rng n in
-        Cp.imply_pos m xs.(x) xs.(y);
-        constrs := R_imp (x, y) :: !constrs
+    let k = 2 + Mirage_util.Rng.int rng (min 3 n - 1) in
+    let terms =
+      List.init k (fun _ ->
+          let c =
+            match Mirage_util.Rng.int rng 4 with
+            | 0 -> -2
+            | 1 -> -1
+            | 2 -> 1
+            | _ -> 2
+          in
+          (c, Mirage_util.Rng.int rng n))
+    in
+    let eq = Mirage_util.Rng.int rng 2 = 0 in
+    let rhs = Mirage_util.Rng.int rng 10 - 2 in
+    if eq then Cp.linear_eq m (List.map (fun (c, v) -> (c, xs.(v))) terms) rhs
+    else Cp.linear_le m (List.map (fun (c, v) -> (c, xs.(v))) terms) rhs;
+    constrs := { terms; eq; rhs } :: !constrs
   done;
   (m, List.rev !constrs, lo0, hi0)
 
@@ -394,15 +348,12 @@ let prop_differential_kernel =
           (String.concat ";" (Array.to_list (Array.map string_of_int lo0)))
           (String.concat ";" (Array.to_list (Array.map string_of_int hi0)));
         List.iter
-          (function
-            | R_lin { terms; eq; rhs } ->
-                Printf.eprintf "  lin %s %s %d\n"
-                  (String.concat "+"
-                     (List.map (fun (c, v) -> Printf.sprintf "%d*x%d" c v) terms))
-                  (if eq then "=" else "<=")
-                  rhs
-            | R_ge (x, y) -> Printf.eprintf "  x%d >= x%d\n" x y
-            | R_imp (x, y) -> Printf.eprintf "  x%d>0 -> x%d>0\n" x y)
+          (fun { terms; eq; rhs } ->
+            Printf.eprintf "  lin %s %s %d\n"
+              (String.concat "+"
+                 (List.map (fun (c, v) -> Printf.sprintf "%d*x%d" c v) terms))
+              (if eq then "=" else "<=")
+              rhs)
           constrs
       end;
       bounds_ok && verdict_ok)
@@ -439,7 +390,7 @@ let make_cp_system ~ni ~nj ~groups =
   let post eq terms rhs =
     let cp_terms = List.map (fun (a, q) -> (a, xs.(q))) terms in
     if eq then Cp.linear_eq m cp_terms rhs else Cp.linear_le m cp_terms rhs;
-    constrs := R_lin { terms; eq; rhs } :: !constrs
+    constrs := { terms; eq; rhs } :: !constrs
   in
   let sum_of terms = List.fold_left (fun acc (_, q) -> acc + point.(q)) 0 terms in
   for j = 0 to nj - 1 do
@@ -482,9 +433,6 @@ let () =
         [
           Alcotest.test_case "simple equality" `Quick test_simple_eq;
           Alcotest.test_case "unsat by bounds" `Quick test_unsat_bounds;
-          Alcotest.test_case "ge" `Quick test_ge_constraint;
-          Alcotest.test_case "imply_pos" `Quick test_imply_pos;
-          Alcotest.test_case "imply contrapositive" `Quick test_imply_pos_contrapositive;
           Alcotest.test_case "negative coefficients" `Quick test_negative_coefficients;
           Alcotest.test_case "transportation model" `Quick test_transportation_model;
           Alcotest.test_case "aux vars" `Quick test_aux_vars_not_searched;

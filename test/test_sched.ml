@@ -54,18 +54,10 @@ let db_digest db =
     (Schema.tables (Db.schema db));
   Digest.to_hex (Digest.string (Buffer.contents acc))
 
-(* one binding per line; floats at full precision, so a changed bit shows *)
+(* one binding per line, as parameters.txt spells it *)
 let param_lines env =
-  let value = function
-    | Mirage_sql.Value.Float f -> Printf.sprintf "%.17g" f
-    | v -> Mirage_sql.Value.to_string v
-  in
   List.map
-    (fun (p, b) ->
-      match b with
-      | Mirage_sql.Pred.Env.Scalar v -> p ^ " = " ^ value v
-      | Mirage_sql.Pred.Env.Vlist vs ->
-          p ^ " = (" ^ String.concat ", " (List.map value vs) ^ ")")
+    (fun (p, b) -> p ^ " = " ^ Mirage_sql.Pred.Env.binding_to_string b)
     (Mirage_sql.Pred.Env.bindings env)
 
 let generate ?chunk_rows ?(domains = 1) ?(batch_size = 1_000_000)

@@ -263,6 +263,53 @@ let prop_constants_roundtrip =
       in
       Parser.pred_opt (Pred.to_string p) = Ok p)
 
+(* a parameter value survives its text: parameters.txt writes each binding
+   with Value.to_string and verify-dir reads it with Parser.binding, so a
+   float cut to six digits, a whole float read back as an int or a string
+   cut at a quote, comma or ')' would check a different constraint *)
+let prop_binding_roundtrip =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        map (fun i -> Value.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+        map
+          (fun f -> Value.Float f)
+          (oneof
+             [
+               map (fun f -> if Float.is_finite f then f else 0.5) float;
+               oneofl
+                 [ 0.1234567; 459606.; 1e18; 1.5e-7; -0.; 0.; 5e-324; max_float; -1e300 ];
+             ]);
+        map
+          (fun s -> Value.Str s)
+          (string_size ~gen:(oneof [ oneofl [ '\''; ','; ')'; '('; '$' ]; char_range ' ' '~' ])
+             (0 -- 8));
+      ]
+  in
+  let binding =
+    oneof
+      [
+        map (fun v -> Pred.Env.Scalar v) value;
+        map (fun vs -> Pred.Env.Vlist vs) (list_size (0 -- 4) value);
+      ]
+  in
+  (* floats by their bits, so -0. and 0. differ *)
+  let same a b =
+    match (a, b) with
+    | Value.Float x, Value.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+    | _ -> a = b
+  in
+  QCheck.Test.make ~name:"Parser.binding reads Value.to_string back exactly" ~count:1000
+    (QCheck.make ~print:Pred.Env.binding_to_string binding)
+    (fun b ->
+      match (b, Parser.binding (Pred.Env.binding_to_string b)) with
+      | Pred.Env.Scalar v, Pred.Env.Scalar v' -> same v v'
+      | Pred.Env.Vlist vs, Pred.Env.Vlist vs' ->
+          List.length vs = List.length vs' && List.for_all2 same vs vs'
+      | _ -> false
+      | exception Parser.Parse_error m -> QCheck.Test.fail_report m)
+
 (* --- Parser -------------------------------------------------------------- *)
 
 let test_parser_roundtrip_shapes () =
@@ -379,6 +426,7 @@ let () =
           Alcotest.test_case "rejected shapes" `Quick test_parser_errors;
           Alcotest.test_case "arith eq rejected" `Quick test_parser_arith_eq_rejected;
           Alcotest.test_case "precedence" `Quick test_parser_precedence;
+          QCheck_alcotest.to_alcotest prop_binding_roundtrip;
         ] );
       ( "schema",
         [

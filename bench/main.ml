@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§8).  Run `main.exe <experiment>` with one of
-   table1 fig11a fig11b fig11c fig12 fig13 fig14 fig15 fig16 ablate,
+   table1 fig11a fig11b fig11c fig12 fig13 fig14 fig15 fig16,
    or no argument for the full suite.  EXPERIMENTS.md records the shapes
    the paper reports next to what this harness prints.  Repeated,
    bounded performance measurements live in benchmark/. *)
@@ -44,6 +44,19 @@ let run_mirage ?(config = bench_config) workload ref_db prod_env =
   | Ok r -> r
   | Error d -> failwith ("mirage generation failed: " ^ Mirage_core.Diag.to_string d)
 
+(* Touchstone then Hydra, as one [Par.map_list] on the resident 2-domain
+   pool.  [map_list] computes its first element before the parallel region
+   starts, so the two run one after the other and each [b_seconds] is an
+   uncontended time. *)
+let run_baselines workload ref_db prod_env =
+  match
+    Par.map_list (Par.get ~domains:2 ())
+      (fun generate -> generate workload ~ref_db ~prod_env ~seed:11)
+      [ Mirage_baselines.Touchstone.generate; Mirage_baselines.Hydra.generate ]
+  with
+  | [ ts; hy ] -> (ts, hy)
+  | _ -> assert false
+
 (* the fig15/fig16 sweeps step the query count through the same quartiles *)
 let quarter_steps total =
   List.sort_uniq compare
@@ -86,16 +99,7 @@ let fig11 wl =
   let r = run_mirage workload ref_db prod_env in
   let mirage_errs = Driver.measure_errors r in
   let aqts = r.Driver.r_aqts in
-  (* the two baseline generators are independent of each other — fan out on
-     the resident pool *)
-  let ts, hy =
-    let pool = Par.get ~domains:2 () in
-    Par.both pool
-      (fun () ->
-        Mirage_baselines.Touchstone.generate workload ~ref_db ~prod_env ~seed:11)
-      (fun () ->
-        Mirage_baselines.Hydra.generate workload ~ref_db ~prod_env ~seed:11)
-  in
+  let ts, hy = run_baselines workload ref_db prod_env in
   let ts_errs = score_baseline ts aqts and hy_errs = score_baseline hy aqts in
   let err_of l name =
     match List.find_opt (fun (e : Error.query_error) -> e.Error.qe_name = name) l with
@@ -187,16 +191,7 @@ let fig13 () =
           let workload, ref_db, prod_env = make_workload ~sf_override:sf wl in
           let r = run_mirage workload ref_db prod_env in
           let m_time = r.Driver.r_timings.Driver.t_total in
-          let ts, hy =
-            let pool = Par.get ~domains:2 () in
-            Par.both pool
-              (fun () ->
-                Mirage_baselines.Touchstone.generate workload ~ref_db ~prod_env
-                  ~seed:11)
-              (fun () ->
-                Mirage_baselines.Hydra.generate workload ~ref_db ~prod_env
-                  ~seed:11)
-          in
+          let ts, hy = run_baselines workload ref_db prod_env in
           pf "%-8.2f %12.3f %14.3f %12.3f\n%!" factor m_time ts.Types.b_seconds
             hy.Types.b_seconds)
         sweep)
@@ -276,45 +271,6 @@ let fig16 () =
             t.Driver.t_cdf t.Driver.t_acc)
         steps)
 
-(* --- Ablation: contribution of each design choice ------------------------- *)
-
-let ablate () =
-  header
-    "Ablation: each row disables one design choice (DESIGN.md) and reports \
-     accuracy and key-generation cost on TPC-H (sf 0.2) and TPC-DS (sf 0.2).";
-  let variants =
-    [
-      ("all-on", bench_config);
-      ("no-acc-repair", { bench_config with Driver.acc_repair = false });
-      ("no-lp-guide", { bench_config with Driver.lp_guide = false; cp_max_nodes = 30_000 });
-      ("no-guided-placement", { bench_config with Driver.guided_placement = false });
-    ]
-  in
-  List.iter
-    (fun wl ->
-      let workload, ref_db, prod_env = make_workload wl in
-      pf "\n%s\n%-22s %8s %10s %10s %12s %10s\n%!" wl.wl_name "variant" "exact"
-        "mean-err" "worst" "cp-nodes" "gen(s)";
-      List.iter
-        (fun (name, config) ->
-          match Driver.generate ~config workload ~ref_db ~prod_env with
-          | Error d ->
-              pf "%-22s failed: %s\n%!" name (Mirage_core.Diag.to_string d)
-          | Ok r ->
-              let errs = Driver.measure_errors r in
-              let rels =
-                List.map
-                  (fun (e : Error.query_error) -> e.Error.qe_relative)
-                  errs
-              in
-              let exact = List.length (List.filter (fun e -> e = 0.0) rels) in
-              pf "%-22s %5d/%-2d %10.5f %10.5f %12d %10.3f\n%!" name exact
-                (List.length rels) (mean rels)
-                (List.fold_left max 0.0 rels)
-                r.Driver.r_timings.Driver.cp_nodes (r.Driver.r_timings.Driver.t_total))
-        variants)
-    [ List.nth workloads 1; List.nth workloads 2 ]
-
 (* --- entry point ---------------------------------------------------------- *)
 
 let experiments =
@@ -328,7 +284,6 @@ let experiments =
     ("fig14", fig14);
     ("fig15", fig15);
     ("fig16", fig16);
-    ("ablate", ablate);
   ]
 
 let () =

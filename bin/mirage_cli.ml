@@ -666,6 +666,7 @@ let explain_cmd =
     let table_rows t = List.assoc t ir.Mirage_core.Ir.table_cards in
     let dec =
       Mirage_core.Decouple.run workload.Mirage_core.Workload.w_schema ~dom ~table_rows
+        ~param_key:(fun p -> Mirage_sql.Pred.Env.find_scalar p prod_env)
         ir.Mirage_core.Ir.sccs
     in
     Fmt.pr "=== decoupled (§4.1) ===@.";

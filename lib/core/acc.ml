@@ -204,7 +204,7 @@ let swap_cells col i j =
    two rows changes the count without touching any column's value multiset,
    so every UCC stays exact.  Rows below [frozen_prefix] carry bound-row
    groups and are never touched. *)
-let instantiate ?(repair = true) ?(frozen_prefix = 0)
+let instantiate ?(frozen_prefix = 0)
     ?(interrupt = fun () -> ()) ~rng ~db ~sample_size (acc : Ir.acc) =
   interrupt ();
   let table = acc.Ir.acc_table and cmp = acc.Ir.acc_cmp in
@@ -243,7 +243,7 @@ let instantiate ?(repair = true) ?(frozen_prefix = 0)
   let p = choose_threshold ~cmp ~target values in
   (* tie repair only applies when the whole table was scanned: on a sample
      the paper's delta bound already covers the deviation *)
-  (if repair && s = n then
+  (if s = n then
      (* 1 when row [i] satisfies the predicate at [p]: IEEE comparisons,
         unboxed *)
      let hit =

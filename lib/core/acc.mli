@@ -7,7 +7,6 @@
     paper's δ bound otherwise. *)
 
 val instantiate :
-  ?repair:bool ->
   ?frozen_prefix:int ->
   ?interrupt:(unit -> unit) ->
   rng:Mirage_util.Rng.t ->
@@ -17,8 +16,8 @@ val instantiate :
   string * Mirage_sql.Pred.Env.binding
 (** Returns the parameter's binding.  The result view is one run of the
     columnar kernel ({!Mirage_engine.Arith}) over the sampled rows.  When
-    the whole table is scanned and ties prevent an exact threshold,
-    [repair] (default on) swaps values of an involved column between rows
+    the whole table is scanned and ties prevent an exact threshold, a
+    repair swaps values of an involved column between rows
     — preserving every column's value multiset, hence every UCC — until
     the ACC count is exact; rows below [frozen_prefix] (bound-row groups)
     are never touched.  A swap re-evaluates only its two rows.  [interrupt]

@@ -144,8 +144,7 @@ let normalise ~rows ~elements ~param_key (n : norm) (u : Ir.ucc) =
         subs
   | Pred.Arith_cmp _ -> fail "%s: arithmetic literal is not a UCC" u.Ir.ucc_source
 
-let build ?(guided_placement = true) ~table ~col ~kind ~dom ~rows ~uccs ~elements
-    ~param_key () =
+let build ~table ~col ~kind ~dom ~rows ~uccs ~elements ~param_key () =
   try
     if dom <= 0 || rows <= 0 then fail "empty column";
     if dom > rows then fail "domain %d larger than row count %d" dom rows;
@@ -233,11 +232,10 @@ let build ?(guided_placement = true) ~table ~col ~kind ~dom ~rows ~uccs ~element
         boundaries
     in
     let all_boundaries_known =
-      guided_placement
-      &&
-      (* also require production boundary values to increase with the
-         cumulative counts: eliminations can shift an anchor's count away
-         from its production marginal, making the guide incoherent *)
+      (* every boundary carries an integer production value, and those
+         values increase with the cumulative counts: eliminations can shift
+         an anchor's count away from its production marginal, making the
+         guide incoherent *)
       boundary_prod <> []
       && List.for_all (fun b -> b <> None) boundary_prod
       &&

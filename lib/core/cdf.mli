@@ -36,7 +36,6 @@ type layout = {
 }
 
 val build :
-  ?guided_placement:bool ->
   table:string ->
   col:string ->
   kind:Mirage_sql.Schema.kind ->
@@ -55,7 +54,11 @@ val build :
     and a row count may share one synthetic value (the paper's reuse
     fallback), and integer production values guide equality items into the
     range the production data placed them in, which keeps tightly-packed
-    columns feasible. *)
+    columns feasible.  The guide applies whenever every range boundary
+    carries an integer production value and those values increase with the
+    cumulative counts.  An item the guide cannot place (no guide, no
+    integer production value, or no room left in its range) goes best-fit
+    decreasing. *)
 
 val default_layout :
   table:string ->

@@ -453,7 +453,7 @@ let process_scc ctx (scc : Ir.scc) =
             }
             :: ctx.out_bound)
 
-let run schema ~dom ~table_rows ?(param_key = fun _ -> None) sccs =
+let run schema ~dom ~table_rows ~param_key sccs =
   let ctx =
     {
       schema;

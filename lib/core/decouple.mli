@@ -24,11 +24,12 @@ val run :
   Mirage_sql.Schema.t ->
   dom:(string -> string -> int) ->
   table_rows:(string -> int) ->
-  ?param_key:(string -> Mirage_sql.Value.t option) ->
+  param_key:(string -> Mirage_sql.Value.t option) ->
   Ir.scc list ->
   result
 (** [dom table col] is the target domain size [|R|_A]; [table_rows table] the
-    target [|R|].  [param_key] maps a parameter to its production value; it
+    target [|R|].  [param_key] maps a parameter to its production value
+    ({!Mirage_sql.Pred.Env.find_scalar} over the production parameters); it
     lets the budget accounting recognise constraints that will alias to one
     synthetic value.  Forced (single-literal) SCCs are processed before OR
     clauses so the elimination's kept-literal choice sees the true remaining

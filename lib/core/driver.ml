@@ -15,9 +15,6 @@ type config = {
   batch_size : int;
   cp_max_nodes : int;
   domains : int;
-  acc_repair : bool;
-  lp_guide : bool;
-  guided_placement : bool;
   budget : Budget.limits;
       (** resource budget: heap watermark and wall-clock deadline.
           Breaches surface as a typed [Diag.Budget] error, never
@@ -59,9 +56,6 @@ let default_config =
     batch_size = 7_000_000;
     cp_max_nodes = 100_000;
     domains = Par.default_domains ();
-    acc_repair = true;
-    lp_guide = true;
-    guided_placement = true;
     budget = Budget.no_limits;
     chunk_rows = None;
     schedule = `Overlap;
@@ -104,12 +98,6 @@ let now () = Unix.gettimeofday ()
 let cpu_now () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime
-
-(* production value of a scalar parameter, for value sharing and placement *)
-let param_key_fn prod_env p =
-  match Pred.Env.find p prod_env with
-  | Some (Pred.Env.Scalar v) -> Some v
-  | Some (Pred.Env.Vlist _) | None -> None
 
 (* edges that must be populated: every FK column in the schema *)
 let all_edges schema =
@@ -221,7 +209,10 @@ let generate_from_bundle ?(config = default_config) (b : Bundle.t) =
   match first_problem config vdiags with
   | Some d -> Error d
   | None ->
-      let w = b.Bundle.b_workload and param_key = param_key_fn b.Bundle.b_env in
+      let w = b.Bundle.b_workload in
+      (* production value of a scalar parameter, for value sharing and
+         placement *)
+      let param_key p = Pred.Env.find_scalar p b.Bundle.b_env in
       let schema = w.Workload.w_schema in
       (* one budget token for the whole run: stage boundaries poll it, and the
          keygen/CP layers poll it from inside their loops via [interrupt].  A
@@ -294,9 +285,8 @@ let generate_from_bundle ?(config = default_config) (b : Bundle.t) =
             (Cdf.default_layout ~table:tname ~col ~kind:c.Schema.kind ~dom:d ~rows, None)
           else
             match
-              Cdf.build ~guided_placement:config.guided_placement ~table:tname
-                ~col ~kind:c.Schema.kind ~dom:d ~rows ~uccs ~elements ~param_key
-                ()
+              Cdf.build ~table:tname ~col ~kind:c.Schema.kind ~dom:d ~rows ~uccs
+                ~elements ~param_key ()
             with
             | Ok l -> (l, None)
             | Error msg ->
@@ -462,8 +452,7 @@ let generate_from_bundle ?(config = default_config) (b : Bundle.t) =
         List.iter
           (fun (acc : Ir.acc) ->
             let p, b =
-              Acc.instantiate ~repair:config.acc_repair
-                ~frozen_prefix:(frozen_prefix_of acc.Ir.acc_table)
+              Acc.instantiate ~frozen_prefix:(frozen_prefix_of acc.Ir.acc_table)
                 ~interrupt:(fun () -> Budget.check budget)
                 ~rng:(Rng.split rng) ~db ~sample_size:acc_sample_size acc
             in
@@ -512,8 +501,7 @@ let generate_from_bundle ?(config = default_config) (b : Bundle.t) =
           end
           else
             match
-              Keygen.populate_edge ~lp_guide:config.lp_guide ~pool
-                ~interrupt:(fun () -> Budget.check budget)
+              Keygen.populate_edge ~pool ~interrupt:(fun () -> Budget.check budget)
                 ~rng:(Rng.split rng) ~db ~env:!env ~edge ~constraints
                 ~batch_size:config.batch_size ~cp_max_nodes:config.cp_max_nodes
                 ~times ()

@@ -159,8 +159,7 @@ let pk_reader ~db edge =
       Ok (fun i -> Bigarray.Array1.unsafe_get data i)
   | _ -> Error (edge_failure edge non_integer_pk)
 
-let populate_edge ?(lp_guide = true) ?(pool = Par.sequential)
-    ?(interrupt = fun () -> ())
+let populate_edge ?(pool = Par.sequential) ?(interrupt = fun () -> ())
     ~rng ~db ~env ~edge ~constraints ~batch_size ~cp_max_nodes ~times () =
   try
     let s_table = edge.Ir.e_pk_table and t_table = edge.Ir.e_fk_table in
@@ -813,7 +812,7 @@ let populate_edge ?(lp_guide = true) ?(pool = Par.sequential)
             done
           done
         in
-        match Cp.solve ~max_nodes:cp_max_nodes ~lp_guide ~interrupt model2 with
+        match Cp.solve ~max_nodes:cp_max_nodes ~interrupt model2 with
         | Cp.Sat sol2, st ->
             record_stats st;
             for i = 0 to np_s - 1 do

@@ -47,7 +47,6 @@ val pk_reader : db:Mirage_engine.Db.t -> Ir.edge -> (int -> int, failure) result
     "non-integer primary key" failure. *)
 
 val populate_edge :
-  ?lp_guide:bool ->
   ?pool:Mirage_par.Par.pool ->
   ?interrupt:(unit -> unit) ->
   rng:Mirage_util.Rng.t ->
@@ -65,6 +64,7 @@ val populate_edge :
     polls it before searching and every 64 nodes; whatever it raises (typically
     {!Mirage_util.Budget.Exceeded}) propagates out of the populate call.
 
+    Every CP solve is LP-guided ({!Mirage_cp.Cp.solve}'s default).
     Batches run one after another: each batch's CP solve and FK fill finish
     before the next batch starts, and [batch_alloc_bytes] covers both.
 

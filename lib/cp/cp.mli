@@ -60,8 +60,11 @@ val solve :
 
     Default node limit 1_000_000 (cumulative across restarts).  [lp_guide]
     (default on) computes an LP relaxation to repair into a fast solution and
-    to order branching values; disabling it leaves pure propagation + DFS
-    (the ablation baseline).
+    to order branching values; disabling it leaves pure propagation + DFS.
+    The flag stays for two reasons: production still runs the unguided
+    search whenever the relaxation yields no guess, and test_cp's
+    differential tests pass [~lp_guide:false] to pin it against their
+    naive reference.  Every production caller keeps the default.
 
     When an attempt exhausts its node budget the solver restarts
     deterministically with an escalating budget (starting at [max_nodes / 8],

@@ -97,7 +97,10 @@ let pivot t ~ncol r j =
   if abs_float f > 0.0 then sub_scaled tab t.idx cnt objrow f prow;
   t.basis.(r) <- j
 
-let simplex_tableau ~eps ?allowed t =
+(* pivot and feasibility tolerance *)
+let eps = 1e-9
+
+let simplex_tableau ?allowed t =
   let { basis; m; total; _ } = t in
   let obj = m in
   let rhs = total in
@@ -161,7 +164,7 @@ let check_rows ~n a =
         row)
     a
 
-let solve ?(eps = 1e-9) ~a ~b ~c () =
+let solve ~a ~b ~c () =
   let m = Array.length a in
   let n = Array.length c in
   if Array.length b <> m then invalid_arg "Lp.solve: |b| <> rows of A";
@@ -200,7 +203,7 @@ let solve ?(eps = 1e-9) ~a ~b ~c () =
     put t obj j (-.at t obj j)
   done;
   put t obj total (-.at t obj total);
-  match simplex_tableau ~eps t with
+  match simplex_tableau t with
   | `Unbounded -> Infeasible (* phase I is bounded; numerical trouble *)
   | `Optimal ->
       if at t obj total < -.(eps *. 1e3) -. 1e-6 then Infeasible
@@ -230,7 +233,7 @@ let solve ?(eps = 1e-9) ~a ~b ~c () =
           if bv < n && abs_float (at t obj bv) > 0.0 then
             sub_scaled tab t.idx (gather t (r * w)) (obj * w) (at t obj bv) (r * w)
         done;
-        match simplex_tableau ~eps ~allowed:n t with
+        match simplex_tableau ~allowed:n t with
         | `Unbounded -> Unbounded
         | `Optimal ->
             let x = Array.make n 0.0 in
@@ -242,8 +245,8 @@ let solve ?(eps = 1e-9) ~a ~b ~c () =
             Optimal x
       end
 
-let feasible_point ?eps ~n ~a ~b () =
-  match solve ?eps ~a ~b ~c:(Array.make n 0.0) () with
+let feasible_point ~n ~a ~b () =
+  match solve ~a ~b ~c:(Array.make n 0.0) () with
   | Optimal x -> Some x
   | Infeasible | Unbounded -> None
 

@@ -18,7 +18,6 @@ type outcome =
   | Unbounded
 
 val solve :
-  ?eps:float ->
   a:(int * float) array array ->
   b:float array ->
   c:float array ->
@@ -28,12 +27,13 @@ val solve :
     [(column, coefficient)] pairs of its entries (absent columns are zero),
     [b] length [m] (made non-negative internally), [c] length [n].  Phase I
     finds a basic feasible solution via artificial variables; Phase II
-    optimises [c].  The inputs are not mutated.
+    optimises [c].  Pivoting and the phase I feasibility test use one
+    fixed tolerance, [1e-9].  The inputs are not mutated.
     @raise Invalid_argument if [|b| <> m], or a row lists a column outside
     [\[0, n)] or lists a column twice. *)
 
 val feasible_point :
-  ?eps:float -> n:int -> a:(int * float) array array -> b:float array -> unit ->
+  n:int -> a:(int * float) array array -> b:float array -> unit ->
   float array option
 (** Feasibility-only convenience wrapper (zero objective over [n]
     columns). *)

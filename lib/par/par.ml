@@ -199,14 +199,6 @@ let map_list pool f l =
     Array.to_list out
   end
 
-let both pool f g =
-  let rf = ref None and rg = ref None in
-  run pool 2 (fun i ->
-      if i = 0 then rf := Some (f ()) else rg := Some (g ()));
-  match (!rf, !rg) with
-  | Some x, Some y -> (x, y)
-  | _ -> assert false
-
 (* --- futures ----------------------------------------------------------------
 
    A future is a single task submitted to the pool's queue whose completion

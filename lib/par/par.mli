@@ -67,9 +67,6 @@ val map_list : pool -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map]; preserves list order.  Each element is one task, so
     use it for coarse-grained jobs (a column build, a table instantiation). *)
 
-val both : pool -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** [both pool f g] runs [f] and [g] concurrently and returns both. *)
-
 (** Futures on the resident pool.  {!Mirage_core.Driver} runs each table's
     live export ([on_table_ready]) as one, beside the key-generation walk.
 

@@ -39,6 +39,9 @@ module Env = struct
   let add_scalar name v t = M.add name (Scalar v) t
   let of_list l = List.fold_left (fun m (k, v) -> M.add k v m) M.empty l
   let find name t = M.find_opt name t
+
+  let find_scalar name t =
+    match M.find_opt name t with Some (Scalar v) -> Some v | Some (Vlist _) | None -> None
   let bindings t = M.bindings t
 
   let binding_to_string = function

@@ -50,6 +50,12 @@ module Env : sig
   val add_scalar : string -> Value.t -> t -> t
   val of_list : (string * binding) list -> t
   val find : string -> t -> binding option
+
+  val find_scalar : string -> t -> Value.t option
+  (** The value of a scalar-bound parameter; [None] when it is bound to a
+      list or unbound.  Generation and [mirage explain] key production
+      parameter values by it ({!Mirage_core.Decouple.run}'s [param_key]). *)
+
   val bindings : t -> (string * binding) list
 
   val binding_to_string : binding -> string

@@ -1,7 +1,27 @@
-(* Shared test plumbing for the shard export: exporting a finished database
-   (open + finish of the live export) and reading a table's shards back. *)
+(* Shared test plumbing for the shard export: scratch directories, a
+   database's table names, exporting a finished database (open + finish of
+   the live export) and reading a table's shards back. *)
 
 module Scale_out = Mirage_core.Scale_out
+module Schema = Mirage_sql.Schema
+module Db = Mirage_engine.Db
+
+(* a new empty directory under the system temp directory *)
+let fresh_dir prefix =
+  let base = Filename.temp_file prefix "" in
+  Sys.remove base;
+  Mirage_engine.Sink.mkdir_p base;
+  base
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let table_names db =
+  List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
 
 (* the whole export of a finished database; [chunk_rows] defaults to
    unbounded, one shard per table *)

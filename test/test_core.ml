@@ -57,12 +57,18 @@ let scc table pred rows =
 (* --- Decouple (§4.1) ------------------------------------------------------ *)
 
 let test_decouple_single_literal () =
-  let d = Decouple.run schema ~dom ~table_rows [ scc "t" "t1 > $p" 6 ] in
+  let d =
+    Decouple.run schema ~dom ~table_rows ~param_key:(fun _ -> None)
+      [ scc "t" "t1 > $p" 6 ]
+  in
   Alcotest.(check int) "one ucc" 1 (List.length d.Decouple.uccs);
   Alcotest.(check int) "no acc" 0 (List.length d.Decouple.accs)
 
 let test_decouple_arith_to_acc () =
-  let d = Decouple.run schema ~dom ~table_rows [ scc "t" "t1 - t2 > $p" 5 ] in
+  let d =
+    Decouple.run schema ~dom ~table_rows ~param_key:(fun _ -> None)
+      [ scc "t" "t1 - t2 > $p" 5 ]
+  in
   Alcotest.(check int) "one acc" 1 (List.length d.Decouple.accs);
   let a = List.hd d.Decouple.accs in
   Alcotest.(check int) "rows kept" 5 a.Ir.acc_rows
@@ -72,7 +78,7 @@ let test_decouple_fig5_v9 () =
      the unary one (cheapest), the arith clause becomes universal, the
      eliminated literal gets a sentinel *)
   let d =
-    Decouple.run schema ~dom ~table_rows
+    Decouple.run schema ~dom ~table_rows ~param_key:(fun _ -> None)
       [ scc "t" "(t1 <= $p4 or t2 = $p5) and t1 - t2 < $p6" 1 ]
   in
   Alcotest.(check int) "exactly one ucc" 1 (List.length d.Decouple.uccs);
@@ -94,7 +100,8 @@ let test_decouple_fig5_v10_demorgan () =
      complement intersection with count 3, as equality UCCs plus a bound
      group *)
   let d =
-    Decouple.run schema ~dom ~table_rows [ scc "t" "t1 <> $p7 or t2 <> $p8" 5 ]
+    Decouple.run schema ~dom ~table_rows ~param_key:(fun _ -> None)
+      [ scc "t" "t1 <> $p7 or t2 <> $p8" 5 ]
   in
   Alcotest.(check int) "two eq uccs" 2 (List.length d.Decouple.uccs);
   List.iter
@@ -107,12 +114,15 @@ let test_decouple_fig5_v10_demorgan () =
   | _ -> Alcotest.fail "expected one bound group"
 
 let test_decouple_key_column_skipped () =
-  let d = Decouple.run schema ~dom ~table_rows [ scc "t" "t_fk = $p" 2 ] in
+  let d =
+    Decouple.run schema ~dom ~table_rows ~param_key:(fun _ -> None)
+      [ scc "t" "t_fk = $p" 2 ]
+  in
   Alcotest.(check int) "skipped" 1 (List.length d.Decouple.skipped)
 
 let test_decouple_conflicting_param_counts () =
   let sccs = [ scc "t" "t1 = $p" 3; scc "t" "t1 = $p" 5 ] in
-  let d = Decouple.run schema ~dom ~table_rows sccs in
+  let d = Decouple.run schema ~dom ~table_rows ~param_key:(fun _ -> None) sccs in
   Alcotest.(check int) "kept one" 1 (List.length d.Decouple.uccs);
   Alcotest.(check int) "conflict reported" 1 (List.length d.Decouple.skipped)
 
@@ -121,7 +131,7 @@ let test_decouple_double_bind_guard () =
      elimination would sentinel-bind it; the guard must keep the counted
      constraint and drop the sentinel binding *)
   let d =
-    Decouple.run schema ~dom ~table_rows
+    Decouple.run schema ~dom ~table_rows ~param_key:(fun _ -> None)
       [ scc "t" "t1 = $p" 3; scc "t" "t1 = $p or t2 > $q" 5 ]
   in
   Alcotest.(check bool) "p not sentinel-bound" false
@@ -342,20 +352,17 @@ let random_cdf_input seed =
     | _ -> []
   in
   let dom = max 1 (min rows (List.length present - 1 + int 4)) in
-  (kind, rows, dom, uccs, elements, Hashtbl.find_opt keys, int 4 > 0)
+  (kind, rows, dom, uccs, elements, Hashtbl.find_opt keys)
 
 let prop_cdf_matches_scan_reference =
   QCheck.Test.make ~name:"build = list-scan reference on random UCC mixes" ~count:500
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      let kind, rows, dom, uccs, elements, param_key, guided_placement =
-        random_cdf_input seed
-      in
+      let kind, rows, dom, uccs, elements, param_key = random_cdf_input seed in
       match
-        ( Cdf.build ~guided_placement ~table:"t" ~col:"c" ~kind ~dom ~rows ~uccs
-            ~elements ~param_key (),
-          Cdf_reference.build ~guided_placement ~table:"t" ~col:"c" ~kind ~dom ~rows
-            ~uccs ~elements ~param_key () )
+        ( Cdf.build ~table:"t" ~col:"c" ~kind ~dom ~rows ~uccs ~elements ~param_key (),
+          Cdf_reference.build ~table:"t" ~col:"c" ~kind ~dom ~rows ~uccs ~elements
+            ~param_key () )
       with
       | Ok l, Ok r ->
           l.Cdf.l_value_counts = r.Cdf_reference.l_value_counts
@@ -593,13 +600,17 @@ let test_acc_repair_reaches_target () =
   let db = acc_db 400 in
   let diffs () = Array.map2 ( - ) (li_ints db "recv") (li_ints db "ship") in
   let above p = Array.fold_left (fun a d -> if float_of_int d > p then a + 1 else a) 0 (diffs ()) in
-  (* 123 rows: no threshold over the five tie runs selects that many *)
-  let no_repair =
-    Acc.instantiate ~repair:false ~rng:(Mirage_util.Rng.create 3) ~db ~sample_size:1000
-      (acc_of ~rows:123 "recv - ship")
+  (* 123 rows: no threshold over the five tie runs selects that many.
+     [d > p] selects what [d > c] does for the largest candidate [c <= p],
+     so the distinct values and one sentinel below them cover every
+     threshold. *)
+  let unrepaired = Array.to_list (diffs ()) in
+  let candidates =
+    float_of_int (List.fold_left min max_int unrepaired - 1)
+    :: List.map float_of_int (List.sort_uniq compare unrepaired)
   in
-  Alcotest.(check bool) "ties leave the threshold off target" true
-    (above (acc_threshold no_repair) <> 123);
+  Alcotest.(check bool) "ties leave every threshold off target" true
+    (List.for_all (fun p -> above p <> 123) candidates);
   let p =
     acc_threshold
       (Acc.instantiate ~rng:(Mirage_util.Rng.create 3) ~db ~sample_size:1000

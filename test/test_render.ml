@@ -149,30 +149,18 @@ let prop_csv_escape_roundtrip =
 
 (* --- templated splicer vs reference renderer ------------------------------- *)
 
-let table_names db =
-  List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
-
-let fresh_dir prefix =
-  let dir = Filename.temp_file prefix "" in
-  Sys.remove dir;
-  dir
-
-let rm_dir dir =
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
-
 (* the export's files and each table's concatenated shards *)
 let export_tables ~db ~copies ~domains ~chunk_rows =
-  let dir = fresh_dir "mirage_tpl" in
+  let dir = Shards.fresh_dir "mirage_tpl" in
   Par.with_pool ~domains (fun pool ->
       ignore (Shards.export ~pool ~db ~copies ~chunk_rows ~dir ~run_id:"tpl" ()));
   let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
-  let tables = List.map (fun t -> (t, Shards.concat dir t)) (table_names db) in
-  rm_dir dir;
+  let tables = List.map (fun t -> (t, Shards.concat dir t)) (Shards.table_names db) in
+  Shards.rm_rf dir;
   (files, tables)
 
 let reference_tables ~db ~copies =
-  List.map (fun t -> (t, Reference.csv ~db ~copies t)) (table_names db)
+  List.map (fun t -> (t, Reference.csv ~db ~copies t)) (Shards.table_names db)
 
 (* the export equals [reference] (from [reference_tables] at the same
    [copies]) as one shard per table and as one tile per shard *)
@@ -188,7 +176,7 @@ let check_identical ?reference ~label ~db ~copies ~domains () =
           (label ^ ": one shard per table, plus the manifest")
           (List.sort compare
              ("MANIFEST.json"
-             :: List.map (fun t -> t ^ ".csv.0") (table_names db)))
+             :: List.map (fun t -> t ^ ".csv.0") (Shards.table_names db)))
           files;
       List.iter2
         (fun (t, want) (_, got) ->
@@ -299,9 +287,7 @@ let test_nested_dir () =
   let db = special_db () in
   ignore (Shards.export ~db ~copies:1 ~dir ~run_id:"nested" ());
   Alcotest.(check bool) "nested dir created" true (Sys.is_directory dir);
-  rm_dir dir;
-  Sys.rmdir (Filename.concat base "deep");
-  Sys.rmdir base
+  Shards.rm_rf base
 
 (* a one-row table and an empty table referencing it: with an unbounded
    chunk, a tile-per-shard count of max_int / max 1 rows must not wrap the

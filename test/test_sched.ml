@@ -13,24 +13,8 @@ module Db = Mirage_engine.Db
 module Par = Mirage_par.Par
 module Schema = Mirage_sql.Schema
 
-let fresh_dir prefix =
-  let base = Filename.temp_file prefix "" in
-  Sys.remove base;
-  Sink.mkdir_p base;
-  base
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let table_names db =
-  List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
-
 let largest_table db =
-  List.fold_left (fun m t -> max m (Db.row_count db t)) 1 (table_names db)
+  List.fold_left (fun m t -> max m (Db.row_count db t)) 1 (Shards.table_names db)
 
 (* value digest over every column: rendered values, not Marshal bytes —
    chunked assembly may change physical string sharing without changing a
@@ -143,7 +127,7 @@ let test_live_export_crash_resume () =
   let make = Mirage_workloads.Ssb.make and sf = 0.05 in
   let mono = generate make ~sf in
   check_pinned "monolithic" (fst (pinned "ssb" make ~batch_size:1_000_000)) mono;
-  let dir_c = fresh_dir "mirage_sched_c" in
+  let dir_c = Shards.fresh_dir "mirage_sched_c" in
   let chunk_rows = max 1 (largest_table mono.Driver.r_db / 3) in
   let run_id = "sched-resume" in
   let pool = Par.get ~domains:2 () in
@@ -188,8 +172,8 @@ let test_live_export_crash_resume () =
             (String.equal
                (Reference.csv ~db:mono.Driver.r_db ~copies:1 t)
                (Shards.concat dir_c t)))
-        (table_names r.Driver.r_db));
-  rm_rf dir_c
+        (Shards.table_names r.Driver.r_db));
+  Shards.rm_rf dir_c
 
 (* --- live export across a quarantine retry ----------------------------------- *)
 
@@ -201,7 +185,7 @@ let test_live_export_crash_resume () =
    reference render, and the manifest names only the shards on disk. *)
 let test_live_export_quarantine () =
   let workload, ref_db, prod_env = Mirage_workloads.Tpcds.make ~sf:0.1 ~seed:1 in
-  let dir = fresh_dir "mirage_sched_q" in
+  let dir = Shards.fresh_dir "mirage_sched_q" in
   let copies = 2 and chunk_rows = 1000 and run_id = "sched-quarantine" in
   let h =
     Scale_out.open_csv_export ~pool:(Par.get ~domains:2 ()) ~copies
@@ -248,7 +232,7 @@ let test_live_export_quarantine () =
         (Printf.sprintf "%s: shards = reference render" t)
         true
         (String.equal (Reference.csv ~db ~copies t) (Shards.concat dir t)))
-    (table_names db);
+    (Shards.table_names db);
   let committed =
     List.map
       (fun (s : Sink.shard) -> s.Sink.sh_name)
@@ -262,7 +246,7 @@ let test_live_export_quarantine () =
        (List.filter
           (fun f -> f <> Filename.basename (Sink.manifest_path ~dir))
           (Array.to_list (Sys.readdir dir))));
-  rm_rf dir
+  Shards.rm_rf dir
 
 (* --- QCheck: task-DAG ordering under randomized latencies ------------------- *)
 

@@ -12,29 +12,10 @@ module Par = Mirage_par.Par
 module Schema = Mirage_sql.Schema
 module Db = Mirage_engine.Db
 
-let fresh_dir prefix =
-  let base = Filename.temp_file prefix "" in
-  Sys.remove base;
-  Sink.mkdir_p base;
-  base
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let write_file path s =
   let oc = open_out_bin path in
   output_string oc s;
   close_out oc
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
 
 let tmp_files dir =
   Array.to_list (Sys.readdir dir)
@@ -96,7 +77,7 @@ let prop_crc32_sliced_eq_bytewise =
 (* --- unit: manifest round trip -------------------------------------------- *)
 
 let test_manifest_roundtrip () =
-  let dir = fresh_dir "mirage_sink_rt" in
+  let dir = Shards.fresh_dir "mirage_sink_rt" in
   let t = Sink.create ~dir ~run_id:"rt-1" () in
   Sink.write_shard t ~name:"a.csv.0" (fun w -> put_string w "hello,world\n");
   Sink.write_shard t ~name:"a.csv.1" (fun w -> put_string w "more\n");
@@ -112,10 +93,10 @@ let test_manifest_roundtrip () =
   Alcotest.(check (list int)) "sizes" [ 12; 5 ] sizes;
   (* a write_shard for a committed name is a no-op *)
   Sink.write_shard t2 ~name:"a.csv.0" (fun _ -> Alcotest.fail "re-rendered");
-  rm_rf dir
+  Shards.rm_rf dir
 
 let test_run_id_mismatch () =
-  let dir = fresh_dir "mirage_sink_id" in
+  let dir = Shards.fresh_dir "mirage_sink_id" in
   let t = Sink.create ~dir ~run_id:"old" () in
   Sink.write_shard t ~name:"a.csv.0" (fun w -> put_string w "x\n");
   let t2 = Sink.create ~resume:true ~dir ~run_id:"new" () in
@@ -124,18 +105,18 @@ let test_run_id_mismatch () =
   Alcotest.(check bool)
     "stale manifest removed" false
     (Sys.file_exists (Sink.manifest_path ~dir));
-  rm_rf dir
+  Shards.rm_rf dir
 
 let test_stale_tmp_cleanup () =
-  let dir = fresh_dir "mirage_sink_tmp" in
+  let dir = Shards.fresh_dir "mirage_sink_tmp" in
   write_file (Filename.concat dir "dead.csv.3.tmp") "half a shard";
   write_file (Filename.concat dir "MANIFEST.json.tmp") "half a manifest";
   let _ = Sink.create ~dir ~run_id:"x" () in
   Alcotest.(check (list string)) "tmp files removed" [] (tmp_files dir);
-  rm_rf dir
+  Shards.rm_rf dir
 
 let test_resume_drops_bad_size () =
-  let dir = fresh_dir "mirage_sink_size" in
+  let dir = Shards.fresh_dir "mirage_sink_size" in
   let t = Sink.create ~dir ~run_id:"s" () in
   Sink.write_shard t ~name:"a.csv.0" (fun w -> put_string w "0123456789\n");
   (* truncate behind the manifest's back, as a torn disk would *)
@@ -144,7 +125,7 @@ let test_resume_drops_bad_size () =
   Alcotest.(check bool)
     "mismatched shard re-rendered" false
     (Sink.is_done t2 "a.csv.0");
-  rm_rf dir
+  Shards.rm_rf dir
 
 let replace_once s ~sub ~by =
   let n = String.length sub in
@@ -157,7 +138,7 @@ let replace_once s ~sub ~by =
   String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
 
 let test_resume_drops_bad_crc () =
-  let dir = fresh_dir "mirage_sink_crc" in
+  let dir = Shards.fresh_dir "mirage_sink_crc" in
   let crc s = Sink.crc32 (Bytes.of_string s) ~pos:0 ~len:(String.length s) in
   let t = Sink.create ~dir ~run_id:"c" () in
   Sink.write_shard t ~name:"a.csv.0" (fun w -> put_string w "first\n");
@@ -166,7 +147,7 @@ let test_resume_drops_bad_crc () =
   (* an unparsable crc32 must not resume as a committed shard with CRC 0 *)
   let mpath = Sink.manifest_path ~dir in
   write_file mpath
-    (replace_once (read_file mpath)
+    (replace_once (Shards.read_file mpath)
        ~sub:(Printf.sprintf "\"crc32\": \"%08x\"" (crc "second\n"))
        ~by:"\"crc32\": \"0x12zz\"");
   let t2 = Sink.create ~resume:true ~dir ~run_id:"c" () in
@@ -181,29 +162,29 @@ let test_resume_drops_bad_crc () =
     "rewritten manifest carries the true CRCs"
     [ crc "first\n"; crc "second\n" ]
     (List.map (fun s -> s.Sink.sh_crc) (Sink.completed t3));
-  rm_rf dir
+  Shards.rm_rf dir
 
 (* an entry without "seq" and "raw", as manifests had before the sharded
    sink, parses like any other incomplete entry: it is rendered again *)
 let test_resume_drops_entry_without_seq_raw () =
-  let dir = fresh_dir "mirage_sink_legacy" in
+  let dir = Shards.fresh_dir "mirage_sink_legacy" in
   let t = Sink.create ~dir ~run_id:"l" () in
   Sink.write_shard t ~name:"a.csv.0" (fun w -> put_string w "first\n");
   Sink.write_shard t ~name:"a.csv.1" (fun w -> put_string w "second\n");
   Sink.finish t;
   let mpath = Sink.manifest_path ~dir in
   write_file mpath
-    (replace_once (read_file mpath)
+    (replace_once (Shards.read_file mpath)
        ~sub:"\"name\": \"a.csv.1\", \"seq\": 1, \"bytes\": 7, \"raw\": 7,"
        ~by:"\"name\": \"a.csv.1\", \"bytes\": 7,");
   let t2 = Sink.create ~resume:true ~dir ~run_id:"l" () in
   Alcotest.(check int) "only the full entry resumed" 1 (Sink.resumed_shards t2);
   Alcotest.(check bool) "entry without seq/raw re-rendered" false
     (Sink.is_done t2 "a.csv.1");
-  rm_rf dir
+  Shards.rm_rf dir
 
 let test_mkdir_p_concurrent () =
-  let base = fresh_dir "mirage_mkdir" in
+  let base = Shards.fresh_dir "mirage_mkdir" in
   let target = Filename.concat (Filename.concat base "a") "b" in
   (* both domains race the same nested creation; the loser must treat the
      winner's directory as success *)
@@ -211,12 +192,12 @@ let test_mkdir_p_concurrent () =
   Par.run pool 2 (fun _ -> Sink.mkdir_p target);
   Alcotest.(check bool) "created" true (Sys.is_directory target);
   Sink.mkdir_p target;
-  rm_rf base
+  Shards.rm_rf base
 
 (* --- unit: fault injection ------------------------------------------------- *)
 
 let test_enospc_no_orphans () =
-  let dir = fresh_dir "mirage_sink_enospc" in
+  let dir = Shards.fresh_dir "mirage_sink_enospc" in
   let backend =
     Sink.faulty
       { Sink.no_faults with enospc_after_bytes = Some 8 }
@@ -240,21 +221,21 @@ let test_enospc_no_orphans () =
   (* the manifest still checkpoints exactly the committed prefix *)
   let t2 = Sink.create ~resume:true ~dir ~run_id:"e" () in
   Alcotest.(check int) "resume sees one shard" 1 (Sink.resumed_shards t2);
-  rm_rf dir
+  Shards.rm_rf dir
 
 let test_short_writes_byte_exact () =
-  let dir = fresh_dir "mirage_sink_short" in
+  let dir = Shards.fresh_dir "mirage_sink_short" in
   let backend = Sink.faulty { Sink.no_faults with short_writes = true } Sink.os_backend in
   let t = Sink.create ~backend ~dir ~run_id:"s" () in
   let payload = String.concat "," (List.init 200 string_of_int) ^ "\n" in
   Sink.write_shard t ~name:"a.csv.0" (fun w -> put_string w payload);
   Alcotest.(check string)
     "partial writes drained" payload
-    (read_file (Filename.concat dir "a.csv.0"));
-  rm_rf dir
+    (Shards.read_file (Filename.concat dir "a.csv.0"));
+  Shards.rm_rf dir
 
 let test_crash_leaves_tmp_then_resume () =
-  let dir = fresh_dir "mirage_sink_crash" in
+  let dir = Shards.fresh_dir "mirage_sink_crash" in
   let backend =
     Sink.faulty { Sink.no_faults with crash_after_shards = Some 1 } Sink.os_backend
   in
@@ -275,9 +256,9 @@ let test_crash_leaves_tmp_then_resume () =
   Sink.write_shard t2 ~name:"a.csv.1" (fun w -> put_string w "second\n");
   Alcotest.(check string)
     "identical after resume" "first\nsecond\n"
-    (read_file (Filename.concat dir "a.csv.0")
-    ^ read_file (Filename.concat dir "a.csv.1"));
-  rm_rf dir
+    (Shards.read_file (Filename.concat dir "a.csv.0")
+    ^ Shards.read_file (Filename.concat dir "a.csv.1"));
+  Shards.rm_rf dir
 
 (* --- end-to-end: generated workloads -------------------------------------- *)
 
@@ -290,19 +271,16 @@ let generate make ~sf =
   | Error d -> Alcotest.fail (Mirage_core.Diag.to_string d)
   | Ok r -> (workload, r)
 
-let table_names db =
-  List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
-
 (* shard fan-out small enough to be quick, large enough that the fact table
    splits into several shards *)
 let chunk_rows_for db =
   let largest =
-    List.fold_left (fun m t -> max m (Db.row_count db t)) 1 (table_names db)
+    List.fold_left (fun m t -> max m (Db.row_count db t)) 1 (Shards.table_names db)
   in
   max 1 (largest / 2)
 
 let check_chunked_identity ~label ~db ~copies ~domains ~chunk_rows =
-  let chunk = fresh_dir "mirage_chunk" in
+  let chunk = Shards.fresh_dir "mirage_chunk" in
   Par.with_pool ~domains (fun pool ->
       let rep =
         Shards.export ~pool ~db ~copies ~chunk_rows ~dir:chunk ~run_id:label ()
@@ -315,11 +293,11 @@ let check_chunked_identity ~label ~db ~copies ~domains ~chunk_rows =
         (Printf.sprintf "%s: %s chunked = monolithic" label t)
         true
         (String.equal m (Shards.concat chunk t)))
-    (table_names db);
-  rm_rf chunk
+    (Shards.table_names db);
+  Shards.rm_rf chunk
 
 let check_crash_resume ?chunk_rows ~label ~db ~copies ~domains ~crash_after () =
-  let chunk = fresh_dir "mirage_chunk" in
+  let chunk = Shards.fresh_dir "mirage_chunk" in
   let chunk_rows = Option.value chunk_rows ~default:(chunk_rows_for db) in
   let run_id = label ^ "-resume" in
   (* run 1: killed after [crash_after] committed shards *)
@@ -355,8 +333,8 @@ let check_crash_resume ?chunk_rows ~label ~db ~copies ~domains ~crash_after () =
         (Printf.sprintf "%s: %s resumed run byte-identical" label t)
         true
         (String.equal m (Shards.concat chunk t)))
-    (table_names db);
-  rm_rf chunk
+    (Shards.table_names db);
+  Shards.rm_rf chunk
 
 let test_workload_chunked name make ~sf () =
   let _, r = generate make ~sf in
@@ -381,7 +359,7 @@ let test_workload_crash_resume name make ~sf () =
 let test_sql_chunked_identity () =
   let workload, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
   let db = r.Driver.r_db and env = r.Driver.r_env in
-  let mono = fresh_dir "mirage_sqlm" and chunk = fresh_dir "mirage_sqlc" in
+  let mono = Shards.fresh_dir "mirage_sqlm" and chunk = Shards.fresh_dir "mirage_sqlc" in
   ignore
     (Sql_export.export_chunked ~db ~workload ~env ~dir:mono ~chunk_rows:max_int
        ~run_id:"mono" ());
@@ -405,17 +383,17 @@ let test_sql_chunked_identity () =
   Alcotest.(check int) "sql shards resumed" 2 resumed;
   let rec cat k acc =
     let p = Filename.concat chunk (Printf.sprintf "data.sql.%d" k) in
-    if Sys.file_exists p then cat (k + 1) (acc ^ read_file p) else acc
+    if Sys.file_exists p then cat (k + 1) (acc ^ Shards.read_file p) else acc
   in
   Alcotest.(check bool)
     "data.sql chunked = monolithic" true
-    (String.equal (read_file (Filename.concat mono "data.sql.0")) (cat 0 ""));
+    (String.equal (Shards.read_file (Filename.concat mono "data.sql.0")) (cat 0 ""));
   Alcotest.(check bool)
     "schema.sql written" true
     (String.equal
-       (read_file (Filename.concat mono "schema.sql"))
-       (read_file (Filename.concat chunk "schema.sql")));
-  rm_rf chunk
+       (Shards.read_file (Filename.concat mono "schema.sql"))
+       (Shards.read_file (Filename.concat chunk "schema.sql")));
+  Shards.rm_rf chunk
 
 (* --- shard-parallel writer ------------------------------------------------
 
@@ -436,7 +414,7 @@ let test_workload_sharded name make ~sf () =
 
 let dir_files dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
-  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+  |> List.map (fun f -> (f, Shards.read_file (Filename.concat dir f)))
 
 (* every table exported from its own pool task, as the driver's live export
    does, then the finish pass seals the manifest *)
@@ -445,7 +423,7 @@ let live_gz_export ?backend ?(resume = false) ~pool ~db ~dir () =
     Scale_out.open_csv_export ~pool ?backend ~resume ~compress:true ~copies:4
       ~chunk_rows:(chunk_rows_for db) ~dir ~run_id:"live-gz" ()
   in
-  let tables = Array.of_list (table_names db) in
+  let tables = Array.of_list (Shards.table_names db) in
   Par.run pool (Array.length tables) (fun i ->
       Scale_out.export_table h ~db tables.(i));
   Scale_out.finish_csv_export h ~db
@@ -454,10 +432,10 @@ let test_live_export_gz () =
   let _, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
   let db = r.Driver.r_db in
   let export domains =
-    let dir = fresh_dir "mirage_live" in
+    let dir = Shards.fresh_dir "mirage_live" in
     Par.with_pool ~domains (fun pool -> ignore (live_gz_export ~pool ~db ~dir ()));
     let files = dir_files dir in
-    rm_rf dir;
+    Shards.rm_rf dir;
     files
   in
   let reference = export 1 in
@@ -477,10 +455,10 @@ let test_live_export_gz () =
   let fact =
     List.fold_left
       (fun best t -> if Db.row_count db t > Db.row_count db best then t else best)
-      (List.hd (table_names db)) (table_names db)
+      (List.hd (Shards.table_names db)) (Shards.table_names db)
   in
   let crash_after = 2 in
-  let dir = fresh_dir "mirage_live_kill" in
+  let dir = Shards.fresh_dir "mirage_live_kill" in
   Par.with_pool ~domains:2 (fun pool ->
       let backend =
         Sink.faulty
@@ -506,7 +484,7 @@ let test_live_export_gz () =
   Alcotest.(check bool)
     "resumed output byte-identical" true
     (dir_files dir = reference);
-  rm_rf dir
+  Shards.rm_rf dir
 
 (* --- gzip round trip: the reference decompressor is the oracle ------------- *)
 
@@ -519,7 +497,7 @@ let gunzip_bytes label s =
       (Printf.sprintf "gzip -dc %s > %s 2>/dev/null" (Filename.quote gz)
          (Filename.quote out))
   in
-  let r = if rc = 0 then Some (read_file out) else None in
+  let r = if rc = 0 then Some (Shards.read_file out) else None in
   Sys.remove gz;
   Sys.remove out;
   match r with
@@ -528,7 +506,7 @@ let gunzip_bytes label s =
 
 let check_gzip_roundtrip ?chunk_rows ~label ~db ~copies ~domains () =
   let chunk_rows = Option.value chunk_rows ~default:(chunk_rows_for db) in
-  let gzd = fresh_dir "mirage_gzd" in
+  let gzd = Shards.fresh_dir "mirage_gzd" in
   Par.with_pool ~domains (fun pool ->
       ignore
         (Shards.export ~pool ~compress:true ~db ~copies
@@ -544,8 +522,8 @@ let check_gzip_roundtrip ?chunk_rows ~label ~db ~copies ~domains () =
         (Printf.sprintf "%s: %s gunzipped concatenation = monolithic" label t)
         true
         (String.equal m (gunzip_bytes (label ^ "/" ^ t) cat)))
-    (table_names db);
-  rm_rf gzd
+    (Shards.table_names db);
+  Shards.rm_rf gzd
 
 let test_workload_gzip name make ~sf () =
   let _, r = generate make ~sf in
@@ -654,7 +632,7 @@ let test_budget_race_sharded () =
   List.iter
     (fun domains ->
       let label = Printf.sprintf "race domains=%d" domains in
-      let dir = fresh_dir "mirage_race" in
+      let dir = Shards.fresh_dir "mirage_race" in
       let run_id = label in
       (* the deadline token is already expired; the countdown delays the
          first check so several writers are mid-shard across domains when
@@ -710,8 +688,8 @@ let test_budget_race_sharded () =
             (Printf.sprintf "%s: %s resumed run byte-identical" label t)
             true
             (String.equal m (Shards.concat dir t)))
-        (table_names db);
-      rm_rf dir)
+        (Shards.table_names db);
+      Shards.rm_rf dir)
     [ 1; 2; 4 ]
 
 (* --- file-backed payloads -------------------------------------------------- *)
@@ -725,20 +703,20 @@ let test_budget_race_sharded () =
 let test_spill_dir () =
   let module Col = Mirage_engine.Col in
   let export db =
-    let dir = fresh_dir "mirage_spill_out" in
+    let dir = Shards.fresh_dir "mirage_spill_out" in
     ignore (Shards.export ~db ~copies:2 ~dir ~run_id:"spill" ());
     let bytes =
-      String.concat "\x00" (List.map (Shards.concat dir) (table_names db))
+      String.concat "\x00" (List.map (Shards.concat dir) (Shards.table_names db))
     in
-    rm_rf dir;
+    Shards.rm_rf dir;
     bytes
   in
-  let spill = fresh_dir "mirage_spill" in
+  let spill = Shards.fresh_dir "mirage_spill" in
   let saved = Col.big_dir () in
   Fun.protect
     ~finally:(fun () ->
       Col.set_big_dir saved;
-      rm_rf spill)
+      Shards.rm_rf spill)
     (fun () ->
       Col.set_big_dir None;
       let _, r = generate Mirage_workloads.Ssb.make ~sf:24.0 in
@@ -747,7 +725,9 @@ let test_spill_dir () =
       let _, r = generate Mirage_workloads.Ssb.make ~sf:24.0 in
       let db = r.Driver.r_db in
       Alcotest.(check bool) "some column reaches the 1 MiB file-backed floor" true
-        (List.exists (fun t -> 8 * Db.row_count db t >= 1 lsl 20) (table_names db));
+        (List.exists
+           (fun t -> 8 * Db.row_count db t >= 1 lsl 20)
+           (Shards.table_names db));
       (* where the kernel lists mappings, the live columns show up as
          mappings of deleted files under the spill directory *)
       if Sys.file_exists "/proc/self/maps" then begin
@@ -802,7 +782,7 @@ let test_deadline_typed_diag () =
 let test_export_deadline_no_orphans () =
   let _, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
   let db = r.Driver.r_db in
-  let dir = fresh_dir "mirage_deadline" in
+  let dir = Shards.fresh_dir "mirage_deadline" in
   let token =
     Budget.start { Budget.no_limits with Budget.deadline_s = Some 0.0 }
   in
@@ -817,7 +797,7 @@ let test_export_deadline_no_orphans () =
   in
   Alcotest.(check bool) "deadline tripped during export" true tripped;
   Alcotest.(check (list string)) "no temp files left" [] (tmp_files dir);
-  rm_rf dir
+  Shards.rm_rf dir
 
 let () =
   Alcotest.run "sink"

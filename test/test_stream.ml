@@ -12,22 +12,6 @@ module Db = Mirage_engine.Db
 module Par = Mirage_par.Par
 module Schema = Mirage_sql.Schema
 
-let fresh_dir prefix =
-  let base = Filename.temp_file prefix "" in
-  Sys.remove base;
-  Sink.mkdir_p base;
-  base
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let table_names db =
-  List.map (fun (t : Schema.table) -> t.Schema.tname) (Schema.tables (Db.schema db))
-
 let generate ?chunk_rows ?(domains = 1) make ~sf =
   let workload, ref_db, prod_env = make ~sf ~seed:7 in
   let config =
@@ -39,7 +23,7 @@ let generate ?chunk_rows ?(domains = 1) make ~sf =
   | Ok r -> r
 
 let largest_table db =
-  List.fold_left (fun m t -> max m (Db.row_count db t)) 1 (table_names db)
+  List.fold_left (fun m t -> max m (Db.row_count db t)) 1 (Shards.table_names db)
 
 (* --- unit: chunk plans ----------------------------------------------------- *)
 
@@ -103,7 +87,7 @@ let check_identity ~label mono r =
         (String.equal
            (Reference.csv ~db:mono.Driver.r_db ~copies:1 t)
            (Reference.csv ~db:r.Driver.r_db ~copies:1 t)))
-    (table_names mono.Driver.r_db);
+    (Shards.table_names mono.Driver.r_db);
   Alcotest.(check bool)
     (label ^ ": parameters identical")
     true
@@ -132,7 +116,7 @@ let test_stream_crash_resume () =
   let mono = generate Mirage_workloads.Ssb.make ~sf:0.05 in
   let r = generate ~chunk_rows:37 Mirage_workloads.Ssb.make ~sf:0.05 in
   let db = r.Driver.r_db in
-  let dir_c = fresh_dir "mirage_stream_cc" in
+  let dir_c = Shards.fresh_dir "mirage_stream_cc" in
   (* several shards per fact table, crash after two commits: the kill lands
      mid-fact-table, and the resumed run must complete byte-identically.
      At a third of the largest table, the fact tables ([rows > chunk_rows])
@@ -169,8 +153,8 @@ let test_stream_crash_resume () =
         (String.equal
            (Reference.csv ~db:mono.Driver.r_db ~copies:1 t)
            (Shards.concat dir_c t)))
-    (table_names db);
-  rm_rf dir_c
+    (Shards.table_names db);
+  Shards.rm_rf dir_c
 
 let () =
   Alcotest.run "stream"

@@ -17,6 +17,7 @@ module Diag = Mirage_core.Diag
 module Error = Mirage_core.Error
 module Db = Mirage_engine.Db
 module Schema = Mirage_sql.Schema
+module Value = Mirage_sql.Value
 module Budget = Mirage_util.Budget
 module Sink = Mirage_engine.Sink
 module Scale_out = Mirage_core.Scale_out
@@ -87,9 +88,19 @@ let workload_arg =
   let doc = "Workload to regenerate: ssb, tpch or tpcds." in
   Arg.(value & opt string "tpch" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
 
+(* a scale factor: anything but a finite float above 0 is a command-line
+   error (124) *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive finite number" s))
+  in
+  Arg.conv (parse, fun ppf x -> Format.pp_print_string ppf (Value.float_digits x))
+
 let sf_arg =
   let doc = "Scale factor (1.0 = the laptop-scale base size)." in
-  Arg.(value & opt float 0.2 & info [ "sf"; "scale" ] ~docv:"SF" ~doc)
+  Arg.(value & opt positive_float 0.2 & info [ "sf"; "scale" ] ~docv:"SF" ~doc)
 
 let seed_arg =
   let doc = "Deterministic seed for both the production data and generation." in
@@ -110,7 +121,7 @@ let batch_arg =
 
 let out_arg =
   let doc =
-    "Directory to write the synthetic CSV shards (<table>.csv.<k>), their      MANIFEST.json and the parameter file into."
+    "Directory to write the synthetic CSV shards (<table>.csv.<k>), their      MANIFEST.json, the parameter file parameters.txt, and schema.sql and      queries.sql (the schema's DDL and the instantiated queries) into."
   in
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"DIR" ~doc)
 
@@ -235,13 +246,14 @@ let write_parameters r dir =
    moment its last FK edge commits, and the finish pass renders whatever
    the hook missed and seals MANIFEST.json.
    Without [--chunk-rows] the export chunk is unbounded, so each table is
-   one shard, <table>.csv.0.  parameters.txt follows, and the SQL export
-   when asked.  The export's deadline runs from the start of generation,
-   which it overlaps.  [run_key] names the run's inputs; the run ids append
-   every other parameter that changes the output bytes (compression changes
-   shard names and contents, the domain count does not). *)
+   one shard, <table>.csv.0.  parameters.txt, schema.sql and queries.sql
+   follow.  The export's deadline runs from the start of generation, which
+   it overlaps.  [run_key] names the run's inputs; the run id appends every
+   other parameter that changes the output bytes (the batch size changes
+   the rows, compression changes shard names and contents, the domain count
+   changes nothing). *)
 let generate_and_export ~what ~run_key ~config ~out ~copies ~chunk ~compress
-    ~resume ~sql ~report b =
+    ~resume ~report b =
   let token = Budget.start config.Driver.budget in
   let interrupt () = Budget.check token in
   let chunk_rows = Option.value chunk ~default:max_int in
@@ -249,7 +261,8 @@ let generate_and_export ~what ~run_key ~config ~out ~copies ~chunk ~compress
     Option.map
       (fun dir ->
         let run_id =
-          Printf.sprintf "%s-copies%d-chunk%d%s" run_key copies chunk_rows
+          Printf.sprintf "%s-batch%d-copies%d-chunk%d%s" run_key
+            config.Driver.batch_size copies chunk_rows
             (if compress then "-gz" else "")
         in
         ( dir,
@@ -288,41 +301,18 @@ let generate_and_export ~what ~run_key ~config ~out ~copies ~chunk ~compress
               else Fmt.pr "  %-12s %d rows, %d bytes@." tname rows raw)
             rep.Scale_out.cr_tables;
           write_parameters r dir;
-          if sql then begin
-            let run_id = Printf.sprintf "%s-sql-chunk%d" run_key chunk_rows in
-            let shards, resumed_n =
-              Mirage_core.Sql_export.export_chunked ~resume ~interrupt ~db
-                ~workload:b.Mirage_core.Bundle.b_workload ~env:r.Driver.r_env
-                ~dir ~chunk_rows ~run_id ()
-            in
-            Fmt.pr
-              "wrote schema.sql, queries.sql and %d data.sql shards (%d \
-               resumed)@."
-              shards resumed_n
-          end)
+          Mirage_core.Sql_export.write ~dir ~workload:b.Mirage_core.Bundle.b_workload
+            ~env:r.Driver.r_env;
+          Fmt.pr "wrote %s and %s@." (Filename.concat dir "schema.sql")
+            (Filename.concat dir "queries.sql"))
         live;
       report r;
       verdict_code r
 
 let generate_cmd =
-  let sql_arg =
-    Arg.(value & flag & info [ "sql" ]
-           ~doc:"Also write schema.sql, queries.sql and the INSERT shards data.sql.<k> \
-                 (checkpointed in MANIFEST.sql.json, so $(b,--resume) skips finished \
-                 ones) into the output directory.  Without $(b,--chunk-rows) all rows \
-                 go to data.sql.0; with it, each table is cut into shards of its own.  \
-                 It writes one copy of the database, so $(b,--copies) above 1 is \
-                 rejected (exit 2) before anything is generated or written.")
-  in
-  let run name sf seed batch out copies sql chunk resume compress bmb bsecs
+  let run name sf seed batch out copies chunk resume compress bmb bsecs
       big_dir =
     guarded @@ fun () ->
-    if sql && copies > 1 then
-      failwith
-        (Printf.sprintf
-           "--sql writes one copy of the database and cannot be combined \
-            with --copies %d"
-           copies);
     apply_big_dir big_dir;
     let b, aqts = production name sf seed in
     (* the bundle crosses its text format, as between extract and
@@ -332,9 +322,10 @@ let generate_cmd =
     in
     generate_and_export
       ~what:(Printf.sprintf "%s (sf %.2f)" name sf)
-      ~run_key:(Printf.sprintf "%s-sf%g-seed%d" name sf seed)
+      ~run_key:
+        (Printf.sprintf "%s-sf%s-seed%d" name (Value.float_digits sf) seed)
       ~config:{ (base_config batch (limits_of bmb bsecs)) with Driver.seed }
-      ~out ~copies ~chunk ~compress ~resume ~sql
+      ~out ~copies ~chunk ~compress ~resume
       ~report:(fun r -> report_errors { r with Driver.r_aqts = aqts })
       b
   in
@@ -344,9 +335,7 @@ let generate_cmd =
       [
         exit_exact;
         exit_degraded;
-        ( 2,
-          "infeasible workload, generation failure, unknown workload, or \
-           --sql with --copies above 1." );
+        (2, "infeasible workload, generation failure, or unknown workload.");
         exit_budget;
         exit_export_io;
       ]
@@ -354,7 +343,7 @@ let generate_cmd =
   Cmd.v (Cmd.info "generate" ~doc ~exits)
     Term.(
       const run $ workload_arg $ sf_arg $ seed_arg $ batch_arg $ out_arg
-      $ copies_arg $ sql_arg $ chunk_rows_arg $ resume_arg $ compress_arg
+      $ copies_arg $ chunk_rows_arg $ resume_arg $ compress_arg
       $ budget_mb_arg $ budget_seconds_arg $ big_dir_arg)
 
 let compare_cmd =
@@ -443,7 +432,7 @@ let from_bundle_cmd =
         generate_and_export ~what:"from bundle"
           ~run_key:("bundle-" ^ Digest.to_hex (Digest.file path))
           ~config:(base_config batch (limits_of bmb bsecs))
-          ~out ~copies ~chunk ~compress:false ~resume:false ~sql:false
+          ~out ~copies ~chunk ~compress:false ~resume:false
           ~report:ignore b
   in
   let doc = "Generate a synthetic database from a saved constraint bundle (no production data needed)." in

@@ -2,9 +2,6 @@ module Schema = Mirage_sql.Schema
 module Value = Mirage_sql.Value
 module Pred = Mirage_sql.Pred
 module Plan = Mirage_relalg.Plan
-module Col = Mirage_engine.Col
-module Db = Mirage_engine.Db
-module Render = Mirage_engine.Render
 
 let ( let* ) = Result.bind
 
@@ -34,66 +31,6 @@ let ddl schema =
       Buffer.add_string buf "\n);\n\n")
     (Schema.tables schema);
   Buffer.contents buf
-
-let cell_null nulls i =
-  match nulls with Some b -> Col.Bitset.get b i | None -> false
-
-(* per-column SQL cell writer on the render kernel: representation resolved
-   once per column, digits written in place, dictionary pools escaped once
-   per distinct string — never once per row *)
-let sql_cell_renderer buf col =
-  match col with
-  | Col.Ints { data; nulls } ->
-      fun i ->
-        if cell_null nulls i then Render.Buf.add_string buf "NULL"
-        else Render.Buf.itoa buf data.{i}
-  | Col.Floats { data; nulls } ->
-      fun i ->
-        if cell_null nulls i then Render.Buf.add_string buf "NULL"
-        else Render.Buf.ftoa buf data.{i}
-  | Col.Dict { codes; pool; nulls } ->
-      let escaped = Render.sql_pool pool in
-      fun i ->
-        Render.Buf.add_string buf
-          (if cell_null nulls i then "NULL" else escaped.(codes.{i}))
-
-(* appends one table's INSERT batches to [buf].  [lo, hi) restricts to a
-   row range for a data.sql shard; statements restart every [batch] rows
-   from row 0, so ranges aligned to the batch size concatenate
-   byte-identically to the full render *)
-let batch = 500
-
-let add_inserts ?(lo = 0) ?hi buf db ~table =
-  let tbl = Schema.table (Db.schema db) table in
-  let names = Schema.column_names tbl in
-  let n = match hi with Some h -> h | None -> Db.row_count db table in
-  let renderers =
-    Array.of_list
-      (List.map (fun c -> sql_cell_renderer buf (Db.col db table c)) names)
-  in
-  let ncols = Array.length renderers in
-  let header = Printf.sprintf "INSERT INTO %s (%s) VALUES\n" table (String.concat ", " names) in
-  let i = ref lo in
-  while !i < n do
-    Render.Buf.add_string buf header;
-    let hi = min n (!i + batch) in
-    for r = !i to hi - 1 do
-      if r > !i then Render.Buf.add_string buf ",\n";
-      Render.Buf.add_char buf '(';
-      for c = 0 to ncols - 1 do
-        if c > 0 then Render.Buf.add_string buf ", ";
-        renderers.(c) r
-      done;
-      Render.Buf.add_char buf ')'
-    done;
-    Render.Buf.add_string buf ";\n";
-    i := hi
-  done
-
-let inserts db ~table =
-  let buf = Render.Buf.create 4096 in
-  add_inserts buf db ~table;
-  Render.Buf.contents buf
 
 (* --- predicates ------------------------------------------------------------- *)
 
@@ -258,72 +195,18 @@ let query_sql plan ~schema ~env =
   in
   select_sql ~fresh ~env ~schema plan
 
-module Sink = Mirage_engine.Sink
-
-let export_chunked ?backend ?(resume = false) ?(interrupt = fun () -> ()) ~db
-    ~workload ~env ~dir ~chunk_rows ~run_id () =
-  if chunk_rows < 1 then
-    invalid_arg "Sql_export.export_chunked: chunk_rows must be >= 1";
-  let schema = Db.schema db in
-  (* the CSV shard export owns MANIFEST.json in the same directory *)
-  let sink =
-    Sink.create ?backend ~resume ~manifest:"MANIFEST.sql.json" ~dir ~run_id ()
-  in
-  (* schema.sql and queries.sql are small and idempotent; only the data
-     stream goes through the shard checkpoint *)
-  let write name contents =
+let write ~dir ~workload ~env =
+  let schema = workload.Workload.w_schema in
+  let file name contents =
     Out_channel.with_open_text (Filename.concat dir name) (fun oc ->
         output_string oc contents)
   in
-  write "schema.sql" (ddl schema);
-  let qbuf = Buffer.create 4096 in
-  List.iter
-    (fun (q : Workload.query) ->
-      match query_sql q.Workload.q_plan ~schema ~env with
-      | Ok sql ->
-          Buffer.add_string qbuf (Printf.sprintf "-- %s\n%s;\n\n" q.Workload.q_name sql)
-      | Error m ->
-          Buffer.add_string qbuf (Printf.sprintf "-- %s: %s\n\n" q.Workload.q_name m))
-    workload.Workload.w_queries;
-  write "queries.sql" (Buffer.contents qbuf);
-  (* each shard is a list of (table, lo, hi) row ranges.  Unbounded, every
-     table goes to data.sql.0; bounded, each table is cut into shards of
-     its own, at the shard row budget rounded down to whole INSERT batches
-     so no boundary splits a statement *)
-  let tables =
-    List.map
-      (fun (tbl : Schema.table) -> (tbl.Schema.tname, Db.row_count db tbl.Schema.tname))
-      (Schema.tables schema)
-  in
-  let shards =
-    if chunk_rows = max_int then [ List.map (fun (t, n) -> (t, 0, n)) tables ]
-    else
-      let per = max batch (chunk_rows / batch * batch) in
-      List.concat_map
-        (fun (t, n) ->
-          List.init (max 1 ((n + per - 1) / per)) (fun s ->
-              [ (t, s * per, min n ((s + 1) * per)) ]))
-        tables
-  in
-  let buf = Render.Buf.create 65536 in
-  let resumed = ref 0 in
-  List.iteri
-    (fun k ranges ->
-      interrupt ();
-      let name = Printf.sprintf "data.sql.%d" k in
-      if Sink.is_done sink name then incr resumed
-      else
-        Sink.write_shard sink ~name (fun w ->
-            (* one table at a time through the reused buffer *)
-            List.iter
-              (fun (table, lo, hi) ->
-                Render.Buf.clear buf;
-                add_inserts ~lo ~hi buf db ~table;
-                Sink.put w (Render.Buf.unsafe_bytes buf) ~pos:0
-                  ~len:(Render.Buf.length buf))
-              ranges))
-    shards;
-  let k = List.length shards in
-  Sink.remove_surplus ~dir (Printf.sprintf "data.sql.%d") k;
-  Sink.finish sink;
-  (k, !resumed)
+  file "schema.sql" (ddl schema);
+  file "queries.sql"
+    (String.concat ""
+       (List.map
+          (fun (q : Workload.query) ->
+            match query_sql q.Workload.q_plan ~schema ~env with
+            | Ok sql -> Printf.sprintf "-- %s\n%s;\n\n" q.Workload.q_name sql
+            | Error m -> Printf.sprintf "-- %s: %s\n\n" q.Workload.q_name m)
+          workload.Workload.w_queries))

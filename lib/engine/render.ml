@@ -31,7 +31,6 @@ module Buf = struct
   let create n = { bytes = Bytes.create (max 16 n); len = 0 }
   let clear b = b.len <- 0
   let length b = b.len
-  let contents b = Bytes.sub_string b.bytes 0 b.len
   let to_bytes b = Bytes.sub b.bytes 0 b.len
 
   let ensure b extra =
@@ -143,5 +142,3 @@ let csv_escape s =
   end
 
 let csv_pool pool = Array.map csv_escape pool
-
-let sql_pool pool = Array.map (fun s -> Mirage_sql.Value.(to_string (Str s))) pool

@@ -1,12 +1,11 @@
 (** Zero-allocation output kernel.
 
-    The exporters' hot loops — CSV tiling ({!Mirage_core.Scale_out}) and SQL
-    INSERT rendering ({!Mirage_core.Sql_export}) — write digits and
-    pre-escaped fragments straight into a growable [Bytes] buffer.  Nothing
-    in the per-cell paths allocates: integers are written digit-by-digit
-    ({!Buf.itoa}), floats hit an in-place fast path for integral values
-    ({!Buf.ftoa}), and strings are escaped {e once per distinct pool entry}
-    ({!csv_pool}, {!sql_pool}) rather than once per row.
+    The exporter's hot loop, CSV tiling ({!Mirage_core.Scale_out}), writes
+    digits and pre-escaped fragments straight into a growable [Bytes]
+    buffer.  Nothing in the per-cell paths allocates: integers are written
+    digit-by-digit ({!Buf.itoa}), floats hit an in-place fast path for
+    integral values ({!Buf.ftoa}), and strings are escaped {e once per
+    distinct pool entry} ({!csv_pool}) rather than once per row.
 
     {2 Formatting policy}
 
@@ -14,7 +13,7 @@
     shortest decimal that parses back to the identical [float] (round-trip
     semantics) — ["1"], ["0.5"], ["1e+22"], ["nan"], ["inf"].  Integral
     values print as bare digits (no OCaml-style trailing ['.']), matching
-    the [%.17g] images the SQL exporter always produced; for every value
+    the [%.17g] images of the earlier renderers; for every value
     whose previous renderer image already round-trips — in particular every
     value in the committed goldens — the output is byte-identical to the
     pre-kernel renderers.
@@ -37,9 +36,6 @@ module Buf : sig
   (** Forget the contents, keep the storage. *)
 
   val length : t -> int
-
-  val contents : t -> string
-  (** Fresh string copy of the contents. *)
 
   val to_bytes : t -> Bytes.t
   (** Fresh [Bytes] copy of the contents (used to freeze a template). *)
@@ -79,7 +75,3 @@ val csv_escape : string -> string
 val csv_pool : string array -> string array
 (** [csv_escape] applied once per pool entry — dictionary columns escape
     each distinct string once, not once per row. *)
-
-val sql_pool : string array -> string array
-(** Each pool entry as a SQL string literal, spelt once per entry by
-    {!Mirage_sql.Value.to_string}: ['…'] with embedded quotes doubled. *)

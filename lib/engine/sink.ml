@@ -316,14 +316,13 @@ let remove_stale_tmp dir =
         try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (try Sys.readdir dir with Sys_error _ -> [||])
 
-let create ?(backend = os_backend) ?(resume = false) ?(manifest = "MANIFEST.json")
-    ~dir ~run_id () =
+let create ?(backend = os_backend) ?(resume = false) ~dir ~run_id () =
   if String.exists (fun c -> c = '"' || c = '\n') run_id then
     invalid_arg "Sink.create: run_id must not contain quotes or newlines";
   mkdir_p dir;
   (* a temp file is by definition uncommitted work from a killed run *)
   remove_stale_tmp dir;
-  let mpath = Filename.concat dir manifest in
+  let mpath = manifest_path ~dir in
   let loaded =
     if resume then
       match load_manifest mpath with

@@ -2,15 +2,16 @@
    (extract a bundle, generate from it elsewhere) must write the same files
    the direct [generate] run writes, and its output must verify against the
    bundle, and a malformed parameter file is refused with its line; the
-   default export (no --chunk-rows) is one resumable shard per
-   table; the bytes of the benchmark-scale exports and of the extracted
-   bundles are written out as md5sum lists, which test/cli/dune diffs
-   against the goldens, and those exports verify against their bundles; an
-   expired deadline exits 3; --sql with --copies,
-   and a surplus shard that cannot be removed, fail with their exit codes,
-   and so does an unknown query to explain; each --help lists only its
-   command's exit codes.  The first argument is the binary's path; the
-   rest go to alcotest. *)
+   default export (no --chunk-rows) is one resumable shard per table beside
+   parameters.txt, schema.sql and queries.sql, and a resume under another
+   --batch renders every shard again; the bytes of the benchmark-scale
+   exports and of the extracted bundles are written out as md5sum lists,
+   which test/cli/dune diffs against the goldens, and those exports verify
+   against their bundles; an expired deadline exits 3, and a surplus shard
+   that cannot be removed and an unknown query to explain fail with their
+   exit codes; a non-positive size or scale factor is a command-line error;
+   each --help lists only its command's exit codes.  The first argument is
+   the binary's path; the rest go to alcotest. *)
 
 let cli = ref ""
 
@@ -80,29 +81,28 @@ let test_bundle_shards_match_generate () =
     @ chunk_args);
   let files d = List.sort compare (Array.to_list (Sys.readdir d)) in
   Alcotest.(check (list string)) "same files" (files d2) (files d1);
-  let shards =
-    List.filter (fun f -> f <> "MANIFEST.json" && f <> "parameters.txt") (files d1)
-  in
   Alcotest.(check bool)
     "lineorder spans several shards" true
-    (List.length (List.filter (String.starts_with ~prefix:"lineorder.csv.") shards)
+    (List.length (List.filter (String.starts_with ~prefix:"lineorder.csv.") (files d1))
     > 1);
+  (* the shards, parameters.txt, schema.sql and queries.sql *)
   List.iter
     (fun f ->
       Alcotest.(check bool)
         (f ^ " byte-identical") true
         (read_file (Filename.concat d1 f) = read_file (Filename.concat d2 f)))
-    shards;
+    (List.filter (( <> ) "MANIFEST.json") (files d1));
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " written") true (List.mem f (files d1)))
+    [ "schema.sql"; "queries.sql" ];
   Alcotest.(check bool) "from-bundle seals a complete manifest" true
     (contains ~sub:"\"complete\": true" (read_file (Filename.concat d1 "MANIFEST.json")));
   (* the first manifest line carries the run id, which names each run's
      own inputs; every shard line must agree *)
   let shard_lines d = List.tl (lines (Filename.concat d "MANIFEST.json")) in
   Alcotest.(check (list string)) "manifest shard lines" (shard_lines d2)
-    (shard_lines d1);
-  Alcotest.(check string) "parameters.txt"
-    (read_file (Filename.concat d2 "parameters.txt"))
-    (read_file (Filename.concat d1 "parameters.txt"))
+    (shard_lines d1)
 
 let verify_dir ~log bundle d =
   mirage ~log
@@ -221,16 +221,17 @@ let generate_ssb ~log d extra =
     ([ "generate"; "-w"; "ssb"; "--sf"; "0.05"; "--seed"; "42"; "-o"; d ]
     @ extra)
 
-(* no --chunk-rows: one shard per table plus the manifest, and --resume
-   skips every shard of the finished export *)
+(* no --chunk-rows: one shard per table plus the manifest, parameters.txt,
+   schema.sql and queries.sql, and --resume skips every shard of the
+   finished export *)
 let test_default_export_resumes () =
   with_dir @@ fun dir ->
   let d = Filename.concat dir "d5" and log = Filename.concat dir "run.log" in
   Alcotest.(check int) "first run" 0 (generate_ssb ~log d []);
   Alcotest.(check (list string))
-    "one shard per table, manifest, parameters"
+    "one shard per table, manifest, parameters, schema, queries"
     (List.sort compare
-       ("MANIFEST.json" :: "parameters.txt"
+       ("MANIFEST.json" :: "parameters.txt" :: "schema.sql" :: "queries.sql"
        :: List.map (fun t -> t ^ ".csv.0") ssb_tables))
     (List.sort compare (Array.to_list (Sys.readdir d)));
   let shards () =
@@ -242,92 +243,19 @@ let test_default_export_resumes () =
     (contains ~sub:"(5 resumed, 0 bytes this run)" (read_file log));
   Alcotest.(check bool) "shards unchanged" true (before = shards ())
 
-(* --sql beside a chunked CSV export: the data.sql shards keep their own
-   manifest, so neither export replaces the other's entries and a resumed
-   run skips every CSV shard and every data.sql shard *)
-let test_sql_chunked_resumes () =
-  with_dir @@ fun dir ->
-  let d = Filename.concat dir "d8" and log = Filename.concat dir "run.log" in
-  let args = [ "--chunk-rows"; "2000"; "--sql" ] in
-  Alcotest.(check int) "first run" 0 (generate_ssb ~log d args);
-  let first = read_file log in
-  Alcotest.(check bool) "first run writes 5 data.sql shards" true
-    (contains ~sub:"5 data.sql shards (0 resumed)" first);
-  let files () =
-    List.filter_map
-      (fun f ->
-        if f = "MANIFEST.json" || f = "MANIFEST.sql.json"
-           || String.starts_with ~prefix:"data.sql." f
-           || Filename.check_suffix (Filename.remove_extension f) ".csv"
-        then Some (f, read_file (Filename.concat d f))
-        else None)
-      (List.sort compare (Array.to_list (Sys.readdir d)))
-  in
-  let before = files () in
-  Alcotest.(check bool) "MANIFEST.json lists the CSV shards" true
-    (contains ~sub:"lineorder.csv.0" (read_file (Filename.concat d "MANIFEST.json")));
-  Alcotest.(check int) "resumed run" 0 (generate_ssb ~log d (args @ [ "--resume" ]));
-  let resumed = read_file log in
-  Alcotest.(check bool) "every CSV shard resumed, 0 bytes" true
-    (contains ~sub:"(5 resumed, 0 bytes this run)" resumed);
-  Alcotest.(check bool) "every data.sql shard resumed" true
-    (contains ~sub:"5 data.sql shards (5 resumed)" resumed);
-  Alcotest.(check bool) "shards and manifests unchanged" true (before = files ())
-
-(* --sql without --chunk-rows: every INSERT lands in the one shard
-   data.sql.0, which a resumed run skips *)
-let test_sql_default_resumes () =
-  with_dir @@ fun dir ->
-  let d = Filename.concat dir "d9" and log = Filename.concat dir "run.log" in
-  Alcotest.(check int) "first run" 0 (generate_ssb ~log d [ "--sql" ]);
-  Alcotest.(check bool) "one data.sql shard" true
-    (contains ~sub:"1 data.sql shards (0 resumed)" (read_file log)
-    && Sys.file_exists (Filename.concat d "data.sql.0")
-    && not (Sys.file_exists (Filename.concat d "data.sql.1")));
-  let before = read_file (Filename.concat d "data.sql.0") in
-  Alcotest.(check int) "resumed run" 0 (generate_ssb ~log d [ "--sql"; "--resume" ]);
-  Alcotest.(check bool) "data.sql.0 resumed" true
-    (contains ~sub:"1 data.sql shards (1 resumed)" (read_file log));
-  Alcotest.(check bool) "data.sql.0 unchanged" true
-    (before = read_file (Filename.concat d "data.sql.0"))
-
-(* --sql writes one copy of the database, so it refuses --copies above 1
-   before generating or writing anything *)
-let test_sql_rejects_copies () =
-  with_dir @@ fun dir ->
-  let d = Filename.concat dir "d10" and log = Filename.concat dir "run.log" in
-  Alcotest.(check int) "exit code" 2
-    (generate_ssb ~log d [ "--copies"; "2"; "--sql" ]);
-  Alcotest.(check bool) "message names --sql" true
-    (contains ~sub:"--sql" (read_file log));
-  Alcotest.(check bool) "no output directory" false (Sys.file_exists d)
-
 (* a directory squatting on a surplus shard name cannot be removed: the
-   export fails with exit 4 before its manifest is sealed, for the CSV
-   shards and the data.sql shards alike *)
+   export fails with exit 4 before its manifest is sealed *)
 let test_surplus_shard_squatter () =
   with_dir @@ fun dir ->
   let d = Filename.concat dir "d11" and log = Filename.concat dir "run.log" in
-  let squat f = Sys.mkdir (Filename.concat d f) 0o755 in
-  let manifest f = read_file (Filename.concat d f) in
   Sys.mkdir d 0o755;
-  squat "customer.csv.1";
-  squat "data.sql.1";
-  Alcotest.(check int) "CSV squatter: exit code" 4
-    (generate_ssb ~log d [ "--sql" ]);
-  Alcotest.(check bool) "CSV squatter: I/O failure named" true
+  Sys.mkdir (Filename.concat d "customer.csv.1") 0o755;
+  Alcotest.(check int) "exit code" 4 (generate_ssb ~log d []);
+  Alcotest.(check bool) "I/O failure named" true
     (contains ~sub:"customer.csv.1" (read_file log));
-  Alcotest.(check bool) "CSV squatter: MANIFEST.json not complete" false
-    (contains ~sub:"\"complete\": true" (manifest "MANIFEST.json"));
-  Sys.rmdir (Filename.concat d "customer.csv.1");
-  Alcotest.(check int) "data.sql squatter: exit code" 4
-    (generate_ssb ~log d [ "--sql" ]);
-  Alcotest.(check bool) "data.sql squatter: I/O failure named" true
-    (contains ~sub:"data.sql.1" (read_file log));
-  Alcotest.(check bool) "data.sql squatter: MANIFEST.json complete" true
-    (contains ~sub:"\"complete\": true" (manifest "MANIFEST.json"));
-  Alcotest.(check bool) "data.sql squatter: MANIFEST.sql.json not complete" false
-    (contains ~sub:"\"complete\": true" (manifest "MANIFEST.sql.json"))
+  Alcotest.(check bool) "MANIFEST.json not complete" false
+    (contains ~sub:"\"complete\": true"
+       (read_file (Filename.concat d "MANIFEST.json")))
 
 (* the exit codes a subcommand's --help lists, in order *)
 let help_exit_codes command =
@@ -435,7 +363,7 @@ let test_tpch_sf4_no_nul () =
   let out = Filename.concat dir "out" in
   expect_ok ~log:(Filename.concat dir "run.log")
     [ "generate"; "-w"; "tpch"; "--sf"; "4"; "--seed"; "7"; "-o"; out;
-      "--chunk-rows"; "100000"; "--sql" ];
+      "--chunk-rows"; "100000" ];
   List.iter
     (fun f ->
       Alcotest.(check bool) (f ^ " holds no NUL byte") false
@@ -501,15 +429,23 @@ let test_bundle_sf2_digests () =
     bundles;
   pin "bundle/sf2-seed7.md5" (md5_lines dir bundles)
 
-(* a batch, chunk or copy count below 1 is a command-line error (124),
-   refused before anything is generated or written *)
+(* a batch, chunk or copy count below 1, and a scale factor that is not a
+   finite number above 0, are command-line errors (124), refused before
+   anything is generated or written *)
 let test_nonpositive_sizes command =
   with_dir @@ fun dir ->
   let d = Filename.concat dir "out" and log = Filename.concat dir "run.log" in
-  let args =
+  let sizes =
+    [ [ "--batch"; "0" ]; [ "--batch=-5" ]; [ "--chunk-rows"; "0" ];
+      [ "--copies"; "0" ] ]
+  in
+  let args, flags =
     match command with
-    | `Generate -> [ "generate"; "-w"; "ssb"; "--sf"; "0.05" ]
-    | `From_bundle -> [ "from-bundle"; extract dir ]
+    | `Generate ->
+        ( [ "generate"; "-w"; "ssb" ],
+          sizes
+          @ [ [ "--sf"; "0" ]; [ "--sf=-1" ]; [ "--sf"; "nan" ]; [ "--sf"; "inf" ] ] )
+    | `From_bundle -> ([ "from-bundle"; extract dir ], sizes)
   in
   List.iter
     (fun flag ->
@@ -517,8 +453,29 @@ let test_nonpositive_sizes command =
         (mirage ~log (args @ [ "-o"; d ] @ flag));
       Alcotest.(check bool) (String.concat " " flag ^ ": no output") false
         (Sys.file_exists d))
-    [ [ "--batch"; "0" ]; [ "--batch=-5" ]; [ "--chunk-rows"; "0" ];
-      [ "--copies"; "0" ] ]
+    flags
+
+(* the run id names the batch size, which changes the rows: resuming an
+   export under another --batch renders every shard again, and the result
+   is the bytes of a fresh export at that batch size *)
+let test_batch_change_rerenders () =
+  with_dir @@ fun dir ->
+  let d = Filename.concat dir "d" and fresh = Filename.concat dir "fresh" in
+  let log = Filename.concat dir "run.log" in
+  let chunk = [ "--chunk-rows"; "2000" ] in
+  Alcotest.(check int) "--batch 60 run" 0
+    (generate_ssb ~log d (chunk @ [ "--batch"; "60" ]));
+  Alcotest.(check int) "resumed default-batch run" 0
+    (generate_ssb ~log d (chunk @ [ "--resume" ]));
+  Alcotest.(check bool) "no shard resumed" true
+    (contains ~sub:"(0 resumed," (read_file log));
+  Alcotest.(check int) "fresh default-batch run" 0 (generate_ssb ~log fresh chunk);
+  Alcotest.(check (list string)) "same files" (exported fresh) (exported d);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " as a fresh export") true
+        (read_file (Filename.concat d f) = read_file (Filename.concat fresh f)))
+    (exported fresh)
 
 (* without -o, generate exports nothing and prints the per-query error
    table *)
@@ -569,8 +526,8 @@ let () =
             `Quick test_default_export_resumes;
           Alcotest.test_case "gzip without --chunk-rows; verify-dir exits 2"
             `Quick test_default_export_gzip;
-          Alcotest.test_case "--sql --chunk-rows: resume skips both exports"
-            `Quick test_sql_chunked_resumes;
+          Alcotest.test_case "no -o: per-query errors, exit 0" `Quick
+            test_generate_without_out;
           Alcotest.test_case "TPC-H sf 4 shards match the pinned digests"
             `Quick test_tpch_sf4_digests;
           Alcotest.test_case "SSB sf 64 shards match the pinned digests"
@@ -587,18 +544,14 @@ let () =
                ~golden:"tpcds/cli-sf2-copies2-seed7.md5");
           Alcotest.test_case "expired deadline exits 3" `Quick (fun () ->
               test_expired_deadline `Generate);
-          Alcotest.test_case "--sql alone: one data.sql.0 shard, resumable"
-            `Quick test_sql_default_resumes;
-          Alcotest.test_case "--sql --copies 2 exits 2, writes nothing" `Quick
-            test_sql_rejects_copies;
           Alcotest.test_case "unremovable surplus shard exits 4, manifest open"
             `Quick test_surplus_shard_squatter;
-          Alcotest.test_case "TPC-H sf 4 parameters and queries hold no NUL"
-            `Quick test_tpch_sf4_no_nul;
           Alcotest.test_case "non-positive --batch/--chunk-rows/--copies exit 124"
             `Quick (fun () -> test_nonpositive_sizes `Generate);
-          Alcotest.test_case "no -o: per-query errors, exit 0" `Quick
-            test_generate_without_out;
+          Alcotest.test_case "--resume after a --batch change re-renders every shard"
+            `Quick test_batch_change_rerenders;
+          Alcotest.test_case "TPC-H sf 4 parameters and queries hold no NUL"
+            `Quick test_tpch_sf4_no_nul;
         ] );
       ( "extract",
         [

@@ -1,7 +1,7 @@
 (* Storage-layer regression suite.  The 1-domain runs write their exports
    under the working directory at their golden paths (Pinned): every CSV,
-   the SQL export and the per-query verdicts of SSB and TPC-H, the TPC-DS
-   verdicts and a digest line per TPC-DS CSV.  Runs at 2 and 4 domains must
+   schema.sql, queries.sql and the per-query verdicts of SSB and TPC-H, the
+   TPC-DS verdicts and a digest line per TPC-DS CSV.  Runs at 2 and 4 domains must
    give the 1-domain bytes.  The QCheck properties pin down the Col
    round-trips the rest of the engine relies on. *)
 
@@ -46,18 +46,13 @@ let verdict_text (r : Driver.result) =
     r.Driver.r_verdicts errs;
   Buffer.contents buf
 
-(* <wl>/<table>.csv, the SQL export and <wl>/verdicts.txt; the unbounded
-   SQL export writes every INSERT to the one shard data.sql.0, pinned as
-   data.sql *)
+(* <wl>/<table>.csv, <wl>/schema.sql, <wl>/queries.sql and
+   <wl>/verdicts.txt *)
 let full_export wl (_, _, run) () =
   let workload, r = Lazy.force run in
   let file f = Filename.concat wl f in
   List.iter (fun (t, csv) -> Pinned.write (file (t ^ ".csv")) csv) (csvs workload r);
-  ignore
-    (Mirage_core.Sql_export.export_chunked ~db:r.Driver.r_db ~workload
-       ~env:r.Driver.r_env ~dir:wl ~chunk_rows:max_int ~run_id:wl ());
-  Sys.rename (file "data.sql.0") (file "data.sql");
-  Sys.remove (file "MANIFEST.sql.json");
+  Mirage_core.Sql_export.write ~dir:wl ~workload ~env:r.Driver.r_env;
   Pinned.write (file "verdicts.txt") (verdict_text r)
 
 let check_bytes label want got =

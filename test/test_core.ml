@@ -1204,25 +1204,6 @@ let test_sql_ddl () =
     && Str_ext.contains sql "s_pk BIGINT PRIMARY KEY"
     && Str_ext.contains sql "t_fk BIGINT REFERENCES s")
 
-let test_sql_inserts_escaping () =
-  let esc_schema =
-    Schema.make
-      [
-        {
-          Schema.tname = "x";
-          pk = "x_pk";
-          nonkeys = [ { Schema.cname = "x1"; domain_size = 2; kind = Schema.Kstring } ];
-          fks = [];
-          row_count = 1;
-        };
-      ]
-  in
-  let db = Db.create esc_schema in
-  Db.put db "x"
-    [ ("x_pk", [| Value.Int 1 |]); ("x1", [| Value.Str "o'neil" |]) ];
-  let sql = Mirage_core.Sql_export.inserts db ~table:"x" in
-  Alcotest.(check bool) "quote doubled" true (Str_ext.contains sql "'o''neil'")
-
 let test_sql_query_shapes () =
   let env =
     Pred.Env.of_list
@@ -1568,7 +1549,6 @@ let () =
       ( "sql-export",
         [
           Alcotest.test_case "ddl" `Quick test_sql_ddl;
-          Alcotest.test_case "insert escaping" `Quick test_sql_inserts_escaping;
           Alcotest.test_case "query shapes" `Quick test_sql_query_shapes;
           Alcotest.test_case "query aliases restart per call" `Quick
             test_sql_aliases_per_query;

@@ -19,7 +19,7 @@ module Par = Mirage_par.Par
 let buf_str f =
   let b = Render.Buf.create 8 in
   f b;
-  Render.Buf.contents b
+  Bytes.sub_string (Render.Buf.unsafe_bytes b) 0 (Render.Buf.length b)
 
 (* --- itoa ------------------------------------------------------------------ *)
 

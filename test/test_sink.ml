@@ -7,7 +7,6 @@ module Budget = Mirage_util.Budget
 module Driver = Mirage_core.Driver
 module Diag = Mirage_core.Diag
 module Scale_out = Mirage_core.Scale_out
-module Sql_export = Mirage_core.Sql_export
 module Par = Mirage_par.Par
 module Schema = Mirage_sql.Schema
 module Db = Mirage_engine.Db
@@ -355,45 +354,6 @@ let test_workload_crash_resume name make ~sf () =
         ~label:(Printf.sprintf "%s domains=%d" name domains)
         ~db ~copies:3 ~domains ~crash_after:2 ())
     [ 1; 2; 4 ]
-
-let test_sql_chunked_identity () =
-  let workload, r = generate Mirage_workloads.Ssb.make ~sf:0.05 in
-  let db = r.Driver.r_db and env = r.Driver.r_env in
-  let mono = Shards.fresh_dir "mirage_sqlm" and chunk = Shards.fresh_dir "mirage_sqlc" in
-  ignore
-    (Sql_export.export_chunked ~db ~workload ~env ~dir:mono ~chunk_rows:max_int
-       ~run_id:"mono" ());
-  (* crash mid-export, then resume *)
-  let crashed =
-    let backend =
-      Sink.faulty { Sink.no_faults with crash_after_shards = Some 2 } Sink.os_backend
-    in
-    match
-      Sql_export.export_chunked ~backend ~db ~workload ~env ~dir:chunk
-        ~chunk_rows:700 ~run_id:"sql" ()
-    with
-    | _ -> false
-    | exception Sink.Injected_crash _ -> true
-  in
-  Alcotest.(check bool) "sql run 1 crashed" true crashed;
-  let _, resumed =
-    Sql_export.export_chunked ~resume:true ~db ~workload ~env ~dir:chunk
-      ~chunk_rows:700 ~run_id:"sql" ()
-  in
-  Alcotest.(check int) "sql shards resumed" 2 resumed;
-  let rec cat k acc =
-    let p = Filename.concat chunk (Printf.sprintf "data.sql.%d" k) in
-    if Sys.file_exists p then cat (k + 1) (acc ^ Shards.read_file p) else acc
-  in
-  Alcotest.(check bool)
-    "data.sql chunked = monolithic" true
-    (String.equal (Shards.read_file (Filename.concat mono "data.sql.0")) (cat 0 ""));
-  Alcotest.(check bool)
-    "schema.sql written" true
-    (String.equal
-       (Shards.read_file (Filename.concat mono "schema.sql"))
-       (Shards.read_file (Filename.concat chunk "schema.sql")));
-  Shards.rm_rf chunk
 
 (* --- shard-parallel writer ------------------------------------------------
 
@@ -842,8 +802,6 @@ let () =
             `Slow
             (test_workload_crash_resume "tpch" Mirage_workloads.Tpch.make
                ~sf:0.05);
-          Alcotest.test_case "data.sql crash+resume identity" `Slow
-            test_sql_chunked_identity;
           Alcotest.test_case "ssb sharded = monolithic, domains 1/2/4" `Slow
             (test_workload_sharded "ssb" Mirage_workloads.Ssb.make ~sf:0.05);
           Alcotest.test_case "tpch sharded = monolithic, domains 1/2/4" `Slow
